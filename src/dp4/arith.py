@@ -79,16 +79,6 @@ class Place:
     def __str__(self) -> str:
         return "oo" if self.q == 0 else str(self.q)
 
-    @staticmethod
-    def infinite() -> "Place":
-        return Place(0)
-
-    @staticmethod
-    def finite(q: int) -> "Place":
-        if q == 0:
-            raise ValueError("finite place needs a prime")
-        return Place(q)
-
 
 PLACE_INF = Place(0)
 
@@ -250,13 +240,6 @@ class PadicScalar:
         if self.is_indeterminate:
             raise InsufficientPrecisionError(
                 f"value is 0 mod {self.q}^{self.e}; valuation, hence square class, unknown")
-
-    def mul(self, other: "PadicScalar") -> "PadicScalar":
-        assert self.q == other.q
-        self.require_determinate()
-        other.require_determinate()
-        k = min(self.k, other.k)
-        return PadicScalar(self.q, self.e + other.e, self.u * other.u % self.q ** k, k)
 
     def unit_mod(self, m: int) -> int:
         """Unit part reduced mod q^m (m <= k)."""
@@ -484,7 +467,7 @@ class SquareClass:
         return self.rep == 1
 
 
-def square_class(x: Fraction | int, rho_budget: int = 2_000_000) -> SquareClass:
+def square_class(x: Fraction | int) -> SquareClass:
     """Squarefree representative of a nonzero rational modulo rational squares."""
     x = Fraction(x)
     if x == 0:
@@ -493,7 +476,7 @@ def square_class(x: Fraction | int, rho_budget: int = 2_000_000) -> SquareClass:
     sign = -1 if n < 0 else 1
     n = abs(n)
     rep = sign
-    for q in set(factor(n, rho_budget)):
+    for q in set(factor(n)):
         if valuation(n, q) % 2:
             rep *= q
     return SquareClass(rep)
@@ -503,11 +486,11 @@ def is_perfect_square(n: int) -> bool:
     return n >= 0 and isqrt(n) ** 2 == n
 
 
-def divisors(n: int, rho_budget: int = 2_000_000) -> list[int]:
+def divisors(n: int) -> list[int]:
     """All positive divisors of n >= 1, sorted."""
     ds = [1]
     last = None
-    for q in factor(n, rho_budget):
+    for q in factor(n):
         if q != last:
             base = list(ds)
             power = 1

@@ -18,14 +18,18 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .arith import (
+    InsufficientPrecisionError,
+    NotASquareError,
     PadicScalar,
     Place,
     PLACE_INF,
     factor,
+    find_nonresidue,
+    hensel_sqrt,
     hilbert_symbol,
     hilbert_symbol_padic,
     legendre,
-    sqrt_mod,
+    valuation,
 )
 from .localsolve import (
     PadicApproxPoint,
@@ -143,115 +147,103 @@ def _scale(p, c):
 # invariant evaluation
 
 
-def _symbol_to_value(sym: int) -> Fraction:
-    return ZERO if sym == 1 else HALF
+def _eval_reps(s: SubfamilySurface, tag: str, point, v: Place | None) -> Fraction | None:
+    """Common value of the representatives determinate at the point, or None.
 
-
-def _eval_reps_rational(s: SubfamilySurface, tag: str, point, v: Place) -> Fraction:
+    At an exact integer point (place ``v``) a representative counts when it is
+    neither 0 nor infinite there; at a PadicApproxPoint both of its parts must
+    also carry enough digits of their unit parts to fix the square class.
+    """
+    local = isinstance(point, PadicApproxPoint)
+    coords = point.coords if local else point
+    need = 3 if local and point.q == 2 else 1  # relative digits needed of the unit part
     values = set()
     for rep in class_representations(s, tag):
-        n, d = rep.eval_num(point), rep.eval_den(point)
-        if n == 0 or d == 0:
+        n, d = rep.eval_num(coords), rep.eval_den(coords)
+        if local:
+            ns = PadicScalar.from_residue(point.q, n, point.k)
+            ds = PadicScalar.from_residue(point.q, d, point.k)
+            if ns.k < need or ds.k < need:
+                continue
+            sym = hilbert_symbol_padic(s.p, ns) * hilbert_symbol_padic(s.p, ds)
+        elif n == 0 or d == 0:
             continue
-        values.add(_symbol_to_value(hilbert_symbol(s.p, Fraction(n, d), v)))
-    if not values:
-        raise IndeterminateEvaluationError(
-            f"class {tag}: all representations vanish at {point} (place {v})")
-    assert len(values) == 1, f"representations disagree for {tag} at {point}, place {v}"
-    return values.pop()
+        else:
+            sym = hilbert_symbol(s.p, Fraction(n, d), v)
+        values.add(ZERO if sym == 1 else HALF)
+    if len(values) > 1:
+        raise AssertionError(f"representations disagree for {tag} at {point}, place {v or point.q}")
+    return values.pop() if values else None
 
 
-def _eval_reps_local(s: SubfamilySurface, tag: str, pt: PadicApproxPoint) -> Fraction | None:
-    """Value at an approximate local point, or None if no rep is determinate."""
-    q, k = pt.q, pt.k
-    need = 3 if q == 2 else 1  # relative digits needed of the unit part
-    values = set()
-    for rep in class_representations(s, tag):
-        n = rep.eval_num(pt.coords)
-        d = rep.eval_den(pt.coords)
-        ns = PadicScalar.from_residue(q, n, k)
-        ds = PadicScalar.from_residue(q, d, k)
-        if ns.is_indeterminate or ds.is_indeterminate or ns.k < need or ds.k < need:
-            continue
-        sym = hilbert_symbol_padic(s.p, ns) * hilbert_symbol_padic(s.p, ds)
-        values.add(_symbol_to_value(sym))
-    if not values:
-        return None
-    assert len(values) == 1, f"representations disagree for {tag} at {pt}"
-    return values.pop()
-
-
-def evaluate_invariant(s: SubfamilySurface, tag: str, point, v=None, *,
-                       escalations: int = 4) -> Fraction:
+def evaluate_invariant(s: SubfamilySurface, tag: str, point, v=None) -> Fraction:
     """Local invariant of the class at a point, in {0, 1/2}.
 
     ``point`` is either an exact integer 5-tuple (then ``v`` names the place)
     or a PadicApproxPoint (then the place is its prime).  Representations that
     vanish are skipped; an imprecise local point is re-lifted, doubling the
-    precision up to ``escalations`` times, before giving up.
+    precision up to four times, and where every representation stays
+    indeterminate nearby points carry the value.  Class C is A + B wherever
+    both are determinate; its own representations then only cross-check it.
     """
+    if not isinstance(point, PadicApproxPoint):
+        point = tuple(int(c) for c in point)
+        if v is None:
+            raise ValueError("exact points need an explicit place")
+        if not isinstance(v, Place):
+            v = PLACE_INF if v in (0, "oo") else Place(int(v))
+        if v.is_infinite:
+            return ZERO  # all class symbols are (p, *) with p > 0
+    value = _direct_value(s, tag, point, v)
     if tag == "C":
-        # product rule first: inv C = inv A + inv B; direct reps as cross-check
         try:
-            a = evaluate_invariant(s, "A", point, v, escalations=escalations)
-            b = evaluate_invariant(s, "B", point, v, escalations=escalations)
-            product = (a + b) % 1
+            a = evaluate_invariant(s, "A", point, v)
+            product = (a + evaluate_invariant(s, "B", point, v)) % 1
         except IndeterminateEvaluationError:
             product = None
-        direct = _try_direct(s, "C", point, v, escalations)
-        if product is not None and direct is not None:
-            assert product == direct, "product rule and direct representation disagree for C"
-        if product is not None:
-            return product
-        if direct is not None:
-            return direct
-        raise IndeterminateEvaluationError(f"class C indeterminate at {point}")
-    value = _try_direct(s, tag, point, v, escalations)
+        if product is not None and value not in (None, product):
+            raise AssertionError("product rule and direct representation disagree for C")
+        value = value if product is None else product
     if value is None:
-        raise IndeterminateEvaluationError(f"class {tag} indeterminate at {point}")
+        raise IndeterminateEvaluationError(
+            f"class {tag} indeterminate at {point}, place {v or point.q}")
     return value
 
 
-def _try_direct(s, tag, point, v, escalations) -> Fraction | None:
+# digits to which an exact point is read before falling back on local constancy
+_EXACT_POINT_PRECISION = 16
+
+
+def _direct_value(s, tag, point, v) -> Fraction | None:
+    value = _eval_reps(s, tag, point, v)
+    if value is not None:
+        return value
     if isinstance(point, PadicApproxPoint):
         pt = point
-        for _ in range(escalations + 1):
-            value = _eval_reps_local(s, tag, pt)
-            if value is not None:
-                return value
+        for _ in range(4):
             try:
                 pt = newton_refine(s, pt, 2 * pt.k)
             except (ValueError, ArithmeticError):
                 break
-        # refinement stalls when the point sits exactly on the vanishing locus
-        # of every representation; nearby points carry the value then
-        return _eval_local_by_perturbation(s, tag, point)
-    point = tuple(int(c) for c in point)
-    if v is None:
-        raise ValueError("exact points need an explicit place")
-    if not isinstance(v, Place):
-        v = PLACE_INF if v in (0, "oo", None) else Place(int(v))
-    if v.is_infinite:
-        # all class symbols are (p, *) with p > 0, trivial at the real place
-        assert s.p > 0
-        return ZERO
-    try:
-        return _eval_reps_rational(s, tag, point, v)
-    except IndeterminateEvaluationError:
-        value = _eval_rational_by_perturbation(s, tag, point, v.q)
-        if value is None:
-            raise
-        return value
+            value = _eval_reps(s, tag, pt, None)
+            if value is not None:
+                return value
+    else:
+        point = normalize_residue_tuple(v.q, _EXACT_POINT_PRECISION, point)
+        if point is None:
+            return None
+    # refinement stalls when the point sits exactly on the vanishing locus
+    # of every representation; nearby points carry the value then
+    return _eval_by_local_constancy(s, tag, point)
 
 
-def _eval_local_by_perturbation(s, tag, pt: PadicApproxPoint) -> Fraction | None:
-    """Value at an approximate point on the common vanishing locus of the reps.
+def _eval_by_local_constancy(s, tag, pt: PadicApproxPoint) -> Fraction | None:
+    """Value at a point on the common vanishing locus of the representations.
 
     The invariant map is locally constant on X(Q_q), so certified neighbours
     at two consecutive depths must agree; any disagreement or failure to find
     neighbours returns None.
     """
-    q = pt.q
     lo = max(2, pt.k // 2)
     values = set()
     for depth in (lo, lo + 1):
@@ -267,7 +259,7 @@ def _eval_local_by_perturbation(s, tag, pt: PadicApproxPoint) -> Fraction | None
             if cert is None:
                 continue
             refined = newton_refine(s, replace(child, cert=cert), depth + 8)
-            value = _eval_reps_local(s, tag, refined)
+            value = _eval_reps(s, tag, refined, None)
             if value is not None:
                 values.add(value)
                 got += 1
@@ -275,39 +267,6 @@ def _eval_local_by_perturbation(s, tag, pt: PadicApproxPoint) -> Fraction | None
                 break
         if got == 0 or len(values) > 1:
             return None
-    return values.pop()
-
-
-def _eval_rational_by_perturbation(s, tag, point, q) -> Fraction | None:
-    """Value at a rational point where every representation vanishes.
-
-    The invariant is locally constant on X(Q_q), so nearby q-adic points
-    carry the value; consistency over two depths and several neighbours is
-    required before trusting it.
-    """
-    values = set()
-    for depth in (6, 8) if q != 2 else (8, 10):
-        base = normalize_residue_tuple(q, depth, point)
-        if base is None:
-            return None
-        got = 0
-        for child in expand_children(s, base):
-            if child.coords == tuple(c % q ** child.k for c in base.coords):
-                continue
-            cert = lift_certificate(s, child)
-            if cert is None:
-                continue
-            refined = newton_refine(s, replace(child, cert=cert), depth + 8)
-            value = _eval_reps_local(s, tag, refined)
-            if value is not None:
-                values.add(value)
-                got += 1
-            if got >= 2:
-                break
-        if got == 0:
-            return None
-    if len(values) != 1:
-        return None
     return values.pop()
 
 
@@ -369,8 +328,7 @@ def _theorem_image(s: SubfamilySurface, tag: str, q: int) -> PlaceImage | None:
 
 
 def invariant_image(s: SubfamilySurface, tag: str, q: int, sample_budget: int = 64,
-                    seed: int = 0, precision: int | None = None,
-                    use_theorems: bool = True) -> PlaceImage:
+                    seed: int = 0, use_theorems: bool = True) -> PlaceImage:
     """Union of invariant values over sampled local points at q, with evidence.
 
     Family-backed constancy short-circuits the sampling and is labeled as a
@@ -380,8 +338,7 @@ def invariant_image(s: SubfamilySurface, tag: str, q: int, sample_budget: int = 
         thm = _theorem_image(s, tag, q)
         if thm is not None:
             return thm
-    if precision is None:
-        precision = 14 if q == 2 else 8
+    precision = 14 if q == 2 else 8
     points = None
     want = sample_budget
     while True:
@@ -482,20 +439,10 @@ class WitnessResult:
         }
 
 
-def _vp(n: int, p: int) -> int:
-    if n == 0:
-        raise ValueError("valuation of 0")
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
 def _project_tuple(q: int, prec: int, coords) -> PadicApproxPoint:
     """Divide out the common q-power and normalize, tracking lost precision."""
     coords = [c % q ** prec for c in coords]
-    vals = [_vp(c, q) if c else prec for c in coords]
+    vals = [valuation(c, q) if c else prec for c in coords]
     g = min(min(vals), prec - 1)
     reduced = [c // q ** g for c in coords]
     pt = normalize_residue_tuple(q, prec - g, reduced)
@@ -503,29 +450,15 @@ def _project_tuple(q: int, prec: int, coords) -> PadicApproxPoint:
     return pt
 
 
-def _hilbert_pp(p: int, n: int) -> int:
-    """(p, n)_p for a nonzero integer n (helper on exact integers)."""
-    return hilbert_symbol(p, n, Place(p))
+def _unit_sqrt(p: int, a: int, prec: int) -> int:
+    """Square root mod p^prec of the unit square a; anything else blocks the recipe."""
+    try:
+        return hensel_sqrt(PadicScalar.from_residue(p, a, prec), prec).u
+    except (NotASquareError, InsufficientPrecisionError) as exc:
+        raise _ConstructionDegenerate(f"{a} mod {p}^{prec}: {exc}") from exc
 
 
-def _sqrt_unit_mod(p: int, a: int, prec: int, branch: int | None = None) -> int:
-    """Square root of a unit square a mod p^prec; branch selects the root mod p."""
-    r = sqrt_mod(a % p, p)
-    assert r not in (None, 0), "argument must be a unit square mod p"
-    if branch is not None and (r - branch) % p != 0:
-        r = p - r
-        assert (r - branch) % p == 0, "requested branch is not a square root"
-    mod = p ** prec
-    a %= mod
-    inv2 = pow(2, -1, mod)
-    known = 1
-    while known < prec:
-        r = (r + a * pow(r, -1, mod)) * inv2 % mod
-        known *= 2
-    return r
-
-
-def surjectivity_witness(s: SubfamilySurface, seed: int = 0, precision: int = 10) -> WitnessResult:
+def surjectivity_witness(s: SubfamilySurface, seed: int = 0) -> WitnessResult:
     """Two local points at p on which some class takes different invariants.
 
     Follows the constructive recipe: gcd normalizations, the coefficient
@@ -540,7 +473,8 @@ def surjectivity_witness(s: SubfamilySurface, seed: int = 0, precision: int = 10
     """
     validate_subfamily(s)
     p = s.p
-    ctx = _WitnessContext(precision=precision + 16, rng=random.Random(f"witness:{seed}:{s!r}"))
+    # constructed points carry 26 p-adic digits, as do the sampled fallback's
+    ctx = _WitnessContext(precision=26, rng=random.Random(f"witness:{seed}:{s!r}"))
     try:
         hint, c1, c2, prec = _witness_recursive(s, ctx, depth=0)
         pt1 = _attach_certificate(s, _project_tuple(p, prec, c1))
@@ -647,7 +581,7 @@ def _witness_recursive(s: SubfamilySurface, ctx: _WitnessContext, depth: int):
                    f"reduce: divide (C, D, M) by {p}^2")
 
     # arrange the maximal valuation among A, B, C, D onto A
-    mvals = {name: _vp(val, p) for name, val in (("A", A), ("B", B), ("C", C), ("D", D))}
+    mvals = {name: valuation(val, p) for name, val in (("A", A), ("B", B), ("C", C), ("D", D))}
     m = max(mvals.values())
     argmax = next(name for name in ("A", "B", "C", "D") if mvals[name] == m)
     if argmax == "C":  # swap the two linear factors
@@ -661,7 +595,7 @@ def _witness_recursive(s: SubfamilySurface, ctx: _WitnessContext, depth: int):
         return rec(s2, lambda c: (c[1], c[0], c[2], c[3], c[4]),
                    "swap u and v and the linear factors")
 
-    vM = _vp(M, p)
+    vM = valuation(M, p)
     W = A * D - B * C
     # coefficient changes lowering the valuations (no points needed)
     if vM == 1 and m >= 2:
@@ -672,23 +606,24 @@ def _witness_recursive(s: SubfamilySurface, ctx: _WitnessContext, depth: int):
                    f"case 5 -> case 1 with coefficients {s2.label()}")
     if vM % 2 == 1 and vM >= 3 and m >= 1:  # case 6
         k = (vM - 1) // 2
-        _require(_vp(A, p) == 1 and B % p == 0 and C % p and D % p, "case 6 valuation pattern")
-        _require(_vp(W, p) >= k + 1, "case 6 needs v_p(AD-BC) > k")
+        _require(valuation(A, p) == 1 and B % p == 0 and C % p and D % p, "case 6 valuation pattern")
+        _require(valuation(W, p) >= k + 1, "case 6 needs v_p(AD-BC) > k")
         s2 = SubfamilySurface(p, M * D // p ** (2 * k), -M * B // p ** (2 * k + 1), -C,
                               A // p, W * W // p ** (2 * k + 1))
         return rec(s2, _linear_map_back(p, A, B, C, D, k, scaled_v=True),
                    f"case 6 -> case 2 with coefficients {s2.label()}")
     if vM % 2 == 0 and vM >= 2 and m == 0:  # case 7
         k = vM // 2
-        _require(_vp(W, p) == k, "case 7 needs v_p(AD-BC) = k")
+        _require(valuation(W, p) == k, "case 7 needs v_p(AD-BC) = k")
         s2 = SubfamilySurface(p, M * D // p ** (2 * k), -M * B // p ** (2 * k), -C,
                               A, W * W // p ** (2 * k))
         return rec(s2, _linear_map_back(p, A, B, C, D, k, scaled_v=False),
                    f"case 7 -> case 3 with coefficients {s2.label()}")
     if vM % 2 == 0 and vM >= 2 and m >= 1:  # case 8
         k = vM // 2
-        _require(_vp(A, p) == 1 and _vp(B, p) == 1 and C % p and D % p, "case 8 valuation pattern")
-        _require(_vp(W, p) >= k + 1, "case 8 needs v_p(AD-BC) > k")
+        _require(valuation(A, p) == 1 and valuation(B, p) == 1 and C % p and D % p,
+                 "case 8 valuation pattern")
+        _require(valuation(W, p) >= k + 1, "case 8 needs v_p(AD-BC) > k")
         s2 = SubfamilySurface(p, M * D // p ** (2 * k), -M * B // p ** (2 * k + 1), -C,
                               A // p, W * W // p ** (2 * k + 1))
         return rec(s2, _linear_map_back(p, A, B, C, D, k, scaled_v=True),
@@ -704,7 +639,7 @@ def _witness_recursive(s: SubfamilySurface, ctx: _WitnessContext, depth: int):
         ctx.trace.append("p = 3 mod 4: flip the signs of y and z")
         _ensure_soluble_at_p(s, ctx)
         return _flip_pair(s, ctx, flip_y=True, flip_z=True)
-    if _hilbert_pp(p, A * C) == -1 and _hilbert_pp(p, B * D) == -1:
+    if hilbert_symbol(p, A * C, Place(p)) == -1 and hilbert_symbol(p, B * D, Place(p)) == -1:
         ctx.trace.append("(p,AC)_p = (p,BD)_p = -1: flip the sign of y")
         _ensure_soluble_at_p(s, ctx)
         return _flip_pair(s, ctx, flip_y=True, flip_z=False)
@@ -775,7 +710,7 @@ def _case1(s: SubfamilySurface, ctx: _WitnessContext):
         # -BD is a unit square; points built from a unit r with r*sqrt(-BD) non-square
         mbd = (-B * D) % mod
         _require(legendre(mbd, p) == 1, "case 1a needs -BD a square")
-        sq = _sqrt_unit_mod(p, mbd, 1)
+        sq = _unit_sqrt(p, mbd, 1)
         want = -legendre(sq, p)  # required Legendre class of r
         r = next((r0 for r0 in range(1, p)
                   if legendre(r0, p) == want and (r0 * r0 + B * D) % p != 0), None)
@@ -788,18 +723,16 @@ def _case1(s: SubfamilySurface, ctx: _WitnessContext):
         cinv = pow(C, -1, mod)
         u1 = (-D * cinv) % mod
         y1sq = (-D * M * cinv) % mod
-        y1 = _sqrt_unit_mod(p, y1sq, K)
+        y1 = _unit_sqrt(p, y1sq, K)
         pt1 = (u1, 1, 0, y1, 0)
         minv = pow(M, -1, mod)
         u2 = y2 * y2 * minv % mod
         val = (A * u2 + B) * (C * u2 + D) % mod
-        z2 = _sqrt_unit_mod(p, val, K)
+        z2 = _unit_sqrt(p, val, K)
         pt2 = (u2, 1, 0, y2, z2)
         return "B", pt1, pt2, K
     # case 1b: v_p(D) >= 1; unit y1 square, y2 non-square
     ctx.trace.append("case 1b")
-    from .arith import find_nonresidue
-
     g = find_nonresidue(p)
     mod = p ** K
     minv = pow(M, -1, mod)
@@ -807,7 +740,9 @@ def _case1(s: SubfamilySurface, ctx: _WitnessContext):
     for yi in (1, g):
         vi = yi * yi * minv % mod
         val = (A + B * vi) * (C + D * vi) % mod
-        zi = _sqrt_unit_mod(p, val, K, branch=(-yi) % p)
+        zi = _unit_sqrt(p, val, K)
+        if (zi + yi) % p:  # take the root that is -yi mod p
+            zi = -zi % mod
         pts.append((1, vi, 0, yi % mod, zi))
     return "B", pts[0], pts[1], K
 
@@ -829,8 +764,6 @@ def _case2(s: SubfamilySurface, ctx: _WitnessContext):
         raise _InsolubleAtP(
             f"X(Q_{p}) empty: the reduced surface hits the non-square residue pattern")
     ctx.trace.append("case 2a")
-    from .arith import find_nonresidue
-
     g = find_nonresidue(p)
     inv2 = pow(2, -1, mod)
     pts = []
@@ -839,7 +772,7 @@ def _case2(s: SubfamilySurface, ctx: _WitnessContext):
         yi = (A1 * C * rinv + r) * inv2 % mod * N1 % mod
         zi = (A1 * C * rinv - r) * inv2 % mod * N1 % mod
         arg = (2 * A1 * C * M1 * W + p * yi * yi) % mod
-        xi = _sqrt_unit_mod(p, arg, K)
+        xi = _unit_sqrt(p, arg, K)
         pts.append(((-W) % mod, 2 * A1 * C % mod, xi, p * yi % mod, p * zi % mod))
     return "B", pts[0], pts[1], K
 
@@ -849,11 +782,11 @@ def _case3(s: SubfamilySurface, ctx: _WitnessContext):
     K = ctx.precision
     mod = p ** K
     _require(legendre(A * C, p) == 1 and legendre(B * D, p) == 1, "case 3 needs AC, BD squares")
-    s1 = _sqrt_unit_mod(p, A * C % mod, K)
+    s1 = _unit_sqrt(p, A * C % mod, K)
     pt1 = (1, 0, 0, 0, s1)
     if legendre(A * B * M, p) == -1:
         ctx.trace.append("case 3a")
-        s2 = _sqrt_unit_mod(p, B * D % mod, K)
+        s2 = _unit_sqrt(p, B * D % mod, K)
         return "A", pt1, (0, 1, 0, 0, s2), K
     ctx.trace.append("case 3b")
     inv_ma = pow(M * A % p, -1, p)
@@ -865,11 +798,13 @@ def _case3(s: SubfamilySurface, ctx: _WitnessContext):
     if (cc + dd * y0 * y0) % p != 0:
         v2 = y0 * y0 * minv % mod
         val = (A + B * v2) * (C + D * v2) % mod
-        z2 = _sqrt_unit_mod(p, val, K)
+        z2 = _unit_sqrt(p, val, K)
         return "A", pt1, (1, v2, 0, y0, z2), K
     # alternative (ii): adjust y0 so the second factor vanishes exactly
     y1sq = (-C * M * pow(D, -1, mod)) % mod
-    y1 = _sqrt_unit_mod(p, y1sq, K, branch=y0 % p)
+    y1 = _unit_sqrt(p, y1sq, K)
+    if (y1 - y0) % p:  # take the root that is y0 mod p
+        y1 = -y1 % mod
     v2 = y1 * y1 * minv % mod
     return "A", pt1, (1, v2, 0, y1, 0), K
 
@@ -878,7 +813,7 @@ def _case4(s: SubfamilySurface, ctx: _WitnessContext):
     p, A, B, C, D, M = s.p, s.A, s.B, s.C, s.D, s.M
     K = ctx.precision
     mod = p ** K
-    vM = _vp(M, p)
+    vM = valuation(M, p)
     k = (vM - 1) // 2
     M1 = M // p ** vM
     _require(legendre(A * C, p) == 1, "case 4 needs AC a square")
@@ -887,14 +822,14 @@ def _case4(s: SubfamilySurface, ctx: _WitnessContext):
     if x0 is None:
         raise _ConstructionDegenerate("case 4: no x0 with 1 - (B/M'A) x0^2 a non-square")
     ctx.trace.append(f"case 4 (v_p(M) = {vM})")
-    s1 = _sqrt_unit_mod(p, A * C % mod, K)
+    s1 = _unit_sqrt(p, A * C % mod, K)
     pt1 = (1, 0, 0, 0, s1)
     m1inv = pow(M1, -1, mod)
     v2 = (-x0 * x0 * m1inv) % mod
     val = (A * C % mod) * (1 - B * x0 * x0 * m1inv * pow(A, -1, mod)) % mod \
         * (1 - D * x0 * x0 * m1inv * pow(C, -1, mod)) % mod
     val = (val + p ** (2 * k + 1) * x0 * x0) % mod
-    z2 = _sqrt_unit_mod(p, val, K)
+    z2 = _unit_sqrt(p, val, K)
     pt2 = (1, v2, p ** k * x0 % mod, 0, z2)
     return "A", pt1, pt2, K
 
@@ -963,7 +898,8 @@ def bm_verdict(s: SubfamilySurface, sample_budget: int = 64, seed: int = 0,
     for tag in CLASS_TAGS:
         images[tag]["oo"] = PlaceImage(frozenset({ZERO}), "theorem", "p > 0: trivial at the real place")
     witness = surjectivity_witness(s, seed=seed)
-    assert not witness.insoluble_at_p
+    if witness.insoluble_at_p:
+        raise AssertionError(f"witness machinery finds {s.label()} insoluble at p")
     for tag in CLASS_TAGS:
         for q in places:
             img = invariant_image(s, tag, q, sample_budget=sample_budget, seed=seed)
@@ -1051,7 +987,8 @@ def _klein_four_check(s: SubfamilySurface, seed: int) -> None:
             c = evaluate_invariant(s, "C", pt)
         except IndeterminateEvaluationError:
             continue
-        assert (a + b) % 1 == c, f"Klein-four identity fails at {pt}"
+        if (a + b) % 1 != c:
+            raise AssertionError(f"Klein-four identity fails at {pt}")
 
 
 def _family_cross_check(s: SubfamilySurface, report: ObstructionReport) -> None:
@@ -1077,18 +1014,26 @@ def reciprocity_check(s: SubfamilySurface, point) -> bool:
 
     The finite places used are {2, p} plus the primes dividing the values of
     the representations at the point; the symbols are trivial elsewhere.
+    Where every representation of C is 0 or infinite, C = A + B is
+    nontrivial only at places of A or B.
     """
     point = normalize_point(point)
     if not s.contains(point):
         raise ValueError(f"{point} is not on {s.label()}")
+    places = {}
     for tag in CLASS_TAGS:
         qs = {2, s.p}
+        determinate = False
         for rep in class_representations(s, tag):
             n, d = rep.eval_num(point), rep.eval_den(point)
+            determinate = determinate or (n != 0 and d != 0)
             if n:
                 qs.update(f for f in factor(abs(n)))
             if d:
                 qs.update(f for f in factor(abs(d)))
+        if tag == "C" and not determinate:
+            qs = places["A"] | places["B"]
+        places[tag] = qs
         total = evaluate_invariant(s, tag, point, PLACE_INF)
         for q in sorted(qs):
             total += evaluate_invariant(s, tag, point, Place(q))

@@ -480,21 +480,29 @@ def decide_R(surface, starts: int = 64, seed: int = 0) -> SolubilityVerdict:
 
 @dataclass(frozen=True)
 class LocalSolubilityReport:
-    surface: SubfamilySurface
     rows: tuple[tuple[str, SolubilityVerdict | None, str], ...]  # (place label, verdict, note)
-    everywhere_soluble: bool | None  # None when some place is inconclusive
     decided_places: tuple[int, ...]
+    surface: SubfamilySurface | None = None
+
+    @property
+    def everywhere_soluble(self) -> bool | None:
+        """Over every decided place, the real one included; None if one is inconclusive."""
+        verdicts = [v for _, v, _ in self.rows if v is not None]
+        if any(v.status == "inconclusive" for v in verdicts):
+            return None
+        return all(v.soluble for v in verdicts)
 
     def to_json(self):
-        return {
-            "surface": self.surface.label(),
+        out = {} if self.surface is None else {"surface": self.surface.label()}
+        out.update({
             "everywhere_locally_soluble": self.everywhere_soluble,
             "decided_places": list(self.decided_places),
             "rows": [
                 {"place": label, "note": note, **({} if v is None else v.to_json())}
                 for label, v, note in self.rows
             ],
-        }
+        })
+        return out
 
 
 def everywhere_locally_soluble(s: SubfamilySurface, max_level: int = DEFAULT_MAX_LEVEL,
@@ -525,16 +533,9 @@ def everywhere_locally_soluble(s: SubfamilySurface, max_level: int = DEFAULT_MAX
             explicit.append(q)
         else:
             rows.append((str(q), None, "theorem: p is a square mod q, sqrt(p) witness"))
-    verdicts = []
     for q in explicit:
-        v = decide_Qq(s, q, max_level=max_level, budget=budget)
-        verdicts.append(v)
-        rows.append((str(q), v, ""))
-    if any(v.status == "inconclusive" for v in verdicts):
-        overall: bool | None = None
-    else:
-        overall = all(v.soluble for v in verdicts)
-    return LocalSolubilityReport(s, tuple(rows), overall, tuple(explicit))
+        rows.append((str(q), decide_Qq(s, q, max_level=max_level, budget=budget), ""))
+    return LocalSolubilityReport(tuple(rows), tuple(explicit), s)
 
 
 def _odd_prime_divisors(n: int) -> list[int]:
@@ -543,25 +544,8 @@ def _odd_prime_divisors(n: int) -> list[int]:
     return sorted({f for f in factor(abs(n)) if f % 2})
 
 
-@dataclass(frozen=True)
-class GeneralLocalReport:
-    rows: tuple[tuple[str, SolubilityVerdict | None, str], ...]
-    everywhere_soluble: bool | None
-    decided_places: tuple[int, ...]
-
-    def to_json(self):
-        return {
-            "everywhere_locally_soluble": self.everywhere_soluble,
-            "decided_places": list(self.decided_places),
-            "rows": [
-                {"place": label, "note": note, **({} if v is None else v.to_json())}
-                for label, v, note in self.rows
-            ],
-        }
-
-
 def everywhere_locally_soluble_general(g: GeneralSurface, max_level: int = DEFAULT_MAX_LEVEL,
-                                       budget: int = DEFAULT_EXPANSION_BUDGET) -> GeneralLocalReport:
+                                       budget: int = DEFAULT_EXPANSION_BUDGET) -> LocalSolubilityReport:
     """Local solubility of a general pencil at every place.
 
     At an odd prime of good reduction (the pencil quintic stays squarefree of
@@ -587,7 +571,6 @@ def everywhere_locally_soluble_general(g: GeneralSurface, max_level: int = DEFAU
     rows.append(("oo", decide_R(g), ""))
     rows.append(("other odd primes", None,
                  "theorem: good reduction, a residue point exists and is smooth"))
-    verdicts = []
     decided = []
     for q in sorted(candidates):
         if q > GENERAL_ENUM_BUDGET:
@@ -598,15 +581,8 @@ def everywhere_locally_soluble_general(g: GeneralSurface, max_level: int = DEFAU
         else:
             v = decide_Qq(g, q, max_level=max_level, budget=budget)
             decided.append(q)
-        verdicts.append(v)
         rows.append((str(q), v, ""))
-    real = rows[0][1]
-    verdicts.append(real)
-    if any(v.status == "inconclusive" for v in verdicts):
-        overall: bool | None = None
-    else:
-        overall = all(v.soluble for v in verdicts)
-    return GeneralLocalReport(tuple(rows), overall, tuple(decided))
+    return LocalSolubilityReport(tuple(rows), tuple(decided))
 
 
 def _quintic_squarefree_mod(coeffs, q: int) -> bool:

@@ -137,6 +137,16 @@ def test_quadres_witness():
         quadres_witness(13, 2, 1, 1, 1)  # 2 is not a square mod 13
 
 
+def test_witness_roots_that_do_not_exist_block_the_recipe():
+    # the witness search then falls back on sampling instead of crashing
+    from dp4.brauer import _ConstructionDegenerate, _unit_sqrt
+
+    assert _unit_sqrt(13, 10, 4) ** 2 % 13 ** 4 == 10
+    for bad in (2, 13, 0):  # a non-residue, a non-unit, zero
+        with pytest.raises(_ConstructionDegenerate):
+            _unit_sqrt(13, bad, 4)
+
+
 def test_witness_paper_surfaces():
     w = surjectivity_witness(Y_13_2_6)
     assert w.tag == "B" and sorted(w.values) == [ZERO, HALF]
@@ -200,6 +210,22 @@ def test_reciprocity_at_paper_points():
     assert reciprocity_check(Y_13_12_1, (1, -3, 2, 7, 16))
     with pytest.raises(ValueError):
         reciprocity_check(Y_13_2_6, (1, 0, 0, 0, 1))  # not on the surface
+
+
+@pytest.mark.parametrize("coeffs,point", [
+    ((3, -4, 1, 1, -4, 1), (1, 4, 0, 2, 0)),
+    ((5, -6, 1, -6, -4, 6), (1, 6, 0, 6, 0)),
+    ((7, -6, 1, -4, -1, 6), (1, 6, 0, 6, 0)),
+    ((13, -6, 1, -6, -3, 6), (1, 6, 0, 6, 0)),
+])
+def test_reciprocity_on_the_line_au_plus_bv_zero(coeffs, point):
+    # (B : -A : 0 : sqrt(-MAB) : 0) lies on Au + Bv = 0, where every
+    # representation of C is 0 or infinite; C is still A + B there
+    s = SubfamilySurface(*coeffs)
+    assert reciprocity_check(s, point)
+    for v in [PLACE_INF] + [Place(q) for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)]:
+        a, b, c = (evaluate_invariant(s, tag, point, v) for tag in "ABC")
+        assert c == (a + b) % 1
 
 
 def test_rational_point_evaluation_at_real_place():

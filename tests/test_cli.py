@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -124,6 +128,20 @@ def test_cli_verify_paper(capsys):
     payload = json.loads(out)
     assert payload["passed"] == payload["total"] == 5
     assert err.count("PASS") == 5
+
+
+def test_cli_verify_paper_checks_survive_optimized_mode():
+    # python -O strips assert statements; a wrong point search must still fail
+    script = ("import sys, dp4.cli as cli\n"
+              "cli.point_search = lambda s, h, **kw: [(2, 3, 5, 7, 11)]\n"
+              "sys.exit(cli.main(['verify-paper', '--samples', '16']))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1, proc.stderr
+    assert json.loads(proc.stdout)["passed"] == 2
+    assert proc.stderr.count("FAIL") == 3
 
 
 def test_cli_analyze_invalid_surface_exit_1(capsys):
