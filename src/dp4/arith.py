@@ -278,7 +278,8 @@ def hensel_sqrt(a: PadicScalar, target_precision: int) -> PadicScalar:
             known = 2 * known - 2
         prec = target_precision
         r %= 1 << prec
-        assert r % 2 == 1
+        if r % 2 != 1:
+            raise AssertionError("2-adic square root is not a unit")
         return PadicScalar(2, e // 2, r, prec)
     k = target_precision
     if a.k < k:

@@ -446,7 +446,8 @@ def _project_tuple(q: int, prec: int, coords) -> PadicApproxPoint:
     g = min(min(vals), prec - 1)
     reduced = [c // q ** g for c in coords]
     pt = normalize_residue_tuple(q, prec - g, reduced)
-    assert pt is not None, "projected tuple lost primitivity"
+    if pt is None:
+        raise AssertionError("projected tuple lost primitivity")
     return pt
 
 

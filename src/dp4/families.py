@@ -33,7 +33,8 @@ def make_Y(p: int, a: int, b: int) -> SubfamilySurface:
         raise ValueError(f"need a*b = p - 1, got {a}*{b} != {p - 1}")
     s = SubfamilySurface(p, a, -p, 1, -b, 1)
     validate_subfamily(s)
-    assert s.N == 2  # (AD+BC-M)^2 - 4ABCD = 4p for this family
+    if s.N != 2:  # (AD+BC-M)^2 - 4ABCD = 4p for this family
+        raise AssertionError(f"N = {s.N} for {s.label()}, expected 2")
     return s
 
 
@@ -51,9 +52,11 @@ def predict_Y(p: int, a: int, b: int) -> PredictedVerdict:
     """
     make_Y(p, a, b)  # validate parameters
     la, lb = legendre(a, p), legendre(b, p)
-    assert la == lb, "the two Legendre symbols must coincide when ab = p - 1"
+    if la != lb:
+        raise AssertionError("the two Legendre symbols must coincide when ab = p - 1")
     by_parity = p % 8 == 5 and a % 2 == 0 and b % 2 == 0
-    assert (la == -1) == by_parity, "congruence criterion disagrees with the Legendre symbol"
+    if (la == -1) != by_parity:
+        raise AssertionError("congruence criterion disagrees with the Legendre symbol")
     if la == -1:
         return PredictedVerdict(("A",), f"({a}/{p}) = -1")
     return PredictedVerdict((), f"({a}/{p}) = +1")
@@ -87,7 +90,8 @@ def make_S(p: int, a: int, b: int) -> SubfamilySurface:
         raise ValueError("; ".join(failures))
     s = SubfamilySurface(p, 1, 1, a, b, 1)
     validate_subfamily(s)
-    assert s.N == 1
+    if s.N != 1:
+        raise AssertionError(f"N = {s.N} for {s.label()}, expected 1")
     return s
 
 
@@ -244,8 +248,10 @@ def _census_row(task) -> CensusRow:
         report = bm_verdict(s, sample_budget=sample_budget, seed=seed)
         points = tuple(point_search(s, height_bound)) if height_bound else ()
         for pt in points:
-            assert s.contains(pt)
-            assert reciprocity_check(s, pt)
+            if not s.contains(pt):
+                raise AssertionError(f"found point {pt} is not on the surface")
+            if not reciprocity_check(s, pt):
+                raise AssertionError(f"reciprocity fails at found point {pt}")
         agreement = (report.hp_obstructed_by == predicted
                      and len(report.hp_obstructed_by) <= 1
                      and report.wa_failure

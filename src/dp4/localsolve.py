@@ -58,7 +58,8 @@ class PadicApproxPoint:
     cert: LiftCertificate | None = None
 
     def reduce(self, k: int) -> "PadicApproxPoint":
-        assert k <= self.k
+        if k > self.k:
+            raise AssertionError(f"cannot reduce precision {self.k} to {k}")
         mod = self.q ** k
         return PadicApproxPoint(self.q, k, tuple(c % mod for c in self.coords), self.pinned, self.cert)
 
@@ -209,13 +210,15 @@ def newton_refine(surface, pt: PadicApproxPoint, target_k: int) -> PadicApproxPo
         # delta = -J2^{-1} F = -adj(J2) F / det, exact division by q^e
         n1 = -(m22 * f1 - m12 * f2)
         n2 = -(-m21 * f1 + m11 * f2)
-        assert n1 % q ** e == 0 and n2 % q ** e == 0
+        if n1 % q ** e or n2 % q ** e:
+            raise AssertionError("Newton numerators are not divisible by the minor's q-power")
         coords[i] = (coords[i] + (n1 // q ** e) * unit_inv) % big
         coords[j] = (coords[j] + (n2 // q ** e) * unit_inv) % big
     else:
         raise ArithmeticError("Newton refinement did not converge")
     out = normalize_residue_tuple(q, target_k, coords)
-    assert out is not None and out.pinned == pt.pinned
+    if out is None or out.pinned != pt.pinned:
+        raise AssertionError("Newton refinement lost primitivity or moved the pinned coordinate")
     out = replace(out, cert=pt.cert)
     _check_point_invariants(surface, out)
     return out
@@ -251,66 +254,57 @@ def _reduce_digit_system(rows, rhs, q: int):
     return mat, pivots
 
 
-def _assignment_to_solution(mat, pivots, free, t, q: int):
-    for row, pc in zip(mat, pivots):
-        t[pc] = (row[4] - sum(row[c] * t[c] for c in free)) % q
-    return tuple(t)
+def _child_decoder(surface, pt: PadicApproxPoint):
+    """(n, child): pt has n lifts mod q^(k+1), and child(i) is the i-th of them.
 
-
-def _solve_digits(rows, rhs, q: int):
-    """All solutions t in F_q^4 of rows * t = rhs (2x4 over F_q), lazily."""
-    reduced = _reduce_digit_system(rows, rhs, q)
-    if reduced is None:
-        return
-    mat, pivots = reduced
-    free = [c for c in range(4) if c not in pivots]
-    for assignment in itertools.product(range(q), repeat=len(free)):
-        t = [0, 0, 0, 0]
-        for c, val in zip(free, assignment):
-            t[c] = val
-        yield _assignment_to_solution(mat, pivots, free, t, q)
-
-
-def _digit_setup(surface, pt: PadicApproxPoint):
+    The index is read in base q as the free digits of the digit system, the
+    last free digit varying fastest; n is 0 when pt is dead.
+    """
     q, k = pt.q, pt.k
     qk = q ** k
     f1, f2 = surface.equations(pt.coords)
-    rhs = ((-(f1 // qk)) % q, (-(f2 // qk)) % q)
     j1, j2 = surface.jacobian(pt.coords)
     free_idx = [idx for idx in range(5) if idx != pt.pinned]
     rows = ([j1[idx] % q for idx in free_idx], [j2[idx] % q for idx in free_idx])
-    return rows, rhs, free_idx
-
-
-def _random_child(surface, pt: PadicApproxPoint, rng: random.Random) -> PadicApproxPoint | None:
-    """One uniformly random solution of the digit system, or None if dead."""
-    q, k = pt.q, pt.k
-    rows, rhs, free_idx = _digit_setup(surface, pt)
-    reduced = _reduce_digit_system(rows, rhs, q)
+    reduced = _reduce_digit_system(rows, ((-(f1 // qk)) % q, (-(f2 // qk)) % q), q)
     if reduced is None:
-        return None
+        return 0, None
     mat, pivots = reduced
     free = [c for c in range(4) if c not in pivots]
-    t = [0, 0, 0, 0]
-    for c in free:
-        t[c] = rng.randrange(q)
-    t = _assignment_to_solution(mat, pivots, free, list(t), q)
-    coords = list(pt.coords)
-    for pos, idx in enumerate(free_idx):
-        coords[idx] += q ** k * t[pos]
-    return PadicApproxPoint(q, k + 1, tuple(coords), pt.pinned)
+
+    def child(i: int) -> PadicApproxPoint:
+        t = [0, 0, 0, 0]
+        for c in reversed(free):
+            i, t[c] = divmod(i, q)
+        for row, pc in zip(mat, pivots):
+            t[pc] = (row[4] - sum(row[c] * t[c] for c in free)) % q
+        coords = list(pt.coords)
+        for pos, idx in enumerate(free_idx):
+            coords[idx] += qk * t[pos]
+        return PadicApproxPoint(q, k + 1, tuple(coords), pt.pinned)
+
+    return q ** len(free), child
 
 
 def expand_children(surface, pt: PadicApproxPoint):
     """All normalized solutions mod q^(k+1) lying over pt, lazily."""
-    q, k = pt.q, pt.k
-    qk = q ** k
-    rows, rhs, free_idx = _digit_setup(surface, pt)
-    for t in _solve_digits(rows, rhs, q):
-        coords = list(pt.coords)
-        for pos, idx in enumerate(free_idx):
-            coords[idx] += qk * t[pos]
-        yield PadicApproxPoint(q, k + 1, tuple(coords), pt.pinned)
+    n, child = _child_decoder(surface, pt)
+    for i in range(n):
+        yield child(i)
+
+
+def _shuffled_children(surface, pt: PadicApproxPoint, rng: random.Random):
+    """The lifts of pt in seeded random order, drawn lazily.
+
+    A sparse Fisher-Yates shuffle of the indices: only the swapped positions
+    are stored, so memory grows with the lifts drawn, not with all q^f of them.
+    """
+    n, child = _child_decoder(surface, pt)
+    swapped: dict[int, int] = {}
+    for i in range(n):
+        j = rng.randrange(i, n)
+        yield child(swapped.get(j, j))
+        swapped[j] = swapped.get(i, i)
 
 
 def solutions_at_level(surface, q: int, k: int, budget: int = DEFAULT_EXPANSION_BUDGET):
@@ -563,7 +557,8 @@ def everywhere_locally_soluble_general(g: GeneralSurface, max_level: int = DEFAU
     dk = [(5 - i) * c for i, c in enumerate(quintic[:5])]
     dl = [(i + 1) * c for i, c in enumerate(quintic[1:])]
     res = binary_resultant(dk, dl)
-    assert res != 0
+    if res == 0:
+        raise AssertionError("squarefree quintic has a zero discriminant")
     candidates = {2, 3, 5}
     candidates.update(factor(abs(res)))
     candidates.update(factor(abs(binary_form_content(quintic))))
@@ -626,8 +621,11 @@ def sample_local_points(surface, q: int, count: int, precision: int,
                         seed: int = 0, budget: int = 200_000) -> list[PadicApproxPoint]:
     """At least ``count`` distinct certified points at the given precision.
 
-    Stratified: one point per level-1 residue class first, then refills.
-    Deterministic for a fixed seed.
+    Stratified: one point per level-1 residue class that is certified at once,
+    then one depth-first search below the uncertified classes, each node's
+    lifts drawn lazily in seeded random order, then further lifts of the
+    certified classes.  ``budget`` caps the lifts inspected.  Deterministic
+    for a fixed seed.
     """
     if count == 0:
         return []
@@ -639,7 +637,6 @@ def sample_local_points(surface, q: int, count: int, precision: int,
     spent = 0
 
     def try_collect(pt: PadicApproxPoint) -> bool:
-        nonlocal spent
         cert = lift_certificate(surface, pt)
         if cert is None:
             return False
@@ -658,21 +655,18 @@ def sample_local_points(surface, q: int, count: int, precision: int,
             return out[:count]
         if not try_collect(pt):
             pending.append(pt)
-    # pass 2: explore the uncertified classes.  For small q an exhaustive
-    # depth-first search in randomized order is cheap and complete; for
-    # larger q, seeded random descent: a step picks a random solution of the
-    # digit system and keeps it only if the next level stays consistent (on
-    # very singular branches that lookahead carries the real constraint).
+    # pass 2: depth-first search below the uncertified classes.  Lifts are
+    # drawn lazily, so a node with a full digit space of q^4 lifts costs only
+    # the lifts inspected.  Round-robin with a per-class share first, so that
+    # no single branch swallows the request (stratification); then fill
+    # greedily from whatever is productive.
     max_depth = max(precision, DEFAULT_MAX_LEVEL)
-    tries_per_level = max(24, min(3 * q * q, 2000))
 
     def dfs_collect(pt: PadicApproxPoint, cap: int) -> None:
         nonlocal spent
         if len(out) >= cap or pt.k >= max_depth:
             return
-        children = list(expand_children(surface, pt))
-        rng.shuffle(children)
-        for child in children:
+        for child in _shuffled_children(surface, pt, rng):
             spent += 1
             if spent > budget:
                 raise SamplingBudgetError(
@@ -684,82 +678,21 @@ def sample_local_points(surface, q: int, count: int, precision: int,
             else:
                 dfs_collect(child, cap)
 
-    def harvest(node: PadicApproxPoint) -> bool:
-        # collect the refined point, then branch off its reduction: the node
-        # itself only pins a true point mod q^(k-e), so diversification must
-        # start from a level of the actual solution branch
-        cert = lift_certificate(surface, node)
-        if cert is None:
-            return False
-        refined = newton_refine(surface, replace(node, cert=cert), precision)
-        got = try_collect(refined)
-        lo = max(2 * cert.e + 1, node.k - cert.e)
-        for base_level in range(lo, min(lo + 3, refined.k)):
-            base = refined.reduce(base_level)
-            for _ in range(10):
-                if len(out) >= count:
-                    return got
-                child = _random_child(surface, base, rng)
-                if child is None:
-                    break
-                if lift_certificate(surface, child) is None:
-                    continue
-                got = try_collect(child) or got
-        return got
-
-    def descend(start: PadicApproxPoint) -> bool:
-        nonlocal spent
-        pt = start
-        while pt.k < max_depth:
-            nxt = None
-            for _ in range(tries_per_level):
-                spent += 1
-                if spent > budget:
-                    raise SamplingBudgetError(
-                        f"sampling budget exhausted with {len(out)}/{count} points")
-                child = _random_child(surface, pt, rng)
-                if child is None:
-                    return False  # the node itself is dead
-                if lift_certificate(surface, child) is not None:
-                    return harvest(child)
-                rows, rhs, _ = _digit_setup(surface, child)
-                if _reduce_digit_system(rows, rhs, q) is not None:
-                    nxt = child
-                    break
-            if nxt is None:
-                return False
-            pt = nxt
-        return False
-
-    # round-robin over the classes first, so that no single branch swallows the
-    # request (stratification); then fill greedily from whatever is productive
-    if q ** 4 <= 4096:
-        for _ in range(3):
-            if len(out) >= count or not pending:
-                break
-            before = len(out)
-            share = max(1, (count - len(out) + len(pending) - 1) // len(pending))
-            for start in pending:
-                if len(out) >= count:
-                    break
-                dfs_collect(start, min(count, len(out) + share))
-            if len(out) == before:
-                break
-        for start in pending:  # uncapped fill: one sweep explores each subtree fully
+    for _ in range(3):
+        if len(out) >= count or not pending:
+            break
+        before = len(out)
+        share = max(1, (count - len(out) + len(pending) - 1) // len(pending))
+        for start in pending:
             if len(out) >= count:
                 break
-            dfs_collect(start, count)
-    else:
-        sweeps = 0
-        while len(out) < count and pending and sweeps < 40:
-            before = len(out)
-            for start in pending:
-                if len(out) >= count:
-                    break
-                descend(start)
-            sweeps += 1
-            if len(out) == before:
-                break  # no class made progress this sweep
+            dfs_collect(start, min(count, len(out) + share))
+        if len(out) == before:
+            break
+    for start in pending:  # uncapped fill: one sweep explores each subtree fully
+        if len(out) >= count:
+            break
+        dfs_collect(start, count)
     # pass 3: widen with further lifts of already-certified classes
     for pt in level1:
         if len(out) >= count:

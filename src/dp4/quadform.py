@@ -597,7 +597,8 @@ def collapse_triple(nf: NormalFormSurface, p0, p1, p2) -> Point:
     if mat_rank(tuple(tuple(r) for r in rows)) != 2:
         raise ValueError("gradient matrix does not have rank 2")
     basis = left_kernel_basis(rows)
-    assert len(basis) == 1
+    if len(basis) != 1:
+        raise AssertionError("rank-2 gradient matrix has a left kernel of dimension != 1")
     kappa, lam, mu = clear_denominators(basis[0])
     if kappa == 0 or lam == 0 or mu == 0:
         raise ValueError("degenerate triple: kernel vector has a zero coordinate")

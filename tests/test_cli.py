@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -142,6 +143,36 @@ def test_cli_verify_paper_checks_survive_optimized_mode():
     assert proc.returncode == 1, proc.stderr
     assert json.loads(proc.stdout)["passed"] == 2
     assert proc.stderr.count("FAIL") == 3
+
+
+def test_census_point_checks_survive_optimized_mode():
+    # a census row whose found point fails reciprocity must say so under python -O
+    script = ("import json, dp4.families as fam\n"
+              "fam.reciprocity_check = lambda s, pt: False\n"
+              "res = fam.census_Y(13, height_bound=30, sample_budget=16)\n"
+              "print(json.dumps([r.to_json() for r in res.rows]))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    rows = json.loads(proc.stdout)
+    failed = [r for r in rows if r["error"] is not None]
+    assert failed
+    for r in failed:
+        assert r["agreement"] is False
+        assert r["error"].startswith("AssertionError: reciprocity fails at found point (")
+    assert all(not r["points"] for r in rows)  # every row with a point failed
+
+
+def test_library_has_no_assert_statements():
+    # python -O strips assert statements; invariant checks must raise instead
+    src = Path(__file__).resolve().parents[1] / "src" / "dp4"
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_cli_analyze_invalid_surface_exit_1(capsys):

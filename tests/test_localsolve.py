@@ -6,6 +6,7 @@ import pytest
 from dp4.quadform import GeneralSurface, SubfamilySurface, to_matrices
 from dp4.localsolve import (
     EnumerationBudgetError,
+    _shuffled_children,
     decide_Qq,
     decide_R,
     everywhere_locally_soluble,
@@ -20,7 +21,8 @@ from dp4.localsolve import (
 )
 from dp4.arith import legendre, sqrt_mod_prime_power
 
-from helpers import INSOLUBLE_AT_P, exhaustive_primitive_solutions_exist, search_valid_surfaces
+from helpers import (CASE_PATTERN_SURFACES, INSOLUBLE_AT_P, exhaustive_primitive_solutions_exist,
+                     search_valid_surfaces)
 
 Y_13_2_6 = SubfamilySurface(13, 2, -13, 1, -6, 1)
 Y_13_1_12 = SubfamilySurface(13, 1, -13, 1, -12, 1)
@@ -156,6 +158,11 @@ def test_expand_children_are_exactly_the_lifts():
             if Y_13_2_6.eq1(coords) % mod2 == 0 and Y_13_2_6.eq2(coords) % mod2 == 0:
                 brute.add(tuple(coords))
         assert children == brute
+        # the sampler's order: the same lifts, each exactly once, fixed by the seed
+        shuffled = [c.coords for c in _shuffled_children(Y_13_2_6, pt, random.Random(5))]
+        assert sorted(shuffled) == sorted(brute)
+        again = [c.coords for c in _shuffled_children(Y_13_2_6, pt, random.Random(5))]
+        assert again == shuffled
 
 
 def test_theorem_shortcut_agreement():
@@ -208,6 +215,20 @@ def test_sampling_covers_distinct_residue_classes():
     pts = sample_local_points(Y_13_2_6, 13, 30, 4, seed=1)
     level1 = {tuple(c % 13 for c in p.coords) for p in pts}
     assert len(level1) >= 20
+
+
+@pytest.mark.parametrize("s, q", [(CASE_PATTERN_SURFACES["case2"], 13),
+                                  (SubfamilySurface(37, 37, 37, 2, 6, -222), 37)])
+def test_sampling_below_uncertified_residue_classes(s, q):
+    # no level-1 point is certified, so every sampled point comes from the
+    # depth-first search, through nodes that can have up to q^4 lifts
+    assert all(lift_certificate(s, pt) is None for pt in residue_points(s, q))
+    pts = sample_local_points(s, q, 12, 6, seed=3)
+    assert len({pt.coords for pt in pts}) == 12
+    for pt in pts:
+        assert pt.k == 6 and lift_certificate(s, pt) is not None
+        assert s.eq1(pt.coords) % q ** 6 == 0 and s.eq2(pt.coords) % q ** 6 == 0
+    assert [pt.coords for pt in sample_local_points(s, q, 12, 6, seed=3)] == [pt.coords for pt in pts]
 
 
 def test_decide_R():
