@@ -91,11 +91,7 @@ def legendre(a: int, p: int) -> int:
     """Legendre symbol (a/p) in {-1, 0, +1} for an odd prime p."""
     if p % 2 == 0 or not is_prime(p):
         raise ValueError(f"legendre needs an odd prime, got {p}")
-    a %= p
-    if a == 0:
-        return 0
-    ls = pow(a, (p - 1) // 2, p)
-    return -1 if ls == p - 1 else 1
+    return _legendre_unchecked(a, p)
 
 
 def _legendre_unchecked(a: int, p: int) -> int:

@@ -23,11 +23,13 @@ from .arith import (
     PadicScalar,
     Place,
     PLACE_INF,
+    _legendre_unchecked,
     factor,
     find_nonresidue,
     hensel_sqrt,
     hilbert_symbol,
     hilbert_symbol_padic,
+    is_prime,
     legendre,
     valuation,
 )
@@ -184,7 +186,7 @@ def evaluate_invariant(s: SubfamilySurface, tag: str, point, v=None) -> Fraction
     vanish are skipped; an imprecise local point is re-lifted, doubling the
     precision up to four times, and where every representation stays
     indeterminate nearby points carry the value.  Class C is A + B wherever
-    both are determinate; its own representations then only cross-check it.
+    both are determinate (see ``_point_values``).
     """
     if not isinstance(point, PadicApproxPoint):
         point = tuple(int(c) for c in point)
@@ -194,20 +196,28 @@ def evaluate_invariant(s: SubfamilySurface, tag: str, point, v=None) -> Fraction
             v = PLACE_INF if v in (0, "oo") else Place(int(v))
         if v.is_infinite:
             return ZERO  # all class symbols are (p, *) with p > 0
-    value = _direct_value(s, tag, point, v)
-    if tag == "C":
-        try:
-            a = evaluate_invariant(s, "A", point, v)
-            product = (a + evaluate_invariant(s, "B", point, v)) % 1
-        except IndeterminateEvaluationError:
-            product = None
-        if product is not None and value not in (None, product):
-            raise AssertionError("product rule and direct representation disagree for C")
-        value = value if product is None else product
+    value = _point_values(s, point, v)[2] if tag == "C" else _direct_value(s, tag, point, v)
     if value is None:
         raise IndeterminateEvaluationError(
             f"class {tag} indeterminate at {point}, place {v or point.q}")
     return value
+
+
+def _point_values(s, point, v) -> tuple:
+    """Values of A, B and C at the point, None where a class is indeterminate.
+
+    C = A + B wherever A and B are determinate, and C's own representatives
+    that are determinate there must agree: the Klein-four identity, checked
+    at every point that comes through here.  Elsewhere C takes its own path.
+    """
+    a = _direct_value(s, "A", point, v)
+    b = _direct_value(s, "B", point, v)
+    if a is None or b is None:
+        return a, b, _direct_value(s, "C", point, v)
+    c = (a + b) % 1
+    if _eval_reps(s, "C", point, v) not in (None, c):
+        raise AssertionError(f"Klein-four identity fails at {point}, place {v or point.q}")
+    return a, b, c
 
 
 # digits to which an exact point is read before falling back on local constancy
@@ -327,19 +337,20 @@ def _theorem_image(s: SubfamilySurface, tag: str, q: int) -> PlaceImage | None:
     return None
 
 
-def invariant_image(s: SubfamilySurface, tag: str, q: int, sample_budget: int = 64,
-                    seed: int = 0, use_theorems: bool = True) -> PlaceImage:
-    """Union of invariant values over sampled local points at q, with evidence.
+def invariant_image(s: SubfamilySurface, q: int, sample_budget: int = 64, seed: int = 0,
+                    use_theorems: bool = True) -> dict[str, PlaceImage]:
+    """Images of A, B and C at q from one sample of local points, with evidence.
 
-    Family-backed constancy short-circuits the sampling and is labeled as a
-    theorem; everywhere else the image is sampled evidence, not a proof.
+    At each sampled point A and B are evaluated once and C = A + B, with the
+    Klein-four identity checked against C's own representatives.  Each class
+    counts its determinate points until it has seen both values.  A class
+    with a family theorem gets the theorem's image, after its sampled values
+    are checked against it; every other image is sampled evidence, not a
+    proof.
     """
-    if use_theorems:
-        thm = _theorem_image(s, tag, q)
-        if thm is not None:
-            return thm
+    if not is_prime(q):
+        raise ValueError(f"{q} is not prime")
     precision = 14 if q == 2 else 8
-    points = None
     want = sample_budget
     while True:
         # on surfaces with very thin solution branches the full budget may be
@@ -351,20 +362,26 @@ def invariant_image(s: SubfamilySurface, tag: str, q: int, sample_budget: int = 
             if want <= 4:
                 raise
             want //= 2
-    values = set()
-    evaluated = 0
+    values = {tag: set() for tag in CLASS_TAGS}
+    evaluated = dict.fromkeys(CLASS_TAGS, 0)
     for pt in points:
-        try:
-            value = evaluate_invariant(s, tag, pt)
-        except IndeterminateEvaluationError:
-            continue
-        values.add(value)
-        evaluated += 1
-        if len(values) == 2:
-            break
-    if evaluated == 0:
-        raise SamplingBudgetError(f"no sampled point allowed evaluating class {tag} at {q}")
-    return PlaceImage(frozenset(values), "sampled", n=evaluated)
+        for tag, value in zip(CLASS_TAGS, _point_values(s, pt, None)):
+            if value is not None and len(values[tag]) < 2:
+                values[tag].add(value)
+                evaluated[tag] += 1
+    images = {}
+    for tag in CLASS_TAGS:
+        if evaluated[tag] == 0:
+            raise SamplingBudgetError(f"no sampled point allowed evaluating class {tag} at {q}")
+        images[tag] = PlaceImage(frozenset(values[tag]), "sampled", n=evaluated[tag])
+        thm = _theorem_image(s, tag, q) if use_theorems else None
+        if thm is not None:
+            if not images[tag].values <= thm.values:
+                raise AssertionError(
+                    f"family theorem and sampled image disagree: {tag} at {q}: "
+                    f"{sorted(thm.values)} vs {sorted(images[tag].values)}")
+            images[tag] = thm
+    return images
 
 
 # ---------------------------------------------------------------------------
@@ -376,14 +393,13 @@ def quadres_counts(p: int, a: int, b: int) -> tuple[int, int, int]:
 
     Exact enumeration over the (p-1)/2 squares; p = 1 mod 4 and a, b units.
     """
-    if p % 4 != 1:
+    if p % 4 != 1 or not is_prime(p):
         raise ValueError("counting lemma needs a prime p = 1 mod 4")
-    legendre(1, p)  # validates primality of p
     if a % p == 0 or b % p == 0:
         raise ValueError("a and b must be units mod p")
     counts = {0: 0, 1: 0, -1: 0}
     for val in {a + b * (y * y % p) for y in range(1, p)}:
-        counts[legendre(val, p)] += 1
+        counts[_legendre_unchecked(val, p)] += 1
     return (counts[0], counts[1], counts[-1])
 
 
@@ -395,12 +411,12 @@ def quadres_witness(p: int, a: int, b: int, c: int, d: int) -> int:
     """
     if p % 4 != 1:
         raise ValueError("need p = 1 mod 4")
-    for val in (a, b, c, d):
+    for val in (a, b, c, d):  # the first call validates p
         if legendre(val, p) != 1:
             raise ValueError(f"{val} is not a unit square mod {p}")
     for y0 in range(1, p):
-        s1 = legendre(a + b * y0 * y0, p)
-        s2 = legendre(c + d * y0 * y0, p)
+        s1 = _legendre_unchecked(a + b * y0 * y0, p)
+        s2 = _legendre_unchecked(c + d * y0 * y0, p)
         if s1 == -1 and s2 in (-1, 0):
             return y0
     raise AssertionError("counting lemma guarantees a witness; preconditions must have failed")
@@ -714,7 +730,7 @@ def _case1(s: SubfamilySurface, ctx: _WitnessContext):
         sq = _unit_sqrt(p, mbd, 1)
         want = -legendre(sq, p)  # required Legendre class of r
         r = next((r0 for r0 in range(1, p)
-                  if legendre(r0, p) == want and (r0 * r0 + B * D) % p != 0), None)
+                  if _legendre_unchecked(r0, p) == want and (r0 * r0 + B * D) % p != 0), None)
         if r is None:
             raise _ConstructionDegenerate("case 1a: no admissible unit r")
         ctx.trace.append("case 1a")
@@ -819,7 +835,8 @@ def _case4(s: SubfamilySurface, ctx: _WitnessContext):
     M1 = M // p ** vM
     _require(legendre(A * C, p) == 1, "case 4 needs AC a square")
     inv_ma = pow(M1 * A % p, -1, p)
-    x0 = next((x for x in range(1, p) if legendre(1 - B * inv_ma * x * x, p) == -1), None)
+    x0 = next((x for x in range(1, p)
+               if _legendre_unchecked(1 - B * inv_ma * x * x, p) == -1), None)
     if x0 is None:
         raise _ConstructionDegenerate("case 4: no x0 with 1 - (B/M'A) x0^2 a non-square")
     ctx.trace.append(f"case 4 (v_p(M) = {vM})")
@@ -885,8 +902,9 @@ def bm_verdict(s: SubfamilySurface, sample_budget: int = 64, seed: int = 0,
     """Which classes obstruct the Hasse principle, with per-place evidence.
 
     A class obstructs exactly when every place's image is a singleton and the
-    values sum to 1/2.  Family-backed predictions are cross-checked against
-    the sampled computation; a mismatch is a hard error.
+    values sum to 1/2.  Each relevant place is sampled once for all three
+    classes; family theorems and the Klein-four identity are checked on that
+    sample, and a mismatch is a hard error.
     """
     from .localsolve import everywhere_locally_soluble
 
@@ -895,37 +913,24 @@ def bm_verdict(s: SubfamilySurface, sample_budget: int = 64, seed: int = 0,
     if els.everywhere_soluble is not True:
         raise ValueError(f"bm_verdict needs an everywhere locally soluble surface; got {els.everywhere_soluble}")
     places, skipped = relevant_places(s, place_bound)
-    images: dict[str, dict[str, PlaceImage]] = {t: {} for t in CLASS_TAGS}
-    for tag in CLASS_TAGS:
-        images[tag]["oo"] = PlaceImage(frozenset({ZERO}), "theorem", "p > 0: trivial at the real place")
+    images: dict[str, dict[str, PlaceImage]] = {
+        tag: {"oo": PlaceImage(frozenset({ZERO}), "theorem", "p > 0: trivial at the real place")}
+        for tag in CLASS_TAGS}
     witness = surjectivity_witness(s, seed=seed)
     if witness.insoluble_at_p:
         raise AssertionError(f"witness machinery finds {s.label()} insoluble at p")
-    for tag in CLASS_TAGS:
-        for q in places:
-            img = invariant_image(s, tag, q, sample_budget=sample_budget, seed=seed)
-            thm = _theorem_image(s, tag, q)
-            if thm is not None and img.kind == "theorem":
-                # cross-check the theorem against an actual sample
-                sampled = invariant_image(s, tag, q, sample_budget=max(8, sample_budget // 4),
-                                          seed=seed, use_theorems=False)
-                if not sampled.values <= img.values:
-                    raise AssertionError(
-                        f"family theorem and sampled image disagree: {tag} at {q}: "
-                        f"{sorted(img.values)} vs {sorted(sampled.values)}")
+    for q in places:
+        for tag, img in invariant_image(s, q, sample_budget=sample_budget, seed=seed).items():
             images[tag][str(q)] = img
-        for q in skipped:
+    for q in skipped:
+        for tag in CLASS_TAGS:
             thm = _theorem_image(s, tag, q)
             if thm is not None:
                 images[tag][str(q)] = thm
-        # fold in the surjectivity witness at p
-        if tag == witness.tag:
-            prev = images[tag][str(s.p)]
-            merged = PlaceImage(prev.values | {ZERO, HALF}, "witness-pair",
-                                "separating pair from the case construction", prev.n)
-            images[tag][str(s.p)] = merged
-    # klein-four spot check on a fresh sample at p
-    _klein_four_check(s, seed)
+    # fold in the surjectivity witness at p
+    prev = images[witness.tag][str(s.p)]
+    images[witness.tag][str(s.p)] = PlaceImage(prev.values | {ZERO, HALF}, "witness-pair",
+                                               "separating pair from the case construction", prev.n)
     obstructing, unknown = _obstruction_flags(images, skipped)
     rational_point = None
     family_backed = y_family_params(s) is not None or s_family_params(s) is not None
@@ -977,19 +982,6 @@ def _obstruction_flags(images, skipped):
         if total == HALF:
             obstructing.append(tag)
     return obstructing, unknown
-
-
-def _klein_four_check(s: SubfamilySurface, seed: int) -> None:
-    pts = sample_local_points(s, s.p, 12, 8, seed=seed + 1)
-    for pt in pts:
-        try:
-            a = evaluate_invariant(s, "A", pt)
-            b = evaluate_invariant(s, "B", pt)
-            c = evaluate_invariant(s, "C", pt)
-        except IndeterminateEvaluationError:
-            continue
-        if (a + b) % 1 != c:
-            raise AssertionError(f"Klein-four identity fails at {pt}")
 
 
 def _family_cross_check(s: SubfamilySurface, report: ObstructionReport) -> None:

@@ -229,11 +229,10 @@ def cmd_invariants(args, cfg: RunConfig) -> int:
         skipped = []
     else:
         places, skipped = relevant_places(surface)
-    entries = []
-    for tag in CLASS_TAGS:
-        for q in places:
-            img = invariant_image(surface, tag, q, sample_budget=cfg.samples, seed=cfg.seed)
-            entries.append({"class": tag, "place": str(q), **img.to_json()})
+    images = {q: invariant_image(surface, q, sample_budget=cfg.samples, seed=cfg.seed)
+              for q in places}
+    entries = [{"class": tag, "place": str(q), **images[q][tag].to_json()}
+               for tag in CLASS_TAGS for q in places]
     payload = {"surface": surface.label(), "entries": entries,
                "skipped_places": [str(q) for q in skipped]}
     witness = surjectivity_witness(surface, seed=cfg.seed)
@@ -308,8 +307,8 @@ def cmd_verify_paper(args, cfg: RunConfig) -> int:
         s = make_Y(13, 2, 6)
         els = everywhere_locally_soluble(s)
         _expect(els.everywhere_soluble is True, "local solubility")
-        img = invariant_image(s, "A", 13, sample_budget=cfg.samples, seed=cfg.seed,
-                              use_theorems=False)
+        img = invariant_image(s, 13, sample_budget=cfg.samples, seed=cfg.seed,
+                              use_theorems=False)["A"]
         _expect(set(img.values) == {Fraction(1, 2)}, "inv_13 image of A")
         rep = bm_verdict(s, sample_budget=cfg.samples, seed=cfg.seed)
         _expect(rep.hp_obstructed_by == ("A",), f"obstruction {rep.hp_obstructed_by}")

@@ -2,10 +2,12 @@ from fractions import Fraction
 
 import pytest
 
+from dp4 import brauer
 from dp4.arith import PLACE_INF, Place, legendre
 from dp4.brauer import (
     CLASS_TAGS,
     IndeterminateEvaluationError,
+    _direct_value,
     bm_verdict,
     class_representations,
     evaluate_invariant,
@@ -13,6 +15,7 @@ from dp4.brauer import (
     quadres_counts,
     quadres_witness,
     reciprocity_check,
+    relevant_places,
     s_family_params,
     surjectivity_witness,
     y_family_params,
@@ -84,25 +87,83 @@ def test_invariant_B_flip_for_3mod4():
 
 
 def test_klein_four_identity():
+    # C's own full direct path (refinement, then the local-constancy
+    # fallback), not evaluate_invariant, which derives C from A and B
+    checked = 0
     for s in (Y_13_2_6, S_13, CASE_PATTERN_SURFACES["case4"]):
         for q in (2, s.p):
             for pt in sample_local_points(s, q, 10, 14 if q == 2 else 8, seed=9):
                 try:
                     a = evaluate_invariant(s, "A", pt)
                     b = evaluate_invariant(s, "B", pt)
-                    c = evaluate_invariant(s, "C", pt)
                 except IndeterminateEvaluationError:
                     continue
+                c = _direct_value(s, "C", pt, None)
+                if c is None:
+                    continue
                 assert (a + b) % 1 == c
+                checked += 1
+    assert checked > 0
 
 
 def test_invariant_images_paper_values():
-    assert set(invariant_image(Y_13_2_6, "B", 13, use_theorems=False).values) == {ZERO, HALF}
-    assert set(invariant_image(Y_13_2_6, "A", 13, use_theorems=False).values) == {HALF}
-    assert set(invariant_image(Y_13_1_12, "A", 13, use_theorems=False).values) == {ZERO}
-    assert set(invariant_image(S_13, "B", 13, use_theorems=False).values) == {HALF}
-    img = invariant_image(Y_13_2_6, "A", 13)
+    images = invariant_image(Y_13_2_6, 13, use_theorems=False)
+    assert set(images["B"].values) == {ZERO, HALF}
+    assert set(images["A"].values) == {HALF}
+    assert set(invariant_image(Y_13_1_12, 13, use_theorems=False)["A"].values) == {ZERO}
+    assert set(invariant_image(S_13, 13, use_theorems=False)["B"].values) == {HALF}
+    img = invariant_image(Y_13_2_6, 13)["A"]
     assert img.kind == "theorem" and set(img.values) == {HALF}
+
+
+def test_bm_verdict_checks_the_klein_four_identity(monkeypatch):
+    # with C's representatives swapped for A's, C = A + B fails wherever B is 1/2
+    real = brauer.class_representations
+    monkeypatch.setattr(brauer, "class_representations",
+                        lambda s, tag: real(s, "A" if tag == "C" else tag))
+    with pytest.raises(AssertionError, match="Klein-four identity fails"):
+        bm_verdict(Y_13_2_6)
+
+
+def test_bm_verdict_checks_family_theorems_against_the_sample(monkeypatch):
+    real = brauer._theorem_image
+
+    def wrong_for_a(s, tag, q):
+        thm = real(s, tag, q)
+        if tag == "A" and thm is not None:
+            (value,) = thm.values
+            thm = brauer.PlaceImage(frozenset({HALF - value}), thm.kind, thm.detail)
+        return thm
+
+    monkeypatch.setattr(brauer, "_theorem_image", wrong_for_a)
+    with pytest.raises(AssertionError, match="family theorem and sampled image disagree"):
+        bm_verdict(Y_13_2_6)
+
+
+def test_bm_verdict_samples_each_place_once(monkeypatch):
+    # one sample per relevant place serves all three classes, the theorem
+    # cross-checks and the Klein-four check; the witness draws its own
+    calls, in_witness = [], []
+    real_sampler, real_witness = brauer.sample_local_points, brauer.surjectivity_witness
+
+    def sampler(s, q, *args, **kwargs):
+        if not in_witness:
+            calls.append(q)
+        return real_sampler(s, q, *args, **kwargs)
+
+    def witness(*args, **kwargs):
+        in_witness.append(True)
+        try:
+            return real_witness(*args, **kwargs)
+        finally:
+            in_witness.pop()
+
+    monkeypatch.setattr(brauer, "sample_local_points", sampler)
+    monkeypatch.setattr(brauer, "surjectivity_witness", witness)
+    for s in (Y_13_2_6, S_13):
+        calls.clear()
+        bm_verdict(s)
+        assert sorted(calls) == relevant_places(s)[0], s
 
 
 def test_quadres_counts_lemma_values():

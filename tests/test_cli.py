@@ -116,6 +116,14 @@ def test_cli_invariants_place(capsys):
     assert payload["witness"]["class"] == "B"
 
 
+@pytest.mark.parametrize("place", ["15", "-13", "1", "0"])
+def test_cli_invariants_rejects_non_prime_place(capsys, place):
+    code, out, err = run_cli(capsys, "invariants", '{"family": "Y", "p": 13, "a": 1, "b": 12}',
+                             f"--place={place}")
+    assert code == 2
+    assert out == "" and err == f"input error: {place} is not prime\n"
+
+
 def test_cli_table_format(capsys):
     code, out, _ = run_cli(capsys, "search", '{"family": "Y", "p": 13, "a": 1, "b": 12}',
                            "--height", "1", "--format", "table")
