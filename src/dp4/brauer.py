@@ -13,6 +13,7 @@ invariant computable at almost every point.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -92,14 +93,19 @@ def _mono(coeff, u=0, v=0, x=0, y=0, z=0):
     return (coeff, (u, v, x, y, z))
 
 
-def class_representations(s: SubfamilySurface, tag: str) -> list[SymbolRep]:
+def class_representations(s: SubfamilySurface, tag: str) -> tuple[SymbolRep, ...]:
     """Function representatives of the class, most convenient first.
 
-    Beyond the defining fractions, each list carries polynomial variants
+    Beyond the defining fractions, each tuple carries polynomial variants
     obtained by multiplying with the norm forms M*u*v = y^2 - p x^2 and
     (Au+Bv)(Cu+Dv) = z^2 - p x^2, which stay usable on the loci u = 0 or
-    Au + Bv = 0.
+    Au + Bv = 0.  Built once per (surface, tag) and kept in a bounded memo.
     """
+    return _representations(s, tag)
+
+
+@functools.lru_cache(maxsize=64)
+def _representations(s: SubfamilySurface, tag: str) -> tuple[SymbolRep, ...]:
     A, B, C, D, M = s.A, s.B, s.C, s.D, s.M
     lin_u = (_mono(1, u=1),)
     lin_ab = (_mono(A, u=1), _mono(B, v=1))
@@ -109,26 +115,26 @@ def class_representations(s: SubfamilySurface, tag: str) -> list[SymbolRep]:
     zpy = (_mono(1, z=1), _mono(1, y=1))
     one = (_mono(1),)
     if tag == "A":
-        return [
+        return (
             SymbolRep("u/(Au+Bv)", lin_u, lin_ab),
             SymbolRep("Mv/(Au+Bv)", lin_mv, lin_ab),
             SymbolRep("u(Cu+Dv)", _poly_mul(lin_u, lin_cd), one),
             SymbolRep("Mv(Cu+Dv)", _poly_mul(lin_mv, lin_cd), one),
-        ]
+        )
     if tag == "B":
-        return [
+        return (
             SymbolRep("(z-y)/u", zmy, lin_u),
             SymbolRep("AC(z+y)/u", _scale(zpy, A * C), lin_u),
             SymbolRep("Mv(z-y)", _poly_mul(lin_mv, zmy), one),
             SymbolRep("ACMv(z+y)", _scale(_poly_mul(lin_mv, zpy), A * C), one),
-        ]
+        )
     if tag == "C":
-        return [
+        return (
             SymbolRep("(Au+Bv)/(z-y)", lin_ab, zmy),
             SymbolRep("(z-y)(Au+Bv)", _poly_mul(zmy, lin_ab), one),
             SymbolRep("AC(z+y)/(Au+Bv)", _scale(zpy, A * C), lin_ab),
             SymbolRep("(z-y)/(Au+Bv)", zmy, lin_ab),
-        ]
+        )
     raise ValueError(f"unknown class tag {tag!r}")
 
 

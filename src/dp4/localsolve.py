@@ -90,27 +90,37 @@ def _sqrt_table(q: int) -> list[list[int]]:
 
 
 def _level1_subfamily(s: SubfamilySurface, q: int):
-    """All projective F_q points on both quadrics, normalized, lazily.
+    """(n, slot): the projective F_q points on both quadrics, as n slots.
 
     Any solution has (u, v, x) != (0, 0, 0) mod q, so three pinned patterns
-    cover everything; y and z come from square-root tables.
+    cover everything: (1:v:x), then (0:1:x), then (0:0:1), the last
+    coordinate varying fastest.  Slot i holds pattern i // 4 with the
+    (i // 2) % 2-th square root y and the i % 2-th square root z from the
+    root table; slot(i) is that point, already normalized, or None when the
+    root does not exist.
     """
     roots = _sqrt_table(q)
     p, A, B, C, D, M = s.p % q, s.A % q, s.B % q, s.C % q, s.D % q, s.M % q
-    patterns = itertools.chain(
-        ((1, v, x) for v in range(q) for x in range(q)),
-        ((0, 1, x) for x in range(q)),
-        ((0, 0, 1),),
-    )
-    for u, v, x in patterns:
-        px2 = p * x * x % q
-        r1 = (M * u * v + px2) % q
-        r2 = ((A * u + B * v) * (C * u + D * v) + px2) % q
-        for y in roots[r1]:
-            for z in roots[r2]:
-                pt = normalize_residue_tuple(q, 1, (u, v, x, y, z))
-                if pt is not None:
-                    yield pt
+    qq = q * q
+
+    def slot(i: int) -> PadicApproxPoint | None:
+        pattern, choice = divmod(i, 4)
+        if pattern < qq:
+            u, pinned = 1, 0
+            v, x = divmod(pattern, q)
+        elif pattern < qq + q:
+            u, v, x, pinned = 0, 1, pattern - qq, 1
+        else:
+            u, v, x, pinned = 0, 0, 1, 2
+        px2 = p * x * x
+        ys = roots[(M * u * v + px2) % q]
+        zs = roots[((A * u + B * v) * (C * u + D * v) + px2) % q]
+        yi, zi = divmod(choice, 2)
+        if yi >= len(ys) or zi >= len(zs):
+            return None
+        return PadicApproxPoint(q, 1, (u, v, x, ys[yi], zs[zi]), pinned)
+
+    return 4 * (qq + q + 1), slot
 
 
 def _level1_general(g: GeneralSurface, q: int):
@@ -125,12 +135,23 @@ def _level1_general(g: GeneralSurface, q: int):
                 yield PadicApproxPoint(q, 1, pt, pinned)
 
 
-def iter_residue_points(surface, q: int):
-    if isinstance(surface, SubfamilySurface):
-        if q > RESIDUE_ENUM_BUDGET:
-            raise EnumerationBudgetError(f"residue enumeration budget is q <= {RESIDUE_ENUM_BUDGET}, got {q}")
-        return _level1_subfamily(surface, q)
-    return _level1_general(surface, q)
+def iter_residue_points(surface, q: int, rng: random.Random | None = None):
+    """The projective F_q points on both quadrics, normalized, lazily.
+
+    Without ``rng`` they come in a fixed exhaustive order, within the
+    enumeration budget.  With ``rng`` (subfamily surfaces only) they come in
+    seeded random order, drawn lazily, so taking the first few costs about
+    as much at any q as at a small one.
+    """
+    if not isinstance(surface, SubfamilySurface):
+        if rng is not None:
+            raise TypeError("seeded residue order is only available for subfamily surfaces")
+        return _level1_general(surface, q)
+    if rng is None and q > RESIDUE_ENUM_BUDGET:
+        raise EnumerationBudgetError(f"residue enumeration budget is q <= {RESIDUE_ENUM_BUDGET}, got {q}")
+    n, slot = _level1_subfamily(surface, q)
+    order = range(n) if rng is None else _shuffled_indices(n, rng)
+    return (pt for pt in map(slot, order) if pt is not None)
 
 
 def residue_points(surface, q: int) -> list[PadicApproxPoint]:
@@ -293,18 +314,23 @@ def expand_children(surface, pt: PadicApproxPoint):
         yield child(i)
 
 
-def _shuffled_children(surface, pt: PadicApproxPoint, rng: random.Random):
-    """The lifts of pt in seeded random order, drawn lazily.
+def _shuffled_indices(n: int, rng: random.Random):
+    """range(n) in seeded random order, drawn lazily.
 
-    A sparse Fisher-Yates shuffle of the indices: only the swapped positions
-    are stored, so memory grows with the lifts drawn, not with all q^f of them.
+    A sparse Fisher-Yates shuffle: only the swapped positions are stored, so
+    memory grows with the indices drawn, not with n.
     """
-    n, child = _child_decoder(surface, pt)
     swapped: dict[int, int] = {}
     for i in range(n):
         j = rng.randrange(i, n)
-        yield child(swapped.get(j, j))
+        yield swapped.get(j, j)
         swapped[j] = swapped.get(i, i)
+
+
+def _shuffled_children(surface, pt: PadicApproxPoint, rng: random.Random):
+    """The lifts of pt in seeded random order, drawn lazily."""
+    n, child = _child_decoder(surface, pt)
+    return map(child, _shuffled_indices(n, rng))
 
 
 def solutions_at_level(surface, q: int, k: int, budget: int = DEFAULT_EXPANSION_BUDGET):
@@ -622,16 +648,17 @@ def sample_local_points(surface, q: int, count: int, precision: int,
     """At least ``count`` distinct certified points at the given precision.
 
     Stratified: one point per level-1 residue class that is certified at once,
-    then one depth-first search below the uncertified classes, each node's
-    lifts drawn lazily in seeded random order, then further lifts of the
-    certified classes.  ``budget`` caps the lifts inspected.  Deterministic
-    for a fixed seed.
+    the classes drawn lazily in seeded random order until ``count`` points are
+    in hand, so a small request costs about the same at any q.  Only once every
+    level-1 class has been drawn: one depth-first search below the uncertified
+    classes, each node's lifts drawn lazily in seeded random order, then
+    further lifts of the certified classes.  ``budget`` caps the lifts
+    inspected.  Deterministic for a fixed seed.
     """
     if count == 0:
         return []
     rng = random.Random(f"{seed}:{q}:{precision}:{surface!r}")
-    level1 = list(iter_residue_points(surface, q))
-    rng.shuffle(level1)
+    level1: list[PadicApproxPoint] = []
     out: list[PadicApproxPoint] = []
     seen: set[tuple] = set()
     spent = 0
@@ -650,11 +677,12 @@ def sample_local_points(surface, q: int, count: int, precision: int,
 
     # pass 1: one certified point per level-1 class where immediately possible
     pending = []
-    for pt in level1:
-        if len(out) >= count:
-            return out[:count]
+    for pt in iter_residue_points(surface, q, rng):
+        level1.append(pt)
         if not try_collect(pt):
             pending.append(pt)
+        elif len(out) >= count:
+            return out
     # pass 2: depth-first search below the uncertified classes.  Lifts are
     # drawn lazily, so a node with a full digit space of q^4 lifts costs only
     # the lifts inspected.  Round-robin with a per-class share first, so that

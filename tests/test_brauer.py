@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from dp4 import brauer
+from dp4 import brauer, localsolve
 from dp4.arith import PLACE_INF, Place, legendre
 from dp4.brauer import (
     CLASS_TAGS,
@@ -20,6 +20,7 @@ from dp4.brauer import (
     surjectivity_witness,
     y_family_params,
 )
+from dp4.families import make_Y
 from dp4.localsolve import sample_local_points
 from dp4.quadform import SubfamilySurface
 
@@ -164,6 +165,30 @@ def test_bm_verdict_samples_each_place_once(monkeypatch):
         calls.clear()
         bm_verdict(s)
         assert sorted(calls) == relevant_places(s)[0], s
+
+
+def test_bm_verdict_draws_few_level1_points_at_large_p(monkeypatch):
+    # the sampler draws level-1 points lazily instead of enumerating all
+    # ~q^2 of them, so a verdict at p = 229 consumes only a few dozen
+    consumed = [0]
+    real = localsolve.iter_residue_points
+
+    def counting(*args, **kwargs):
+        for pt in real(*args, **kwargs):
+            consumed[0] += 1
+            yield pt
+
+    monkeypatch.setattr(localsolve, "iter_residue_points", counting)
+    bm_verdict(make_Y(229, 4, 57), seed=0)
+    assert 0 < consumed[0] < 500
+
+
+def test_class_representations_are_built_once_per_surface_and_class():
+    reps = class_representations(Y_13_2_6, "B")
+    assert isinstance(reps, tuple)
+    assert class_representations(Y_13_2_6, "B") is reps
+    assert class_representations(SubfamilySurface(13, 2, -13, 1, -6, 1), "B") is reps
+    assert class_representations(S_13, "B") != reps
 
 
 def test_quadres_counts_lemma_values():

@@ -12,6 +12,7 @@ from dp4.localsolve import (
     everywhere_locally_soluble,
     everywhere_locally_soluble_general,
     expand_children,
+    iter_residue_points,
     lift_certificate,
     newton_refine,
     normalize_residue_tuple,
@@ -20,6 +21,7 @@ from dp4.localsolve import (
     solutions_at_level,
 )
 from dp4.arith import legendre, sqrt_mod_prime_power
+from dp4.families import make_Y
 
 from helpers import (CASE_PATTERN_SURFACES, INSOLUBLE_AT_P, exhaustive_primitive_solutions_exist,
                      search_valid_surfaces)
@@ -74,6 +76,57 @@ def test_residue_count_invariant_under_unimodular_change():
 def test_residue_enumeration_budget():
     with pytest.raises(EnumerationBudgetError):
         residue_points(Y_13_2_6, 10007)
+
+
+def reference_level1(s, q):
+    """The exhaustive order, written as nested loops over the three patterns."""
+    patterns = [(1, v, x) for v in range(q) for x in range(q)] + [(0, 1, x) for x in range(q)] + [(0, 0, 1)]
+    out = []
+    for u, v, x in patterns:
+        for y in range(q):
+            if s.eq1((u, v, x, y, 0)) % q:
+                continue
+            for z in range(q):
+                if s.eq2((u, v, x, y, z)) % q == 0:
+                    out.append(((u, v, x, y, z), 0 if u else 1 if v else 2))
+    return out
+
+
+LEVEL1_SURFACES = [Y_13_2_6, S_13, CASE_PATTERN_SURFACES["case2"]]
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 13])
+@pytest.mark.parametrize("s", LEVEL1_SURFACES)
+def test_exhaustive_residue_order_is_the_nested_loop(s, q):
+    assert [(pt.coords, pt.pinned) for pt in iter_residue_points(s, q)] == reference_level1(s, q)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 13])
+@pytest.mark.parametrize("s", LEVEL1_SURFACES)
+def test_seeded_residue_draws_are_a_permutation(s, q):
+    exhaustive = [(pt.coords, pt.pinned) for pt in iter_residue_points(s, q)]
+    drawn = [(pt.coords, pt.pinned) for pt in iter_residue_points(s, q, random.Random(11))]
+    assert sorted(drawn) == sorted(exhaustive)
+    again = [(pt.coords, pt.pinned) for pt in iter_residue_points(s, q, random.Random(11))]
+    assert again == drawn
+    if len(drawn) > 2:
+        other = [(pt.coords, pt.pinned) for pt in iter_residue_points(s, q, random.Random(12))]
+        assert sorted(other) == sorted(drawn) and other != drawn
+
+
+def test_seeded_residue_order_needs_a_subfamily_surface():
+    with pytest.raises(TypeError):
+        iter_residue_points(to_matrices(Y_13_2_6), 3, random.Random(0))
+
+
+def test_sampling_beyond_the_enumeration_budget():
+    # seeded draws never build the level-1 set, so q above the exhaustive
+    # enumeration budget is fine as long as certified points are plentiful
+    s = make_Y(10009, 1, 10008)
+    pts = sample_local_points(s, 10009, 16, 8)
+    assert len({pt.coords for pt in pts}) == 16
+    for pt in pts:
+        assert pt.k == 8 and lift_certificate(s, pt) is not None
 
 
 def test_lift_certificate_unit_minor():
