@@ -139,14 +139,18 @@ def iter_residue_points(surface, q: int, rng: random.Random | None = None):
     """The projective F_q points on both quadrics, normalized, lazily.
 
     Without ``rng`` they come in a fixed exhaustive order, within the
-    enumeration budget.  With ``rng`` (subfamily surfaces only) they come in
-    seeded random order, drawn lazily, so taking the first few costs about
-    as much at any q as at a small one.
+    enumeration budget.  With ``rng`` they come in seeded random order:
+    drawn lazily on a subfamily surface, so taking the first few costs about
+    as much at any q as at a small one; listed and shuffled on a general
+    pencil, whose q is at most GENERAL_ENUM_BUDGET.
     """
     if not isinstance(surface, SubfamilySurface):
-        if rng is not None:
-            raise TypeError("seeded residue order is only available for subfamily surfaces")
-        return _level1_general(surface, q)
+        pts = _level1_general(surface, q)
+        if rng is None:
+            return pts
+        pts = list(pts)
+        rng.shuffle(pts)
+        return iter(pts)
     if rng is None and q > RESIDUE_ENUM_BUDGET:
         raise EnumerationBudgetError(f"residue enumeration budget is q <= {RESIDUE_ENUM_BUDGET}, got {q}")
     n, slot = _level1_subfamily(surface, q)
@@ -317,14 +321,15 @@ def expand_children(surface, pt: PadicApproxPoint):
 def _shuffled_indices(n: int, rng: random.Random):
     """range(n) in seeded random order, drawn lazily.
 
-    A sparse Fisher-Yates shuffle: only the swapped positions are stored, so
-    memory grows with the indices drawn, not with n.
+    A sparse Fisher-Yates shuffle: only the displaced values of positions not
+    yet drawn are stored, so memory grows with the indices drawn, not with n,
+    and shrinks again as the last positions are drawn.
     """
     swapped: dict[int, int] = {}
     for i in range(n):
         j = rng.randrange(i, n)
         yield swapped.get(j, j)
-        swapped[j] = swapped.get(i, i)
+        swapped[j] = swapped.pop(i, i)
 
 
 def _shuffled_children(surface, pt: PadicApproxPoint, rng: random.Random):
@@ -653,7 +658,11 @@ def sample_local_points(surface, q: int, count: int, precision: int,
     level-1 class has been drawn: one depth-first search below the uncertified
     classes, each node's lifts drawn lazily in seeded random order, then
     further lifts of the certified classes.  ``budget`` caps the lifts
-    inspected.  Deterministic for a fixed seed.
+    inspected in passes 2 and 3.  Beyond the exhaustive enumeration budget
+    (q > RESIDUE_ENUM_BUDGET) the level-1 set is never exhausted, so pass 1
+    draws at most ``budget`` classes there and then raises
+    EnumerationBudgetError.  Takes subfamily surfaces and general pencils.
+    Deterministic for a fixed seed.
     """
     if count == 0:
         return []
@@ -678,6 +687,9 @@ def sample_local_points(surface, q: int, count: int, precision: int,
     # pass 1: one certified point per level-1 class where immediately possible
     pending = []
     for pt in iter_residue_points(surface, q, rng):
+        if q > RESIDUE_ENUM_BUDGET and len(level1) >= budget:
+            raise EnumerationBudgetError(
+                f"{budget} level-1 classes drawn at q={q} gave only {len(out)} of {count} certified points")
         level1.append(pt)
         if not try_collect(pt):
             pending.append(pt)

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from dp4 import localsolve
 from dp4.quadform import GeneralSurface, SubfamilySurface, to_matrices
 from dp4.localsolve import (
     EnumerationBudgetError,
@@ -114,9 +115,15 @@ def test_seeded_residue_draws_are_a_permutation(s, q):
         assert sorted(other) == sorted(drawn) and other != drawn
 
 
-def test_seeded_residue_order_needs_a_subfamily_surface():
-    with pytest.raises(TypeError):
-        iter_residue_points(to_matrices(Y_13_2_6), 3, random.Random(0))
+def test_seeded_residue_order_on_a_general_pencil():
+    g = to_matrices(Y_13_2_6)
+    exhaustive = [(pt.coords, pt.pinned) for pt in iter_residue_points(g, 5)]
+    drawn = [(pt.coords, pt.pinned) for pt in iter_residue_points(g, 5, random.Random(11))]
+    assert sorted(drawn) == sorted(exhaustive) and drawn != exhaustive
+    pts = sample_local_points(g, 13, 12, 4, seed=2)
+    assert len({pt.coords for pt in pts}) == 12
+    for pt in pts:
+        assert pt.k == 4 and lift_certificate(g, pt) is not None
 
 
 def test_sampling_beyond_the_enumeration_budget():
@@ -127,6 +134,26 @@ def test_sampling_beyond_the_enumeration_budget():
     assert len({pt.coords for pt in pts}) == 16
     for pt in pts:
         assert pt.k == 8 and lift_certificate(s, pt) is not None
+
+
+def test_level1_draws_are_bounded_beyond_the_enumeration_budget(monkeypatch):
+    # mod P no level-1 point of (P, P, P, c, d, -mP) is certified, so pass 1
+    # could draw all ~P^2 of them; beyond the exhaustive budget it stops
+    # after ``budget`` draws instead
+    P = 10007
+    s = SubfamilySurface(P, P, P, 1, 194, -7 * P)  # (C1) with N = 2P
+    drawn = [0]
+    real = localsolve.iter_residue_points
+
+    def counting(*args, **kwargs):
+        for pt in real(*args, **kwargs):
+            drawn[0] += 1
+            yield pt
+
+    monkeypatch.setattr(localsolve, "iter_residue_points", counting)
+    with pytest.raises(EnumerationBudgetError):
+        sample_local_points(s, P, 16, 8, budget=500)
+    assert drawn[0] == 501
 
 
 def test_lift_certificate_unit_minor():
