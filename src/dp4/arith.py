@@ -339,7 +339,11 @@ def hilbert_symbol(a: Fraction | int, b: Fraction | int, v: Place) -> int:
 
 
 def hilbert_symbol_padic(a: Fraction | int, b: PadicScalar) -> int:
-    """(a, b)_q for exact rational a and a p-adic scalar b at q = b.q."""
+    """(a, b)_q for exact rational a and a p-adic scalar b at q = b.q.
+
+    Unused by the library since the invariant evaluator calls
+    ``hilbert_valunit`` directly; kept while perfbench declares metrics for it.
+    """
     b.require_determinate()
     q = b.q
     mod = 8 if q == 2 else q

@@ -29,7 +29,7 @@ from .arith import (
     find_nonresidue,
     hensel_sqrt,
     hilbert_symbol,
-    hilbert_symbol_padic,
+    hilbert_valunit,
     is_prime,
     legendre,
     valuation,
@@ -158,29 +158,36 @@ def _scale(p, c):
 def _eval_reps(s: SubfamilySurface, tag: str, point, v: Place | None) -> Fraction | None:
     """Common value of the representatives determinate at the point, or None.
 
-    At an exact integer point (place ``v``) a representative counts when it is
-    neither 0 nor infinite there; at a PadicApproxPoint both of its parts must
-    also carry enough digits of their unit parts to fix the square class.
+    At an exact integer point (finite place ``v``) a representative n/d counts
+    when n and d are nonzero; at a PadicApproxPoint n and d are read mod q^k
+    and each must carry enough unit digits to fix its square class (3 at
+    q = 2, else 1).  Hilbert symbols are bimultiplicative, so
+    (p, n/d)_q = (p, n)_q (p, d)_q = (p, n*d)_q, and (p, n*d)_q depends only on
+    the parity of v_q(n) + v_q(d) and on the unit of n*d mod q (mod 8 at 2):
+    one symbol per representative, from integer valuations alone.
     """
     local = isinstance(point, PadicApproxPoint)
-    coords = point.coords if local else point
-    need = 3 if local and point.q == 2 else 1  # relative digits needed of the unit part
+    coords, q = (point.coords, point.q) if local else (point, v.q)
+    mod = 8 if q == 2 else q
+    need = 3 if q == 2 else 1  # unit digits a p-adic value must carry
+    modulus = q ** point.k if local else None
+    val_p = valuation(s.p, q)
+    unit_p = s.p // q ** val_p % mod
     values = set()
     for rep in class_representations(s, tag):
         n, d = rep.eval_num(coords), rep.eval_den(coords)
         if local:
-            ns = PadicScalar.from_residue(point.q, n, point.k)
-            ds = PadicScalar.from_residue(point.q, d, point.k)
-            if ns.k < need or ds.k < need:
-                continue
-            sym = hilbert_symbol_padic(s.p, ns) * hilbert_symbol_padic(s.p, ds)
-        elif n == 0 or d == 0:
+            n, d = n % modulus, d % modulus
+        if n == 0 or d == 0:
             continue
-        else:
-            sym = hilbert_symbol(s.p, Fraction(n, d), v)
+        val_n, val_d = valuation(n, q), valuation(d, q)
+        if local and point.k - max(val_n, val_d) < need:
+            continue
+        unit = n // q ** val_n * (d // q ** val_d) % mod
+        sym = hilbert_valunit(q, val_p, unit_p, val_n + val_d, unit)
         values.add(ZERO if sym == 1 else HALF)
     if len(values) > 1:
-        raise AssertionError(f"representations disagree for {tag} at {point}, place {v or point.q}")
+        raise AssertionError(f"representations disagree for {tag} at {point}, place {q}")
     return values.pop() if values else None
 
 
@@ -888,9 +895,14 @@ class ObstructionReport:
         }
 
 
-def relevant_places(s: SubfamilySurface, place_bound: int = 1500) -> tuple[list, list]:
+# places above this are not sampled; a family theorem covers them or they stay unknown
+PLACE_BOUND = 1500
+
+
+def relevant_places(s: SubfamilySurface) -> tuple[list, list]:
     """Finite places where some invariant can be nonzero: {2, p} and the odd
-    bad primes q with p a non-residue.  Returns (feasible, skipped)."""
+    bad primes q with p a non-residue.  Returns (feasible, skipped), split at
+    PLACE_BOUND."""
     ps = {2, s.p}
     bad = set()
     for coeff in (s.A, s.B, s.C, s.D, s.M, s.N, s.A * s.D - s.B * s.C):
@@ -899,12 +911,11 @@ def relevant_places(s: SubfamilySurface, place_bound: int = 1500) -> tuple[list,
     for q in sorted(bad):
         if legendre(s.p, q) == 1:
             continue  # (p, *)_q is identically trivial
-        (feasible if q <= place_bound else skipped).append(q)
+        (feasible if q <= PLACE_BOUND else skipped).append(q)
     return sorted(ps) + feasible, skipped
 
 
-def bm_verdict(s: SubfamilySurface, sample_budget: int = 64, seed: int = 0,
-               place_bound: int = 1500) -> ObstructionReport:
+def bm_verdict(s: SubfamilySurface, sample_budget: int = 64, seed: int = 0) -> ObstructionReport:
     """Which classes obstruct the Hasse principle, with per-place evidence.
 
     A class obstructs exactly when every place's image is a singleton and the
@@ -918,7 +929,7 @@ def bm_verdict(s: SubfamilySurface, sample_budget: int = 64, seed: int = 0,
     els = everywhere_locally_soluble(s)
     if els.everywhere_soluble is not True:
         raise ValueError(f"bm_verdict needs an everywhere locally soluble surface; got {els.everywhere_soluble}")
-    places, skipped = relevant_places(s, place_bound)
+    places, skipped = relevant_places(s)
     images: dict[str, dict[str, PlaceImage]] = {
         tag: {"oo": PlaceImage(frozenset({ZERO}), "theorem", "p > 0: trivial at the real place")}
         for tag in CLASS_TAGS}

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import FactorBudgetExceeded
@@ -43,6 +42,7 @@ from .quadform import (
     check_subfamily,
     to_matrices,
     order4_test,
+    validate_subfamily,
 )
 from .families import census_S, census_Y, make_S, make_Y, point_search
 
@@ -50,16 +50,6 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_INPUT = 2
 EXIT_INCONCLUSIVE = 3
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    samples: int = 64
-    height: int = 64
-    precision_max: int = 24
-    seed: int = 0
-    fmt: str = "json"
-    jobs: int = 1
 
 
 class InputError(Exception):
@@ -120,8 +110,8 @@ def parse_surface_spec(text: str):
     raise InputError("spec needs 'matrices' or a 'family' of subfamily/Y/S")
 
 
-def _emit(payload, cfg: RunConfig) -> None:
-    if cfg.fmt == "json":
+def _emit(payload, args) -> None:
+    if args.format == "json":
         print(json.dumps(payload, sort_keys=True))
     else:
         _print_table(payload)
@@ -152,7 +142,7 @@ def _print_table(payload, indent: int = 0) -> None:
 # subcommands
 
 
-def cmd_analyze(args, cfg: RunConfig) -> int:
+def cmd_analyze(args) -> int:
     surface = parse_surface_spec(args.spec)
     if isinstance(surface, GeneralSurface):
         payload = {
@@ -161,7 +151,7 @@ def cmd_analyze(args, cfg: RunConfig) -> int:
             "local_solubility": everywhere_locally_soluble_general(surface).to_json(),
             "note": "class invariants need the split two-form shape",
         }
-        _emit(payload, cfg)
+        _emit(payload, args)
         return EXIT_OK
     rep = check_subfamily(surface)
     payload = {"kind": "subfamily", "surface": surface.label(),
@@ -169,17 +159,17 @@ def cmd_analyze(args, cfg: RunConfig) -> int:
                             "N": rep.derived_N}}
     if not rep.valid:
         payload["error"] = "conditions (C1)/(C2) fail"
-        _emit(payload, cfg)
+        _emit(payload, args)
         return EXIT_MISMATCH
     els = everywhere_locally_soluble(surface)
     payload["local_solubility"] = els.to_json()
     if els.everywhere_soluble is None:
-        _emit(payload, cfg)
+        _emit(payload, args)
         return EXIT_INCONCLUSIVE
     if els.everywhere_soluble:
-        verdict = bm_verdict(surface, sample_budget=cfg.samples, seed=cfg.seed)
+        verdict = bm_verdict(surface, sample_budget=args.samples, seed=args.seed)
         payload["obstruction"] = verdict.to_json()
-    _emit(payload, cfg)
+    _emit(payload, args)
     return EXIT_OK
 
 
@@ -196,70 +186,71 @@ def _order4_payload(g: GeneralSurface):
     }
 
 
-def cmd_classify(args, cfg: RunConfig) -> int:
+def cmd_classify(args) -> int:
     surface = parse_surface_spec(args.spec)
     g = to_matrices(surface) if isinstance(surface, SubfamilySurface) else surface
-    _emit(_order4_payload(g), cfg)
+    _emit(_order4_payload(g), args)
     return EXIT_OK
 
 
-def cmd_solubility(args, cfg: RunConfig) -> int:
+def cmd_solubility(args) -> int:
     surface = parse_surface_spec(args.spec)
     if args.place is not None:
         if args.place == "oo":
             verdict = decide_R(surface)
         else:
-            verdict = decide_Qq(surface, int(args.place), max_level=cfg.precision_max)
-        _emit(verdict.to_json(), cfg)
+            verdict = decide_Qq(surface, int(args.place), max_level=args.precision_max)
+        _emit(verdict.to_json(), args)
         return EXIT_INCONCLUSIVE if verdict.status == "inconclusive" else EXIT_OK
     if isinstance(surface, GeneralSurface):
         rep = everywhere_locally_soluble_general(surface)
     else:
         rep = everywhere_locally_soluble(surface)
-    _emit(rep.to_json(), cfg)
+    _emit(rep.to_json(), args)
     return EXIT_INCONCLUSIVE if rep.everywhere_soluble is None else EXIT_OK
 
 
-def cmd_invariants(args, cfg: RunConfig) -> int:
+def cmd_invariants(args) -> int:
     surface = parse_surface_spec(args.spec)
     if not isinstance(surface, SubfamilySurface):
         raise InputError("invariants need the split two-form shape")
+    validate_subfamily(surface)
     if args.place is not None:
         places = [int(args.place)]
         skipped = []
     else:
         places, skipped = relevant_places(surface)
-    images = {q: invariant_image(surface, q, sample_budget=cfg.samples, seed=cfg.seed)
+    images = {q: invariant_image(surface, q, sample_budget=args.samples, seed=args.seed)
               for q in places}
     entries = [{"class": tag, "place": str(q), **images[q][tag].to_json()}
                for tag in CLASS_TAGS for q in places]
     payload = {"surface": surface.label(), "entries": entries,
                "skipped_places": [str(q) for q in skipped]}
-    witness = surjectivity_witness(surface, seed=cfg.seed)
+    witness = surjectivity_witness(surface, seed=args.seed)
     payload["witness"] = witness.to_json()
-    _emit(payload, cfg)
+    _emit(payload, args)
     return EXIT_OK
 
 
-def cmd_search(args, cfg: RunConfig) -> int:
+def cmd_search(args) -> int:
     surface = parse_surface_spec(args.spec)
     if not isinstance(surface, SubfamilySurface):
         raise InputError("point search needs the split two-form shape")
-    pts = point_search(surface, cfg.height, jobs=cfg.jobs)
-    _emit({"surface": surface.label(), "height_bound": cfg.height,
-           "count": len(pts), "points": [list(p) for p in pts]}, cfg)
+    pts = point_search(surface, args.height, jobs=args.jobs)
+    _emit({"surface": surface.label(), "height_bound": args.height,
+           "count": len(pts), "points": [list(p) for p in pts]}, args)
     return EXIT_OK
 
 
-def cmd_census(args, cfg: RunConfig) -> int:
+def cmd_census(args) -> int:
     if args.family == "Y":
-        result = census_Y(args.pmax, height_bound=cfg.height, sample_budget=cfg.samples,
-                          seed=cfg.seed, jobs=cfg.jobs)
+        result = census_Y(args.pmax, height_bound=args.height, sample_budget=args.samples,
+                          seed=args.seed, jobs=args.jobs)
     else:
         p_list = [int(p) for p in args.plist.split(",")] if args.plist else [13, 29, 37, 53]
-        result = census_S(p_list, t_count=args.tcount, height_bound=cfg.height,
-                          sample_budget=cfg.samples, seed=cfg.seed, jobs=cfg.jobs)
-    if cfg.fmt == "json":
+        result = census_S(p_list, t_count=args.tcount, height_bound=args.height,
+                          sample_budget=args.samples, seed=args.seed, jobs=args.jobs)
+    if args.format == "json":
         print(json.dumps({"header": result.header}, sort_keys=True))
         for row in result.rows:
             print(json.dumps(row.to_json(), sort_keys=True))
@@ -281,7 +272,7 @@ def _expect(ok: bool, what: str) -> None:
         raise AssertionError(what)
 
 
-def cmd_verify_paper(args, cfg: RunConfig) -> int:
+def cmd_verify_paper(args) -> int:
     """Re-run the five worked examples and assert their published conclusions."""
     checks = []
     inconclusive = []
@@ -307,22 +298,22 @@ def cmd_verify_paper(args, cfg: RunConfig) -> int:
         s = make_Y(13, 2, 6)
         els = everywhere_locally_soluble(s)
         _expect(els.everywhere_soluble is True, "local solubility")
-        img = invariant_image(s, 13, sample_budget=cfg.samples, seed=cfg.seed,
+        img = invariant_image(s, 13, sample_budget=args.samples, seed=args.seed,
                               use_theorems=False)["A"]
         _expect(set(img.values) == {Fraction(1, 2)}, "inv_13 image of A")
-        rep = bm_verdict(s, sample_budget=cfg.samples, seed=cfg.seed)
+        rep = bm_verdict(s, sample_budget=args.samples, seed=args.seed)
         _expect(rep.hp_obstructed_by == ("A",), f"obstruction {rep.hp_obstructed_by}")
         _expect(point_search(s, 200) == [], "no points up to height 200")
 
     def check_y1112():
         s = make_Y(13, 1, 12)
-        rep = bm_verdict(s, sample_budget=cfg.samples, seed=cfg.seed)
+        rep = bm_verdict(s, sample_budget=args.samples, seed=args.seed)
         _expect(rep.hp_obstructed_by == (), f"obstruction {rep.hp_obstructed_by}")
         _expect((1, 0, 0, 0, 1) in point_search(s, 1), "trivial point at height 1")
 
     def check_y1121():
         s = make_Y(13, 12, 1)
-        rep = bm_verdict(s, sample_budget=cfg.samples, seed=cfg.seed)
+        rep = bm_verdict(s, sample_budget=args.samples, seed=args.seed)
         _expect(rep.hp_obstructed_by == (), f"obstruction {rep.hp_obstructed_by}")
         _expect((1, -3, 2, 7, 16) in point_search(s, 16), "the nontrivial point at height 16")
 
@@ -330,7 +321,7 @@ def cmd_verify_paper(args, cfg: RunConfig) -> int:
         s = make_S(13, 153, 179)
         els = everywhere_locally_soluble(s)
         _expect(els.everywhere_soluble is True, "local solubility")
-        rep = bm_verdict(s, sample_budget=cfg.samples, seed=cfg.seed)
+        rep = bm_verdict(s, sample_budget=args.samples, seed=args.seed)
         _expect(rep.hp_obstructed_by == ("B",), f"obstruction {rep.hp_obstructed_by}")
 
     def check_bsd():
@@ -347,7 +338,7 @@ def cmd_verify_paper(args, cfg: RunConfig) -> int:
 
     passed = sum(1 for c in checks if c["ok"] is True)
     payload = {"checks": checks, "passed": passed, "total": len(checks)}
-    _emit(payload, cfg)
+    _emit(payload, args)
     if any(c["ok"] is False for c in checks):
         return EXIT_MISMATCH
     if inconclusive:
@@ -417,10 +408,8 @@ def main(argv=None) -> int:
             or args.jobs == 0:
         print("input error: budgets must be positive", file=sys.stderr)
         return EXIT_INPUT
-    cfg = RunConfig(samples=args.samples, height=args.height, precision_max=args.precision_max,
-                    seed=args.seed, fmt=args.format, jobs=args.jobs)
     try:
-        return args.fn(args, cfg)
+        return args.fn(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -22,6 +22,7 @@ DEFAULT_MAX_LEVEL = 9
 DEFAULT_EXPANSION_BUDGET = 10 ** 7
 RESIDUE_ENUM_BUDGET = 10 ** 4
 GENERAL_ENUM_BUDGET = 60
+REAL_SEARCH_STARTS = 64  # random starts of the numeric real-point search
 
 
 class EnumerationBudgetError(Exception):
@@ -459,15 +460,15 @@ def _cholesky_definite(m, sign: int) -> bool:
     return True
 
 
-def decide_R(surface, starts: int = 64, seed: int = 0) -> SolubilityVerdict:
+def decide_R(surface) -> SolubilityVerdict:
     """Real solubility: exact witness for the subfamily, numeric search otherwise."""
     if isinstance(surface, SubfamilySurface):
         # p > 0, so (0 : 0 : 1 : sqrt(p) : sqrt(p)) always lies on the surface.
         return SolubilityVerdict(0, "soluble", real_witness="(0:0:1:sqrt(p):sqrt(p))",
                                  method="theorem: real witness")
     g: GeneralSurface = surface
-    rng = random.Random(seed)
-    for _ in range(starts):
+    rng = random.Random(0)
+    for _ in range(REAL_SEARCH_STARTS):
         x = [rng.gauss(0, 1) for _ in range(5)]
         for _ in range(200):
             norm = math.sqrt(sum(c * c for c in x))
@@ -530,8 +531,7 @@ class LocalSolubilityReport:
         return out
 
 
-def everywhere_locally_soluble(s: SubfamilySurface, max_level: int = DEFAULT_MAX_LEVEL,
-                               budget: int = DEFAULT_EXPANSION_BUDGET) -> LocalSolubilityReport:
+def everywhere_locally_soluble(s: SubfamilySurface) -> LocalSolubilityReport:
     """Local solubility at every place of Q, with explicit work only where needed.
 
     Places v not in {2, p} with p a non-square at v and v not dividing N are
@@ -559,7 +559,7 @@ def everywhere_locally_soluble(s: SubfamilySurface, max_level: int = DEFAULT_MAX
         else:
             rows.append((str(q), None, "theorem: p is a square mod q, sqrt(p) witness"))
     for q in explicit:
-        rows.append((str(q), decide_Qq(s, q, max_level=max_level, budget=budget), ""))
+        rows.append((str(q), decide_Qq(s, q), ""))
     return LocalSolubilityReport(tuple(rows), tuple(explicit), s)
 
 
@@ -569,8 +569,7 @@ def _odd_prime_divisors(n: int) -> list[int]:
     return sorted({f for f in factor(abs(n)) if f % 2})
 
 
-def everywhere_locally_soluble_general(g: GeneralSurface, max_level: int = DEFAULT_MAX_LEVEL,
-                                       budget: int = DEFAULT_EXPANSION_BUDGET) -> LocalSolubilityReport:
+def everywhere_locally_soluble_general(g: GeneralSurface) -> LocalSolubilityReport:
     """Local solubility of a general pencil at every place.
 
     At an odd prime of good reduction (the pencil quintic stays squarefree of
@@ -600,48 +599,14 @@ def everywhere_locally_soluble_general(g: GeneralSurface, max_level: int = DEFAU
     decided = []
     for q in sorted(candidates):
         if q > GENERAL_ENUM_BUDGET:
-            if _quintic_squarefree_mod(quintic, q):
-                rows.append((str(q), None, "theorem: good reduction verified mod q"))
-                continue
+            # q divides res = +-5^3 Disc(quintic) or the content, so the
+            # quintic is 0 or has a repeated root mod q: bad reduction
             v = SolubilityVerdict(q, "inconclusive", method="bad reduction beyond enumeration budget")
         else:
-            v = decide_Qq(g, q, max_level=max_level, budget=budget)
+            v = decide_Qq(g, q)
             decided.append(q)
         rows.append((str(q), v, ""))
     return LocalSolubilityReport(tuple(rows), tuple(decided))
-
-
-def _quintic_squarefree_mod(coeffs, q: int) -> bool:
-    cs = [c % q for c in coeffs]
-    if cs[0] == 0:  # root at infinity: must stay simple
-        if cs[1] % q == 0:
-            return False
-        cs = cs[1:]
-    # squarefree over F_q via gcd(f, f') on the dehomogenization
-    f = [c % q for c in cs]
-    fp = [((len(f) - 1 - i) * c) % q for i, c in enumerate(f[:-1])]
-    return _poly_gcd_deg(f, fp, q) == 0
-
-
-def _poly_gcd_deg(f, g, q: int) -> int:
-    """Degree of gcd over F_q (leading-first coefficient lists); -1 for gcd 0."""
-
-    def strip(h):
-        i = 0
-        while i < len(h) and h[i] % q == 0:
-            i += 1
-        return h[i:]
-
-    f, g = strip([c % q for c in f]), strip([c % q for c in g])
-    while g:
-        inv = pow(g[0], -1, q)
-        while len(f) >= len(g):
-            c = f[0] * inv % q
-            f = strip([(a - c * b) % q for a, b in zip(f, g + [0] * (len(f) - len(g)))])
-            if not f:
-                break
-        f, g = g, f
-    return len(f) - 1 if f else -1
 
 
 # ---------------------------------------------------------------------------

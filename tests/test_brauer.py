@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from dp4 import brauer, localsolve
-from dp4.arith import PLACE_INF, Place, legendre
+from dp4.arith import PLACE_INF, PadicScalar, Place, hilbert_symbol, legendre
 from dp4.brauer import (
     CLASS_TAGS,
     IndeterminateEvaluationError,
@@ -53,6 +53,45 @@ def test_representation_consistency_on_sampled_points():
                         evaluate_invariant(s, tag, pt)
                     except IndeterminateEvaluationError:
                         pass
+
+
+def test_eval_reps_agrees_with_hilbert_symbol_per_representative(monkeypatch):
+    # one representative at a time, the integer-valuation loop must give
+    # (p, n/d)_q as hilbert_symbol computes it from the Fraction n/d: at exact
+    # points wherever n, d are nonzero, at p-adic points wherever n and d are
+    # determinate mod q^k, and nothing at the other p-adic points
+    def symbol_value(s, rep, coords, q):
+        sym = hilbert_symbol(s.p, Fraction(rep.eval_num(coords), rep.eval_den(coords)), Place(q))
+        return ZERO if sym == 1 else HALF
+
+    def determinate(x, q, k):
+        scalar = PadicScalar.from_residue(q, x, k)
+        return scalar.k >= (3 if q == 2 else 1)
+
+    checked = skipped = 0
+    for s in (Y_13_2_6, S_13, CASE_PATTERN_SURFACES["case2"]):
+        for q in (2, 3, s.p):
+            sampled = sample_local_points(s, q, 12, 14 if q == 2 else 8, seed=3)
+            # low precisions too, where some representatives are indeterminate
+            for pt in (full.reduce(k) for full in sampled for k in (1, 2, 3, full.k)):
+                for tag in CLASS_TAGS:
+                    for rep in class_representations(s, tag):
+                        monkeypatch.setattr(brauer, "class_representations", lambda *_: (rep,))
+                        n, d = rep.eval_num(pt.coords), rep.eval_den(pt.coords)
+                        got_exact = brauer._eval_reps(s, tag, pt.coords, Place(q))
+                        got_local = brauer._eval_reps(s, tag, pt, None)
+                        monkeypatch.undo()
+                        if n == 0 or d == 0:
+                            assert got_exact is None
+                        else:
+                            assert got_exact == symbol_value(s, rep, pt.coords, q)
+                        if determinate(n, q, pt.k) and determinate(d, q, pt.k):
+                            assert got_local == symbol_value(s, rep, pt.coords, q)
+                            checked += 1
+                        else:
+                            assert got_local is None
+                            skipped += 1
+    assert checked > 500 and skipped > 500
 
 
 def test_invariant_A_at_p_is_half_on_obstructed_family_member():

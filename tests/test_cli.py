@@ -124,6 +124,15 @@ def test_cli_invariants_rejects_non_prime_place(capsys, place):
     assert out == "" and err == f"input error: {place} is not prime\n"
 
 
+def test_cli_invariants_place_checks_the_surface_conditions(capsys):
+    # Y_13_2_6 with M = 2 violates (C1); an explicit place must not skip the check
+    spec = '{"family": "subfamily", "p": 13, "A": 2, "B": -13, "C": 1, "D": -6, "M": 2}'
+    for extra in ((), ("--place", "13")):
+        code, out, err = run_cli(capsys, "invariants", spec, *extra)
+        assert code == 2 and out == ""
+        assert err.startswith("input error: invalid subfamily surface")
+
+
 def test_cli_table_format(capsys):
     code, out, _ = run_cli(capsys, "search", '{"family": "Y", "p": 13, "a": 1, "b": 12}',
                            "--height", "1", "--format", "table")

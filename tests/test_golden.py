@@ -25,6 +25,8 @@ CASES = {
     "analyze_Y_13_1_12": ["analyze", '{"family": "Y", "p": 13, "a": 1, "b": 12}'],
     "analyze_Y_13_12_1": ["analyze", '{"family": "Y", "p": 13, "a": 12, "b": 1}'],
     "analyze_S_13_153_179": ["analyze", '{"family": "S", "p": 13, "a": 153, "b": 179}'],
+    "invariants_Y_13_1_12": ["invariants", '{"family": "Y", "p": 13, "a": 1, "b": 12}'],
+    "invariants_Y_13_1_12_place13": ["invariants", '{"family": "Y", "p": 13, "a": 1, "b": 12}', "--place", "13"],
 }
 
 

@@ -331,6 +331,19 @@ def test_bsd_general_path():
     assert set(rep.decided_places) == {2, 3, 5}
 
 
+def test_bad_reduction_beyond_the_enumeration_budget_stays_inconclusive():
+    # 61 divides 1*(-61) - 0*1 and so the pencil discriminant: the quintic has
+    # a repeated root mod 61 > GENERAL_ENUM_BUDGET, and no theorem decides it
+    diag = lambda *a: tuple(tuple(a[i] if i == j else 0 for j in range(5)) for i in range(5))
+    g = GeneralSurface(diag(1, 0, 1, -1, 1), diag(0, 1, 2, 3, -61))
+    rep = everywhere_locally_soluble_general(g)
+    rows = {label: (v, note) for label, v, note in rep.rows}
+    verdict, note = rows["61"]
+    assert (verdict.status, verdict.method, note) == (
+        "inconclusive", "bad reduction beyond enumeration budget", "")
+    assert 61 not in rep.decided_places and rep.everywhere_soluble is None
+
+
 def test_soluble_witnesses_verify():
     for s, q in [(Y_13_2_6, 2), (Y_13_2_6, 13), (S_13, 13)]:
         v = decide_Qq(s, q)
