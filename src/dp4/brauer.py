@@ -8,12 +8,14 @@ modulo constants is {1, A, B, C} with quaternion representatives
 and C = A + B.  Each class carries several function representatives (obtained
 by multiplying by norms from Q(sqrt p) and by squares); all agree wherever two
 are simultaneously defined and nonzero, which is what makes the local
-invariant computable at almost every point.
+invariant computable at almost every point.  Every representative is a
+product of seven fixed factors, u, Mv, Au+Bv, Cu+Dv, z-y, z+y and AC, so the
+representatives form one table shared by all surfaces, with no memo.
 """
 
 from __future__ import annotations
 
-import functools
+import math
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -66,89 +68,51 @@ class WitnessSearchError(Exception):
 
 @dataclass(frozen=True)
 class SymbolRep:
+    """n/d with n and d products of named factors (see ``_factor_values``)."""
+
     label: str
-    num: tuple  # polynomial as a callable closure is unpicklable; store coefficients
-    den: tuple
+    num: tuple[str, ...]
+    den: tuple[str, ...]
 
-    def eval_num(self, c):
-        return _eval_poly(self.num, c)
+    def eval_num(self, values):
+        return math.prod(values[name] for name in self.num)
 
-    def eval_den(self, c):
-        return _eval_poly(self.den, c)
-
-
-def _eval_poly(poly, c):
-    # poly: tuple of (coeff, exponent 5-tuple) monomials
-    total = 0
-    for coeff, exps in poly:
-        term = coeff
-        for base, e in zip(c, exps):
-            for _ in range(e):
-                term *= base
-        total += term
-    return total
+    def eval_den(self, values):
+        return math.prod(values[name] for name in self.den)
 
 
-def _mono(coeff, u=0, v=0, x=0, y=0, z=0):
-    return (coeff, (u, v, x, y, z))
+def _factor_values(s: SubfamilySurface, coords) -> dict[str, int]:
+    """The seven integers every class representative is a product of."""
+    u, v, _, y, z = coords
+    return {"u": u, "Mv": s.M * v, "Au+Bv": s.A * u + s.B * v, "Cu+Dv": s.C * u + s.D * v,
+            "z-y": z - y, "z+y": z + y, "AC": s.A * s.C}
+
+
+# the defining fractions, and variants multiplied by the norm forms
+# Muv = y^2 - p x^2 and (Au+Bv)(Cu+Dv) = z^2 - p x^2 for the loci u = 0, Au+Bv = 0
+REPRESENTATIONS = {
+    "A": (SymbolRep("u/(Au+Bv)", ("u",), ("Au+Bv",)),
+          SymbolRep("Mv/(Au+Bv)", ("Mv",), ("Au+Bv",)),
+          SymbolRep("u(Cu+Dv)", ("u", "Cu+Dv"), ()),
+          SymbolRep("Mv(Cu+Dv)", ("Mv", "Cu+Dv"), ())),
+    "B": (SymbolRep("(z-y)/u", ("z-y",), ("u",)),
+          SymbolRep("AC(z+y)/u", ("AC", "z+y"), ("u",)),
+          SymbolRep("Mv(z-y)", ("Mv", "z-y"), ()),
+          SymbolRep("ACMv(z+y)", ("AC", "Mv", "z+y"), ())),
+    "C": (SymbolRep("(Au+Bv)/(z-y)", ("Au+Bv",), ("z-y",)),
+          SymbolRep("AC(z+y)/(Au+Bv)", ("AC", "z+y"), ("Au+Bv",))),
+}
 
 
 def class_representations(s: SubfamilySurface, tag: str) -> tuple[SymbolRep, ...]:
     """Function representatives of the class, most convenient first.
 
-    Beyond the defining fractions, each tuple carries polynomial variants
-    obtained by multiplying with the norm forms M*u*v = y^2 - p x^2 and
-    (Au+Bv)(Cu+Dv) = z^2 - p x^2, which stay usable on the loci u = 0 or
-    Au + Bv = 0.  Built once per (surface, tag) and kept in a bounded memo.
+    The same fixed table for every surface: the coefficients enter only
+    through ``_factor_values``, so nothing is built or kept per surface.
     """
-    return _representations(s, tag)
-
-
-@functools.lru_cache(maxsize=64)
-def _representations(s: SubfamilySurface, tag: str) -> tuple[SymbolRep, ...]:
-    A, B, C, D, M = s.A, s.B, s.C, s.D, s.M
-    lin_u = (_mono(1, u=1),)
-    lin_ab = (_mono(A, u=1), _mono(B, v=1))
-    lin_cd = (_mono(C, u=1), _mono(D, v=1))
-    lin_mv = (_mono(M, v=1),)
-    zmy = (_mono(1, z=1), _mono(-1, y=1))
-    zpy = (_mono(1, z=1), _mono(1, y=1))
-    one = (_mono(1),)
-    if tag == "A":
-        return (
-            SymbolRep("u/(Au+Bv)", lin_u, lin_ab),
-            SymbolRep("Mv/(Au+Bv)", lin_mv, lin_ab),
-            SymbolRep("u(Cu+Dv)", _poly_mul(lin_u, lin_cd), one),
-            SymbolRep("Mv(Cu+Dv)", _poly_mul(lin_mv, lin_cd), one),
-        )
-    if tag == "B":
-        return (
-            SymbolRep("(z-y)/u", zmy, lin_u),
-            SymbolRep("AC(z+y)/u", _scale(zpy, A * C), lin_u),
-            SymbolRep("Mv(z-y)", _poly_mul(lin_mv, zmy), one),
-            SymbolRep("ACMv(z+y)", _scale(_poly_mul(lin_mv, zpy), A * C), one),
-        )
-    if tag == "C":
-        return (
-            SymbolRep("(Au+Bv)/(z-y)", lin_ab, zmy),
-            SymbolRep("(z-y)(Au+Bv)", _poly_mul(zmy, lin_ab), one),
-            SymbolRep("AC(z+y)/(Au+Bv)", _scale(zpy, A * C), lin_ab),
-            SymbolRep("(z-y)/(Au+Bv)", zmy, lin_ab),
-        )
-    raise ValueError(f"unknown class tag {tag!r}")
-
-
-def _poly_mul(p1, p2):
-    out = {}
-    for c1, e1 in p1:
-        for c2, e2 in p2:
-            key = tuple(a + b for a, b in zip(e1, e2))
-            out[key] = out.get(key, 0) + c1 * c2
-    return tuple((c, e) for e, c in out.items() if c)
-
-
-def _scale(p, c):
-    return tuple((c * coeff, e) for coeff, e in p)
+    if tag not in REPRESENTATIONS:
+        raise ValueError(f"unknown class tag {tag!r}")
+    return REPRESENTATIONS[tag]
 
 
 # ---------------------------------------------------------------------------
@@ -173,9 +137,10 @@ def _eval_reps(s: SubfamilySurface, tag: str, point, v: Place | None) -> Fractio
     modulus = q ** point.k if local else None
     val_p = valuation(s.p, q)
     unit_p = s.p // q ** val_p % mod
+    factors = _factor_values(s, coords)
     values = set()
     for rep in class_representations(s, tag):
-        n, d = rep.eval_num(coords), rep.eval_den(coords)
+        n, d = rep.eval_num(factors), rep.eval_den(factors)
         if local:
             n, d = n % modulus, d % modulus
         if n == 0 or d == 0:
@@ -1030,17 +995,19 @@ def reciprocity_check(s: SubfamilySurface, point) -> bool:
     point = normalize_point(point)
     if not s.contains(point):
         raise ValueError(f"{point} is not on {s.label()}")
+    factors = _factor_values(s, point)
+    primes = {}  # factor name -> its primes; each factor is factored at most once
     places = {}
     for tag in CLASS_TAGS:
         qs = {2, s.p}
         determinate = False
         for rep in class_representations(s, tag):
-            n, d = rep.eval_num(point), rep.eval_den(point)
+            n, d = rep.eval_num(factors), rep.eval_den(factors)
             determinate = determinate or (n != 0 and d != 0)
-            if n:
-                qs.update(f for f in factor(abs(n)))
-            if d:
-                qs.update(f for f in factor(abs(d)))
+            for name in (rep.num if n else ()) + (rep.den if d else ()):
+                if name not in primes:
+                    primes[name] = set(factor(abs(factors[name])))
+                qs |= primes[name]
         if tag == "C" and not determinate:
             qs = places["A"] | places["B"]
         places[tag] = qs

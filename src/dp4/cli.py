@@ -160,7 +160,8 @@ def cmd_analyze(args) -> int:
     if not rep.valid:
         payload["error"] = "conditions (C1)/(C2) fail"
         _emit(payload, args)
-        return EXIT_MISMATCH
+        print(f"input error: conditions (C1)/(C2) fail on {surface.label()}", file=sys.stderr)
+        return EXIT_INPUT
     els = everywhere_locally_soluble(surface)
     payload["local_solubility"] = els.to_json()
     if els.everywhere_soluble is None:

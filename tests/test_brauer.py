@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,7 @@ from dp4.brauer import (
     surjectivity_witness,
     y_family_params,
 )
-from dp4.families import make_Y
+from dp4.families import make_Y, point_search
 from dp4.localsolve import sample_local_points
 from dp4.quadform import SubfamilySurface
 
@@ -55,13 +56,31 @@ def test_representation_consistency_on_sampled_points():
                         pass
 
 
+def written_out(s, label, coords):
+    """n and d of each representative, written out by hand, not read from the table."""
+    u, v, _, y, z = coords
+    A, B, C, D, M = s.A, s.B, s.C, s.D, s.M
+    return {
+        "u/(Au+Bv)": (u, A * u + B * v),
+        "Mv/(Au+Bv)": (M * v, A * u + B * v),
+        "u(Cu+Dv)": (u * (C * u + D * v), 1),
+        "Mv(Cu+Dv)": (M * v * (C * u + D * v), 1),
+        "(z-y)/u": (z - y, u),
+        "AC(z+y)/u": (A * C * (z + y), u),
+        "Mv(z-y)": (M * v * (z - y), 1),
+        "ACMv(z+y)": (A * C * M * v * (z + y), 1),
+        "(Au+Bv)/(z-y)": (A * u + B * v, z - y),
+        "AC(z+y)/(Au+Bv)": (A * C * (z + y), A * u + B * v),
+    }[label]
+
+
 def test_eval_reps_agrees_with_hilbert_symbol_per_representative(monkeypatch):
     # one representative at a time, the integer-valuation loop must give
-    # (p, n/d)_q as hilbert_symbol computes it from the Fraction n/d: at exact
-    # points wherever n, d are nonzero, at p-adic points wherever n and d are
-    # determinate mod q^k, and nothing at the other p-adic points
-    def symbol_value(s, rep, coords, q):
-        sym = hilbert_symbol(s.p, Fraction(rep.eval_num(coords), rep.eval_den(coords)), Place(q))
+    # (p, n/d)_q as hilbert_symbol computes it from the written-out n/d: at
+    # exact points wherever n, d are nonzero, at p-adic points wherever n and
+    # d are determinate mod q^k, and nothing at the other p-adic points
+    def symbol_value(s, n, d, q):
+        sym = hilbert_symbol(s.p, Fraction(n, d), Place(q))
         return ZERO if sym == 1 else HALF
 
     def determinate(x, q, k):
@@ -77,16 +96,16 @@ def test_eval_reps_agrees_with_hilbert_symbol_per_representative(monkeypatch):
                 for tag in CLASS_TAGS:
                     for rep in class_representations(s, tag):
                         monkeypatch.setattr(brauer, "class_representations", lambda *_: (rep,))
-                        n, d = rep.eval_num(pt.coords), rep.eval_den(pt.coords)
+                        n, d = written_out(s, rep.label, pt.coords)
                         got_exact = brauer._eval_reps(s, tag, pt.coords, Place(q))
                         got_local = brauer._eval_reps(s, tag, pt, None)
                         monkeypatch.undo()
                         if n == 0 or d == 0:
                             assert got_exact is None
                         else:
-                            assert got_exact == symbol_value(s, rep, pt.coords, q)
+                            assert got_exact == symbol_value(s, n, d, q)
                         if determinate(n, q, pt.k) and determinate(d, q, pt.k):
-                            assert got_local == symbol_value(s, rep, pt.coords, q)
+                            assert got_local == symbol_value(s, n, d, q)
                             checked += 1
                         else:
                             assert got_local is None
@@ -222,12 +241,30 @@ def test_bm_verdict_draws_few_level1_points_at_large_p(monkeypatch):
     assert 0 < consumed[0] < 500
 
 
-def test_class_representations_are_built_once_per_surface_and_class():
-    reps = class_representations(Y_13_2_6, "B")
-    assert isinstance(reps, tuple)
-    assert class_representations(Y_13_2_6, "B") is reps
-    assert class_representations(SubfamilySurface(13, 2, -13, 1, -6, 1), "B") is reps
-    assert class_representations(S_13, "B") != reps
+def test_representatives_are_the_written_out_products():
+    # one table for every surface: each label's n and d, evaluated from the
+    # seven factor values, match the written-out formulas at every integer
+    # point of a small box, which includes points where each factor is 0
+    labels = {tag: {r.label for r in class_representations(Y_13_2_6, tag)} for tag in CLASS_TAGS}
+    assert labels == {
+        "A": {"u/(Au+Bv)", "Mv/(Au+Bv)", "u(Cu+Dv)", "Mv(Cu+Dv)"},
+        "B": {"(z-y)/u", "AC(z+y)/u", "Mv(z-y)", "ACMv(z+y)"},
+        "C": {"(Au+Bv)/(z-y)", "AC(z+y)/(Au+Bv)"},
+    }
+    vanishing = set()
+    for s in (Y_13_2_6, S_13, CASE_PATTERN_SURFACES["case2"]):
+        assert all(class_representations(s, tag) is class_representations(S_13, tag)
+                   for tag in CLASS_TAGS)
+        for coords in itertools.product(range(-2, 3), repeat=5):
+            factors = brauer._factor_values(s, coords)
+            vanishing |= {name for name, value in factors.items() if value == 0}
+            for tag in CLASS_TAGS:
+                for rep in class_representations(s, tag):
+                    assert (rep.eval_num(factors), rep.eval_den(factors)) == \
+                        written_out(s, rep.label, coords), (s, rep.label, coords)
+    assert vanishing == {"u", "Mv", "Au+Bv", "Cu+Dv", "z-y", "z+y"}
+    with pytest.raises(ValueError, match="unknown class tag"):
+        class_representations(Y_13_2_6, "D")
 
 
 def test_quadres_counts_lemma_values():
@@ -353,6 +390,26 @@ def test_reciprocity_on_the_line_au_plus_bv_zero(coeffs, point):
         assert c == (a + b) % 1
 
 
+def test_reciprocity_factors_each_factor_at_most_once_per_point(monkeypatch):
+    # the primes of a product are the union of its factors' primes, so each
+    # of the seven factor values is factored at most once per point
+    calls = []
+    real = brauer.factor
+
+    def counting(n, *args, **kwargs):
+        calls.append(n)
+        return real(n, *args, **kwargs)
+
+    monkeypatch.setattr(brauer, "factor", counting)
+    s = CASE_PATTERN_SURFACES["case2"]
+    for surface, point in [(s, pt) for pt in point_search(s, 60)] + [
+            (Y_13_1_12, (1, 0, 0, 0, 1)), (Y_13_12_1, (1, -3, 2, 7, 16)),
+            (SubfamilySurface(3, -4, 1, 1, -4, 1), (1, 4, 0, 2, 0))]:
+        calls.clear()
+        assert reciprocity_check(surface, point)
+        assert 0 < len(calls) <= 7, (surface, point, calls)
+
+
 def test_rational_point_evaluation_at_real_place():
     assert evaluate_invariant(Y_13_1_12, "A", (1, 0, 0, 0, 1), PLACE_INF) == ZERO
 
@@ -379,8 +436,6 @@ def test_class_representations_have_expected_fractions():
 def test_generic_surfaces_formerly_undersampled_do_not_claim_obstruction():
     # each of these has small rational points; a verdict claiming a
     # Hasse-principle obstruction here would be an undersampling artifact
-    from dp4.families import point_search
-
     for tup in [(5, 5, 1, 1, 1, -4), (13, 13, 1, 1, 1, 27), (13, 1, 4, 4, 3, -13),
                 (13, 1, 4, 4, 3, 39), (13, 13, 1, 1, 3, -12)]:
         s = SubfamilySurface(*tup)

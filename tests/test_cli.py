@@ -192,11 +192,15 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
-def test_cli_analyze_invalid_surface_exit_1(capsys):
-    spec = '{"family": "subfamily", "p": 5, "A": 1, "B": 1, "C": 1, "D": 1, "M": 1}'
-    code, out, _ = run_cli(capsys, "analyze", spec)
-    assert code == 1
-    assert json.loads(out)["validity"]["c1"] is False
+def test_cli_analyze_invalid_surface_exit_2(capsys):
+    # a surface failing (C1)/(C2) is an input error, as for invariants and
+    # solubility; the validity payload still goes to stdout
+    for spec in ('{"family": "subfamily", "p": 5, "A": 1, "B": 1, "C": 1, "D": 1, "M": 1}',
+                 '{"family": "subfamily", "p": 13, "A": 2, "B": -13, "C": 1, "D": -6, "M": 2}'):
+        code, out, err = run_cli(capsys, "analyze", spec)
+        assert code == 2
+        assert json.loads(out)["validity"]["c1"] is False
+        assert "input error" in err
 
 
 def test_cli_supplied_N_mismatch_is_noted(capsys):

@@ -25,6 +25,10 @@ CASES = {
     "analyze_Y_13_1_12": ["analyze", '{"family": "Y", "p": 13, "a": 1, "b": 12}'],
     "analyze_Y_13_12_1": ["analyze", '{"family": "Y", "p": 13, "a": 12, "b": 1}'],
     "analyze_S_13_153_179": ["analyze", '{"family": "S", "p": 13, "a": 153, "b": 179}'],
+    # neither family: every image is sampled and C's own representatives
+    # drive the Klein-four check
+    "analyze_case1": ["analyze", '{"family": "subfamily", "p": 13, "A": 13, "B": 1, "C": 1, "D": 1, "M": 1}'],
+    "analyze_case7": ["analyze", '{"family": "subfamily", "p": 5, "A": 1, "B": 4, "C": 4, "D": 1, "M": -475}'],
     "invariants_Y_13_1_12": ["invariants", '{"family": "Y", "p": 13, "a": 1, "b": 12}'],
     "invariants_Y_13_1_12_place13": ["invariants", '{"family": "Y", "p": 13, "a": 1, "b": 12}', "--place", "13"],
 }
