@@ -987,33 +987,23 @@ def _family_cross_check(s: SubfamilySurface, report: ObstructionReport) -> None:
 def reciprocity_check(s: SubfamilySurface, point) -> bool:
     """Sum of local invariants vanishes for each class at a rational point.
 
-    The finite places used are {2, p} plus the primes dividing the values of
-    the representations at the point; the symbols are trivial elsewhere.
-    Where every representation of C is 0 or infinite, C = A + B is
-    nontrivial only at places of A or B.
+    Every representative is a product of the seven factor values, so the
+    symbols are trivial away from {2, p} and the primes of the nonzero values
+    (each factored once), and at the real place since p > 0.  One evaluation
+    per place gives A, B and C and runs the Klein-four check there.
     """
     point = normalize_point(point)
     if not s.contains(point):
         raise ValueError(f"{point} is not on {s.label()}")
-    factors = _factor_values(s, point)
-    primes = {}  # factor name -> its primes; each factor is factored at most once
-    places = {}
-    for tag in CLASS_TAGS:
-        qs = {2, s.p}
-        determinate = False
-        for rep in class_representations(s, tag):
-            n, d = rep.eval_num(factors), rep.eval_den(factors)
-            determinate = determinate or (n != 0 and d != 0)
-            for name in (rep.num if n else ()) + (rep.den if d else ()):
-                if name not in primes:
-                    primes[name] = set(factor(abs(factors[name])))
-                qs |= primes[name]
-        if tag == "C" and not determinate:
-            qs = places["A"] | places["B"]
-        places[tag] = qs
-        total = evaluate_invariant(s, tag, point, PLACE_INF)
-        for q in sorted(qs):
-            total += evaluate_invariant(s, tag, point, Place(q))
-        if total % 1 != 0:
-            return False
-    return True
+    places = {2, s.p}
+    for value in _factor_values(s, point).values():
+        if value:
+            places.update(factor(abs(value)))
+    totals = [ZERO, ZERO, ZERO]
+    for q in sorted(places):
+        values = _point_values(s, point, Place(q))
+        for tag, value in zip(CLASS_TAGS, values):
+            if value is None:
+                raise IndeterminateEvaluationError(f"class {tag} indeterminate at {point}, place {q}")
+        totals = [t + value for t, value in zip(totals, values)]
+    return all(t % 1 == 0 for t in totals)

@@ -52,7 +52,7 @@ EXIT_INPUT = 2
 EXIT_INCONCLUSIVE = 3
 
 
-class InputError(Exception):
+class InputError(ValueError):
     pass
 
 
@@ -411,9 +411,6 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     try:
         return args.fn(args)
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -11,18 +11,26 @@ certifies insolubility, since a Q_q point would reduce to every level.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
-from .arith import is_prime, valuation
-from .quadform import GeneralSurface, SubfamilySurface
+from .arith import factor, is_prime, legendre, valuation
+from .quadform import (
+    GeneralSurface,
+    SubfamilySurface,
+    binary_form_content,
+    binary_form_eval,
+    binary_form_is_squarefree,
+    binary_resultant,
+    discriminant_quintic,
+    mat_det,
+)
 
 DEFAULT_MAX_LEVEL = 9
 DEFAULT_EXPANSION_BUDGET = 10 ** 7
 RESIDUE_ENUM_BUDGET = 10 ** 4
 GENERAL_ENUM_BUDGET = 60
-REAL_SEARCH_STARTS = 64  # random starts of the numeric real-point search
 
 
 class EnumerationBudgetError(Exception):
@@ -445,59 +453,66 @@ class _BudgetExhausted(Exception):
     pass
 
 
-def _cholesky_definite(m, sign: int) -> bool:
-    a = [[sign * float(m[i][j]) for j in range(5)] for i in range(5)]
-    for i in range(5):
-        for j in range(i):
-            a[i][i] -= a[i][j] ** 2
-        if a[i][i] <= 1e-12:
-            return False
-        a[i][i] = math.sqrt(a[i][i])
-        for k2 in range(i + 1, 5):
-            for j in range(i):
-                a[k2][i] -= a[k2][j] * a[i][j]
-            a[k2][i] /= a[i][i]
-    return True
-
-
 def decide_R(surface) -> SolubilityVerdict:
-    """Real solubility: exact witness for the subfamily, numeric search otherwise."""
+    """Real solubility, decided exactly.
+
+    A subfamily surface has the real point (0 : 0 : 1 : sqrt(p) : sqrt(p)), as p > 0.
+    For a general pencil: two real quadratic forms in n >= 3 variables have
+    a common nontrivial real zero iff no real member of their pencil is
+    definite (Finsler; E. Calabi, "Linear systems of real quadratic forms",
+    Proc. AMS 15 (1964)).  A member's signature is constant on every arc of
+    P^1(R) between the real roots of the pencil quintic, so Sylvester's
+    criterion on one member per arc decides.
+    """
     if isinstance(surface, SubfamilySurface):
-        # p > 0, so (0 : 0 : 1 : sqrt(p) : sqrt(p)) always lies on the surface.
         return SolubilityVerdict(0, "soluble", real_witness="(0:0:1:sqrt(p):sqrt(p))",
                                  method="theorem: real witness")
-    g: GeneralSurface = surface
-    rng = random.Random(0)
-    for _ in range(REAL_SEARCH_STARTS):
-        x = [rng.gauss(0, 1) for _ in range(5)]
-        for _ in range(200):
-            norm = math.sqrt(sum(c * c for c in x))
-            x = [c / norm for c in x]
-            f1 = sum(g.mat1[i][j] * x[i] * x[j] for i in range(5) for j in range(5))
-            f2 = sum(g.mat2[i][j] * x[i] * x[j] for i in range(5) for j in range(5))
-            if abs(f1) + abs(f2) < 1e-13:
-                wit = "(" + ":".join(f"{c:.6f}" for c in x) + ")"
-                return SolubilityVerdict(0, "soluble", real_witness=wit, method="numeric search")
-            j1 = [2 * sum(g.mat1[i][j] * x[j] for j in range(5)) for i in range(5)]
-            j2 = [2 * sum(g.mat2[i][j] * x[j] for j in range(5)) for i in range(5)]
-            # Gauss-Newton step: solve (J J^T) s = F, delta = J^T s
-            a11 = sum(c * c for c in j1)
-            a12 = sum(a * b for a, b in zip(j1, j2))
-            a22 = sum(c * c for c in j2)
-            det = a11 * a22 - a12 * a12
-            if abs(det) < 1e-30:
-                break
-            s1 = (a22 * f1 - a12 * f2) / det
-            s2 = (-a12 * f1 + a11 * f2) / det
-            x = [c - s1 * d1 - s2 * d2 for c, d1, d2 in zip(x, j1, j2)]
-    # sign analysis: a definite member of the real pencil rules out real points
-    for step in range(720):
-        th = math.pi * step / 720
-        member = tuple(tuple(math.cos(th) * g.mat1[i][j] + math.sin(th) * g.mat2[i][j]
-                             for j in range(5)) for i in range(5))
-        if _cholesky_definite(member, 1) or _cholesky_definite(member, -1):
-            return SolubilityVerdict(0, "insoluble", method=f"definite pencil member at angle index {step}")
-    return SolubilityVerdict(0, "inconclusive", method="numeric search and sign analysis both inconclusive")
+    for r, t in _points_on_every_arc(discriminant_quintic(surface)):
+        member = surface.member(r, t)
+        minors = [mat_det([row[:k] for row in member[:k]]) for k in range(1, 6)]
+        if all(d > 0 for d in minors) or all((-1) ** k * d > 0 for k, d in enumerate(minors, 1)):
+            return SolubilityVerdict(0, "insoluble", real_witness=f"({r}:{t})",
+                                     method="definite pencil member")
+    return SolubilityVerdict(0, "soluble", method="theorem: no definite pencil member (Finsler-Calabi)")
+
+
+def _points_on_every_arc(quintic: list[int]) -> list[tuple[int, int]]:
+    """Points (r : t), t > 0, at least one on every arc of P^1(R) between roots.
+
+    The affine roots are those of f(x) = quintic(x, 1); leading zeros stand
+    for the root (1 : 0).  The Sturm chain of f counts its distinct roots in
+    an interval; bisecting the Cauchy interval (-B, B) until each piece holds
+    at most one, -B, the cut points and B meet every arc.  A zero quintic
+    makes every member singular, so none is listed.
+    """
+    f = list(itertools.dropwhile(lambda c: c == 0, quintic))
+    if not f:
+        return []
+    chain = [[Fraction(c) for c in f], [Fraction((len(f) - 1 - i) * c) for i, c in enumerate(f[:-1])]]
+    while len(chain[-1]) > 1:
+        a, b = chain[-2], chain[-1]
+        while len(a) >= len(b):  # a mod b
+            a = [x - a[0] / b[0] * y for x, y in zip(a[1:], b[1:] + [0] * len(a))]
+        rem = [-c for c in itertools.dropwhile(lambda c: c == 0, a)]
+        if not rem:
+            break
+        chain.append(rem)
+
+    def sign_changes(x: Fraction) -> int:
+        signs = [v > 0 for v in (binary_form_eval(g, x.numerator, x.denominator) for g in chain) if v]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    bound = Fraction(2 ** (max(abs(c) for c in f) // abs(f[0]) + 1).bit_length())
+    points, pieces = [-bound, bound], [(-bound, bound)]
+    while pieces:
+        a, b = pieces.pop()
+        if sign_changes(a) - sign_changes(b) > 1:
+            m = (a + b) / 2
+            while binary_form_eval(f, m.numerator, m.denominator) == 0:
+                m = (a + m) / 2  # a is no root, so this ends
+            points.append(m)
+            pieces += [(a, m), (m, b)]
+    return [(x.numerator, x.denominator) for x in sorted(points)]
 
 
 # ---------------------------------------------------------------------------
@@ -539,8 +554,6 @@ def everywhere_locally_soluble(s: SubfamilySurface) -> LocalSolubilityReport:
     the witness (0:0:1:sqrt(p):sqrt(p)).  That leaves {2, p} and the odd prime
     divisors of N at which p is a non-residue.
     """
-    from .arith import legendre  # local import to keep module top light
-
     p = s.p
     n_val = s.N
     rows: list[tuple[str, SolubilityVerdict | None, str]] = []
@@ -564,8 +577,6 @@ def everywhere_locally_soluble(s: SubfamilySurface) -> LocalSolubilityReport:
 
 
 def _odd_prime_divisors(n: int) -> list[int]:
-    from .arith import factor
-
     return sorted({f for f in factor(abs(n)) if f % 2})
 
 
@@ -576,9 +587,6 @@ def everywhere_locally_soluble_general(g: GeneralSurface) -> LocalSolubilityRepo
     degree 5 mod q) the surface has a smooth residue point, so it is soluble;
     only 2, the small primes, and the primes of bad reduction need deciding.
     """
-    from .arith import factor
-    from .quadform import binary_form_content, binary_form_is_squarefree, binary_resultant, discriminant_quintic
-
     quintic = discriminant_quintic(g)
     if all(c == 0 for c in quintic):
         raise ValueError("pencil discriminant vanishes identically; not a del Pezzo pencil")

@@ -216,7 +216,6 @@ class SubfamilyReport:
     c1_value: int
     c1_quotient_by_p: int | None
     derived_N: int | None
-    claimed_N: int | None
     p_prime: bool
 
     @property
@@ -224,7 +223,7 @@ class SubfamilyReport:
         return self.c1_holds and self.c2_holds and self.p_prime
 
 
-def check_subfamily(s: SubfamilySurface, claimed_N: int | None = None) -> SubfamilyReport:
+def check_subfamily(s: SubfamilySurface) -> SubfamilyReport:
     """Evaluate (C1) and (C2), reporting the witness value and derived N."""
     val = s.c1_value()
     quot = val // s.p if val % s.p == 0 else None
@@ -237,7 +236,6 @@ def check_subfamily(s: SubfamilySurface, claimed_N: int | None = None) -> Subfam
         c1_value=val,
         c1_quotient_by_p=quot,
         derived_N=n,
-        claimed_N=claimed_N,
         p_prime=s.p % 2 == 1 and is_prime(s.p),
     )
 

@@ -333,6 +333,37 @@ def test_witness_all_case_patterns(name):
     assert evaluate_invariant(s, w.tag, w.point1) != evaluate_invariant(s, w.tag, w.point2)
 
 
+# one surface per witness branch that the fixed examples never reach, each
+# found by helpers.search_valid_surfaces
+@pytest.mark.parametrize("coeffs, first_step", [
+    ((5, 5, 1, 5, 4, -5), "reduce: divide (A, C, M) by 5"),
+    ((5, 1, 5, 1, 20, -5), "reduce: divide (B, D, M) by 5"),
+    ((5, 25, 25, 1, 4, -25), "reduce: divide (A, B, M) by 5^2"),
+    ((5, 1, 1, 25, 100, -25), "reduce: divide (C, D, M) by 5^2"),
+    ((5, 1, 1, 5, 1, 1), "swap the linear factors"),
+    ((5, 5, 1, 1, 5, 11), "case 1b"),
+])
+def test_witness_branches(coeffs, first_step):
+    s = SubfamilySurface(*coeffs)
+    w = surjectivity_witness(s)
+    assert w.case_trace[0] == first_step
+    assert w.case_trace[-1].startswith("validated")
+    values = (evaluate_invariant(s, w.tag, w.point1), evaluate_invariant(s, w.tag, w.point2))
+    assert values == w.values and values[0] != values[1]
+
+
+def test_witness_falls_back_to_sampling(monkeypatch):
+    def degenerate(s, ctx, depth):
+        raise brauer._ConstructionDegenerate("blocked")
+
+    monkeypatch.setattr(brauer, "_witness_recursive", degenerate)
+    w = surjectivity_witness(Y_13_2_6)
+    assert "falling back to sampling" in w.case_trace[0]
+    assert w.case_trace[-1].startswith("sampling search")
+    values = (evaluate_invariant(Y_13_2_6, w.tag, w.point1), evaluate_invariant(Y_13_2_6, w.tag, w.point2))
+    assert values == w.values and values[0] != values[1]
+
+
 def test_witness_insoluble_detection():
     for s in INSOLUBLE_AT_P[:2]:
         w = surjectivity_witness(s)
@@ -408,6 +439,27 @@ def test_reciprocity_factors_each_factor_at_most_once_per_point(monkeypatch):
         calls.clear()
         assert reciprocity_check(surface, point)
         assert 0 < len(calls) <= 7, (surface, point, calls)
+
+
+def test_reciprocity_evaluates_each_class_once_per_finite_place(monkeypatch):
+    # one _point_values call per place gives A, B and C together (C = A + B
+    # where both are determinate); the real place is skipped, every class
+    # symbol there being (p, *) with p > 0
+    calls = []
+    real = brauer._direct_value
+
+    def counting(s, tag, point, v):
+        calls.append((tag, v))
+        return real(s, tag, point, v)
+
+    monkeypatch.setattr(brauer, "_direct_value", counting)
+    for surface, point in [(Y_13_1_12, (1, 0, 0, 0, 1)), (Y_13_12_1, (1, -3, 2, 7, 16)),
+                           (SubfamilySurface(3, -4, 1, 1, -4, 1), (1, 4, 0, 2, 0))]:
+        calls.clear()
+        assert reciprocity_check(surface, point)
+        places = {v for _, v in calls}
+        assert {Place(2), Place(surface.p)} <= places and PLACE_INF not in places
+        assert sorted(calls, key=str) == sorted(((tag, v) for tag in "AB" for v in places), key=str)
 
 
 def test_rational_point_evaluation_at_real_place():

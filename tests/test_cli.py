@@ -192,6 +192,27 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def test_library_has_no_floating_point():
+    # every verdict rests on exact integer or rational arithmetic
+    src = Path(__file__).resolve().parents[1] / "src" / "dp4"
+    banned_math = {"sqrt", "cos", "sin", "pi"}
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            bad = (
+                (isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)))
+                or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "float")
+                or (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "math" and node.attr in banned_math)
+                or (isinstance(node, ast.ImportFrom) and node.module == "math"
+                    and any(alias.name in banned_math for alias in node.names))
+                or (isinstance(node, ast.Attribute) and node.attr == "gauss"))
+            if bad:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_cli_analyze_invalid_surface_exit_2(capsys):
     # a surface failing (C1)/(C2) is an input error, as for invariants and
     # solubility; the validity payload still goes to stdout

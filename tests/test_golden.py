@@ -18,6 +18,13 @@ from dp4.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
+BSD_SPEC = json.dumps({"matrices": [
+    [[0, -1, 0, 0, 0], [-1, 0, 0, 0, 0], [0, 0, 2, 0, 0], [0, 0, 0, -10, 0], [0, 0, 0, 0, 0]],
+    [[-2, -3, 0, 0, 0], [-3, -4, 0, 0, 0], [0, 0, 2, 0, 0], [0, 0, 0, 0, 0], [0, 0, 0, 0, -10]]]})
+NARROW_SPEC = json.dumps({"matrices": [
+    [[d if i == j else 0 for j in range(5)] for i, d in enumerate(diagonal)]
+    for diagonal in ((1, 1, 1, -1000, -1000), (0, 0, 0, 1, 1))]})
+
 CASES = {
     "census_Y_pmax30": ["census", "--family", "Y", "--pmax", "30"],
     "census_S_13_29_t2": ["census", "--family", "S", "--plist", "13,29", "--tcount", "2"],
@@ -31,6 +38,12 @@ CASES = {
     "analyze_case7": ["analyze", '{"family": "subfamily", "p": 5, "A": 1, "B": 4, "C": 4, "D": 1, "M": -475}'],
     "invariants_Y_13_1_12": ["invariants", '{"family": "Y", "p": 13, "a": 1, "b": 12}'],
     "invariants_Y_13_1_12_place13": ["invariants", '{"family": "Y", "p": 13, "a": 1, "b": 12}', "--place", "13"],
+    # a general pencil: the classical Birch/Swinnerton-Dyer quartic
+    "analyze_bsd": ["analyze", BSD_SPEC],
+    "solubility_bsd": ["solubility", BSD_SPEC],
+    # every member r*diag(1,1,1,-1000,-1000) + t*diag(0,0,0,1,1) with
+    # 0 < r/t < 1/1000 is positive definite, and no other member is definite
+    "solubility_narrow_oo": ["solubility", NARROW_SPEC, "--place", "oo"],
 }
 
 

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from dp4 import localsolve
-from dp4.quadform import GeneralSurface, SubfamilySurface, to_matrices
+from dp4.quadform import GeneralSurface, SubfamilySurface, mat_det, to_matrices
 from dp4.localsolve import (
     EnumerationBudgetError,
     _shuffled_children,
@@ -311,11 +311,52 @@ def test_sampling_below_uncertified_residue_classes(s, q):
     assert [pt.coords for pt in sample_local_points(s, q, 12, 6, seed=3)] == [pt.coords for pt in pts]
 
 
+def diag(*entries):
+    return tuple(tuple(entries[i] if i == j else 0 for j in range(5)) for i in range(5))
+
+
 def test_decide_R():
     assert decide_R(Y_13_2_6).soluble
-    diag = tuple(tuple(2 if i == j else 0 for j in range(5)) for i in range(5))
-    scaled = tuple(tuple(4 if i == j else 0 for j in range(5)) for i in range(5))
-    assert decide_R(GeneralSurface(diag, scaled)).status == "insoluble"
+    assert decide_R(GeneralSurface(diag(2, 2, 2, 2, 2), diag(4, 4, 4, 4, 4))).status == "insoluble"
+
+
+def in_open_half_plane(ws):
+    """Do the plane vectors all lie in one open half-plane through 0?
+
+    Exactly when some w_j sees every w_i at an angle in [0, pi) counter-
+    clockwise from it: cross(w_j, w_i) > 0, or w_i a positive multiple of w_j.
+    """
+    def ahead(wj, wi):
+        cross = wj[0] * wi[1] - wj[1] * wi[0]
+        return cross > 0 or (cross == 0 and wj[0] * wi[0] + wj[1] * wi[1] > 0)
+
+    return any(all(ahead(wj, wi) for wi in ws) for wj in ws)
+
+
+def test_decide_R_on_diagonal_pencils_matches_the_half_plane_oracle():
+    # sum a_i x_i^2 = sum b_i x_i^2 = 0 has a real solution x != 0 iff 0 is a
+    # nontrivial nonnegative combination of the (a_i, b_i), that is iff they
+    # do not all lie in one open half-plane
+    rng = random.Random(8)
+    outcomes = set()
+    for _ in range(300):
+        ws = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(5)]
+        verdict = decide_R(GeneralSurface(diag(*(a for a, _ in ws)), diag(*(b for _, b in ws))))
+        assert verdict.status == ("insoluble" if in_open_half_plane(ws) else "soluble"), ws
+        outcomes.add(verdict.status)
+    assert outcomes == {"soluble", "insoluble"}
+
+
+def test_decide_R_finds_a_narrow_definite_arc():
+    # r*diag(1,1,1,-1000,-1000) + t*diag(0,0,0,1,1) is definite only for
+    # 0 < r/t < 1/1000; no float search or angle sweep needs to hit that arc
+    g = GeneralSurface(diag(1, 1, 1, -1000, -1000), diag(0, 0, 0, 1, 1))
+    verdict = decide_R(g)
+    assert (verdict.status, verdict.method) == ("insoluble", "definite pencil member")
+    r, t = map(int, verdict.real_witness.strip("()").split(":"))
+    member = g.member(r, t)
+    minors = [mat_det([row[:k] for row in member[:k]]) for k in range(1, 6)]
+    assert all(d > 0 for d in minors) or all((-1) ** k * d > 0 for k, d in enumerate(minors, 1))
 
 
 BSD = GeneralSurface(
@@ -334,7 +375,6 @@ def test_bsd_general_path():
 def test_bad_reduction_beyond_the_enumeration_budget_stays_inconclusive():
     # 61 divides 1*(-61) - 0*1 and so the pencil discriminant: the quintic has
     # a repeated root mod 61 > GENERAL_ENUM_BUDGET, and no theorem decides it
-    diag = lambda *a: tuple(tuple(a[i] if i == j else 0 for j in range(5)) for i in range(5))
     g = GeneralSurface(diag(1, 0, 1, -1, 1), diag(0, 1, 2, 3, -61))
     rep = everywhere_locally_soluble_general(g)
     rows = {label: (v, note) for label, v, note in rep.rows}
