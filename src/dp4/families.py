@@ -126,68 +126,51 @@ def predict_S(p: int, a: int, b: int) -> PredictedVerdict:
 
 
 def point_search(s: SubfamilySurface, height_bound: int, jobs: int = 1) -> list[Point]:
-    """All primitive points with max |coordinate| <= height_bound.
+    """All primitive points with max |coordinate| <= height_bound, u > 0 or u = 0 < v.
 
-    Iterates (u, v) by |u| + |v| shells, bounds |x| by the requirement that
-    both right-hand sides stay squares of size at most the bound, and tests
-    squareness with integer square roots only.
+    Walks the hyperbola y^2 - p x^2 = M u v.  For each u >= 1 and x >= 0 the
+    y with |v| <= h are the square roots of p x^2 mod |M| u lifted through a
+    window, so v is exact and only z takes an integer square root.  On u = 0
+    a non-square p forces x = y = 0 and primitivity v = 1.  Work: about
+    sum_u min(|M| u, h) for the root tables plus h^2 log h / sqrt(p)
+    candidates, where a scan over (u, v, x) costs h^3 / sqrt(p).
     """
-    if height_bound < 1:
-        return []
+    validate_subfamily(s)
+    h = height_bound
+    z = isqrt(max(s.B * s.D, 0))
+    on_u0 = h >= 1 and z <= h and z * z == s.B * s.D
+    found = {(0, 1, 0, 0, w) for w in {z, -z}} if on_u0 else set()
     if jobs > 1:
-        shells = list(range(0, 2 * height_bound + 1))
-        chunks = [shells[i::jobs] for i in range(jobs)]
         with multiprocessing.get_context("fork").Pool(jobs) as pool:
-            parts = pool.starmap(_search_shells, [(s, height_bound, c) for c in chunks])
-        found = set().union(*parts)
+            parts = pool.starmap(_search_hyperbola, [(s, h, range(1 + i, h + 1, jobs))
+                                                     for i in range(jobs)])
     else:
-        found = _search_shells(s, height_bound, range(0, 2 * height_bound + 1))
-    return sorted(found)
+        parts = [_search_hyperbola(s, h, range(1, h + 1))]
+    return sorted(found.union(*parts))
 
 
-def _search_shells(s: SubfamilySurface, bound: int, shells) -> set[Point]:
+def _search_hyperbola(s: SubfamilySurface, h: int, us) -> set[Point]:
     p, A, B, C, D, M = s.p, s.A, s.B, s.C, s.D, s.M
-    h2 = bound * bound
     found: set[Point] = set()
-    for shell in shells:
-        for u in range(0, min(shell, bound) + 1):
-            vv = shell - u
-            if vv > bound:
-                continue
-            vs = (vv,) if (u == 0 or vv == 0) else (vv, -vv)
-            if u == 0 and vv == 0:
-                continue
-            for v in vs:
-                if u == 0 and v <= 0:
-                    continue
-                muv = M * u * v
-                q2 = (A * u + B * v) * (C * u + D * v)
-                lo = max(-muv, -q2, 0)
-                hi = min(h2 - muv, h2 - q2)
-                if hi < lo:
-                    continue
-                xmax = min(isqrt(hi // p), bound)
-                xmin = isqrt((lo + p - 1) // p)
-                if xmin * xmin * p < lo:
-                    xmin += 1
-                for x in range(xmin, xmax + 1):
-                    y2 = muv + p * x * x
-                    y = isqrt(y2)
-                    if y * y != y2:
-                        continue
-                    z2 = q2 + p * x * x
-                    z = isqrt(z2)
-                    if z * z != z2:
-                        continue
-                    for xx in {x, -x}:
-                        for yy in {y, -y}:
-                            for zz in {z, -z}:
-                                pt = (u, v, xx, yy, zz)
-                                g = 0
-                                for c in pt:
-                                    g = gcd(g, c)
-                                if g == 1:
-                                    found.add(pt)
+    for u in us:
+        m, Mu, Au, Cu = abs(M) * u, M * u, A * u, C * u
+        mh = m * h
+        roots: dict[int, list[int]] = {}
+        for y0 in range(min(m, h + 1)):
+            roots.setdefault(y0 * y0 % m, []).append(y0)
+        for x in range(min(h, isqrt((h * h + mh) // p)) + 1):
+            px2 = p * x * x
+            ylo = isqrt(px2 - mh - 1) + 1 if px2 > mh else 0  # y^2 >= px2 - mh
+            yhi = min(h, isqrt(px2 + mh))
+            for y0 in roots.get(px2 % m, ()):
+                for y in range(y0 - (y0 - ylo) // m * m, yhi + 1, m):
+                    v = (y * y - px2) // Mu
+                    z2 = (Au + B * v) * (Cu + D * v) + px2
+                    if 0 <= z2 <= h * h:
+                        z = isqrt(z2)
+                        if z * z == z2 and gcd(u, v, x, y, z) == 1:
+                            found.update((u, v, xx, yy, zz) for xx in {x, -x}
+                                         for yy in {y, -y} for zz in {z, -z})
     return found
 
 

@@ -518,7 +518,10 @@ def binary_form_is_squarefree(coeffs: list[int]) -> bool:
 
 def degenerate_members(g: GeneralSurface) -> list[tuple[tuple[int, int], int]]:
     """Rational points of the pencil where the member degenerates, with exact ranks."""
-    quintic = discriminant_quintic(g)
+    return _degenerate_members(g, discriminant_quintic(g))
+
+
+def _degenerate_members(g: GeneralSurface, quintic: list[int]):
     return [(root, mat_rank(g.member(*root))) for root in rational_roots_binary_form(quintic)]
 
 
@@ -562,7 +565,7 @@ def order4_test(g: GeneralSurface) -> Order4Report:
         raise ValueError("pencil discriminant is identically zero")
     members = []
     by_class: dict[int, list[tuple[int, int]]] = {}
-    for root, rank in degenerate_members(g):
+    for root, rank in _degenerate_members(g, quintic):
         cls = epsilon_T(g, root).rep if rank == 4 else None
         members.append((root, rank, cls))
         if cls is not None and cls != 1:

@@ -133,6 +133,17 @@ def test_cli_invariants_place_checks_the_surface_conditions(capsys):
         assert err.startswith("input error: invalid subfamily surface")
 
 
+@pytest.mark.parametrize("spec", [
+    '{"family": "subfamily", "p": 13, "A": 1, "B": 1, "C": 1, "D": 1, "M": 0}',
+    '{"family": "subfamily", "p": 4, "A": 1, "B": 1, "C": 1, "D": 1, "M": 0}',
+    '{"family": "subfamily", "p": 13, "A": 2, "B": -13, "C": 1, "D": -6, "M": 2}',
+])
+def test_cli_search_checks_the_surface_conditions(capsys, spec):
+    code, out, err = run_cli(capsys, "search", spec, "--height", "5")
+    assert code == 2 and out == ""
+    assert err.startswith("input error: invalid subfamily surface")
+
+
 def test_cli_table_format(capsys):
     code, out, _ = run_cli(capsys, "search", '{"family": "Y", "p": 13, "a": 1, "b": 12}',
                            "--height", "1", "--format", "table")

@@ -1,3 +1,6 @@
+import itertools
+from math import gcd, isqrt
+
 import pytest
 
 from dp4.brauer import reciprocity_check
@@ -12,7 +15,8 @@ from dp4.families import (
     predict_Y,
     s_from_t,
 )
-from dp4.quadform import check_subfamily
+from dp4.quadform import SubfamilySurface, check_subfamily
+from helpers import search_valid_surfaces
 
 
 def test_make_Y_examples():
@@ -116,6 +120,60 @@ def test_point_search_results_verify():
 def test_point_search_jobs_agree():
     s = make_Y(13, 12, 1)
     assert point_search(s, 12, jobs=2) == point_search(s, 12)
+    s = SubfamilySurface(5, 1, 1, 1, 4, -1)  # points at seven values of u up to height 40
+    pts = point_search(s, 40)
+    assert len({pt[0] for pt in pts}) == 7
+    for jobs in (2, 3):
+        assert point_search(s, 40, jobs=jobs) == pts
+
+
+def _shell_scan(s, bound):
+    """Reference search: every (u, v) by |u| + |v| shell, every x, two square tests."""
+    p, A, B, C, D, M = s.p, s.A, s.B, s.C, s.D, s.M
+    h2 = bound * bound
+    found = set()
+    for shell in range(0, 2 * bound + 1):
+        for u in range(0, min(shell, bound) + 1):
+            vv = shell - u
+            if vv > bound or (u == 0 and vv == 0):
+                continue
+            for v in ((vv,) if (u == 0 or vv == 0) else (vv, -vv)):
+                if u == 0 and v <= 0:
+                    continue
+                muv = M * u * v
+                q2 = (A * u + B * v) * (C * u + D * v)
+                lo = max(-muv, -q2, 0)
+                hi = min(h2 - muv, h2 - q2)
+                if hi < lo:
+                    continue
+                xmin = isqrt((lo + p - 1) // p)
+                if xmin * xmin * p < lo:
+                    xmin += 1
+                for x in range(xmin, min(isqrt(hi // p), bound) + 1):
+                    y = isqrt(muv + p * x * x)
+                    z = isqrt(q2 + p * x * x)
+                    if y * y != muv + p * x * x or z * z != q2 + p * x * x:
+                        continue
+                    for pt in itertools.product((u,), (v,), {x, -x}, {y, -y}, {z, -z}):
+                        if gcd(*pt) == 1:
+                            found.add(pt)
+    return sorted(found)
+
+
+def test_point_search_matches_the_shell_scan():
+    sweep = [s for p in (5, 13)
+             for s in search_valid_surfaces(p, (0, 0, 0, 0, 0), m_range=55, limit=16)]
+    assert len(sweep) == 32
+    assert any(s.M < -1 for s in sweep) and any(s.M > 1 for s in sweep)
+    assert any(s.B * s.D == isqrt(s.B * s.D) ** 2 for s in sweep if s.B * s.D > 0)
+    # at height 11, X_5_1_2_2_1_11 has (2, -2, 5, 9, 11) with p x^2 > h^2
+    for s in sweep:
+        for bound in (1, 3, 8, 11, 20):
+            assert point_search(s, bound) == _shell_scan(s, bound), (s.label(), bound)
+    family = [make_Y(5, 1, 4), make_Y(13, 12, 1), make_Y(13, 1, 12), make_Y(13, 3, 4),
+              make_Y(13, 2, 6), make_Y(29, 4, 7), make_S(13, 153, 179), make_S(*s_from_t(29, 5))]
+    for s in family:
+        assert point_search(s, 60) == _shell_scan(s, 60), s.label()
 
 
 def test_census_small():

@@ -38,6 +38,8 @@ CASES = {
     "analyze_case7": ["analyze", '{"family": "subfamily", "p": 5, "A": 1, "B": 4, "C": 4, "D": 1, "M": -475}'],
     "invariants_Y_13_1_12": ["invariants", '{"family": "Y", "p": 13, "a": 1, "b": 12}'],
     "invariants_Y_13_1_12_place13": ["invariants", '{"family": "Y", "p": 13, "a": 1, "b": 12}', "--place", "13"],
+    # 74 points, at many u: the search output must not move with its method
+    "search_Y_13_12_1_h250": ["search", '{"family": "Y", "p": 13, "a": 12, "b": 1}', "--height", "250"],
     # a general pencil: the classical Birch/Swinnerton-Dyer quartic
     "analyze_bsd": ["analyze", BSD_SPEC],
     "solubility_bsd": ["solubility", BSD_SPEC],

@@ -221,6 +221,21 @@ def test_order4_bsd_not_certified():
     assert classes == [-1, 5, 5]
 
 
+def test_order4_computes_the_quintic_once(monkeypatch):
+    import dp4.quadform as quadform
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return discriminant_quintic(g)
+
+    monkeypatch.setattr(quadform, "discriminant_quintic", counted)
+    rep = order4_test(BSD)
+    assert len(calls) == 1
+    assert rep.quintic == tuple(discriminant_quintic(BSD))
+    assert [(root, rank) for root, rank, _ in rep.members] == degenerate_members(BSD)
+
+
 def test_order4_rejects_degenerate_pencil():
     zero = ((0,) * 5,) * 5
     with pytest.raises(ValueError):
