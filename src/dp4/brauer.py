@@ -632,11 +632,9 @@ def _witness_recursive(s: SubfamilySurface, ctx: _WitnessContext, depth: int):
         return _case2(s, ctx)
     if p % 4 == 3:
         ctx.trace.append("p = 3 mod 4: flip the signs of y and z")
-        _ensure_soluble_at_p(s, ctx)
         return _flip_pair(s, ctx, flip_y=True, flip_z=True)
     if hilbert_symbol(p, A * C, Place(p)) == -1 and hilbert_symbol(p, B * D, Place(p)) == -1:
         ctx.trace.append("(p,AC)_p = (p,BD)_p = -1: flip the sign of y")
-        _ensure_soluble_at_p(s, ctx)
         return _flip_pair(s, ctx, flip_y=True, flip_z=False)
     if vM == 0 and m >= 1:
         return _case1(s, ctx)
@@ -652,8 +650,8 @@ def _require(cond: bool, what: str) -> None:
         raise _ConstructionDegenerate(f"derived valuation claim failed: {what}")
 
 
-def _ensure_soluble_at_p(s: SubfamilySurface, ctx: _WitnessContext) -> None:
-    """The sign-flip shortcuts presuppose a Q_p point; decide on the reduced surface."""
+def _ensure_soluble_at_p(s: SubfamilySurface) -> None:
+    """A sign flip needs a Q_p point; decide on the reduced surface when none was sampled."""
     verdict = decide_Qq(s, s.p, budget=400_000)
     if verdict.status == "insoluble":
         raise _InsolubleAtP(f"X(Q_{s.p}) empty: no primitive solutions mod {s.p}^{verdict.level}")
@@ -679,7 +677,11 @@ def _linear_map_back(p, A, B, C, D, k, scaled_v: bool):
 
 def _flip_pair(s, ctx, flip_y: bool, flip_z: bool):
     """A sampled point and its sign flip; the flip changes inv_p of class B."""
-    pts = sample_local_points(s, s.p, 24, ctx.precision, seed=ctx.rng.randint(0, 10 ** 6))
+    try:
+        pts = sample_local_points(s, s.p, 24, ctx.precision, seed=ctx.rng.randint(0, 10 ** 6))
+    except SamplingBudgetError:
+        _ensure_soluble_at_p(s)
+        raise
     for pt in pts:
         flipped = _flip_point(pt, flip_y, flip_z)
         try:

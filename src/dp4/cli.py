@@ -65,6 +65,16 @@ def _to_int(x, field: str) -> int:
         raise InputError(f"field {field!r}: {exc}") from exc
 
 
+def _spec_fields(data: dict, family: str, keys) -> list[int]:
+    """The integer fields ``keys`` of a family spec, in order."""
+    out = []
+    for key in keys:
+        if key not in data:
+            raise InputError(f"{family} spec is missing field {key!r}")
+        out.append(_to_int(data[key], key))
+    return out
+
+
 def parse_surface_spec(text: str):
     """Parse a surface spec; returns SubfamilySurface or GeneralSurface."""
     if text.startswith("@"):
@@ -80,8 +90,9 @@ def parse_surface_spec(text: str):
         raise InputError("surface spec must be a JSON object")
     if "matrices" in data:
         mats = data["matrices"]
-        if not (isinstance(mats, list) and len(mats) == 2):
-            raise InputError("'matrices' must hold two 5x5 matrices")
+        if not (isinstance(mats, list) and len(mats) == 2
+                and all(isinstance(m, list) and all(isinstance(r, list) for r in m) for m in mats)):
+            raise InputError("'matrices' must hold two 5x5 matrices as lists of lists")
         try:
             m1 = tuple(tuple(_to_int(x, "matrices") for x in row) for row in mats[0])
             m2 = tuple(tuple(_to_int(x, "matrices") for x in row) for row in mats[1])
@@ -90,12 +101,7 @@ def parse_surface_spec(text: str):
             raise InputError(str(exc)) from exc
     family = data.get("family")
     if family == "subfamily":
-        fields = {}
-        for key in ("p", "A", "B", "C", "D", "M"):
-            if key not in data:
-                raise InputError(f"subfamily spec is missing field {key!r}")
-            fields[key] = _to_int(data[key], key)
-        s = SubfamilySurface(**fields)
+        s = SubfamilySurface(*_spec_fields(data, family, ("p", "A", "B", "C", "D", "M")))
         if "N" in data:
             claimed = _to_int(data["N"], "N")
             derived = s.derived_N()
@@ -103,10 +109,8 @@ def parse_surface_spec(text: str):
                 print(f"note: supplied N = {claimed} but the coefficients give N = {derived}",
                       file=sys.stderr)
         return s
-    if family == "Y":
-        return make_Y(*(_to_int(data[k], k) for k in ("p", "a", "b")))
-    if family == "S":
-        return make_S(*(_to_int(data[k], k) for k in ("p", "a", "b")))
+    if family in ("Y", "S"):
+        return (make_Y if family == "Y" else make_S)(*_spec_fields(data, family, ("p", "a", "b")))
     raise InputError("spec needs 'matrices' or a 'family' of subfamily/Y/S")
 
 

@@ -467,7 +467,11 @@ def decide_R(surface) -> SolubilityVerdict:
     if isinstance(surface, SubfamilySurface):
         return SolubilityVerdict(0, "soluble", real_witness="(0:0:1:sqrt(p):sqrt(p))",
                                  method="theorem: real witness")
-    for r, t in _points_on_every_arc(discriminant_quintic(surface)):
+    return _decide_R_general(surface, discriminant_quintic(surface))
+
+
+def _decide_R_general(surface: GeneralSurface, quintic: list[int]) -> SolubilityVerdict:
+    for r, t in _points_on_every_arc(quintic):
         member = surface.member(r, t)
         minors = [mat_det([row[:k] for row in member[:k]]) for k in range(1, 6)]
         if all(d > 0 for d in minors) or all((-1) ** k * d > 0 for k, d in enumerate(minors, 1)):
@@ -482,21 +486,25 @@ def _points_on_every_arc(quintic: list[int]) -> list[tuple[int, int]]:
     The affine roots are those of f(x) = quintic(x, 1); leading zeros stand
     for the root (1 : 0).  The Sturm chain of f counts its distinct roots in
     an interval; bisecting the Cauchy interval (-B, B) until each piece holds
-    at most one, -B, the cut points and B meet every arc.  A zero quintic
-    makes every member singular, so none is listed.
+    at most one, -B, the cut points and B meet every arc.  The chain has
+    integer coefficients: each reduction step is scaled by |lc(b)| and each
+    negated remainder is divided by its content, positive factors that keep
+    every sign.  A zero quintic makes every member singular, so none is listed.
     """
     f = list(itertools.dropwhile(lambda c: c == 0, quintic))
     if not f:
         return []
-    chain = [[Fraction(c) for c in f], [Fraction((len(f) - 1 - i) * c) for i, c in enumerate(f[:-1])]]
+    chain = [f, [(len(f) - 1 - i) * c for i, c in enumerate(f[:-1])]]
     while len(chain[-1]) > 1:
         a, b = chain[-2], chain[-1]
-        while len(a) >= len(b):  # a mod b
-            a = [x - a[0] / b[0] * y for x, y in zip(a[1:], b[1:] + [0] * len(a))]
+        while len(a) >= len(b):  # a mod b, times a power of |lc(b)|
+            a = [abs(b[0]) * x - (a[0] if b[0] > 0 else -a[0]) * y
+                 for x, y in zip(a[1:], b[1:] + [0] * len(a))]
         rem = [-c for c in itertools.dropwhile(lambda c: c == 0, a)]
         if not rem:
             break
-        chain.append(rem)
+        content = binary_form_content(rem)
+        chain.append([c // content for c in rem])
 
     def sign_changes(x: Fraction) -> int:
         signs = [v > 0 for v in (binary_form_eval(g, x.numerator, x.denominator) for g in chain) if v]
@@ -601,7 +609,7 @@ def everywhere_locally_soluble_general(g: GeneralSurface) -> LocalSolubilityRepo
     candidates.update(factor(abs(res)))
     candidates.update(factor(abs(binary_form_content(quintic))))
     rows: list[tuple[str, SolubilityVerdict | None, str]] = []
-    rows.append(("oo", decide_R(g), ""))
+    rows.append(("oo", _decide_R_general(g, quintic), ""))
     rows.append(("other odd primes", None,
                  "theorem: good reduction, a residue point exists and is smooth"))
     decided = []
@@ -640,15 +648,16 @@ def sample_local_points(surface, q: int, count: int, precision: int,
     if count == 0:
         return []
     rng = random.Random(f"{seed}:{q}:{precision}:{surface!r}")
-    level1: list[PadicApproxPoint] = []
+    certified: list[PadicApproxPoint] = []
     out: list[PadicApproxPoint] = []
     seen: set[tuple] = set()
     spent = 0
 
-    def try_collect(pt: PadicApproxPoint) -> bool:
+    def try_collect(pt: PadicApproxPoint) -> bool | None:
+        """None if pt is uncertified, else whether its refinement is a new point."""
         cert = lift_certificate(surface, pt)
         if cert is None:
-            return False
+            return None
         refined = newton_refine(surface, replace(pt, cert=cert), precision)
         key = refined.coords
         if key in seen:
@@ -660,14 +669,15 @@ def sample_local_points(surface, q: int, count: int, precision: int,
     # pass 1: one certified point per level-1 class where immediately possible
     pending = []
     for pt in iter_residue_points(surface, q, rng):
-        if q > RESIDUE_ENUM_BUDGET and len(level1) >= budget:
+        if q > RESIDUE_ENUM_BUDGET and len(certified) + len(pending) >= budget:
             raise EnumerationBudgetError(
                 f"{budget} level-1 classes drawn at q={q} gave only {len(out)} of {count} certified points")
-        level1.append(pt)
-        if not try_collect(pt):
+        if try_collect(pt) is None:
             pending.append(pt)
-        elif len(out) >= count:
-            return out
+        else:
+            certified.append(pt)
+            if len(out) >= count:
+                return out
     # pass 2: depth-first search below the uncertified classes.  Lifts are
     # drawn lazily, so a node with a full digit space of q^4 lifts costs only
     # the lifts inspected.  Round-robin with a per-class share first, so that
@@ -686,9 +696,7 @@ def sample_local_points(surface, q: int, count: int, precision: int,
                     f"sampling budget exhausted with {len(out)}/{count} points")
             if len(out) >= cap:
                 return
-            if lift_certificate(surface, child) is not None:
-                try_collect(child)
-            else:
+            if try_collect(child) is None:
                 dfs_collect(child, cap)
 
     for _ in range(3):
@@ -707,11 +715,9 @@ def sample_local_points(surface, q: int, count: int, precision: int,
             break
         dfs_collect(start, count)
     # pass 3: widen with further lifts of already-certified classes
-    for pt in level1:
+    for pt in certified:
         if len(out) >= count:
             break
-        if lift_certificate(surface, pt) is None:
-            continue
         for child in expand_children(surface, pt):
             spent += 1
             if spent > budget:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd
 
 from .arith import SquareClass, divisors, is_perfect_square, is_prime, isqrt, square_class
 
@@ -34,9 +34,7 @@ def normalize_point(t) -> Point:
     t = tuple(int(c) for c in t)
     if not any(t):
         raise ValueError("zero tuple is not projective")
-    g = 0
-    for c in t:
-        g = gcd(g, c)
+    g = gcd(*t)
     t = tuple(c // g for c in t)
     for c in t:
         if c:
@@ -65,10 +63,12 @@ def points_sign_equivalent(a, b) -> bool:
 # exact linear algebra on small integer matrices
 
 
-def mat_rank(m: Matrix) -> int:
+def _row_reduce(m) -> tuple[list[list[Fraction]], list[int]]:
+    """Gauss-Jordan elimination over Fraction: the reduced rows and the pivot columns."""
     rows = [[Fraction(x) for x in row] for row in m]
-    rank, ncols = 0, len(m[0])
-    for col in range(ncols):
+    pivots: list[int] = []
+    for col in range(len(rows[0])):
+        rank = len(pivots)
         pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
         if pivot is None:
             continue
@@ -78,8 +78,12 @@ def mat_rank(m: Matrix) -> int:
             if r != rank and rows[r][col] != 0:
                 f = rows[r][col] / pr[col]
                 rows[r] = [a - f * b for a, b in zip(rows[r], pr)]
-        rank += 1
-    return rank
+        pivots.append(col)
+    return rows, pivots
+
+
+def mat_rank(m: Matrix) -> int:
+    return len(_row_reduce(m)[1])
 
 
 def mat_det(m: Matrix) -> int:
@@ -105,26 +109,10 @@ def mat_det(m: Matrix) -> int:
 def left_kernel_basis(rows: list[list[int]]) -> list[list[Fraction]]:
     """Basis of {w : w^T rows = 0} for a list of integer row vectors."""
     nrows = len(rows)
-    cols = [[Fraction(rows[r][c]) for r in range(nrows)] for c in range(len(rows[0]))]
-    # Solve cols * w = 0 by elimination on the transposed system.
-    mat = [col[:] for col in cols]
-    pivots: list[int] = []
-    rank = 0
-    for col in range(nrows):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        pr = mat[rank]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
-                f = mat[r][col] / pr[col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], pr)]
-        pivots.append(col)
-        rank += 1
+    # w^T rows = 0 is rows^T w = 0: eliminate on the transposed system.
+    mat, pivots = _row_reduce([[rows[r][c] for r in range(nrows)] for c in range(len(rows[0]))])
     basis = []
-    free = [c for c in range(nrows) if c not in pivots]
-    for fc in free:
+    for fc in (c for c in range(nrows) if c not in pivots):
         w = [Fraction(0)] * nrows
         w[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
@@ -138,9 +126,7 @@ def clear_denominators(vec: list[Fraction]) -> list[int]:
     for f in vec:
         lcm = lcm * f.denominator // gcd(lcm, f.denominator)
     out = [int(f * lcm) for f in vec]
-    g = 0
-    for c in out:
-        g = gcd(g, c)
+    g = gcd(*out)
     return [c // g for c in out] if g else out
 
 
@@ -429,34 +415,23 @@ def to_matrices(s: SubfamilySurface) -> GeneralSurface:
 
 
 def discriminant_quintic(g: GeneralSurface) -> list[int]:
-    """Coefficients [c0..c5] of det(k*mat1 + l*mat2) as a binary quintic in (k, l)."""
-    coeffs = [0] * 6
-    for perm in itertools.permutations(range(5)):
-        sign = _perm_sign(perm)
-        prod = [1]
-        for i, j in enumerate(perm):
-            a, b = g.mat1[i][j], g.mat2[i][j]
-            prod = [(prod[t] if t < len(prod) else 0) * a + (prod[t - 1] if t >= 1 else 0) * b
-                    for t in range(len(prod) + 1)]
-        for t, c in enumerate(prod):
-            coeffs[t] += sign * c
+    """Coefficients [c0..c5] of det(k*mat1 + l*mat2) as a binary quintic in (k, l).
+
+    f(k) = det(k*mat1 + mat2) has degree at most 5 and coefficients c0..c5 from
+    k^5 down to k^0.  Its values at k = 0..5 (Bareiss determinants) give the
+    Newton forward differences d_j = j! a_j with integers a_j, and
+    f(k) = a0 + k (a1 + (k-1) (a2 + ... (k-4) a5)) expands by Horner's rule.
+    """
+    diffs = [mat_det(g.member(k, 1)) for k in range(6)]
+    newton = []
+    for j in range(6):
+        newton.append(diffs[0] // factorial(j))
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    coeffs = [newton[5]]
+    for j in reversed(range(5)):  # coeffs * (k - j) + a_j
+        coeffs = [a - j * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+        coeffs[-1] += newton[j]
     return coeffs
-
-
-def _perm_sign(perm) -> int:
-    seen = [False] * len(perm)
-    sign = 1
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def binary_form_eval(coeffs: list[int], r: int, t: int) -> int:
@@ -465,10 +440,7 @@ def binary_form_eval(coeffs: list[int], r: int, t: int) -> int:
 
 
 def binary_form_content(coeffs: list[int]) -> int:
-    g = 0
-    for c in coeffs:
-        g = gcd(g, c)
-    return g
+    return gcd(*coeffs)
 
 
 def rational_roots_binary_form(coeffs: list[int]) -> list[tuple[int, int]]:

@@ -370,6 +370,28 @@ def test_witness_insoluble_detection():
         assert w.insoluble_at_p
 
 
+def test_flip_witness_decides_nothing_when_it_samples_a_point(monkeypatch):
+    # a certified sampled point already proves X(Q_p) nonempty
+    calls = []
+    real = brauer.decide_Qq
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(brauer, "decide_Qq", counted)
+    w = surjectivity_witness(Y_13_2_6)
+    assert not w.insoluble_at_p and calls == []
+
+
+def test_flip_witness_reports_insolubility_when_nothing_is_sampled():
+    # p = 3 = 3 mod 4 takes the sign-flip branch; the sampler finds no point,
+    # so the branch decides Q_3 and reports it empty
+    w = surjectivity_witness(SubfamilySurface(3, 1, 6, 2, 3, -9))
+    assert w.insoluble_at_p
+    assert w.case_trace[-1] == "X(Q_3) empty: no primitive solutions mod 3^2"
+
+
 def test_witness_determinism():
     w1 = surjectivity_witness(Y_13_2_6, seed=4)
     w2 = surjectivity_witness(Y_13_2_6, seed=4)

@@ -49,6 +49,18 @@ def test_cli_analyze_malformed_input(capsys):
     assert "input error" in err
 
 
+@pytest.mark.parametrize("spec", [
+    '{"family": "Y", "p": 13}',
+    '{"family": "S", "p": 13}',
+    '{"matrices": [1, 2]}',
+    '{"matrices": [[1, 2], [3, 4]]}',
+])
+def test_cli_malformed_spec_is_input_error(capsys, spec):
+    code, out, err = run_cli(capsys, "analyze", spec)
+    assert code == 2 and out == ""
+    assert err.startswith("input error")
+
+
 def test_cli_non_symmetric_matrix_is_input_error(capsys):
     bad = [[[0, 1, 0, 0, 0]] + [[0] * 5] * 4, [[0] * 5] * 5]
     code, _, err = run_cli(capsys, "classify", json.dumps({"matrices": bad}))

@@ -156,6 +156,33 @@ def test_level1_draws_are_bounded_beyond_the_enumeration_budget(monkeypatch):
     assert drawn[0] == 501
 
 
+@pytest.mark.parametrize("q, count, precision", [(2, 64, 14), (3, 64, 8)])
+def test_sampler_certifies_each_lift_once(monkeypatch, q, count, precision):
+    # every lift_certificate call is on a level-1 class or on a lift drawn
+    # below one, and none of them is certified twice
+    counts = {"certificates": 0, "drawn": 0}
+
+    def counting_draws(real):
+        def draws(*args, **kwargs):
+            for pt in real(*args, **kwargs):
+                counts["drawn"] += 1
+                yield pt
+        return draws
+
+    def counting_certificates(real):
+        def certify(*args, **kwargs):
+            counts["certificates"] += 1
+            return real(*args, **kwargs)
+        return certify
+
+    for name in ("_shuffled_children", "expand_children", "iter_residue_points"):
+        monkeypatch.setattr(localsolve, name, counting_draws(getattr(localsolve, name)))
+    monkeypatch.setattr(localsolve, "lift_certificate", counting_certificates(lift_certificate))
+    pts = sample_local_points(Y_13_2_6, q, count, precision)
+    assert len(pts) == count
+    assert counts["certificates"] <= counts["drawn"]
+
+
 def test_lift_certificate_unit_minor():
     pts = residue_points(Y_13_2_6, 3)
     certified = [lift_certificate(Y_13_2_6, pt) for pt in pts]
@@ -370,6 +397,20 @@ def test_bsd_general_path():
     rep = everywhere_locally_soluble_general(BSD)
     assert rep.everywhere_soluble is True
     assert set(rep.decided_places) == {2, 3, 5}
+
+
+def test_general_report_computes_the_quintic_once(monkeypatch):
+    calls = []
+    real = localsolve.discriminant_quintic
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(localsolve, "discriminant_quintic", counted)
+    rep = everywhere_locally_soluble_general(BSD)
+    assert len(calls) == 1
+    assert rep.rows[0][1] == decide_R(BSD)
 
 
 def test_bad_reduction_beyond_the_enumeration_budget_stays_inconclusive():

@@ -100,6 +100,37 @@ def test_discriminant_quintic_against_interpolation_oracle():
         assert discriminant_quintic(g) == interpolated_quintic(g)
 
 
+def leibniz_det(m):
+    """det(m) as the signed sum over permutations, the sign from the inversion count."""
+    n = len(m)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = (-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
+
+
+def test_mat_det_against_leibniz_expansion():
+    rng = random.Random(11)
+    for n in range(1, 6):
+        for trial in range(40):
+            m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            if n > 1 and trial % 4 == 1:
+                m[0][0] = 0  # zero leading pivot: Bareiss must swap rows
+            if n > 1 and trial % 4 == 2:
+                m[-1] = [a + 2 * b for a, b in zip(m[0], m[n // 2])]  # singular
+            if n > 2 and trial % 4 == 3:
+                # leading 2x2 minor 0: a zero pivot after the first elimination step
+                m[1][:2] = [3 * m[0][0], 3 * m[0][1]]
+            mat = tuple(tuple(row) for row in m)
+            assert mat_det(mat) == leibniz_det(mat), mat
+    assert mat_det(((0, 1), (1, 0))) == -1
+    assert mat_det(((0, 0), (0, 5))) == 0
+
+
 def test_quintic_consistency_evaluations():
     g = to_matrices(Y_13_2_6)
     q = discriminant_quintic(g)
