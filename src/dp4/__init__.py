@@ -45,7 +45,6 @@ from .localsolve import (
     everywhere_locally_soluble_general,
     lift_certificate,
     newton_refine,
-    residue_points,
     sample_local_points,
 )
 from .brauer import (

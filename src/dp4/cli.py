@@ -204,7 +204,7 @@ def cmd_solubility(args) -> int:
         if args.place == "oo":
             verdict = decide_R(surface)
         else:
-            verdict = decide_Qq(surface, int(args.place), max_level=args.precision_max)
+            verdict = decide_Qq(surface, int(args.place))
         _emit(verdict.to_json(), args)
         return EXIT_INCONCLUSIVE if verdict.status == "inconclusive" else EXIT_OK
     if isinstance(surface, GeneralSurface):
@@ -358,8 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--samples", type=int, default=64, help="sample budget per place")
     common.add_argument("--height", type=int, default=64, help="height bound for point search")
-    common.add_argument("--precision-max", type=int, default=24, dest="precision_max",
-                        help="deepening level bound; only 'solubility --place' uses it")
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--format", choices=("json", "table"), default="json")
     common.add_argument("--jobs", type=int, default=1)
@@ -409,8 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if min(args.samples, args.height, args.precision_max, args.jobs) < 0 \
-            or args.jobs == 0:
+    if args.height < 0 or min(args.samples, args.jobs) < 1:
         print("input error: budgets must be positive", file=sys.stderr)
         return EXIT_INPUT
     try:

@@ -1,11 +1,12 @@
 """Local solubility of the surfaces over R and over every Q_q, with certificates.
 
-Candidate solutions modulo q^k are explored level by level: residues that
-satisfy both equations mod q^k are expanded one q-adic digit at a time (the
-digit condition is an exact 2x4 linear system over F_q).  A candidate whose
-2x5 Jacobian has a 2x2 minor of valuation e with 2e+1 <= k lifts to a genuine
-Q_q point by Newton iteration on the two selected coordinates; an empty level
-certifies insolubility, since a Q_q point would reduce to every level.
+Candidate solutions modulo q^k are explored depth first, down to LEVEL_CAP:
+residues that satisfy both equations mod q^k are expanded one q-adic digit at
+a time (the digit condition is an exact 2x4 linear system over F_q).  A
+candidate whose 2x5 Jacobian has a 2x2 minor of valuation e with 2e+1 <= k
+lifts to a genuine Q_q point by Newton iteration on the two selected
+coordinates; an empty level certifies insolubility, since a Q_q point would
+reduce to every level.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .quadform import (
     mat_det,
 )
 
-DEFAULT_MAX_LEVEL = 9
+LEVEL_CAP = 24
 DEFAULT_EXPANSION_BUDGET = 10 ** 7
 RESIDUE_ENUM_BUDGET = 10 ** 4
 GENERAL_ENUM_BUDGET = 60
@@ -165,13 +166,6 @@ def iter_residue_points(surface, q: int, rng: random.Random | None = None):
     n, slot = _level1_subfamily(surface, q)
     order = range(n) if rng is None else _shuffled_indices(n, rng)
     return (pt for pt in map(slot, order) if pt is not None)
-
-
-def residue_points(surface, q: int) -> list[PadicApproxPoint]:
-    """Exhaustive normalized list of projective F_q points on both quadrics."""
-    if not is_prime(q):
-        raise ValueError(f"{q} is not prime")
-    return list(iter_residue_points(surface, q))
 
 
 # ---------------------------------------------------------------------------
@@ -347,21 +341,6 @@ def _shuffled_children(surface, pt: PadicApproxPoint, rng: random.Random):
     return map(child, _shuffled_indices(n, rng))
 
 
-def solutions_at_level(surface, q: int, k: int, budget: int = DEFAULT_EXPANSION_BUDGET):
-    """Complete list of normalized solutions mod q^k (BFS through all levels)."""
-    level = list(iter_residue_points(surface, q))
-    for _ in range(k - 1):
-        nxt = []
-        for pt in level:
-            for child in expand_children(surface, pt):
-                nxt.append(child)
-                budget -= 1
-                if budget < 0:
-                    raise EnumerationBudgetError("expansion budget exhausted")
-        level = nxt
-    return level
-
-
 # ---------------------------------------------------------------------------
 # solubility decisions
 
@@ -394,16 +373,17 @@ class SolubilityVerdict:
         return out
 
 
-def decide_Qq(surface, q: int, max_level: int = DEFAULT_MAX_LEVEL,
-              budget: int = DEFAULT_EXPANSION_BUDGET) -> SolubilityVerdict:
-    """Iterative deepening over primitive solutions mod q^k.
+def decide_Qq(surface, q: int, budget: int = DEFAULT_EXPANSION_BUDGET) -> SolubilityVerdict:
+    """One depth-first walk over primitive solutions mod q^k, cut at LEVEL_CAP.
 
-    Any certified candidate proves solubility; if every branch dies before
-    some level, that level is empty and the surface is insoluble at q (a Q_q
-    point would reduce to every level); exhaustion is inconclusive.  The
-    exploration is depth-first with a streamed frontier, so memory stays
-    bounded even when a singular residue point has a full digit space of
-    lifts.
+    The level-1 points and the lifts of each node are taken in the fixed
+    exhaustive order; a branch ends at its first certified candidate, which
+    proves solubility.  If every branch dies before some level, that level
+    is empty and the surface is insoluble at q (a Q_q point would reduce to
+    every level).  A branch cut at LEVEL_CAP, or a walk past ``budget``
+    lifts, is inconclusive, never insoluble.  Lifts are streamed, so memory
+    stays bounded even when a singular residue point has a full digit space
+    of lifts.
     """
     if not is_prime(q):
         raise ValueError(f"{q} is not prime")
@@ -411,7 +391,7 @@ def decide_Qq(surface, q: int, max_level: int = DEFAULT_MAX_LEVEL,
     class State:
         expansions = 0
         deepest = 0
-        truncated = False  # some branch hit max_level without a certificate
+        truncated = False  # some branch hit the cap without a certificate
 
     state = State()
 
@@ -420,7 +400,7 @@ def decide_Qq(surface, q: int, max_level: int = DEFAULT_MAX_LEVEL,
         if cert is not None:
             return replace(pt, cert=cert)
         state.deepest = max(state.deepest, pt.k)
-        if pt.k >= max_level:
+        if pt.k >= LEVEL_CAP:
             state.truncated = True
             return None
         for child in expand_children(surface, pt):
@@ -445,7 +425,7 @@ def decide_Qq(surface, q: int, max_level: int = DEFAULT_MAX_LEVEL,
     if not seen_any:
         return SolubilityVerdict(q, "insoluble", level=1, method="empty residue level")
     if state.truncated:
-        return SolubilityVerdict(q, "inconclusive", level=max_level, method="level budget exhausted")
+        return SolubilityVerdict(q, "inconclusive", level=LEVEL_CAP, method="level budget exhausted")
     return SolubilityVerdict(q, "insoluble", level=state.deepest + 1, method="empty residue level")
 
 
@@ -683,7 +663,7 @@ def sample_local_points(surface, q: int, count: int, precision: int,
     # the lifts inspected.  Round-robin with a per-class share first, so that
     # no single branch swallows the request (stratification); then fill
     # greedily from whatever is productive.
-    max_depth = max(precision, DEFAULT_MAX_LEVEL)
+    max_depth = max(precision, LEVEL_CAP)
 
     def dfs_collect(pt: PadicApproxPoint, cap: int) -> None:
         nonlocal spent

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from dp4 import localsolve
 from dp4.cli import main, parse_surface_spec, InputError
 from dp4.quadform import GeneralSurface, SubfamilySurface
 
@@ -254,18 +255,32 @@ def test_cli_supplied_N_mismatch_is_noted(capsys):
     assert "N = 2" in err
 
 
-def test_cli_inconclusive_exit_3(capsys):
-    # level budget 1 cannot certify the 2-adic decision for this surface
+def test_cli_inconclusive_exit_3(capsys, monkeypatch):
+    # a level cap of 1 cannot certify the 2-adic decision for this surface
+    monkeypatch.setattr(localsolve, "LEVEL_CAP", 1)
     code, out, _ = run_cli(capsys, "solubility", '{"family": "Y", "p": 13, "a": 2, "b": 6}',
-                           "--place", "2", "--precision-max", "1")
+                           "--place", "2")
     assert code == 3
     assert json.loads(out)["status"] == "inconclusive"
 
 
+def test_cli_analyze_decides_a_place_that_needs_level_11(capsys):
+    # the 2-adic walk finds its first certificate at level 11
+    spec = '{"family": "subfamily", "p": 13, "A": -1, "B": -6, "C": 1, "D": -6, "M": 8}'
+    code, out, _ = run_cli(capsys, "analyze", spec)
+    assert code == 0
+    assert json.loads(out)["local_solubility"]["everywhere_locally_soluble"] is True
+
+
 def test_cli_rejects_bad_budgets(capsys):
-    code, _, err = run_cli(capsys, "search", '{"family": "Y", "p": 13, "a": 1, "b": 12}',
-                           "--height", "-2")
-    assert code == 2
+    # --height 0 is a legal search bound; --samples 0 leaves nothing to sample
+    for flag, value in (("--height", "-2"), ("--samples", "0")):
+        code, _, err = run_cli(capsys, "search", '{"family": "Y", "p": 13, "a": 1, "b": 12}',
+                               flag, value)
+        assert code == 2 and "budgets must be positive" in err
+    code, _, _ = run_cli(capsys, "search", '{"family": "Y", "p": 13, "a": 1, "b": 12}',
+                         "--height", "0")
+    assert code == 0
 
 
 def test_cli_analyze_general_matrices(capsys):

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from dp4 import localsolve
-from dp4.quadform import GeneralSurface, SubfamilySurface, mat_det, to_matrices
+from dp4.quadform import GeneralSurface, SubfamilySurface, check_subfamily, mat_det, to_matrices
 from dp4.localsolve import (
     EnumerationBudgetError,
     _shuffled_children,
@@ -17,9 +17,7 @@ from dp4.localsolve import (
     lift_certificate,
     newton_refine,
     normalize_residue_tuple,
-    residue_points,
     sample_local_points,
-    solutions_at_level,
 )
 from dp4.arith import legendre, sqrt_mod_prime_power
 from dp4.families import make_Y
@@ -43,14 +41,14 @@ def brute_residue_points(s, q):
 @pytest.mark.parametrize("q", [2, 3, 5, 7])
 def test_residue_points_match_bruteforce(q):
     for s in (Y_13_2_6, S_13):
-        assert {p.coords for p in residue_points(s, q)} == brute_residue_points(s, q)
+        assert {p.coords for p in iter_residue_points(s, q)} == brute_residue_points(s, q)
 
 
 def test_residue_points_nonempty_at_small_primes():
     # two quadrics in five variables always have a nontrivial residue solution
     for s in (Y_13_2_6, Y_13_1_12, S_13, *INSOLUBLE_AT_P):
         for q in (2, 3, 5, 7, 11, 13):
-            assert residue_points(s, q), (s, q)
+            assert list(iter_residue_points(s, q)), (s, q)
 
 
 def test_residue_count_invariant_under_unimodular_change():
@@ -71,12 +69,12 @@ def test_residue_count_invariant_under_unimodular_change():
 
     g2 = GeneralSurface(transform(g.mat1), transform(g.mat2))
     for q in (3, 5, 7):
-        assert len(residue_points(g, q)) == len(residue_points(g2, q))
+        assert len(list(iter_residue_points(g, q))) == len(list(iter_residue_points(g2, q)))
 
 
 def test_residue_enumeration_budget():
     with pytest.raises(EnumerationBudgetError):
-        residue_points(Y_13_2_6, 10007)
+        list(iter_residue_points(Y_13_2_6, 10007))
 
 
 def reference_level1(s, q):
@@ -184,21 +182,21 @@ def test_sampler_certifies_each_lift_once(monkeypatch, q, count, precision):
 
 
 def test_lift_certificate_unit_minor():
-    pts = residue_points(Y_13_2_6, 3)
+    pts = list(iter_residue_points(Y_13_2_6, 3))
     certified = [lift_certificate(Y_13_2_6, pt) for pt in pts]
     assert any(c is not None and c.e == 0 for c in certified)
 
 
 def test_zero_tuple_is_not_projective():
     assert normalize_residue_tuple(3, 1, (0, 0, 0, 0, 0)) is None
-    bad = residue_points(Y_13_2_6, 3)[0]
+    bad = next(iter_residue_points(Y_13_2_6, 3))
     broken = type(bad)(q=3, k=1, coords=(0, 3, 0, 0, 0), pinned=0)
     with pytest.raises(ValueError):
         lift_certificate(Y_13_2_6, broken)
 
 
 def test_newton_refinement_doubles_residual_valuation():
-    for pt in residue_points(Y_13_2_6, 3):
+    for pt in iter_residue_points(Y_13_2_6, 3):
         cert = lift_certificate(Y_13_2_6, pt)
         if cert is None:
             continue
@@ -228,6 +226,36 @@ def test_s_family_2adic_witness_from_unit_square():
     assert lift_certificate(S_13, pt) is not None
 
 
+def box_slice(seed, count):
+    """Distinct valid surfaces drawn from p in {5, 13}, |A|, |B|, |C|, |D| <= 6, 0 < |M| <= 30."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        p = rng.choice((5, 13))
+        A, B, C, D = (rng.randint(-6, 6) for _ in range(4))
+        M = rng.choice([m for m in range(-30, 31) if m])
+        s = SubfamilySurface(p, A, B, C, D, M)
+        if s not in out and check_subfamily(s).valid:
+            out.append(s)
+    return out
+
+
+def test_box_verdicts_are_conclusive_and_sound():
+    # under the level cap every verdict on the box is conclusive; each
+    # insoluble one is confirmed by the independent exhaustive oracle
+    statuses = set()
+    for s in box_slice(2, 30):
+        for q in (2, s.p):
+            verdict = decide_Qq(s, q)
+            statuses.add((verdict.status, q == 2))
+            if verdict.soluble:
+                assert lift_certificate(s, verdict.witness) is not None, (s, q)
+            else:
+                assert verdict.status == "insoluble", (s, q, verdict)
+                assert not exhaustive_primitive_solutions_exist(s, q, verdict.level), (s, q)
+    assert statuses == {("soluble", True), ("soluble", False), ("insoluble", True), ("insoluble", False)}
+
+
 @pytest.mark.parametrize("s", INSOLUBLE_AT_P[:2])
 def test_insoluble_instances_and_exhaustive_crosscheck(s):
     verdict = decide_Qq(s, s.p)
@@ -238,11 +266,19 @@ def test_insoluble_instances_and_exhaustive_crosscheck(s):
     assert exhaustive_primitive_solutions_exist(s, s.p, verdict.level - 1)
 
 
+def level_k_solutions(s, q, k):
+    """Every normalized solution mod q^k, level by level through expand_children."""
+    level = list(iter_residue_points(s, q))
+    for _ in range(k - 1):
+        level = [child for pt in level for child in expand_children(s, pt)]
+    return level
+
+
 def test_level_monotonicity_projection():
     for q in (2, 3):
-        l1 = {p.coords for p in solutions_at_level(Y_13_2_6, q, 1)}
-        l2 = solutions_at_level(Y_13_2_6, q, 2)
-        l3 = solutions_at_level(Y_13_2_6, q, 3)
+        l1 = {p.coords for p in level_k_solutions(Y_13_2_6, q, 1)}
+        l2 = level_k_solutions(Y_13_2_6, q, 2)
+        l3 = level_k_solutions(Y_13_2_6, q, 3)
         assert {tuple(c % q for c in p.coords) for p in l2} <= l1
         proj = {tuple(c % q ** 2 for c in p.coords) for p in l3}
         assert proj <= {p.coords for p in l2}
@@ -250,7 +286,7 @@ def test_level_monotonicity_projection():
 
 def test_expand_children_are_exactly_the_lifts():
     q = 3
-    for pt in solutions_at_level(Y_13_2_6, q, 1)[:6]:
+    for pt in list(iter_residue_points(Y_13_2_6, q))[:6]:
         children = {c.coords for c in expand_children(Y_13_2_6, pt)}
         mod2 = q ** 2
         brute = set()
@@ -329,7 +365,7 @@ def test_sampling_covers_distinct_residue_classes():
 def test_sampling_below_uncertified_residue_classes(s, q):
     # no level-1 point is certified, so every sampled point comes from the
     # depth-first search, through nodes that can have up to q^4 lifts
-    assert all(lift_certificate(s, pt) is None for pt in residue_points(s, q))
+    assert all(lift_certificate(s, pt) is None for pt in iter_residue_points(s, q))
     pts = sample_local_points(s, q, 12, 6, seed=3)
     assert len({pt.coords for pt in pts}) == 12
     for pt in pts:
@@ -426,12 +462,14 @@ def test_bad_reduction_beyond_the_enumeration_budget_stays_inconclusive():
 
 
 def test_soluble_witnesses_verify():
-    for s, q in [(Y_13_2_6, 2), (Y_13_2_6, 13), (S_13, 13)]:
+    for s, q in [(Y_13_2_6, 2), (Y_13_2_6, 13), (S_13, 13),
+                 # no 2-adic certificate below level 11 in the walk's order
+                 (SubfamilySurface(13, -1, -6, 1, -6, 8), 2), (to_matrices(make_Y(17, 16, 1)), 2)]:
         v = decide_Qq(s, q)
         assert v.soluble
         w = v.witness
         mod = q ** w.k
-        assert s.eq1(w.coords) % mod == 0 and s.eq2(w.coords) % mod == 0
+        assert all(f % mod == 0 for f in s.equations(w.coords))
         assert lift_certificate(s, w) is not None
 
 
@@ -445,13 +483,11 @@ def test_case7_substitution_preserves_residue_counts():
     k = 1
     W = A * D - B * C
     s2 = SubfamilySurface(p, M * D // p ** 2, -M * B // p ** 2, -C, A, W * W // p ** 2)
-    from dp4.quadform import check_subfamily
-
     assert check_subfamily(s2).valid
     for q in (3, 7, 11):
         if W % q == 0 or p % q == 0:
             continue
-        assert len(residue_points(s, q)) == len(residue_points(s2, q)), q
+        assert len(list(iter_residue_points(s, q))) == len(list(iter_residue_points(s2, q))), q
 
 
 def test_sampling_insoluble_surface_raises():
