@@ -617,13 +617,13 @@ def sample_local_points(surface, q: int, count: int, precision: int,
     the classes drawn lazily in seeded random order until ``count`` points are
     in hand, so a small request costs about the same at any q.  Only once every
     level-1 class has been drawn: one depth-first search below the uncertified
-    classes, each node's lifts drawn lazily in seeded random order, then
-    further lifts of the certified classes.  ``budget`` caps the lifts
-    inspected in passes 2 and 3.  Beyond the exhaustive enumeration budget
-    (q > RESIDUE_ENUM_BUDGET) the level-1 set is never exhausted, so pass 1
-    draws at most ``budget`` classes there and then raises
-    EnumerationBudgetError.  Takes subfamily surfaces and general pencils.
-    Deterministic for a fixed seed.
+    classes, down to max(precision, LEVEL_CAP), each node's lifts drawn
+    lazily in seeded random order, then further lifts of the certified
+    classes.  ``budget`` caps the lifts inspected in passes 2 and 3.  Beyond
+    the exhaustive enumeration budget (q > RESIDUE_ENUM_BUDGET) the level-1
+    set is never exhausted, so pass 1 draws at most ``budget`` classes there
+    and then raises EnumerationBudgetError.  Takes subfamily surfaces and
+    general pencils.  Deterministic for a fixed seed.
     """
     if count == 0:
         return []
