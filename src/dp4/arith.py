@@ -148,19 +148,6 @@ def sqrt_mod(a: int, p: int) -> int | None:
     return min(r, p - r)
 
 
-def sqrt_mod_prime_power(a: int, q: int, k: int) -> list[int]:
-    """All solutions of r^2 = a (mod q^k) for prime q, by lifting level by level.
-
-    Exhaustive and exact; meant for small moduli (oracles, level-1 enumeration).
-    """
-    mod = q
-    roots = [r for r in range(q) if (r * r - a) % q == 0]
-    for _ in range(k - 1):
-        mod *= q
-        roots = [s for r in roots for s in range(r, mod, mod // q) if (s * s - a) % mod == 0]
-    return sorted(roots)
-
-
 def valuation(n: int, q: int) -> int:
     """q-adic valuation of a nonzero integer."""
     if n == 0:
@@ -359,6 +346,7 @@ def hilbert_symbol_padic(a: Fraction | int, b: PadicScalar) -> int:
 
 
 _SIEVE_BOUND = 1 << 16
+RHO_BUDGET = 2_000_000  # rho steps per seed before factor gives up
 _small_primes: list[int] | None = None
 
 
@@ -409,11 +397,11 @@ def _brent_rho(n: int, budget: int, seed: int) -> int | None:
     return None
 
 
-def factor(n: int, rho_budget: int = 2_000_000) -> list[int]:
+def factor(n: int) -> list[int]:
     """Prime factorization of n >= 1, with multiplicity, sorted.
 
-    Trial division over a sieve, then deterministic primality plus Brent's rho.
-    Raises FactorBudgetExceeded instead of ever guessing.
+    Trial division over a sieve, then deterministic primality plus Brent's rho
+    (RHO_BUDGET steps per seed).  Raises FactorBudgetExceeded, never guesses.
     """
     if n < 1:
         raise ValueError(f"factor needs n >= 1, got {n}")
@@ -438,7 +426,7 @@ def factor(n: int, rho_budget: int = 2_000_000) -> list[int]:
 
         d = None
         for seed in range(1, 8):
-            d = _brent_rho(m, rho_budget, seed)
+            d = _brent_rho(m, RHO_BUDGET, seed)
             if d is not None and 1 < d < m:
                 break
             d = None
@@ -459,9 +447,6 @@ class SquareClass:
     def __post_init__(self):
         if self.rep == 0:
             raise ValueError("square class of zero is undefined")
-
-    def __mul__(self, other: "SquareClass") -> "SquareClass":
-        return square_class(self.rep * other.rep)
 
     @property
     def is_square(self) -> bool:

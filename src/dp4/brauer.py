@@ -58,7 +58,7 @@ class IndeterminateEvaluationError(Exception):
     """Every representation of the class is 0 or infinite at the point."""
 
 
-class WitnessSearchError(Exception):
+class WitnessSearchError(AssertionError):
     """No invariant-separating pair was found; contradicts the surjectivity result."""
 
 
@@ -161,10 +161,11 @@ def evaluate_invariant(s: SubfamilySurface, tag: str, point, v=None) -> Fraction
 
     ``point`` is either an exact integer 5-tuple (then ``v`` names the place)
     or a PadicApproxPoint (then the place is its prime).  Representations that
-    vanish are skipped; an imprecise local point is re-lifted, doubling the
-    precision up to four times, and where every representation stays
-    indeterminate nearby points carry the value.  Class C is A + B wherever
-    both are determinate (see ``_point_values``).
+    vanish are skipped.  At a rational point some representation of A and
+    of B is always determinate (see ``_direct_value``); an imprecise local
+    point is re-lifted, doubling the precision up to four times, and where
+    every representation stays indeterminate nearby points carry the value.
+    Class C is A + B wherever both are determinate (see ``_point_values``).
     """
     if not isinstance(point, PadicApproxPoint):
         point = tuple(int(c) for c in point)
@@ -198,28 +199,29 @@ def _point_values(s, point, v) -> tuple:
     return a, b, c
 
 
-# digits to which an exact point is read before falling back on local constancy
-_EXACT_POINT_PRECISION = 16
-
-
 def _direct_value(s, tag, point, v) -> Fraction | None:
+    """The class's value from its own representatives, or None.
+
+    A rational point needs nothing beyond ``_eval_reps`` for A and B.  (C2)
+    gives M (AD - BC) != 0, and a zero among A..D would make the (C1) value
+    a square and so N = 0; hence ABCD != 0.  A's four representatives then
+    vanish together only where u = v = 0, which forces x = y = z = 0 as p is
+    not a square.  B's vanish together only where y = z = 0; there
+    Muv = (Au+Bv)(Cu+Dv) with uv != 0, so v/u is a rational root of
+    BD t^2 + (AD+BC-M) t + AC, whose discriminant p N^2 is not a square.
+    """
     value = _eval_reps(s, tag, point, v)
-    if value is not None:
+    if value is not None or not isinstance(point, PadicApproxPoint):
         return value
-    if isinstance(point, PadicApproxPoint):
-        pt = point
-        for _ in range(4):
-            try:
-                pt = newton_refine(s, pt, 2 * pt.k)
-            except (ValueError, ArithmeticError):
-                break
-            value = _eval_reps(s, tag, pt, None)
-            if value is not None:
-                return value
-    else:
-        point = normalize_residue_tuple(v.q, _EXACT_POINT_PRECISION, point)
-        if point is None:
-            return None
+    pt = point
+    for _ in range(4):
+        try:
+            pt = newton_refine(s, pt, 2 * pt.k)
+        except (ValueError, ArithmeticError):
+            break
+        value = _eval_reps(s, tag, pt, None)
+        if value is not None:
+            return value
     # refinement stalls when the point sits exactly on the vanishing locus
     # of every representation; nearby points carry the value then
     return _eval_by_local_constancy(s, tag, point)
@@ -462,28 +464,28 @@ def surjectivity_witness(s: SubfamilySurface, seed: int = 0) -> WitnessResult:
     symbols (p,AC)_p = (p,BD)_p = -1) or the explicit two-point construction
     of the four base cases.  Reaching the insoluble residue pattern reports
     X(Q_p) empty instead of a witness.  The output pair is validated by
-    evaluation, never trusted from the construction; if a degenerate
-    parameter blocks a recipe, a stratified sampling search stands in (the
-    surjectivity statement guarantees success).
+    evaluation, never trusted from the construction.  The surjectivity
+    statement says the recipe succeeds on every valid surface, so a
+    degenerate parameter or a pair that fails validation raises
+    WitnessSearchError.
     """
     validate_subfamily(s)
     p = s.p
-    # constructed points carry 26 p-adic digits, as do the sampled fallback's
+    # constructed points carry 26 p-adic digits, as do the sampled points of a sign flip
     ctx = _WitnessContext(precision=26, rng=random.Random(f"witness:{seed}:{s!r}"))
     try:
         hint, c1, c2, prec = _witness_recursive(s, ctx, depth=0)
         pt1 = _attach_certificate(s, _project_tuple(p, prec, c1))
         pt2 = _attach_certificate(s, _project_tuple(p, prec, c2))
-        result = _validated_result(s, hint, pt1, pt2, ctx)
-        if result is not None:
-            return result
-        ctx.trace.append("constructed pair failed validation; falling back to sampling")
     except _InsolubleAtP as exc:
         ctx.trace.append(str(exc))
         return WitnessResult(None, None, None, True, tuple(ctx.trace))
     except _ConstructionDegenerate as exc:
-        ctx.trace.append(f"construction degenerate ({exc}); falling back to sampling")
-    return _witness_by_sampling(s, ctx, seed)
+        raise WitnessSearchError(f"construction degenerate on {s.label()}: {exc}") from exc
+    result = _validated_result(s, hint, pt1, pt2, ctx)
+    if result is None:
+        raise WitnessSearchError(f"constructed pair on {s.label()} failed validation")
+    return result
 
 
 class _ConstructionDegenerate(Exception):
@@ -514,25 +516,6 @@ def _validated_result(s, hint, pt1, pt2, ctx) -> WitnessResult | None:
             ctx.trace.append(f"validated: class {tag} separates the pair")
             return WitnessResult(tag, pt1, pt2, False, tuple(ctx.trace), (v1, v2))
     return None
-
-
-def _witness_by_sampling(s, ctx, seed) -> WitnessResult:
-    p = s.p
-    points = sample_local_points(s, p, 48, ctx.precision, seed=seed)
-    evaluated: dict[str, list] = {t: [] for t in CLASS_TAGS}
-    for pt in points:
-        for tag in CLASS_TAGS:
-            try:
-                evaluated[tag].append((evaluate_invariant(s, tag, pt), pt))
-            except IndeterminateEvaluationError:
-                continue
-            vals = {v for v, _ in evaluated[tag]}
-            if len(vals) == 2:
-                (v1, p1) = evaluated[tag][-1]
-                (v2, p2) = next((v, q2) for v, q2 in evaluated[tag] if v != v1)
-                ctx.trace.append(f"sampling search: class {tag} separates")
-                return WitnessResult(tag, p1, p2, False, tuple(ctx.trace), (v1, v2))
-    raise WitnessSearchError(f"no separating pair found on {s.label()}; this contradicts surjectivity")
 
 
 def _flip_point(pt: PadicApproxPoint, flip_y: bool, flip_z: bool) -> tuple:

@@ -12,6 +12,7 @@ reduce to every level.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -20,15 +21,14 @@ from .arith import factor, is_prime, legendre, valuation
 from .quadform import (
     GeneralSurface,
     SubfamilySurface,
-    binary_form_content,
     binary_form_eval,
-    binary_form_is_squarefree,
     binary_resultant,
     discriminant_quintic,
     mat_det,
 )
 
 LEVEL_CAP = 24
+SAMPLING_BUDGET = 200_000
 DEFAULT_EXPANSION_BUDGET = 10 ** 7
 RESIDUE_ENUM_BUDGET = 10 ** 4
 GENERAL_ENUM_BUDGET = 60
@@ -483,7 +483,7 @@ def _points_on_every_arc(quintic: list[int]) -> list[tuple[int, int]]:
         rem = [-c for c in itertools.dropwhile(lambda c: c == 0, a)]
         if not rem:
             break
-        content = binary_form_content(rem)
+        content = math.gcd(*rem)
         chain.append([c // content for c in rem])
 
     def sign_changes(x: Fraction) -> int:
@@ -578,16 +578,14 @@ def everywhere_locally_soluble_general(g: GeneralSurface) -> LocalSolubilityRepo
     quintic = discriminant_quintic(g)
     if all(c == 0 for c in quintic):
         raise ValueError("pencil discriminant vanishes identically; not a del Pezzo pencil")
-    if not binary_form_is_squarefree(quintic):
-        raise ValueError("pencil quintic is not squarefree; the surface is singular")
     dk = [(5 - i) * c for i, c in enumerate(quintic[:5])]
     dl = [(i + 1) * c for i, c in enumerate(quintic[1:])]
-    res = binary_resultant(dk, dl)
+    res = binary_resultant(dk, dl)  # +-5^3 Disc(quintic): 0 iff a repeated root
     if res == 0:
-        raise AssertionError("squarefree quintic has a zero discriminant")
+        raise ValueError("pencil quintic is not squarefree; the surface is singular")
     candidates = {2, 3, 5}
     candidates.update(factor(abs(res)))
-    candidates.update(factor(abs(binary_form_content(quintic))))
+    candidates.update(factor(abs(math.gcd(*quintic))))
     rows: list[tuple[str, SolubilityVerdict | None, str]] = []
     rows.append(("oo", _decide_R_general(g, quintic), ""))
     rows.append(("other odd primes", None,
@@ -610,7 +608,7 @@ def everywhere_locally_soluble_general(g: GeneralSurface) -> LocalSolubilityRepo
 
 
 def sample_local_points(surface, q: int, count: int, precision: int,
-                        seed: int = 0, budget: int = 200_000) -> list[PadicApproxPoint]:
+                        seed: int = 0) -> list[PadicApproxPoint]:
     """At least ``count`` distinct certified points at the given precision.
 
     Stratified: one point per level-1 residue class that is certified at once,
@@ -619,14 +617,15 @@ def sample_local_points(surface, q: int, count: int, precision: int,
     level-1 class has been drawn: one depth-first search below the uncertified
     classes, down to max(precision, LEVEL_CAP), each node's lifts drawn
     lazily in seeded random order, then further lifts of the certified
-    classes.  ``budget`` caps the lifts inspected in passes 2 and 3.  Beyond
-    the exhaustive enumeration budget (q > RESIDUE_ENUM_BUDGET) the level-1
-    set is never exhausted, so pass 1 draws at most ``budget`` classes there
-    and then raises EnumerationBudgetError.  Takes subfamily surfaces and
-    general pencils.  Deterministic for a fixed seed.
+    classes.  SAMPLING_BUDGET caps the lifts inspected in passes 2 and 3.
+    Beyond the exhaustive enumeration budget (q > RESIDUE_ENUM_BUDGET) the
+    level-1 set is never exhausted, so pass 1 draws at most SAMPLING_BUDGET
+    classes there and then raises EnumerationBudgetError.  Takes subfamily
+    surfaces and general pencils.  Deterministic for a fixed seed.
     """
     if count == 0:
         return []
+    budget = SAMPLING_BUDGET
     rng = random.Random(f"{seed}:{q}:{precision}:{surface!r}")
     certified: list[PadicApproxPoint] = []
     out: list[PadicApproxPoint] = []

@@ -439,10 +439,6 @@ def binary_form_eval(coeffs: list[int], r: int, t: int) -> int:
     return sum(c * r ** (deg - i) * t ** i for i, c in enumerate(coeffs))
 
 
-def binary_form_content(coeffs: list[int]) -> int:
-    return gcd(*coeffs)
-
-
 def rational_roots_binary_form(coeffs: list[int]) -> list[tuple[int, int]]:
     """All rational projective roots (r : t) of an integer binary form.
 
@@ -451,7 +447,7 @@ def rational_roots_binary_form(coeffs: list[int]) -> list[tuple[int, int]]:
     """
     if all(c == 0 for c in coeffs):
         raise ValueError("form is identically zero")
-    content = binary_form_content(coeffs)
+    content = gcd(*coeffs)
     cs = [c // content for c in coeffs]
     roots: list[tuple[int, int]] = []
     lead = next(i for i, c in enumerate(cs) if c != 0)
@@ -475,7 +471,7 @@ def binary_form_is_squarefree(coeffs: list[int]) -> bool:
     """No repeated roots over the algebraic closure (smoothness proxy)."""
     if all(c == 0 for c in coeffs):
         return False
-    content = binary_form_content(coeffs)
+    content = gcd(*coeffs)
     cs = [c // content for c in coeffs]
     lead = next(i for i, c in enumerate(cs) if c != 0)
     trail = next(i for i in reversed(range(len(cs))) if cs[i] != 0)

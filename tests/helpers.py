@@ -1,6 +1,7 @@
 """Shared test utilities: surface generators and independent solubility oracles."""
 
 import itertools
+import random
 
 from dp4.arith import is_perfect_square
 from dp4.quadform import SubfamilySurface, check_subfamily
@@ -34,6 +35,20 @@ def search_valid_surfaces(p, valuations, unit_range=7, m_range=40, limit=3):
                 out.append(s)
                 if len(out) >= limit:
                     return out
+    return out
+
+
+def box_slice(seed, count):
+    """Distinct valid surfaces drawn from p in {5, 13}, |A|, |B|, |C|, |D| <= 6, 0 < |M| <= 30."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        p = rng.choice((5, 13))
+        A, B, C, D = (rng.randint(-6, 6) for _ in range(4))
+        M = rng.choice([m for m in range(-30, 31) if m])
+        s = SubfamilySurface(p, A, B, C, D, M)
+        if s not in out and check_subfamily(s).valid:
+            out.append(s)
     return out
 
 

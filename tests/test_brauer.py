@@ -8,7 +8,9 @@ from dp4.arith import PLACE_INF, PadicScalar, Place, hilbert_symbol, legendre
 from dp4.brauer import (
     CLASS_TAGS,
     IndeterminateEvaluationError,
+    WitnessSearchError,
     _direct_value,
+    _eval_reps,
     bm_verdict,
     class_representations,
     evaluate_invariant,
@@ -25,7 +27,7 @@ from dp4.families import make_Y, point_search
 from dp4.localsolve import sample_local_points
 from dp4.quadform import SubfamilySurface
 
-from helpers import CASE_PATTERN_SURFACES, INSOLUBLE_AT_P
+from helpers import CASE_PATTERN_SURFACES, INSOLUBLE_AT_P, box_slice
 
 ZERO = Fraction(0)
 HALF = Fraction(1, 2)
@@ -300,7 +302,7 @@ def test_quadres_witness():
 
 
 def test_witness_roots_that_do_not_exist_block_the_recipe():
-    # the witness search then falls back on sampling instead of crashing
+    # the witness search then raises WitnessSearchError instead of crashing
     from dp4.brauer import _ConstructionDegenerate, _unit_sqrt
 
     assert _unit_sqrt(13, 10, 4) ** 2 % 13 ** 4 == 10
@@ -352,16 +354,45 @@ def test_witness_branches(coeffs, first_step):
     assert values == w.values and values[0] != values[1]
 
 
-def test_witness_falls_back_to_sampling(monkeypatch):
+def test_degenerate_witness_construction_raises(monkeypatch):
+    # the surjectivity statement makes the construction total, so a blocked
+    # recipe is a failed check
     def degenerate(s, ctx, depth):
         raise brauer._ConstructionDegenerate("blocked")
 
     monkeypatch.setattr(brauer, "_witness_recursive", degenerate)
-    w = surjectivity_witness(Y_13_2_6)
-    assert "falling back to sampling" in w.case_trace[0]
-    assert w.case_trace[-1].startswith("sampling search")
-    values = (evaluate_invariant(Y_13_2_6, w.tag, w.point1), evaluate_invariant(Y_13_2_6, w.tag, w.point2))
-    assert values == w.values and values[0] != values[1]
+    with pytest.raises(WitnessSearchError, match="construction degenerate on X_13_2_-13_1_-6_1: blocked"):
+        surjectivity_witness(Y_13_2_6)
+    assert issubclass(WitnessSearchError, AssertionError)
+
+
+def test_witness_pair_that_fails_validation_raises(monkeypatch):
+    monkeypatch.setattr(brauer, "_validated_result", lambda s, hint, pt1, pt2, ctx: None)
+    with pytest.raises(WitnessSearchError, match="failed validation"):
+        surjectivity_witness(Y_13_2_6)
+
+
+def test_witness_construction_is_total_on_a_box_slice():
+    for s in box_slice(3, 200):
+        w = surjectivity_witness(s)
+        if w.insoluble_at_p:
+            assert w.tag is None and w.case_trace[-1].startswith(f"X(Q_{s.p}) empty"), s
+            continue
+        assert w.case_trace[-1].startswith("validated"), s
+        values = (evaluate_invariant(s, w.tag, w.point1), evaluate_invariant(s, w.tag, w.point2))
+        assert values == w.values and values[0] != values[1], s
+
+
+def test_a_and_b_are_determinate_at_every_rational_point():
+    # (C1)/(C2) keep some representative of A and of B nonzero and finite at
+    # every rational point, so exact points need no local-constancy fallback
+    checked = 0
+    for s in box_slice(4, 300) + [Y_13_2_6, Y_13_1_12, Y_13_12_1, S_13]:
+        for pt in point_search(s, 6):
+            for tag in ("A", "B"):
+                assert _eval_reps(s, tag, pt, Place(2)) is not None, (s, tag, pt)
+            checked += 1
+    assert checked > 500
 
 
 def test_witness_insoluble_detection():

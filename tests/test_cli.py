@@ -68,6 +68,16 @@ def test_cli_non_symmetric_matrix_is_input_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("diagonals, message", [
+    (((1, 1, 1, 1, 1), (0, 0, 1, 2, 3)), "pencil quintic is not squarefree; the surface is singular"),
+    (((0,) * 5, (0,) * 5), "pencil discriminant vanishes identically; not a del Pezzo pencil"),
+])
+def test_cli_solubility_rejects_singular_pencils(capsys, diagonals, message):
+    mats = [[[d if i == j else 0 for j in range(5)] for i, d in enumerate(diag)] for diag in diagonals]
+    code, out, err = run_cli(capsys, "solubility", json.dumps({"matrices": mats}))
+    assert (code, out, err) == (2, "", f"input error: {message}\n")
+
+
 def test_cli_classify_bsd(capsys):
     bsd = {"matrices": [
         [[0, -1, 0, 0, 0], [-1, 0, 0, 0, 0], [0, 0, 2, 0, 0], [0, 0, 0, -10, 0], [0, 0, 0, 0, 0]],

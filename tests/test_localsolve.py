@@ -4,7 +4,8 @@ import random
 import pytest
 
 from dp4 import localsolve
-from dp4.quadform import GeneralSurface, SubfamilySurface, check_subfamily, mat_det, to_matrices
+from dp4.quadform import (GeneralSurface, SubfamilySurface, check_subfamily, discriminant_quintic,
+                          mat_det, to_matrices)
 from dp4.localsolve import (
     EnumerationBudgetError,
     _shuffled_children,
@@ -19,11 +20,11 @@ from dp4.localsolve import (
     normalize_residue_tuple,
     sample_local_points,
 )
-from dp4.arith import legendre, sqrt_mod_prime_power
+from dp4.arith import legendre
 from dp4.families import make_Y
 
-from helpers import (CASE_PATTERN_SURFACES, INSOLUBLE_AT_P, exhaustive_primitive_solutions_exist,
-                     search_valid_surfaces)
+from helpers import (CASE_PATTERN_SURFACES, INSOLUBLE_AT_P, box_slice,
+                     exhaustive_primitive_solutions_exist, search_valid_surfaces)
 
 Y_13_2_6 = SubfamilySurface(13, 2, -13, 1, -6, 1)
 Y_13_1_12 = SubfamilySurface(13, 1, -13, 1, -12, 1)
@@ -137,7 +138,7 @@ def test_sampling_beyond_the_enumeration_budget():
 def test_level1_draws_are_bounded_beyond_the_enumeration_budget(monkeypatch):
     # mod P no level-1 point of (P, P, P, c, d, -mP) is certified, so pass 1
     # could draw all ~P^2 of them; beyond the exhaustive budget it stops
-    # after ``budget`` draws instead
+    # after SAMPLING_BUDGET draws instead
     P = 10007
     s = SubfamilySurface(P, P, P, 1, 194, -7 * P)  # (C1) with N = 2P
     drawn = [0]
@@ -149,8 +150,9 @@ def test_level1_draws_are_bounded_beyond_the_enumeration_budget(monkeypatch):
             yield pt
 
     monkeypatch.setattr(localsolve, "iter_residue_points", counting)
+    monkeypatch.setattr(localsolve, "SAMPLING_BUDGET", 500)
     with pytest.raises(EnumerationBudgetError):
-        sample_local_points(s, P, 16, 8, budget=500)
+        sample_local_points(s, P, 16, 8)
     assert drawn[0] == 501
 
 
@@ -219,25 +221,10 @@ def test_decide_paper_surfaces():
 def test_s_family_2adic_witness_from_unit_square():
     # a = 153 = 1 mod 8, so (1 : 0 : 0 : 0 : sqrt(a)) is a 2-adic point
     k = 6
-    roots = sqrt_mod_prime_power(153, 2, k)
-    assert roots
-    pt = normalize_residue_tuple(2, k, (1, 0, 0, 0, roots[0]))
+    root = next(r for r in range(2 ** k) if (r * r - 153) % 2 ** k == 0)
+    pt = normalize_residue_tuple(2, k, (1, 0, 0, 0, root))
     assert S_13.eq1(pt.coords) % 2 ** k == 0 and S_13.eq2(pt.coords) % 2 ** k == 0
     assert lift_certificate(S_13, pt) is not None
-
-
-def box_slice(seed, count):
-    """Distinct valid surfaces drawn from p in {5, 13}, |A|, |B|, |C|, |D| <= 6, 0 < |M| <= 30."""
-    rng = random.Random(seed)
-    out = []
-    while len(out) < count:
-        p = rng.choice((5, 13))
-        A, B, C, D = (rng.randint(-6, 6) for _ in range(4))
-        M = rng.choice([m for m in range(-30, 31) if m])
-        s = SubfamilySurface(p, A, B, C, D, M)
-        if s not in out and check_subfamily(s).valid:
-            out.append(s)
-    return out
 
 
 def test_box_verdicts_are_conclusive_and_sound():
@@ -449,6 +436,27 @@ def test_general_report_computes_the_quintic_once(monkeypatch):
     assert rep.rows[0][1] == decide_R(BSD)
 
 
+# pencils whose quintic det(k*mat1 + l*mat2) has a repeated root
+REPEATED_ROOT_PENCILS = [
+    (GeneralSurface(diag(1, 1, 1, 1, 1), diag(0, 0, 1, 2, 3)), [1, 6, 11, 6, 0, 0]),  # k^2 at (0 : 1)
+    (GeneralSurface(diag(1, 1, 1, 1, 1), diag(1, 1, 2, 3, 4)), [1, 11, 45, 85, 74, 24]),  # (k + l)^2
+    (GeneralSurface(diag(0, 0, 1, 1, 1), diag(1, 1, 2, 3, 4)), [0, 0, 1, 9, 26, 24]),  # l^2 at (1 : 0)
+]
+ZERO_PENCIL = GeneralSurface(diag(0, 0, 0, 0, 0), diag(0, 0, 0, 0, 0))
+
+
+@pytest.mark.parametrize("g, quintic", REPEATED_ROOT_PENCILS)
+def test_general_report_rejects_a_quintic_with_a_repeated_root(g, quintic):
+    assert discriminant_quintic(g) == quintic
+    with pytest.raises(ValueError, match="pencil quintic is not squarefree; the surface is singular"):
+        everywhere_locally_soluble_general(g)
+
+
+def test_general_report_rejects_the_zero_pencil():
+    with pytest.raises(ValueError, match="pencil discriminant vanishes identically"):
+        everywhere_locally_soluble_general(ZERO_PENCIL)
+
+
 def test_bad_reduction_beyond_the_enumeration_budget_stays_inconclusive():
     # 61 divides 1*(-61) - 0*1 and so the pencil discriminant: the quintic has
     # a repeated root mod 61 > GENERAL_ENUM_BUDGET, and no theorem decides it
@@ -490,11 +498,12 @@ def test_case7_substitution_preserves_residue_counts():
         assert len(list(iter_residue_points(s, q))) == len(list(iter_residue_points(s2, q))), q
 
 
-def test_sampling_insoluble_surface_raises():
+def test_sampling_insoluble_surface_raises(monkeypatch):
     from dp4.localsolve import SamplingBudgetError
 
+    monkeypatch.setattr(localsolve, "SAMPLING_BUDGET", 30_000)
     with pytest.raises(SamplingBudgetError):
-        sample_local_points(INSOLUBLE_AT_P[0], 5, 4, 6, budget=30_000)
+        sample_local_points(INSOLUBLE_AT_P[0], 5, 4, 6)
 
 
 def test_y_family_points_at_p_have_unit_u():
