@@ -160,15 +160,18 @@ def evaluate_invariant(s: SubfamilySurface, tag: str, point, v=None) -> Fraction
     """Local invariant of the class at a point, in {0, 1/2}.
 
     ``point`` is either an exact integer 5-tuple (then ``v`` names the place)
-    or a PadicApproxPoint (then the place is its prime).  Representations that
-    vanish are skipped.  At a rational point some representation of A and
-    of B is always determinate (see ``_direct_value``); an imprecise local
+    or a PadicApproxPoint (then the place is its prime); an exact point off
+    the surface, or zero, is a ValueError at every place.  Representations
+    that vanish are skipped.  At a rational point some representation of A
+    and of B is always determinate (see ``_direct_value``); an imprecise local
     point is re-lifted, doubling the precision up to four times, and where
     every representation stays indeterminate nearby points carry the value.
     Class C is A + B wherever both are determinate (see ``_point_values``).
     """
     if not isinstance(point, PadicApproxPoint):
-        point = tuple(int(c) for c in point)
+        point = normalize_point(point)
+        if not s.contains(point):
+            raise ValueError(f"{point} is not on {s.label()}")
         if v is None:
             raise ValueError("exact points need an explicit place")
         if not isinstance(v, Place):

@@ -134,15 +134,41 @@ def _level1_subfamily(s: SubfamilySurface, q: int):
 
 
 def _level1_general(g: GeneralSurface, q: int):
+    """The projective F_q points on both quadrics, normalized, line by line.
+
+    Pinned index first, then the tail lexicographically.  Fixing x0..x3 leaves
+    a line on which each quadric is a x4^2 + b x4 + c (the parts from x0..x2
+    summed once per prefix): the roots of the first, increasing, that solve
+    the second.  So O(q^3) line solves, not O(q^4) evaluations.
+    """
     if q > GENERAL_ENUM_BUDGET:
         raise EnumerationBudgetError(
             f"residue enumeration for a general pencil is limited to q <= {GENERAL_ENUM_BUDGET}, got {q}")
-    for pinned in range(5):
-        head = (0,) * pinned + (1,)
-        for tail in itertools.product(range(q), repeat=4 - pinned):
-            pt = head + tail
-            if g.quad_value(0, pt) % q == 0 and g.quad_value(1, pt) % q == 0:
-                yield PadicApproxPoint(q, 1, pt, pinned)
+    mats, roots, inv = (g.mat1, g.mat2), _sqrt_table(q), [0] + [pow(x, -1, q) for x in range(1, q)]
+    (a1, e1, d1), (a2, e2, d2) = ((m[4][4], m[3][4], m[3][3]) for m in mats)
+
+    def first_roots(b: int, c: int) -> list[int] | range:
+        if q == 2:
+            return [x for x in (0, 1) if (a1 * x + b * x + c) % 2 == 0]
+        if a1 % q:
+            return sorted((r - b) * inv[2 * a1 % q] % q for r in roots[(b * b - 4 * a1 * c) % q])
+        if b % q:
+            return [-c * inv[b % q] % q]
+        return range(q) if c % q == 0 else []  # the line lies in the first quadric
+
+    lines = ((pinned, (0,) * pinned + (1,) + tail, range(q))
+             for pinned in range(3) for tail in itertools.product(range(q), repeat=2 - pinned))
+    for pinned, z, x3s in itertools.chain(lines, [(3, (0, 0, 0), (1,))]):
+        (c1, l1, k1), (c2, l2, k2) = ((sum(m[i][j] * z[i] * z[j] for i in range(3) for j in range(3)),
+                                       2 * sum(m[i][3] * z[i] for i in range(3)),
+                                       2 * sum(m[i][4] * z[i] for i in range(3))) for m in mats)
+        for x3 in x3s:
+            b2, cc2 = k2 + 2 * e2 * x3, c2 + (l2 + d2 * x3) * x3
+            for x4 in first_roots(k1 + 2 * e1 * x3, c1 + (l1 + d1 * x3) * x3):
+                if (a2 * x4 * x4 + b2 * x4 + cc2) % q == 0:
+                    yield PadicApproxPoint(q, 1, z + (x3, x4), pinned)
+    if a1 % q == 0 and a2 % q == 0:
+        yield PadicApproxPoint(q, 1, (0, 0, 0, 0, 1), 4)
 
 
 def iter_residue_points(surface, q: int, rng: random.Random | None = None):

@@ -529,6 +529,23 @@ def test_rational_point_evaluation_matches_local():
     assert exact == evaluate_invariant(Y_13_12_1, "B", local)
 
 
+def test_exact_points_are_normalized_and_checked_against_the_surface():
+    # an off-surface tuple or the zero tuple is an input error at every
+    # place; a scaled, sign-flipped point takes the primitive point's values
+    assert not Y_13_2_6.contains((1, 1, 1, 1, 1))
+    for v in (PLACE_INF, Place(2), Place(13)):
+        for tag in "ABC":
+            with pytest.raises(ValueError, match="is not on X_13_2_-13_1_-6_1"):
+                evaluate_invariant(Y_13_2_6, tag, (1, 1, 1, 1, 1), v)
+            with pytest.raises(ValueError, match="zero tuple"):
+                evaluate_invariant(Y_13_2_6, tag, (0, 0, 0, 0, 0), v)
+    pt = (1, -3, 2, 7, 16)
+    for q in (2, 3, 13):
+        for tag in "ABC":
+            assert (evaluate_invariant(Y_13_12_1, tag, tuple(-2 * c for c in pt), Place(q))
+                    == evaluate_invariant(Y_13_12_1, tag, pt, Place(q)))
+
+
 def test_class_representations_have_expected_fractions():
     reps = {r.label for r in class_representations(Y_13_2_6, "A")}
     assert "u/(Au+Bv)" in reps and "Mv/(Au+Bv)" in reps

@@ -20,7 +20,7 @@ from dp4.localsolve import (
     normalize_residue_tuple,
     sample_local_points,
 )
-from dp4.arith import legendre
+from dp4.arith import divisors, legendre
 from dp4.families import make_Y
 
 from helpers import (CASE_PATTERN_SURFACES, INSOLUBLE_AT_P, box_slice,
@@ -467,6 +467,73 @@ def test_bad_reduction_beyond_the_enumeration_budget_stays_inconclusive():
     assert (verdict.status, verdict.method, note) == (
         "inconclusive", "bad reduction beyond enumeration budget", "")
     assert 61 not in rep.decided_places and rep.everywhere_soluble is None
+
+
+def reference_general_level1(g, q):
+    """The exhaustive order on a general pencil, as nested loops over the pinned tails."""
+    out = []
+    for pinned in range(5):
+        for tail in itertools.product(range(q), repeat=4 - pinned):
+            pt = (0,) * pinned + (1,) + tail
+            if g.quad_value(0, pt) % q == 0 and g.quad_value(1, pt) % q == 0:
+                out.append((pt, pinned))
+    return out
+
+
+def random_symmetric(rng):
+    m = [[0] * 5 for _ in range(5)]
+    for i, j in itertools.combinations_with_replacement(range(5), 2):
+        m[i][j] = m[j][i] = rng.randint(-3, 3)
+    return tuple(map(tuple, m))
+
+
+ORDER_PENCILS = [GeneralSurface(random_symmetric(rng), random_symmetric(rng))
+                 for rng in map(random.Random, range(3))] + [
+    # x4 is absent from the first form, so each line over a zero of
+    # 2 x0 x1 + x2^2 - x3^2 lies inside the first quadric
+    GeneralSurface(((0, 1, 0, 0, 0), (1, 0, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, -1, 0), (0, 0, 0, 0, 0)),
+                   ((1, 0, 1, 0, 0), (0, 2, 0, 1, 0), (1, 0, -1, 0, 1), (0, 1, 0, 3, 0), (0, 0, 1, 0, 5))),
+    # the x4^2 coefficient 30030 = 2*3*5*7*11*13 vanishes mod every q tested,
+    # the x4 coefficient 2 (x0 + x2) does not: the first form is linear in x4
+    GeneralSurface(((1, 0, 0, 0, 1), (0, -1, 0, 0, 0), (0, 0, 2, 0, 1), (0, 0, 0, 1, 0), (1, 0, 1, 0, 30030)),
+                   diag(1, 1, -1, 2, -3)),
+]
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13])
+@pytest.mark.parametrize("g", ORDER_PENCILS)
+def test_general_residue_order_is_the_nested_loop(g, q):
+    assert [(pt.coords, pt.pinned) for pt in iter_residue_points(g, q)] == reference_general_level1(g, q)
+
+
+def test_general_enumeration_budget_edge():
+    assert localsolve.GENERAL_ENUM_BUDGET == 60
+    pts = list(iter_residue_points(BSD, 59))
+    assert pts and all(f % 59 == 0 for pt in pts for f in BSD.equations(pt.coords))
+    with pytest.raises(EnumerationBudgetError):
+        list(iter_residue_points(BSD, 61))
+
+
+@pytest.mark.parametrize("p", [29, 37, 53])
+def test_general_path_agrees_with_the_subfamily_path(p):
+    # to_matrices doubles each form, so at odd q both zero sets coincide
+    def statuses(rep):
+        return {label: v.status for label, v, _ in rep.rows
+                if v is not None and v.status != "inconclusive"}
+
+    conclusive = 0
+    for a in divisors(p - 1):
+        s = make_Y(p, a, (p - 1) // a)
+        g = to_matrices(s)
+        general, sub = everywhere_locally_soluble_general(g), everywhere_locally_soluble(s)
+        assert general.everywhere_soluble in (None, sub.everywhere_soluble), (p, a)
+        conclusive += general.everywhere_soluble is not None
+        ours, theirs = statuses(general), statuses(sub)
+        assert all(ours[label] == theirs[label] for label in ours.keys() & theirs.keys()), (p, a)
+        if a in (2, p - 1):
+            assert ([pt.coords for pt in iter_residue_points(g, p)]
+                    == [pt.coords for pt in iter_residue_points(s, p)])
+    assert conclusive
 
 
 def test_soluble_witnesses_verify():
