@@ -40,6 +40,7 @@ from .localsolve import (
     PadicApproxPoint,
     SamplingBudgetError,
     decide_Qq,
+    everywhere_locally_soluble,
     expand_children,
     lift_certificate,
     newton_refine,
@@ -876,8 +877,6 @@ def bm_verdict(s: SubfamilySurface, sample_budget: int = 64, seed: int = 0) -> O
     classes; family theorems and the Klein-four identity are checked on that
     sample, and a mismatch is a hard error.
     """
-    from .localsolve import everywhere_locally_soluble
-
     validate_subfamily(s)
     els = everywhere_locally_soluble(s)
     if els.everywhere_soluble is not True:
@@ -977,8 +976,11 @@ def reciprocity_check(s: SubfamilySurface, point) -> bool:
 
     Every representative is a product of the seven factor values, so the
     symbols are trivial away from {2, p} and the primes of the nonzero values
-    (each factored once), and at the real place since p > 0.  One evaluation
-    per place gives A, B and C and runs the Klein-four check there.
+    (each factored once), and at the real place since p > 0.  They are also
+    trivial at odd q != p with (p/q) = 1: p is a square unit in Q_q, so every
+    representative gives 0 (A and B stay determinate at rational points, see
+    ``_direct_value``).  One evaluation per remaining place gives A, B and C
+    and runs the Klein-four check there.
     """
     point = normalize_point(point)
     if not s.contains(point):
@@ -986,7 +988,7 @@ def reciprocity_check(s: SubfamilySurface, point) -> bool:
     places = {2, s.p}
     for value in _factor_values(s, point).values():
         if value:
-            places.update(factor(abs(value)))
+            places.update(q for q in factor(abs(value)) if q == 2 or _legendre_unchecked(s.p, q) != 1)
     totals = [ZERO, ZERO, ZERO]
     for q in sorted(places):
         values = _point_values(s, point, Place(q))

@@ -195,40 +195,7 @@ def iter_residue_points(surface, q: int, rng: random.Random | None = None):
 
 
 # ---------------------------------------------------------------------------
-# Hensel certificates and Newton refinement
-
-
-def _check_point_invariants(surface, pt: PadicApproxPoint) -> None:
-    mod = pt.q ** pt.k
-    if pt.coords[pt.pinned] % pt.q == 0:
-        raise ValueError("pinned coordinate is not a unit")
-    f1, f2 = surface.equations(pt.coords)
-    if f1 % mod or f2 % mod:
-        raise ValueError(f"point does not satisfy the equations mod {pt.q}^{pt.k}")
-
-
-def lift_certificate(surface, pt: PadicApproxPoint) -> LiftCertificate | None:
-    """Certificate that pt lifts to a Q_q point, or None if precision is too low.
-
-    Exists when some 2x2 Jacobian minor has valuation e with 2e+1 <= k; the
-    residuals already vanish mod q^k >= q^(2e+1).
-    """
-    _check_point_invariants(surface, pt)
-    q, k = pt.q, pt.k
-    j1, j2 = surface.jacobian(pt.coords)
-    best: LiftCertificate | None = None
-    for a, b in itertools.combinations(range(5), 2):
-        minor = j1[a] * j2[b] - j1[b] * j2[a]
-        if minor % q ** k == 0:
-            continue  # valuation at least k at this precision
-        e = valuation(minor % q ** k, q)
-        if best is None or e < best.e:
-            best = LiftCertificate((a, b), e)
-            if e == 0:
-                break
-    if best is not None and 2 * best.e + 1 <= k:
-        return best
-    return None
+# Newton refinement
 
 
 def newton_refine(surface, pt: PadicApproxPoint, target_k: int) -> PadicApproxPoint:
@@ -273,13 +240,14 @@ def newton_refine(surface, pt: PadicApproxPoint, target_k: int) -> PadicApproxPo
     out = normalize_residue_tuple(q, target_k, coords)
     if out is None or out.pinned != pt.pinned:
         raise AssertionError("Newton refinement lost primitivity or moved the pinned coordinate")
-    out = replace(out, cert=pt.cert)
-    _check_point_invariants(surface, out)
-    return out
+    f1, f2 = surface.equations(out.coords)
+    if f1 % q ** target_k or f2 % q ** target_k:
+        raise ValueError(f"point does not satisfy the equations mod {q}^{target_k}")
+    return replace(out, cert=pt.cert)
 
 
 # ---------------------------------------------------------------------------
-# digit-by-digit expansion
+# node readings: Hensel certificates and digit-by-digit lifts
 
 
 def _reduce_digit_system(rows, rhs, q: int):
@@ -308,43 +276,75 @@ def _reduce_digit_system(rows, rhs, q: int):
     return mat, pivots
 
 
-def _child_decoder(surface, pt: PadicApproxPoint):
-    """(n, child): pt has n lifts mod q^(k+1), and child(i) is the i-th of them.
+def _node(surface, pt: PadicApproxPoint):
+    """One reading of a residue node: (cert, lifts).
 
-    The index is read in base q as the free digits of the digit system, the
-    last free digit varying fastest; n is 0 when pt is dead.
+    Checks that the pinned coordinate is a unit and that both residuals vanish
+    mod q^k, then evaluates the equations and the 2x5 Jacobian once.  cert is
+    a 2x2 Jacobian minor of least valuation e, when 2e+1 <= k (the residuals
+    already vanish mod q^k >= q^(2e+1)), else None.  lifts() builds the digit
+    system from the same values and returns (n, child): pt has n lifts mod
+    q^(k+1), and child(i) is the i-th of them, the index read in base q as the
+    free digits, the last free digit varying fastest; n is 0 when pt is dead.
     """
     q, k = pt.q, pt.k
     qk = q ** k
+    if pt.coords[pt.pinned] % q == 0:
+        raise ValueError("pinned coordinate is not a unit")
     f1, f2 = surface.equations(pt.coords)
+    if f1 % qk or f2 % qk:
+        raise ValueError(f"point does not satisfy the equations mod {q}^{k}")
     j1, j2 = surface.jacobian(pt.coords)
-    free_idx = [idx for idx in range(5) if idx != pt.pinned]
-    rows = ([j1[idx] % q for idx in free_idx], [j2[idx] % q for idx in free_idx])
-    reduced = _reduce_digit_system(rows, ((-(f1 // qk)) % q, (-(f2 // qk)) % q), q)
-    if reduced is None:
-        return 0, None
-    mat, pivots = reduced
-    free = [c for c in range(4) if c not in pivots]
+    best: LiftCertificate | None = None
+    for a, b in itertools.combinations(range(5), 2):
+        minor = (j1[a] * j2[b] - j1[b] * j2[a]) % qk
+        if minor == 0:
+            continue  # valuation at least k at this precision
+        e = valuation(minor, q)
+        if best is None or e < best.e:
+            best = LiftCertificate((a, b), e)
+            if e == 0:
+                break
+    cert = best if best is not None and 2 * best.e + 1 <= k else None
 
-    def child(i: int) -> PadicApproxPoint:
-        t = [0, 0, 0, 0]
-        for c in reversed(free):
-            i, t[c] = divmod(i, q)
-        for row, pc in zip(mat, pivots):
-            t[pc] = (row[4] - sum(row[c] * t[c] for c in free)) % q
-        coords = list(pt.coords)
-        for pos, idx in enumerate(free_idx):
-            coords[idx] += qk * t[pos]
-        return PadicApproxPoint(q, k + 1, tuple(coords), pt.pinned)
+    def lifts():
+        free_idx = [idx for idx in range(5) if idx != pt.pinned]
+        rows = ([j1[idx] % q for idx in free_idx], [j2[idx] % q for idx in free_idx])
+        reduced = _reduce_digit_system(rows, ((-(f1 // qk)) % q, (-(f2 // qk)) % q), q)
+        if reduced is None:
+            return 0, None
+        mat, pivots = reduced
+        free = [c for c in range(4) if c not in pivots]
 
-    return q ** len(free), child
+        def child(i: int) -> PadicApproxPoint:
+            t = [0, 0, 0, 0]
+            for c in reversed(free):
+                i, t[c] = divmod(i, q)
+            for row, pc in zip(mat, pivots):
+                t[pc] = (row[4] - sum(row[c] * t[c] for c in free)) % q
+            coords = list(pt.coords)
+            for pos, idx in enumerate(free_idx):
+                coords[idx] += qk * t[pos]
+            return PadicApproxPoint(q, k + 1, tuple(coords), pt.pinned)
+
+        return q ** len(free), child
+
+    return cert, lifts
+
+
+def lift_certificate(surface, pt: PadicApproxPoint) -> LiftCertificate | None:
+    """Certificate that pt lifts to a Q_q point, or None if precision is too low.
+
+    The certificate half of one node reading (``_node``): a 2x2 Jacobian minor
+    of valuation e with 2e+1 <= k.  ValueError if pt is not a solution mod q^k.
+    """
+    return _node(surface, pt)[0]
 
 
 def expand_children(surface, pt: PadicApproxPoint):
-    """All normalized solutions mod q^(k+1) lying over pt, lazily."""
-    n, child = _child_decoder(surface, pt)
-    for i in range(n):
-        yield child(i)
+    """All normalized solutions mod q^(k+1) over pt, lazily, in order: the lifts half of ``_node``."""
+    n, child = _node(surface, pt)[1]()
+    yield from map(child, range(n))
 
 
 def _shuffled_indices(n: int, rng: random.Random):
@@ -359,12 +359,6 @@ def _shuffled_indices(n: int, rng: random.Random):
         j = rng.randrange(i, n)
         yield swapped.get(j, j)
         swapped[j] = swapped.pop(i, i)
-
-
-def _shuffled_children(surface, pt: PadicApproxPoint, rng: random.Random):
-    """The lifts of pt in seeded random order, drawn lazily."""
-    n, child = _child_decoder(surface, pt)
-    return map(child, _shuffled_indices(n, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -403,37 +397,35 @@ def decide_Qq(surface, q: int, budget: int = DEFAULT_EXPANSION_BUDGET) -> Solubi
     """One depth-first walk over primitive solutions mod q^k, cut at LEVEL_CAP.
 
     The level-1 points and the lifts of each node are taken in the fixed
-    exhaustive order; a branch ends at its first certified candidate, which
-    proves solubility.  If every branch dies before some level, that level
-    is empty and the surface is insoluble at q (a Q_q point would reduce to
-    every level).  A branch cut at LEVEL_CAP, or a walk past ``budget``
-    lifts, is inconclusive, never insoluble.  Lifts are streamed, so memory
-    stays bounded even when a singular residue point has a full digit space
-    of lifts.
+    exhaustive order.  Each node is read once (``_node``): its certificate,
+    and from the same values its lifts when the walk descends.  A branch
+    ends at its first certified candidate, which proves solubility.  If
+    every branch dies before some level, that level is empty and the surface
+    is insoluble at q (a Q_q point would reduce to every level).  A branch
+    cut at LEVEL_CAP, or a walk past ``budget`` lifts, is inconclusive,
+    never insoluble.  Lifts are streamed, so memory stays bounded even when
+    a singular residue point has a full digit space of lifts.
     """
     if not is_prime(q):
         raise ValueError(f"{q} is not prime")
-
-    class State:
-        expansions = 0
-        deepest = 0
-        truncated = False  # some branch hit the cap without a certificate
-
-    state = State()
+    expansions = deepest = 0
+    truncated = False  # some branch hit the cap without a certificate
 
     def dfs(pt: PadicApproxPoint):
-        cert = lift_certificate(surface, pt)
+        nonlocal expansions, deepest, truncated
+        cert, lifts = _node(surface, pt)
         if cert is not None:
             return replace(pt, cert=cert)
-        state.deepest = max(state.deepest, pt.k)
+        deepest = max(deepest, pt.k)
         if pt.k >= LEVEL_CAP:
-            state.truncated = True
+            truncated = True
             return None
-        for child in expand_children(surface, pt):
-            state.expansions += 1
-            if state.expansions > budget:
+        n, child = lifts()
+        for i in range(n):
+            expansions += 1
+            if expansions > budget:
                 raise _BudgetExhausted
-            found = dfs(child)
+            found = dfs(child(i))
             if found is not None:
                 return found
         return None
@@ -446,13 +438,13 @@ def decide_Qq(surface, q: int, budget: int = DEFAULT_EXPANSION_BUDGET) -> Solubi
             if found is not None:
                 return SolubilityVerdict(q, "soluble", found, level=found.k, method="hensel")
     except _BudgetExhausted:
-        return SolubilityVerdict(q, "inconclusive", level=state.deepest,
+        return SolubilityVerdict(q, "inconclusive", level=deepest,
                                  method="expansion budget exhausted")
     if not seen_any:
         return SolubilityVerdict(q, "insoluble", level=1, method="empty residue level")
-    if state.truncated:
+    if truncated:
         return SolubilityVerdict(q, "inconclusive", level=LEVEL_CAP, method="level budget exhausted")
-    return SolubilityVerdict(q, "insoluble", level=state.deepest + 1, method="empty residue level")
+    return SolubilityVerdict(q, "insoluble", level=deepest + 1, method="empty residue level")
 
 
 class _BudgetExhausted(Exception):
@@ -641,9 +633,9 @@ def sample_local_points(surface, q: int, count: int, precision: int,
     the classes drawn lazily in seeded random order until ``count`` points are
     in hand, so a small request costs about the same at any q.  Only once every
     level-1 class has been drawn: one depth-first search below the uncertified
-    classes, down to max(precision, LEVEL_CAP), each node's lifts drawn
-    lazily in seeded random order, then further lifts of the certified
-    classes.  SAMPLING_BUDGET caps the lifts inspected in passes 2 and 3.
+    classes, down to max(precision, LEVEL_CAP), each node read once and its
+    lifts drawn lazily in seeded random order, then further lifts of the
+    certified classes.  SAMPLING_BUDGET caps the lifts inspected in passes 2 and 3.
     Beyond the exhaustive enumeration budget (q > RESIDUE_ENUM_BUDGET) the
     level-1 set is never exhausted, so pass 1 draws at most SAMPLING_BUDGET
     classes there and then raises EnumerationBudgetError.  Takes subfamily
@@ -658,18 +650,12 @@ def sample_local_points(surface, q: int, count: int, precision: int,
     seen: set[tuple] = set()
     spent = 0
 
-    def try_collect(pt: PadicApproxPoint) -> bool | None:
-        """None if pt is uncertified, else whether its refinement is a new point."""
-        cert = lift_certificate(surface, pt)
-        if cert is None:
-            return None
+    def try_collect(pt: PadicApproxPoint, cert: LiftCertificate) -> None:
+        """Refine a certified pt to the precision and keep it if it is a new point."""
         refined = newton_refine(surface, replace(pt, cert=cert), precision)
-        key = refined.coords
-        if key in seen:
-            return False
-        seen.add(key)
-        out.append(refined)
-        return True
+        if refined.coords not in seen:
+            seen.add(refined.coords)
+            out.append(refined)
 
     # pass 1: one certified point per level-1 class where immediately possible
     pending = []
@@ -677,9 +663,11 @@ def sample_local_points(surface, q: int, count: int, precision: int,
         if q > RESIDUE_ENUM_BUDGET and len(certified) + len(pending) >= budget:
             raise EnumerationBudgetError(
                 f"{budget} level-1 classes drawn at q={q} gave only {len(out)} of {count} certified points")
-        if try_collect(pt) is None:
+        cert = lift_certificate(surface, pt)
+        if cert is None:
             pending.append(pt)
         else:
+            try_collect(pt, cert)
             certified.append(pt)
             if len(out) >= count:
                 return out
@@ -691,18 +679,23 @@ def sample_local_points(surface, q: int, count: int, precision: int,
     max_depth = max(precision, LEVEL_CAP)
 
     def dfs_collect(pt: PadicApproxPoint, cap: int) -> None:
+        """Read pt once: keep it if certified, else descend into its lifts."""
         nonlocal spent
+        cert, lifts = _node(surface, pt)
+        if cert is not None:
+            try_collect(pt, cert)
+            return
         if len(out) >= cap or pt.k >= max_depth:
             return
-        for child in _shuffled_children(surface, pt, rng):
+        n, child = lifts()
+        for i in _shuffled_indices(n, rng):
             spent += 1
             if spent > budget:
                 raise SamplingBudgetError(
                     f"sampling budget exhausted with {len(out)}/{count} points")
             if len(out) >= cap:
                 return
-            if try_collect(child) is None:
-                dfs_collect(child, cap)
+            dfs_collect(child(i), cap)
 
     for _ in range(3):
         if len(out) >= count or not pending:
@@ -729,7 +722,9 @@ def sample_local_points(surface, q: int, count: int, precision: int,
                 raise SamplingBudgetError(f"sampling budget exhausted with {len(out)}/{count} points")
             if len(out) >= count:
                 break
-            try_collect(child)
+            cert = lift_certificate(surface, child)
+            if cert is not None:
+                try_collect(child, cert)
     if len(out) < count:
         raise SamplingBudgetError(f"only found {len(out)} of {count} requested points at q={q}")
     return out[:count]

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from dp4 import brauer, localsolve
-from dp4.arith import PLACE_INF, PadicScalar, Place, hilbert_symbol, legendre
+from dp4.arith import PLACE_INF, PadicScalar, Place, factor, hilbert_symbol, legendre
 from dp4.brauer import (
     CLASS_TAGS,
     IndeterminateEvaluationError,
@@ -513,6 +513,21 @@ def test_reciprocity_evaluates_each_class_once_per_finite_place(monkeypatch):
         places = {v for _, v in calls}
         assert {Place(2), Place(surface.p)} <= places and PLACE_INF not in places
         assert sorted(calls, key=str) == sorted(((tag, v) for tag in "AB" for v in places), key=str)
+
+
+def test_reciprocity_skips_only_places_where_every_class_is_zero():
+    # at an odd q != p with (p/q) = 1, (p, *)_q is identically 1, so every
+    # class is 0 and reciprocity_check leaves the place out
+    skipped = 0
+    for s in (Y_13_1_12, Y_13_12_1, *box_slice(7, 12)):
+        for point in point_search(s, 40):
+            primes = {q for value in brauer._factor_values(s, point).values() if value
+                      for q in factor(abs(value))}
+            for q in primes - {2, s.p}:
+                if legendre(s.p, q) == 1:
+                    assert brauer._point_values(s, point, Place(q)) == (ZERO, ZERO, ZERO), (s, point, q)
+                    skipped += 1
+    assert skipped > 0
 
 
 def test_rational_point_evaluation_at_real_place():

@@ -15,6 +15,8 @@ from pathlib import Path
 import pytest
 
 from dp4.cli import main
+from dp4.families import make_Y
+from dp4.quadform import to_matrices
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -24,6 +26,8 @@ BSD_SPEC = json.dumps({"matrices": [
 NARROW_SPEC = json.dumps({"matrices": [
     [[d if i == j else 0 for j in range(5)] for i, d in enumerate(diagonal)]
     for diagonal in ((1, 1, 1, -1000, -1000), (0, 0, 0, 1, 1))]})
+Y17_PENCIL = to_matrices(make_Y(17, 16, 1))
+Y17_SPEC = json.dumps({"matrices": [Y17_PENCIL.mat1, Y17_PENCIL.mat2]})
 
 CASES = {
     "census_Y_pmax30": ["census", "--family", "Y", "--pmax", "30"],
@@ -46,6 +50,8 @@ CASES = {
     # every member r*diag(1,1,1,-1000,-1000) + t*diag(0,0,0,1,1) with
     # 0 < r/t < 1/1000 is positive definite, and no other member is definite
     "solubility_narrow_oo": ["solubility", NARROW_SPEC, "--place", "oo"],
+    # the exhaustive walk at 2 reaches its first certified point at level 11
+    "solubility_Y_17_16_1_place2": ["solubility", Y17_SPEC, "--place", "2"],
 }
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -8,7 +9,8 @@ from dp4.quadform import (GeneralSurface, SubfamilySurface, check_subfamily, dis
                           mat_det, to_matrices)
 from dp4.localsolve import (
     EnumerationBudgetError,
-    _shuffled_children,
+    _node,
+    _shuffled_indices,
     decide_Qq,
     decide_R,
     everywhere_locally_soluble,
@@ -157,30 +159,67 @@ def test_level1_draws_are_bounded_beyond_the_enumeration_budget(monkeypatch):
 
 
 @pytest.mark.parametrize("q, count, precision", [(2, 64, 14), (3, 64, 8)])
-def test_sampler_certifies_each_lift_once(monkeypatch, q, count, precision):
-    # every lift_certificate call is on a level-1 class or on a lift drawn
-    # below one, and none of them is certified twice
-    counts = {"certificates": 0, "drawn": 0}
+def test_sampler_reads_each_drawn_lift_once(monkeypatch, q, count, precision):
+    # below level 1 a node is read only where a lift is drawn, and that one
+    # reading both certifies it and, when uncertified, lists its own lifts
+    reads, drawn = [], [0]
+    real_node, real_draws = localsolve._node, localsolve._shuffled_indices
 
-    def counting_draws(real):
-        def draws(*args, **kwargs):
-            for pt in real(*args, **kwargs):
-                counts["drawn"] += 1
-                yield pt
-        return draws
+    def node(surface, pt):
+        if pt.k > 1:
+            reads.append(pt)
+        return real_node(surface, pt)
 
-    def counting_certificates(real):
-        def certify(*args, **kwargs):
-            counts["certificates"] += 1
-            return real(*args, **kwargs)
-        return certify
+    def draws(n, rng):
+        for i in real_draws(n, rng):
+            drawn[0] += 1
+            yield i
 
-    for name in ("_shuffled_children", "expand_children", "iter_residue_points"):
-        monkeypatch.setattr(localsolve, name, counting_draws(getattr(localsolve, name)))
-    monkeypatch.setattr(localsolve, "lift_certificate", counting_certificates(lift_certificate))
+    monkeypatch.setattr(localsolve, "_node", node)
+    monkeypatch.setattr(localsolve, "_shuffled_indices", draws)
     pts = sample_local_points(Y_13_2_6, q, count, precision)
     assert len(pts) == count
-    assert counts["certificates"] <= counts["drawn"]
+    assert len({id(pt) for pt in reads}) == len(reads) > 0  # reads keeps each point alive: no id reuse
+    assert len(reads) <= drawn[0]
+
+
+class JacobianCounting(GeneralSurface):
+    reads = 0
+
+    def jacobian(self, coords):
+        type(self).reads += 1
+        return super().jacobian(coords)
+
+
+def test_decide_reads_each_node_once(monkeypatch):
+    # one equations-and-Jacobian reading per node the walk visits; reading
+    # the certificate and the lifts apart took 311 here
+    g = to_matrices(make_Y(17, 16, 1))
+    visited = [0]
+    real_node = localsolve._node
+
+    def node(surface, pt):
+        visited[0] += 1
+        return real_node(surface, pt)
+
+    monkeypatch.setattr(localsolve, "_node", node)
+    monkeypatch.setattr(JacobianCounting, "reads", 0)
+    verdict = decide_Qq(JacobianCounting(g.mat1, g.mat2), 2)
+    assert verdict.soluble and verdict.level == 11
+    assert JacobianCounting.reads == visited[0] == 156
+
+
+@pytest.mark.parametrize("s, q, count, precision, digest", [
+    (Y_13_2_6, 2, 64, 14, "40845caf9578852b"),
+    (CASE_PATTERN_SURFACES["case2"], 13, 64, 8, "e6f0c4e7c2ed3fa6"),
+])
+def test_sampler_walk_order_is_pinned(s, q, count, precision, digest):
+    # no level-1 class is certified here, so every point comes from pass 2's
+    # seeded walk: the digest pins its order and its rng draws
+    assert all(lift_certificate(s, pt) is None for pt in iter_residue_points(s, q))
+    pts = sample_local_points(s, q, count, precision)
+    listed = repr([(pt.coords, pt.pinned, pt.cert.cols, pt.cert.e) for pt in pts])
+    assert hashlib.sha256(listed.encode()).hexdigest()[:16] == digest
 
 
 def test_lift_certificate_unit_minor():
@@ -289,9 +328,10 @@ def test_expand_children_are_exactly_the_lifts():
                 brute.add(tuple(coords))
         assert children == brute
         # the sampler's order: the same lifts, each exactly once, fixed by the seed
-        shuffled = [c.coords for c in _shuffled_children(Y_13_2_6, pt, random.Random(5))]
+        n, child = _node(Y_13_2_6, pt)[1]()
+        shuffled = [child(i).coords for i in _shuffled_indices(n, random.Random(5))]
         assert sorted(shuffled) == sorted(brute)
-        again = [c.coords for c in _shuffled_children(Y_13_2_6, pt, random.Random(5))]
+        again = [child(i).coords for i in _shuffled_indices(n, random.Random(5))]
         assert again == shuffled
 
 
