@@ -7,6 +7,11 @@ candidate whose 2x5 Jacobian has a 2x2 minor of valuation e with 2e+1 <= k
 lifts to a genuine Q_q point by Newton iteration on the two selected
 coordinates; an empty level certifies insolubility, since a Q_q point would
 reduce to every level.
+
+Level 1 is solved slot by slot on a subfamily surface and plane by plane on a
+general pencil, where two conics meet in the roots of a resultant of degree
+at most 4.  Beyond the exhaustive enumeration budgets only certificates are
+sought, by seeded level-1 draws: they prove solubility, never insolubility.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .arith import factor, is_prime, legendre, valuation
+from .arith import factor, is_prime, legendre, sqrt_mod, valuation
 from .quadform import (
     GeneralSurface,
     SubfamilySurface,
@@ -32,6 +37,8 @@ SAMPLING_BUDGET = 200_000
 DEFAULT_EXPANSION_BUDGET = 10 ** 7
 RESIDUE_ENUM_BUDGET = 10 ** 4
 GENERAL_ENUM_BUDGET = 60
+CERTIFICATE_DRAWS = 1000  # seeded level-1 draws of decide_Qq beyond the exhaustive budgets
+ROOT_SCAN_BOUND = 64  # up to this q, polynomial roots are found by evaluating at every residue
 
 
 class EnumerationBudgetError(Exception):
@@ -99,17 +106,29 @@ def _sqrt_table(q: int) -> list[list[int]]:
     return table
 
 
+class _SqrtRoots:
+    """Indexed like ``_sqrt_table(q)``, by ``arith.sqrt_mod``: no memory that grows with q."""
+
+    def __init__(self, q: int):
+        self.q = q
+
+    def __getitem__(self, a: int) -> list[int]:
+        r = sqrt_mod(a, self.q)
+        return [] if r is None else [r, self.q - r] if r else [0]
+
+
 def _level1_subfamily(s: SubfamilySurface, q: int):
     """(n, slot): the projective F_q points on both quadrics, as n slots.
 
     Any solution has (u, v, x) != (0, 0, 0) mod q, so three pinned patterns
     cover everything: (1:v:x), then (0:1:x), then (0:0:1), the last
     coordinate varying fastest.  Slot i holds pattern i // 4 with the
-    (i // 2) % 2-th square root y and the i % 2-th square root z from the
-    root table; slot(i) is that point, already normalized, or None when the
-    root does not exist.
+    (i // 2) % 2-th square root y and the i % 2-th square root z, in
+    increasing order: from a root table within RESIDUE_ENUM_BUDGET, beyond it
+    from ``arith.sqrt_mod``, so that memory does not grow with q.  slot(i) is
+    that point, already normalized, or None when the root does not exist.
     """
-    roots = _sqrt_table(q)
+    roots = _sqrt_table(q) if q <= RESIDUE_ENUM_BUDGET else _SqrtRoots(q)
     p, A, B, C, D, M = s.p % q, s.A % q, s.B % q, s.C % q, s.D % q, s.M % q
     qq = q * q
 
@@ -133,65 +152,186 @@ def _level1_subfamily(s: SubfamilySurface, q: int):
     return 4 * (qq + q + 1), slot
 
 
-def _level1_general(g: GeneralSurface, q: int):
-    """The projective F_q points on both quadrics, normalized, line by line.
+def _poly_trim(f: list[int]) -> list[int]:
+    while f and f[-1] == 0:
+        f.pop()
+    return f
 
-    Pinned index first, then the tail lexicographically.  Fixing x0..x3 leaves
-    a line on which each quadric is a x4^2 + b x4 + c (the parts from x0..x2
-    summed once per prefix): the roots of the first, increasing, that solve
-    the second.  So O(q^3) line solves, not O(q^4) evaluations.
+
+def _poly_divmod(f: list[int], g: list[int], q: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of f by g != 0 over F_q, coefficients lowest first."""
+    f, quo = [c % q for c in f], [0] * max(len(f) - len(g) + 1, 0)
+    inv = pow(g[-1], -1, q)
+    for shift in range(len(f) - len(g), -1, -1):
+        c = quo[shift] = f[shift + len(g) - 1] * inv % q
+        for i, gi in enumerate(g):
+            f[shift + i] = (f[shift + i] - c * gi) % q
+    return quo, _poly_trim(f[:len(g) - 1])
+
+
+def _poly_gcd(f: list[int], g: list[int], q: int) -> list[int]:
+    """The monic gcd over F_q; [] when f and g are both 0."""
+    while g:
+        f, g = g, _poly_divmod(f, g, q)[1]
+    return [c * pow(f[-1], -1, q) % q for c in f] if f else []
+
+
+def _poly_powmod(f: list[int], e: int, m: list[int], q: int) -> list[int]:
+    """f^e mod m over F_q, by squaring and multiplying; m of degree at least 1."""
+    inv = pow(m[-1], -1, q)
+    m, d, out = [c * inv % q for c in m], len(m) - 1, [1]
+    for bit in bin(e)[2:]:
+        for g in [out, f][:1 + (bit == "1")]:
+            prod = [0] * (len(out) + len(g))
+            for i, a in enumerate(out):
+                for j, b in enumerate(g):
+                    prod[i + j] += a * b
+            for k in range(len(prod) - 1, d - 1, -1):  # subtract prod[k] x^(k-d) m, m monic
+                c = prod[k] % q
+                for i in range(d):
+                    prod[k - d + i] -= c * m[i]
+            out = _poly_trim([c % q for c in prod[:d]])
+    return out
+
+
+def _poly_roots(f: list[int], q: int, rng: random.Random) -> list[int]:
+    """The distinct roots in F_q of f != 0 of degree at most 4 (coefficients lowest first), sorted.
+
+    Up to ROOT_SCAN_BOUND, f is evaluated at every residue.  Beyond it,
+    gcd(f, x^q - x) keeps one linear factor per root, and equal-degree
+    splitting (D. G. Cantor and H. Zassenhaus, Math. Comp. 36 (1981))
+    separates them: O(log q) products of polynomials of degree below 4.
     """
-    if q > GENERAL_ENUM_BUDGET:
-        raise EnumerationBudgetError(
-            f"residue enumeration for a general pencil is limited to q <= {GENERAL_ENUM_BUDGET}, got {q}")
-    mats, roots, inv = (g.mat1, g.mat2), _sqrt_table(q), [0] + [pow(x, -1, q) for x in range(1, q)]
-    (a1, e1, d1), (a2, e2, d2) = ((m[4][4], m[3][4], m[3][3]) for m in mats)
+    f = _poly_trim([c % q for c in f])
+    if q <= ROOT_SCAN_BOUND:
+        c0, c1, c2, c3, c4 = f + [0] * (5 - len(f))
+        return [x for x in range(q) if (c0 + x * (c1 + x * (c2 + x * (c3 + x * c4)))) % q == 0]
+    if len(f) > 2:
+        xq = _poly_powmod([0, 1], q, f, q) + [0, 0]
+        f = _poly_gcd(f, _poly_trim([(c - (i == 1)) % q for i, c in enumerate(xq)]), q)
+    return sorted(_split_roots(f, q, rng))
 
-    def first_roots(b: int, c: int) -> list[int] | range:
-        if q == 2:
-            return [x for x in (0, 1) if (a1 * x + b * x + c) % 2 == 0]
-        if a1 % q:
-            return sorted((r - b) * inv[2 * a1 % q] % q for r in roots[(b * b - 4 * a1 * c) % q])
-        if b % q:
-            return [-c * inv[b % q] % q]
-        return range(q) if c % q == 0 else []  # the line lies in the first quadric
 
-    lines = ((pinned, (0,) * pinned + (1,) + tail, range(q))
-             for pinned in range(3) for tail in itertools.product(range(q), repeat=2 - pinned))
-    for pinned, z, x3s in itertools.chain(lines, [(3, (0, 0, 0), (1,))]):
-        (c1, l1, k1), (c2, l2, k2) = ((sum(m[i][j] * z[i] * z[j] for i in range(3) for j in range(3)),
-                                       2 * sum(m[i][3] * z[i] for i in range(3)),
-                                       2 * sum(m[i][4] * z[i] for i in range(3))) for m in mats)
-        for x3 in x3s:
-            b2, cc2 = k2 + 2 * e2 * x3, c2 + (l2 + d2 * x3) * x3
-            for x4 in first_roots(k1 + 2 * e1 * x3, c1 + (l1 + d1 * x3) * x3):
-                if (a2 * x4 * x4 + b2 * x4 + cc2) % q == 0:
-                    yield PadicApproxPoint(q, 1, z + (x3, x4), pinned)
-    if a1 % q == 0 and a2 % q == 0:
-        yield PadicApproxPoint(q, 1, (0, 0, 0, 0, 1), 4)
+def _split_roots(g: list[int], q: int, rng: random.Random) -> list[int]:
+    """The roots of g, a nonzero product of distinct linear factors over F_q, q odd.
+
+    gcd(g, (x + a)^((q-1)/2) - 1) keeps the roots r with r + a a nonzero
+    square, for seeded shifts a, until g splits.
+    """
+    while len(g) > 2:
+        w = _poly_powmod([rng.randrange(q), 1], (q - 1) // 2, g, q) + [0]
+        h = _poly_gcd(g, _poly_trim([(c - (i == 0)) % q for i, c in enumerate(w)]), q)
+        if 1 < len(h) < len(g):
+            return _split_roots(h, q, rng) + _split_roots(_poly_divmod(g, h, q)[0], q, rng)
+    return [-g[0] * pow(g[1], -1, q) % q] if len(g) == 2 else []
+
+
+def _level1_general(g: GeneralSurface, q: int, rng: random.Random | None):
+    """(n, plane): the projective F_q points on both quadrics, plane by plane.
+
+    Plane i < n - 1 fixes (x0 : x1 : x2) = (1 : a : b), (0 : 1 : b) or
+    (0 : 0 : 1); quadric j is then a conic aj y^2 + Bj(x) y + Cj(x) in
+    (x, y) = (x3, x4).  Common zeros have x among the roots of
+    R = Res_y = U^2 - V W, of degree at most 4, with U = a1 C2 - a2 C1,
+    V = a1 B2 - a2 B1, W = B1 C2 - B2 C1 (R = W if a1 = a2 = 0), and y from
+    a2 P1 - a1 P2 = -(V y + U), a root finder only where U = V = 0.  If R
+    vanishes the conics share a component: every x is solved, a column each.
+    Plane n - 1 is the line x0 = x1 = x2 = 0: x3 = 1, then (0 : 0 : 0 : 0 : 1).
+    plane(i) yields its points sorted, and None for a plane or a column
+    without one; in order of i that is the exhaustive order.  ``rng``, if
+    given, seeds the root splittings and the order of the columns.
+    """
+    qq, split = q * q, rng or random.Random(q)
+    rows = [(tuple(zip(*m[:3])), m[4][4], 2 * m[3][4], m[3][3]) for m in (g.mat1, g.mat2)]
+
+    def conics(z):
+        """(a, b0, b1, c0, c1, c2) of each quadric on the plane through z and the line."""
+        z0, z1, z2 = z
+        out = []
+        for cols, a, b1, c2 in rows:
+            r = [u * z0 + v * z1 + w * z2 for u, v, w in cols]
+            out.append((a % q, 2 * r[4] % q, b1 % q, (r[0] * z0 + r[1] * z1 + r[2] * z2) % q, 2 * r[3] % q, c2 % q))
+        return out
+
+    def columns():
+        return range(q) if rng is None else _shuffled_indices(q, rng)
+
+    def ys(c1, c2, x):
+        """The common roots y of P1(x, y) and P2(x, y)."""
+        (a1, B1, C1), (a2, B2, C2) = ((a, (b0 + b1 * x) % q, (c0 + (cc1 + cc2 * x) * x) % q)
+                                      for a, b0, b1, c0, cc1, cc2 in (c1, c2))
+        U, V = (a1 * C2 - a2 * C1) % q, (a1 * B2 - a2 * B1) % q
+        if not (a1 or a2):  # two linear equations
+            if not (B1 or B2):
+                return columns() if not (C1 or C2) else []
+            U, V = (C2, B2) if B2 else (C1, B1)
+        if V:
+            y = -U * pow(V, -1, q) % q
+            return [y] if (a1 * y * y + B1 * y + C1) % q == (a2 * y * y + B2 * y + C2) % q == 0 else []
+        return [] if U else _poly_roots([C1, B1, a1] if a1 else [C2, B2, a2], q, split)
+
+    def plane(i: int):
+        if i <= qq + q:
+            z, pinned = ((1, *divmod(i, q)), 0) if i < qq else ((0, 1, i - qq), 1) if i < qq + q else ((0, 0, 1), 2)
+        else:  # the line x0 = x1 = x2 = 0
+            z, pinned = (0, 0, 0), 3
+        c1, c2 = conics(z)
+        (a1, b10, b11, c10, c11, c12), (a2, b20, b21, c20, c21, c22) = c1, c2
+        w0 = b10 * c20 - b20 * c10
+        w1 = b10 * c21 + b11 * c20 - b20 * c11 - b21 * c10
+        w2 = b10 * c22 + b11 * c21 - b20 * c12 - b21 * c11
+        w3 = b11 * c22 - b21 * c12
+        R = [w0, w1, w2, w3]
+        if a1 or a2:
+            u0, u1, u2 = a1 * c20 - a2 * c10, a1 * c21 - a2 * c11, a1 * c22 - a2 * c12
+            v0, v1 = a1 * b20 - a2 * b10, a1 * b21 - a2 * b11
+            R = [u0 * u0 - v0 * w0, 2 * u0 * u1 - v0 * w1 - v1 * w0, u1 * u1 + 2 * u0 * u2 - v0 * w2 - v1 * w1,
+                 2 * u1 * u2 - v0 * w3 - v1 * w2, u2 * u2 - v1 * w3]
+        R = any(c % q for c in R) and R
+        by_columns = pinned < 3 and not R
+        empty = True
+        for x in [1] if pinned == 3 else columns() if by_columns else _poly_roots(R, q, split):
+            column_empty = True
+            for y in ys(c1, c2, x):
+                empty = column_empty = False
+                yield PadicApproxPoint(q, 1, z + (x, y), pinned)
+            if column_empty and by_columns:
+                yield None  # an empty column is a draw of its own
+        if pinned == 3 and a1 == a2 == 0:
+            empty = False
+            yield PadicApproxPoint(q, 1, (0, 0, 0, 0, 1), 4)
+        if empty and not by_columns:
+            yield None
+
+    return qq + q + 2, plane
+
+
+def _enumeration_budget(surface) -> int:
+    return RESIDUE_ENUM_BUDGET if isinstance(surface, SubfamilySurface) else GENERAL_ENUM_BUDGET
+
+
+def _level1_draws(surface, q: int, rng: random.Random | None):
+    """The level-1 points, lazily, and None for each draw (a slot, a plane or a column) without one."""
+    general = not isinstance(surface, SubfamilySurface)
+    n, cell = _level1_general(surface, q, rng) if general else _level1_subfamily(surface, q)
+    cells = map(cell, range(n) if rng is None else _shuffled_indices(n, rng))
+    return itertools.chain.from_iterable(cells) if general else cells
 
 
 def iter_residue_points(surface, q: int, rng: random.Random | None = None):
     """The projective F_q points on both quadrics, normalized, lazily.
 
     Without ``rng`` they come in a fixed exhaustive order, within the
-    enumeration budget.  With ``rng`` they come in seeded random order:
-    drawn lazily on a subfamily surface, so taking the first few costs about
-    as much at any q as at a small one; listed and shuffled on a general
-    pencil, whose q is at most GENERAL_ENUM_BUDGET.
+    exhaustive enumeration budget (RESIDUE_ENUM_BUDGET for a subfamily
+    surface, GENERAL_ENUM_BUDGET for a general pencil).  With ``rng`` they
+    come in seeded random order at any q, one subfamily slot or one general
+    plane per draw, each in O(log q) work: taking the first few costs about
+    as much at any q as at a small one.
     """
-    if not isinstance(surface, SubfamilySurface):
-        pts = _level1_general(surface, q)
-        if rng is None:
-            return pts
-        pts = list(pts)
-        rng.shuffle(pts)
-        return iter(pts)
-    if rng is None and q > RESIDUE_ENUM_BUDGET:
-        raise EnumerationBudgetError(f"residue enumeration budget is q <= {RESIDUE_ENUM_BUDGET}, got {q}")
-    n, slot = _level1_subfamily(surface, q)
-    order = range(n) if rng is None else _shuffled_indices(n, rng)
-    return (pt for pt in map(slot, order) if pt is not None)
+    if rng is None and q > _enumeration_budget(surface):
+        raise EnumerationBudgetError(
+            f"exhaustive residue enumeration is limited to q <= {_enumeration_budget(surface)}, got {q}")
+    return (pt for pt in _level1_draws(surface, q, rng) if pt is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +359,7 @@ def newton_refine(surface, pt: PadicApproxPoint, target_k: int) -> PadicApproxPo
                   valuation(f2, q) if f2 else target_k + e + 1)
         if cur >= target_k:
             break
-        j1, j2 = surface.jacobian(coords)
+        j1, j2 = surface.jacobian(coords)  # read apart: the last pass needs only the residuals
         m11, m12 = j1[i], j1[j]
         m21, m22 = j2[i], j2[j]
         det = m11 * m22 - m12 * m21
@@ -280,7 +420,7 @@ def _node(surface, pt: PadicApproxPoint):
     """One reading of a residue node: (cert, lifts).
 
     Checks that the pinned coordinate is a unit and that both residuals vanish
-    mod q^k, then evaluates the equations and the 2x5 Jacobian once.  cert is
+    mod q^k, from one reading of the equations and the 2x5 Jacobian.  cert is
     a 2x2 Jacobian minor of least valuation e, when 2e+1 <= k (the residuals
     already vanish mod q^k >= q^(2e+1)), else None.  lifts() builds the digit
     system from the same values and returns (n, child): pt has n lifts mod
@@ -291,10 +431,9 @@ def _node(surface, pt: PadicApproxPoint):
     qk = q ** k
     if pt.coords[pt.pinned] % q == 0:
         raise ValueError("pinned coordinate is not a unit")
-    f1, f2 = surface.equations(pt.coords)
+    (f1, f2), (j1, j2) = surface.equations_and_jacobian(pt.coords)
     if f1 % qk or f2 % qk:
         raise ValueError(f"point does not satisfy the equations mod {q}^{k}")
-    j1, j2 = surface.jacobian(pt.coords)
     best: LiftCertificate | None = None
     for a, b in itertools.combinations(range(5), 2):
         minor = (j1[a] * j2[b] - j1[b] * j2[a]) % qk
@@ -394,8 +533,10 @@ class SolubilityVerdict:
 
 
 def decide_Qq(surface, q: int, budget: int = DEFAULT_EXPANSION_BUDGET) -> SolubilityVerdict:
-    """One depth-first walk over primitive solutions mod q^k, cut at LEVEL_CAP.
+    """Solubility at q: an exhaustive walk within the budget, certificates beyond it.
 
+    Within the exhaustive enumeration budget (``iter_residue_points``): one
+    depth-first walk over primitive solutions mod q^k, cut at LEVEL_CAP.
     The level-1 points and the lifts of each node are taken in the fixed
     exhaustive order.  Each node is read once (``_node``): its certificate,
     and from the same values its lifts when the walk descends.  A branch
@@ -405,9 +546,21 @@ def decide_Qq(surface, q: int, budget: int = DEFAULT_EXPANSION_BUDGET) -> Solubi
     cut at LEVEL_CAP, or a walk past ``budget`` lifts, is inconclusive,
     never insoluble.  Lifts are streamed, so memory stays bounded even when
     a singular residue point has a full digit space of lifts.
+
+    Beyond it: up to CERTIFICATE_DRAWS level-1 draws, seeded from (q, surface)
+    as the sampler is; a smooth F_q point (e = 0) proves solubility.  No draw
+    is descended below (a singular point can have q^4 lifts), and spent draws
+    give "inconclusive", never "insoluble".
     """
     if not is_prime(q):
         raise ValueError(f"{q} is not prime")
+    if q > _enumeration_budget(surface):
+        draws = _level1_draws(surface, q, random.Random(f"{q}:{surface!r}"))
+        for pt in itertools.islice(draws, CERTIFICATE_DRAWS):
+            cert = None if pt is None else _node(surface, pt)[0]
+            if cert is not None:
+                return SolubilityVerdict(q, "soluble", replace(pt, cert=cert), level=1, method="hensel")
+        return SolubilityVerdict(q, "inconclusive", level=1, method="certificate draws exhausted")
     expansions = deepest = 0
     truncated = False  # some branch hit the cap without a certificate
 
@@ -484,7 +637,9 @@ def _points_on_every_arc(quintic: list[int]) -> list[tuple[int, int]]:
     The affine roots are those of f(x) = quintic(x, 1); leading zeros stand
     for the root (1 : 0).  The Sturm chain of f counts its distinct roots in
     an interval; bisecting the Cauchy interval (-B, B) until each piece holds
-    at most one, -B, the cut points and B meet every arc.  The chain has
+    at most one, -B, the cut points and B meet every arc; of each run of
+    them with the same sign count (the same arc) only the first is kept, so
+    the list holds one point per arc of the real line.  The chain has
     integer coefficients: each reduction step is scaled by |lc(b)| and each
     negated remainder is divided by its content, positive factors that keep
     every sign.  A zero quintic makes every member singular, so none is listed.
@@ -504,21 +659,25 @@ def _points_on_every_arc(quintic: list[int]) -> list[tuple[int, int]]:
         content = math.gcd(*rem)
         chain.append([c // content for c in rem])
 
-    def sign_changes(x: Fraction) -> int:
+    def counted(x: Fraction) -> tuple[Fraction, int]:
+        """x with the sign changes of the chain at x, computed once per point."""
         signs = [v > 0 for v in (binary_form_eval(g, x.numerator, x.denominator) for g in chain) if v]
-        return sum(a != b for a, b in zip(signs, signs[1:]))
+        return x, sum(a != b for a, b in zip(signs, signs[1:]))
 
     bound = Fraction(2 ** (max(abs(c) for c in f) // abs(f[0]) + 1).bit_length())
-    points, pieces = [-bound, bound], [(-bound, bound)]
+    points = [counted(-bound), counted(bound)]
+    pieces = [tuple(points)]
     while pieces:
-        a, b = pieces.pop()
-        if sign_changes(a) - sign_changes(b) > 1:
+        (a, va), (b, vb) = pieces.pop()
+        if va - vb > 1:
             m = (a + b) / 2
             while binary_form_eval(f, m.numerator, m.denominator) == 0:
                 m = (a + m) / 2  # a is no root, so this ends
-            points.append(m)
-            pieces += [(a, m), (m, b)]
-    return [(x.numerator, x.denominator) for x in sorted(points)]
+            points.append(counted(m))
+            pieces += [((a, va), points[-1]), (points[-1], (b, vb))]
+    # no root lies between sorted neighbours with equal counts: one point per run
+    points.sort()
+    return [(x.numerator, x.denominator) for i, (x, v) in enumerate(points) if i == 0 or v != points[i - 1][1]]
 
 
 # ---------------------------------------------------------------------------
@@ -608,17 +767,9 @@ def everywhere_locally_soluble_general(g: GeneralSurface) -> LocalSolubilityRepo
     rows.append(("oo", _decide_R_general(g, quintic), ""))
     rows.append(("other odd primes", None,
                  "theorem: good reduction, a residue point exists and is smooth"))
-    decided = []
     for q in sorted(candidates):
-        if q > GENERAL_ENUM_BUDGET:
-            # q divides res = +-5^3 Disc(quintic) or the content, so the
-            # quintic is 0 or has a repeated root mod q: bad reduction
-            v = SolubilityVerdict(q, "inconclusive", method="bad reduction beyond enumeration budget")
-        else:
-            v = decide_Qq(g, q)
-            decided.append(q)
-        rows.append((str(q), v, ""))
-    return LocalSolubilityReport(tuple(rows), tuple(decided))
+        rows.append((str(q), decide_Qq(g, q), ""))
+    return LocalSolubilityReport(tuple(rows), tuple(sorted(candidates)))
 
 
 # ---------------------------------------------------------------------------
@@ -635,17 +786,19 @@ def sample_local_points(surface, q: int, count: int, precision: int,
     level-1 class has been drawn: one depth-first search below the uncertified
     classes, down to max(precision, LEVEL_CAP), each node read once and its
     lifts drawn lazily in seeded random order, then further lifts of the
-    certified classes.  SAMPLING_BUDGET caps the lifts inspected in passes 2 and 3.
-    Beyond the exhaustive enumeration budget (q > RESIDUE_ENUM_BUDGET) the
-    level-1 set is never exhausted, so pass 1 draws at most SAMPLING_BUDGET
-    classes there and then raises EnumerationBudgetError.  Takes subfamily
+    certified classes.  Pass 1 keeps each drawn class's reading (``_node``)
+    for passes 2 and 3, so no level-1 node is read twice.  SAMPLING_BUDGET
+    caps the lifts inspected in passes 2 and 3.  Beyond the exhaustive
+    enumeration budget (see ``iter_residue_points``) the level-1 set is never
+    exhausted, so pass 1 draws at most SAMPLING_BUDGET classes there and then
+    raises EnumerationBudgetError.  Takes subfamily
     surfaces and general pencils.  Deterministic for a fixed seed.
     """
     if count == 0:
         return []
     budget = SAMPLING_BUDGET
     rng = random.Random(f"{seed}:{q}:{precision}:{surface!r}")
-    certified: list[PadicApproxPoint] = []
+    certified, pending = [], []  # the lifts, and (pt, lifts), of each drawn class: one reading each
     out: list[PadicApproxPoint] = []
     seen: set[tuple] = set()
     spent = 0
@@ -658,17 +811,16 @@ def sample_local_points(surface, q: int, count: int, precision: int,
             out.append(refined)
 
     # pass 1: one certified point per level-1 class where immediately possible
-    pending = []
     for pt in iter_residue_points(surface, q, rng):
-        if q > RESIDUE_ENUM_BUDGET and len(certified) + len(pending) >= budget:
+        if q > _enumeration_budget(surface) and len(certified) + len(pending) >= budget:
             raise EnumerationBudgetError(
                 f"{budget} level-1 classes drawn at q={q} gave only {len(out)} of {count} certified points")
-        cert = lift_certificate(surface, pt)
+        cert, lifts = _node(surface, pt)
         if cert is None:
-            pending.append(pt)
+            pending.append((pt, lifts))
         else:
             try_collect(pt, cert)
-            certified.append(pt)
+            certified.append(lifts)
             if len(out) >= count:
                 return out
     # pass 2: depth-first search below the uncertified classes.  Lifts are
@@ -678,13 +830,15 @@ def sample_local_points(surface, q: int, count: int, precision: int,
     # greedily from whatever is productive.
     max_depth = max(precision, LEVEL_CAP)
 
-    def dfs_collect(pt: PadicApproxPoint, cap: int) -> None:
-        """Read pt once: keep it if certified, else descend into its lifts."""
+    def dfs_collect(pt: PadicApproxPoint, cap: int, lifts) -> None:
+        """Read pt once, unless its lifts are given (an uncertified start):
+        keep it if certified, else descend into its lifts."""
         nonlocal spent
-        cert, lifts = _node(surface, pt)
-        if cert is not None:
-            try_collect(pt, cert)
-            return
+        if lifts is None:
+            cert, lifts = _node(surface, pt)
+            if cert is not None:
+                try_collect(pt, cert)
+                return
         if len(out) >= cap or pt.k >= max_depth:
             return
         n, child = lifts()
@@ -695,36 +849,38 @@ def sample_local_points(surface, q: int, count: int, precision: int,
                     f"sampling budget exhausted with {len(out)}/{count} points")
             if len(out) >= cap:
                 return
-            dfs_collect(child(i), cap)
+            dfs_collect(child(i), cap, None)
 
     for _ in range(3):
         if len(out) >= count or not pending:
             break
         before = len(out)
         share = max(1, (count - len(out) + len(pending) - 1) // len(pending))
-        for start in pending:
+        for start, lifts in pending:
             if len(out) >= count:
                 break
-            dfs_collect(start, min(count, len(out) + share))
+            dfs_collect(start, min(count, len(out) + share), lifts)
         if len(out) == before:
             break
-    for start in pending:  # uncapped fill: one sweep explores each subtree fully
+    for start, lifts in pending:  # uncapped fill: one sweep explores each subtree fully
         if len(out) >= count:
             break
-        dfs_collect(start, count)
+        dfs_collect(start, count, lifts)
     # pass 3: widen with further lifts of already-certified classes
-    for pt in certified:
+    for lifts in certified:
         if len(out) >= count:
             break
-        for child in expand_children(surface, pt):
+        n, child = lifts()
+        for i in range(n):
             spent += 1
             if spent > budget:
                 raise SamplingBudgetError(f"sampling budget exhausted with {len(out)}/{count} points")
             if len(out) >= count:
                 break
-            cert = lift_certificate(surface, child)
+            pt = child(i)
+            cert = lift_certificate(surface, pt)
             if cert is not None:
-                try_collect(child, cert)
+                try_collect(pt, cert)
     if len(out) < count:
         raise SamplingBudgetError(f"only found {len(out)} of {count} requested points at q={q}")
     return out[:count]

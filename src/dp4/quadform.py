@@ -188,6 +188,9 @@ class SubfamilySurface:
                 -2 * p * x, 0, 2 * z)
         return (row1, row2)
 
+    def equations_and_jacobian(self, pt):
+        return self.equations(pt), self.jacobian(pt)
+
     def contains(self, pt) -> bool:
         return self.eq1(pt) == 0 and self.eq2(pt) == 0
 
@@ -374,17 +377,25 @@ class GeneralSurface:
                      for ra, rb in zip(self.mat1, self.mat2))
 
     def quad_value(self, which: int, pt) -> int:
-        m = self.mat1 if which == 0 else self.mat2
-        return sum(m[i][j] * pt[i] * pt[j] for i in range(5) for j in range(5))
+        """x . (M x): one matrix-vector product."""
+        x0, x1, x2, x3, x4 = pt
+        return sum(x * (r0 * x0 + r1 * x1 + r2 * x2 + r3 * x3 + r4 * x4)
+                   for x, (r0, r1, r2, r3, r4) in zip(pt, self.mat1 if which == 0 else self.mat2))
 
     def equations(self, pt) -> tuple[int, int]:
         return (self.quad_value(0, pt), self.quad_value(1, pt))
 
     def jacobian(self, pt):
-        rows = []
-        for m in (self.mat1, self.mat2):
-            rows.append(tuple(2 * sum(m[i][j] * pt[j] for j in range(5)) for i in range(5)))
-        return tuple(rows)
+        """The rows 2 M x, one matrix-vector product per quadric."""
+        x0, x1, x2, x3, x4 = pt
+        return tuple(tuple(2 * (r0 * x0 + r1 * x1 + r2 * x2 + r3 * x3 + r4 * x4) for r0, r1, r2, r3, r4 in m)
+                     for m in (self.mat1, self.mat2))
+
+    def equations_and_jacobian(self, pt):
+        """Both residuals from the one Jacobian: x . (2 M x) = 2 x . M x."""
+        rows = self.jacobian(pt)
+        x0, x1, x2, x3, x4 = pt
+        return tuple((x0 * j0 + x1 * j1 + x2 * j2 + x3 * j3 + x4 * j4) // 2 for j0, j1, j2, j3, j4 in rows), rows
 
     def contains(self, pt) -> bool:
         return self.quad_value(0, pt) == 0 and self.quad_value(1, pt) == 0

@@ -243,6 +243,22 @@ def test_bm_verdict_draws_few_level1_points_at_large_p(monkeypatch):
     assert 0 < consumed[0] < 500
 
 
+def test_bm_verdict_beyond_the_enumeration_budget(monkeypatch):
+    # p = 10037 > RESIDUE_ENUM_BUDGET: decide_Qq certifies Q_p by seeded
+    # level-1 draws, so the verdict needs no exhaustive walk; every level-1
+    # node is read once, so reads count the level-1 points drawn
+    reads = [0]
+    real = localsolve._node
+
+    def node(surface, pt):
+        reads[0] += pt.k == 1
+        return real(surface, pt)
+
+    monkeypatch.setattr(localsolve, "_node", node)
+    assert bm_verdict(make_Y(10037, 2, 5018)).hp_obstructed_by == ("A",)
+    assert 0 < reads[0] < 1000
+
+
 def test_representatives_are_the_written_out_products():
     # one table for every surface: each label's n and d, evaluated from the
     # seven factor values, match the written-out formulas at every integer

@@ -23,7 +23,7 @@ from dp4.localsolve import (
     sample_local_points,
 )
 from dp4.arith import divisors, legendre
-from dp4.families import make_Y
+from dp4.families import make_S, make_Y, s_from_t
 
 from helpers import (CASE_PATTERN_SURFACES, INSOLUBLE_AT_P, box_slice,
                      exhaustive_primitive_solutions_exist, search_valid_surfaces)
@@ -181,6 +181,32 @@ def test_sampler_reads_each_drawn_lift_once(monkeypatch, q, count, precision):
     assert len(pts) == count
     assert len({id(pt) for pt in reads}) == len(reads) > 0  # reads keeps each point alive: no id reuse
     assert len(reads) <= drawn[0]
+
+
+@pytest.mark.parametrize("s, q, count, precision", [
+    (Y_13_2_6, 2, 64, 14),  # pass 2 below uncertified classes
+    (Y_13_2_6, 3, 64, 6),  # pass 3 below certified classes
+    (Y_13_2_6, 13, 40, 4),  # pass 1 alone
+    (CASE_PATTERN_SURFACES["case2"], 13, 64, 8),
+])
+def test_sampler_reads_each_level1_class_once(monkeypatch, s, q, count, precision):
+    # pass 1 keeps each drawn class's reading for passes 2 and 3
+    reads, drawn = [0], [0]
+    real_node, real_draws = localsolve._node, localsolve.iter_residue_points
+
+    def node(surface, pt):
+        reads[0] += pt.k == 1
+        return real_node(surface, pt)
+
+    def draws(*args, **kwargs):
+        for pt in real_draws(*args, **kwargs):
+            drawn[0] += 1
+            yield pt
+
+    monkeypatch.setattr(localsolve, "_node", node)
+    monkeypatch.setattr(localsolve, "iter_residue_points", draws)
+    assert len(sample_local_points(s, q, count, precision)) == count
+    assert reads[0] == drawn[0] > 0
 
 
 class JacobianCounting(GeneralSurface):
@@ -497,16 +523,43 @@ def test_general_report_rejects_the_zero_pencil():
         everywhere_locally_soluble_general(ZERO_PENCIL)
 
 
-def test_bad_reduction_beyond_the_enumeration_budget_stays_inconclusive():
+def test_certificate_draws_decide_a_bad_prime_beyond_the_enumeration_budget(monkeypatch):
     # 61 divides 1*(-61) - 0*1 and so the pencil discriminant: the quintic has
-    # a repeated root mod 61 > GENERAL_ENUM_BUDGET, and no theorem decides it
+    # a repeated root mod 61 > GENERAL_ENUM_BUDGET.  A seeded smooth F_61
+    # point proves solubility there; with no draw left the row is
+    # inconclusive, never insoluble
     g = GeneralSurface(diag(1, 0, 1, -1, 1), diag(0, 1, 2, 3, -61))
-    rep = everywhere_locally_soluble_general(g)
-    rows = {label: (v, note) for label, v, note in rep.rows}
-    verdict, note = rows["61"]
-    assert (verdict.status, verdict.method, note) == (
-        "inconclusive", "bad reduction beyond enumeration budget", "")
-    assert 61 not in rep.decided_places and rep.everywhere_soluble is None
+
+    def row61():
+        rep = everywhere_locally_soluble_general(g)
+        return rep, {label: v for label, v, _ in rep.rows}["61"]
+
+    rep, verdict = row61()
+    assert (verdict.status, verdict.level, verdict.witness.cert.e) == ("soluble", 1, 0)
+    assert lift_certificate(g, verdict.witness) == verdict.witness.cert
+    assert 61 in rep.decided_places and rep.everywhere_soluble is True
+    monkeypatch.setattr(localsolve, "CERTIFICATE_DRAWS", 0)
+    rep, verdict = row61()
+    assert (verdict.status, verdict.method) == ("inconclusive", "certificate draws exhausted")
+    assert rep.everywhere_soluble is None
+
+
+def test_pencils_of_the_second_family_are_decided_at_every_bad_prime():
+    # the paper's obstructed S_13_153_179 and the pencil workload's S rows
+    # (p in {5, 13, 29, 37}, the first five admissible t): every bad prime
+    # above GENERAL_ENUM_BUDGET is certified soluble, and the verdict agrees
+    # with the subfamily path
+    surfaces = [make_S(13, 153, 179)]
+    for p in (5, 13, 29, 37):
+        t0 = 3 * (p - 1) // 4 % 8 or 8
+        surfaces += [make_S(*s_from_t(p, t0 + 8 * k)) for k in range(5)]
+    large = set()
+    for s in surfaces:
+        rep = everywhere_locally_soluble_general(to_matrices(s))
+        assert all(v.status != "inconclusive" for _, v, _ in rep.rows if v is not None), s
+        assert rep.everywhere_soluble is everywhere_locally_soluble(s).everywhere_soluble is True, s
+        large.update((s, q) for q in rep.decided_places if q > localsolve.GENERAL_ENUM_BUDGET)
+    assert (surfaces[0], 179) in large and len(large) > 20
 
 
 def reference_general_level1(g, q):
@@ -546,6 +599,36 @@ def test_general_residue_order_is_the_nested_loop(g, q):
     assert [(pt.coords, pt.pinned) for pt in iter_residue_points(g, q)] == reference_general_level1(g, q)
 
 
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+@pytest.mark.parametrize("g", ORDER_PENCILS + [BSD])
+def test_seeded_plane_order_lists_each_point_once(g, q):
+    exhaustive = [(pt.coords, pt.pinned) for pt in iter_residue_points(g, q)]
+    for seed in range(3):
+        drawn = [(pt.coords, pt.pinned) for pt in iter_residue_points(g, q, random.Random(seed))]
+        assert len(drawn) == len(exhaustive) and set(drawn) == set(exhaustive)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 13, 67, 101, 257])
+def test_polynomial_roots_agree_with_brute_force(q):
+    # _poly_roots scans up to ROOT_SCAN_BOUND and splits gcd(f, x^q - x)
+    # beyond it; the split path is also forced at small odd q
+    rng = random.Random(q)
+    for _ in range(60):
+        f = [rng.randrange(q) for _ in range(rng.randint(2, 5))]
+        if rng.random() < 0.5:  # a product of linear factors, roots likely repeated
+            f = [1]
+            for r in (rng.randrange(q) for _ in range(4)):
+                f = [(a - r * b) % q for a, b in zip([0] + f, f + [0])]
+        if not any(f):
+            continue
+        brute = [x for x in range(q) if sum(c * x ** i for i, c in enumerate(f)) % q == 0]
+        assert localsolve._poly_roots(f, q, random.Random(1)) == brute, (f, q)
+        if q > 2:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(localsolve, "ROOT_SCAN_BOUND", 0)
+                assert localsolve._poly_roots(f, q, random.Random(2)) == brute, (f, q)
+
+
 def test_general_enumeration_budget_edge():
     assert localsolve.GENERAL_ENUM_BUDGET == 60
     pts = list(iter_residue_points(BSD, 59))
@@ -554,26 +637,24 @@ def test_general_enumeration_budget_edge():
         list(iter_residue_points(BSD, 61))
 
 
-@pytest.mark.parametrize("p", [29, 37, 53])
+@pytest.mark.parametrize("p", [29, 37, 53, 61])
 def test_general_path_agrees_with_the_subfamily_path(p):
-    # to_matrices doubles each form, so at odd q both zero sets coincide
+    # to_matrices doubles each form, so at odd q both zero sets coincide; at
+    # p = 61 > GENERAL_ENUM_BUDGET the general path decides p by certificate draws
     def statuses(rep):
-        return {label: v.status for label, v, _ in rep.rows
-                if v is not None and v.status != "inconclusive"}
+        return {label: v.status for label, v, _ in rep.rows if v is not None}
 
-    conclusive = 0
     for a in divisors(p - 1):
         s = make_Y(p, a, (p - 1) // a)
         g = to_matrices(s)
         general, sub = everywhere_locally_soluble_general(g), everywhere_locally_soluble(s)
-        assert general.everywhere_soluble in (None, sub.everywhere_soluble), (p, a)
-        conclusive += general.everywhere_soluble is not None
+        assert general.everywhere_soluble == sub.everywhere_soluble is not None, (p, a)
         ours, theirs = statuses(general), statuses(sub)
+        assert "inconclusive" not in ours.values(), (p, a)
         assert all(ours[label] == theirs[label] for label in ours.keys() & theirs.keys()), (p, a)
-        if a in (2, p - 1):
+        if a in (2, p - 1) and p <= localsolve.GENERAL_ENUM_BUDGET:
             assert ([pt.coords for pt in iter_residue_points(g, p)]
                     == [pt.coords for pt in iter_residue_points(s, p)])
-    assert conclusive
 
 
 def test_soluble_witnesses_verify():
