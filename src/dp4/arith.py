@@ -118,6 +118,11 @@ def sqrt_mod(a: int, p: int) -> int | None:
     """
     if p % 2 == 0 or not is_prime(p):
         raise ValueError(f"sqrt_mod needs an odd prime, got {p}")
+    return _sqrt_mod_unchecked(a, p)
+
+
+def _sqrt_mod_unchecked(a: int, p: int, nonresidue: int | None = None) -> int | None:
+    # Inner-loop variant: caller guarantees p is an odd prime; nonresidue, if given, is one mod p.
     a %= p
     if a == 0:
         return 0
@@ -131,7 +136,7 @@ def sqrt_mod(a: int, p: int) -> int | None:
     while d % 2 == 0:
         d //= 2
         s += 1
-    c = pow(find_nonresidue(p), d, p)
+    c = pow(nonresidue or find_nonresidue(p), d, p)
     r = pow(a, (d + 1) // 2, p)
     t = pow(a, d, p)
     m = s

@@ -35,6 +35,7 @@ from .localsolve import (
     decide_R,
     everywhere_locally_soluble,
     everywhere_locally_soluble_general,
+    validate_pencil,
 )
 from .quadform import (
     GeneralSurface,
@@ -200,19 +201,17 @@ def cmd_classify(args) -> int:
 
 def cmd_solubility(args) -> int:
     surface = parse_surface_spec(args.spec)
-    if args.place is not None:
-        if args.place == "oo":
-            verdict = decide_R(surface)
-        else:
-            verdict = decide_Qq(surface, int(args.place))
-        _emit(verdict.to_json(), args)
-        return EXIT_INCONCLUSIVE if verdict.status == "inconclusive" else EXIT_OK
-    if isinstance(surface, GeneralSurface):
-        rep = everywhere_locally_soluble_general(surface)
-    else:
-        rep = everywhere_locally_soluble(surface)
-    _emit(rep.to_json(), args)
-    return EXIT_INCONCLUSIVE if rep.everywhere_soluble is None else EXIT_OK
+    general = isinstance(surface, GeneralSurface)
+    if args.place is None:
+        rep = (everywhere_locally_soluble_general(surface) if general
+               else everywhere_locally_soluble(validate_subfamily(surface)))
+        _emit(rep.to_json(), args)
+        return EXIT_INCONCLUSIVE if rep.everywhere_soluble is None else EXIT_OK
+    if args.place != "oo":  # a finite place is walked only on a surface the full report accepts
+        (validate_pencil if general else validate_subfamily)(surface)
+    verdict = decide_R(surface) if args.place == "oo" else decide_Qq(surface, int(args.place))
+    _emit(verdict.to_json(), args)
+    return EXIT_INCONCLUSIVE if verdict.status == "inconclusive" else EXIT_OK
 
 
 def cmd_invariants(args) -> int:

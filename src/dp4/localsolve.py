@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .arith import factor, is_prime, legendre, sqrt_mod, valuation
+from .arith import _sqrt_mod_unchecked, factor, find_nonresidue, is_prime, legendre, valuation
 from .quadform import (
     GeneralSurface,
     SubfamilySurface,
@@ -107,13 +107,16 @@ def _sqrt_table(q: int) -> list[list[int]]:
 
 
 class _SqrtRoots:
-    """Indexed like ``_sqrt_table(q)``, by ``arith.sqrt_mod``: no memory that grows with q."""
+    """Indexed like ``_sqrt_table(q)``, by Tonelli-Shanks: no memory that grows with q.
+    q is proved prime and its non-residue found once, not once per root."""
 
     def __init__(self, q: int):
-        self.q = q
+        if not is_prime(q):
+            raise ValueError(f"{q} is not prime")
+        self.q, self.nonresidue = q, find_nonresidue(q)
 
     def __getitem__(self, a: int) -> list[int]:
-        r = sqrt_mod(a, self.q)
+        r = _sqrt_mod_unchecked(a, self.q, self.nonresidue)
         return [] if r is None else [r, self.q - r] if r else [0]
 
 
@@ -125,7 +128,7 @@ def _level1_subfamily(s: SubfamilySurface, q: int):
     coordinate varying fastest.  Slot i holds pattern i // 4 with the
     (i // 2) % 2-th square root y and the i % 2-th square root z, in
     increasing order: from a root table within RESIDUE_ENUM_BUDGET, beyond it
-    from ``arith.sqrt_mod``, so that memory does not grow with q.  slot(i) is
+    from ``_SqrtRoots``, so that memory does not grow with q.  slot(i) is
     that point, already normalized, or None when the root does not exist.
     """
     roots = _sqrt_table(q) if q <= RESIDUE_ENUM_BUDGET else _SqrtRoots(q)
@@ -230,8 +233,11 @@ def _level1_general(g: GeneralSurface, q: int, rng: random.Random | None):
     """(n, plane): the projective F_q points on both quadrics, plane by plane.
 
     Plane i < n - 1 fixes (x0 : x1 : x2) = (1 : a : b), (0 : 1 : b) or
-    (0 : 0 : 1); quadric j is then a conic aj y^2 + Bj(x) y + Cj(x) in
-    (x, y) = (x3, x4).  Common zeros have x among the roots of
+    (0 : 0 : 1); quadric j, read as the node reader reads it, by its
+    content-free form x.G x / 2 (G = ``g.hessians[j]``), is then a conic
+    aj y^2 + Bj(x) y + Cj(x) in (x, y) = (x3, x4): with r = G (x0, x1, x2, 0, 0),
+    aj = G_44 / 2, Bj = G_34 x + r_4, Cj = G_33 x^2 / 2 + r_3 x + (x0 r_0 +
+    x1 r_1 + x2 r_2) / 2.  Common zeros have x among the roots of
     R = Res_y = U^2 - V W, of degree at most 4, with U = a1 C2 - a2 C1,
     V = a1 B2 - a2 B1, W = B1 C2 - B2 C1 (R = W if a1 = a2 = 0), and y from
     a2 P1 - a1 P2 = -(V y + U), a root finder only where U = V = 0.  If R
@@ -242,7 +248,7 @@ def _level1_general(g: GeneralSurface, q: int, rng: random.Random | None):
     given, seeds the root splittings and the order of the columns.
     """
     qq, split = q * q, rng or random.Random(q)
-    rows = [(tuple(zip(*m[:3])), m[4][4], 2 * m[3][4], m[3][3]) for m in (g.mat1, g.mat2)]
+    rows = [(tuple(zip(*h[:3])), h[4][4] // 2, h[3][4], h[3][3] // 2) for h in g.hessians]
 
     def conics(z):
         """(a, b0, b1, c0, c1, c2) of each quadric on the plane through z and the line."""
@@ -250,7 +256,7 @@ def _level1_general(g: GeneralSurface, q: int, rng: random.Random | None):
         out = []
         for cols, a, b1, c2 in rows:
             r = [u * z0 + v * z1 + w * z2 for u, v, w in cols]
-            out.append((a % q, 2 * r[4] % q, b1 % q, (r[0] * z0 + r[1] * z1 + r[2] * z2) % q, 2 * r[3] % q, c2 % q))
+            out.append((a % q, r[4] % q, b1 % q, (r[0] * z0 + r[1] * z1 + r[2] * z2) // 2 % q, r[3] % q, c2 % q))
         return out
 
     def columns():
@@ -745,6 +751,20 @@ def _odd_prime_divisors(n: int) -> list[int]:
     return sorted({f for f in factor(abs(n)) if f % 2})
 
 
+def validate_pencil(g: GeneralSurface) -> tuple[list[int], int]:
+    """The pencil quintic and the resultant of its partials (+-5^3 Disc); ValueError
+    unless the quintic is squarefree (nonzero, no repeated root): else the surface is singular."""
+    quintic = discriminant_quintic(g)
+    if all(c == 0 for c in quintic):
+        raise ValueError("pencil discriminant vanishes identically; not a del Pezzo pencil")
+    dk = [(5 - i) * c for i, c in enumerate(quintic[:5])]
+    dl = [(i + 1) * c for i, c in enumerate(quintic[1:])]
+    res = binary_resultant(dk, dl)
+    if res == 0:
+        raise ValueError("pencil quintic is not squarefree; the surface is singular")
+    return quintic, res
+
+
 def everywhere_locally_soluble_general(g: GeneralSurface) -> LocalSolubilityReport:
     """Local solubility of a general pencil at every place.
 
@@ -752,14 +772,7 @@ def everywhere_locally_soluble_general(g: GeneralSurface) -> LocalSolubilityRepo
     degree 5 mod q) the surface has a smooth residue point, so it is soluble;
     only 2, the small primes, and the primes of bad reduction need deciding.
     """
-    quintic = discriminant_quintic(g)
-    if all(c == 0 for c in quintic):
-        raise ValueError("pencil discriminant vanishes identically; not a del Pezzo pencil")
-    dk = [(5 - i) * c for i, c in enumerate(quintic[:5])]
-    dl = [(i + 1) * c for i, c in enumerate(quintic[1:])]
-    res = binary_resultant(dk, dl)  # +-5^3 Disc(quintic): 0 iff a repeated root
-    if res == 0:
-        raise ValueError("pencil quintic is not squarefree; the surface is singular")
+    quintic, res = validate_pencil(g)
     candidates = {2, 3, 5}
     candidates.update(factor(abs(res)))
     candidates.update(factor(abs(math.gcd(*quintic))))

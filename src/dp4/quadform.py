@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import factorial, gcd
 
@@ -360,7 +361,15 @@ def normal_form_point_to_subfamily(s: SubfamilySurface, pt) -> Point:
 
 @dataclass(frozen=True)
 class GeneralSurface:
-    """Pencil of quadrics spanned by two symmetric 5x5 integer matrices."""
+    """Pencil of quadrics spanned by two symmetric 5x5 integer matrices.
+
+    The matrices M_j are the fields (``repr``, ``==``, ``hash``) and the view
+    that ``member``, the quintic, ``decide_R`` and ``order4_test`` read.
+    Points are evaluated on the content-free forms F_j = x.M_j x / c_j, c_j
+    the gcd of the M_ii and the 2 M_ij (1 for a zero matrix), through
+    ``hessians``: G_j = 2 M_j / c_j, with F_j = x.G_j x / 2 and gradient G_j x.
+    At a prime q not dividing c_j this scales the system by a unit.
+    """
 
     mat1: Matrix
     mat2: Matrix
@@ -372,27 +381,36 @@ class GeneralSurface:
             if any(m[i][j] != m[j][i] for i in range(5) for j in range(5)):
                 raise ValueError("matrices must be symmetric")
 
+    @cached_property
+    def hessians(self) -> tuple[Matrix, Matrix]:
+        """(G_1, G_2), worked out on first use, once per surface; not a field."""
+        out = []
+        for m in (self.mat1, self.mat2):
+            content = gcd(*(a if i == j else 2 * a for i, row in enumerate(m) for j, a in enumerate(row))) or 1
+            out.append(tuple(tuple(2 * a // content for a in row) for row in m))
+        return tuple(out)
+
     def member(self, r: int, t: int) -> Matrix:
         return tuple(tuple(r * a + t * b for a, b in zip(ra, rb))
                      for ra, rb in zip(self.mat1, self.mat2))
 
     def quad_value(self, which: int, pt) -> int:
-        """x . (M x): one matrix-vector product."""
+        """F_j(x) = x . G_j x / 2, the content-free quadric j: one matrix-vector product."""
         x0, x1, x2, x3, x4 = pt
         return sum(x * (r0 * x0 + r1 * x1 + r2 * x2 + r3 * x3 + r4 * x4)
-                   for x, (r0, r1, r2, r3, r4) in zip(pt, self.mat1 if which == 0 else self.mat2))
+                   for x, (r0, r1, r2, r3, r4) in zip(pt, self.hessians[which])) // 2
 
     def equations(self, pt) -> tuple[int, int]:
         return (self.quad_value(0, pt), self.quad_value(1, pt))
 
     def jacobian(self, pt):
-        """The rows 2 M x, one matrix-vector product per quadric."""
+        """The gradients G_j x, one matrix-vector product per quadric."""
         x0, x1, x2, x3, x4 = pt
-        return tuple(tuple(2 * (r0 * x0 + r1 * x1 + r2 * x2 + r3 * x3 + r4 * x4) for r0, r1, r2, r3, r4 in m)
-                     for m in (self.mat1, self.mat2))
+        return tuple(tuple(r0 * x0 + r1 * x1 + r2 * x2 + r3 * x3 + r4 * x4 for r0, r1, r2, r3, r4 in m)
+                     for m in self.hessians)
 
     def equations_and_jacobian(self, pt):
-        """Both residuals from the one Jacobian: x . (2 M x) = 2 x . M x."""
+        """Both residuals from the one Jacobian: F_j(x) = x . (G_j x) / 2."""
         rows = self.jacobian(pt)
         x0, x1, x2, x3, x4 = pt
         return tuple((x0 * j0 + x1 * j1 + x2 * j2 + x3 * j3 + x4 * j4) // 2 for j0, j1, j2, j3, j4 in rows), rows
@@ -402,7 +420,8 @@ class GeneralSurface:
 
 
 def to_matrices(s: SubfamilySurface) -> GeneralSurface:
-    """Symmetric matrices of the two quadrics, doubled once to clear half-integers."""
+    """Symmetric matrices of the two quadrics, doubled once to clear half-integers
+    (content 2: the content-free forms walked are eq1 and eq2 themselves)."""
     p, A, B, C, D, M = s.p, s.A, s.B, s.C, s.D, s.M
     m1 = (
         (0, -M, 0, 0, 0),

@@ -60,6 +60,13 @@ def test_sqrt_mod_agrees_with_legendre_exhaustively(p):
             assert 0 <= r <= p // 2
 
 
+@pytest.mark.parametrize("p", [13, 17, 41, 97, 10037])
+def test_unchecked_sqrt_mod_with_a_given_nonresidue_is_sqrt_mod(p):
+    z = arith.find_nonresidue(p)
+    for a in range(min(p, 200)):
+        assert arith._sqrt_mod_unchecked(a, p, z) == sqrt_mod(a, p)
+
+
 def test_sqrt_mod_spec_values():
     assert sqrt_mod(3, 13) == 4
     assert sqrt_mod(0, 13) == 0

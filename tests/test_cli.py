@@ -78,6 +78,20 @@ def test_cli_solubility_rejects_singular_pencils(capsys, diagonals, message):
     assert (code, out, err) == (2, "", f"input error: {message}\n")
 
 
+@pytest.mark.parametrize("spec, message", [
+    (json.dumps({"matrices": [[[d if i == j else 0 for j in range(5)] for i, d in enumerate(diag)]
+                              for diag in ((1, 1, 1, -1, -1), (0, 0, 1, 2, 3))]}),
+     "input error: pencil quintic is not squarefree; the surface is singular\n"),
+    ('{"family": "subfamily", "p": 13, "A": 2, "B": -13, "C": 1, "D": -6, "M": 2}',
+     "input error: invalid subfamily surface"),
+])
+def test_cli_solubility_at_a_place_checks_the_surface_first(capsys, spec, message):
+    # an explicit place must not walk a surface the full report rejects
+    for extra in ((), ("--place", "2")):
+        code, out, err = run_cli(capsys, "solubility", spec, *extra)
+        assert (code, out) == (2, "") and err.startswith(message)
+
+
 def test_cli_classify_bsd(capsys):
     bsd = {"matrices": [
         [[0, -1, 0, 0, 0], [-1, 0, 0, 0, 0], [0, 0, 2, 0, 0], [0, 0, 0, -10, 0], [0, 0, 0, 0, 0]],

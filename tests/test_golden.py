@@ -50,7 +50,8 @@ CASES = {
     # every member r*diag(1,1,1,-1000,-1000) + t*diag(0,0,0,1,1) with
     # 0 < r/t < 1/1000 is positive definite, and no other member is definite
     "solubility_narrow_oo": ["solubility", NARROW_SPEC, "--place", "oo"],
-    # the exhaustive walk at 2 reaches its first certified point at level 11
+    # the exhaustive walk at 2 reaches its first certified point at level 7,
+    # as on the subfamily form (level 11 on the doubled forms)
     "solubility_Y_17_16_1_place2": ["solubility", Y17_SPEC, "--place", "2"],
 }
 

@@ -22,7 +22,8 @@ from dp4.localsolve import (
     normalize_residue_tuple,
     sample_local_points,
 )
-from dp4.arith import divisors, legendre
+from dp4 import arith
+from dp4.arith import divisors, is_prime, legendre
 from dp4.families import make_S, make_Y, s_from_t
 
 from helpers import (CASE_PATTERN_SURFACES, INSOLUBLE_AT_P, box_slice,
@@ -218,8 +219,7 @@ class JacobianCounting(GeneralSurface):
 
 
 def test_decide_reads_each_node_once(monkeypatch):
-    # one equations-and-Jacobian reading per node the walk visits; reading
-    # the certificate and the lifts apart took 311 here
+    # one equations-and-Jacobian reading per node the walk visits
     g = to_matrices(make_Y(17, 16, 1))
     visited = [0]
     real_node = localsolve._node
@@ -231,8 +231,8 @@ def test_decide_reads_each_node_once(monkeypatch):
     monkeypatch.setattr(localsolve, "_node", node)
     monkeypatch.setattr(JacobianCounting, "reads", 0)
     verdict = decide_Qq(JacobianCounting(g.mat1, g.mat2), 2)
-    assert verdict.soluble and verdict.level == 11
-    assert JacobianCounting.reads == visited[0] == 156
+    assert verdict.soluble and verdict.level == 7
+    assert JacobianCounting.reads == visited[0] == 16
 
 
 @pytest.mark.parametrize("s, q, count, precision, digest", [
@@ -486,6 +486,98 @@ def test_bsd_general_path():
     rep = everywhere_locally_soluble_general(BSD)
     assert rep.everywhere_soluble is True
     assert set(rep.decided_places) == {2, 3, 5}
+
+
+Y17_PENCIL = to_matrices(make_Y(17, 16, 1))
+
+
+def scaled(g, r, t):
+    return GeneralSurface(*(tuple(tuple(c * a for a in row) for row in m) for c, m in ((r, g.mat1), (t, g.mat2))))
+
+
+@pytest.mark.parametrize("g", [BSD, Y17_PENCIL])
+def test_a_pencils_content_moves_no_finite_place(g):
+    # the walks read the content-free forms, so multiplying the quadrics by
+    # 3 and 5 leaves every row at a prime as it was
+    def finite_rows(h):
+        return [row for row in everywhere_locally_soluble_general(h).rows if row[0] != "oo"]
+
+    rows = finite_rows(g)
+    for r, t in ((3, 5), (5, 3)):
+        assert finite_rows(scaled(g, r, t)) == rows
+
+
+@pytest.mark.parametrize("g, level", [(BSD, 3), (Y17_PENCIL, 7)])
+def test_the_witness_at_2_lifts_on_the_given_matrices(g, level):
+    verdict = decide_Qq(g, 2)
+    assert (verdict.status, verdict.level) == ("soluble", level)
+    pt = newton_refine(g, verdict.witness, 40)
+    for m in (g.mat1, g.mat2):
+        assert sum(x * a * y for x, row in zip(pt.coords, m) for a, y in zip(row, pt.coords)) % 2 ** 40 == 0
+
+
+def first_family(primes):
+    return [make_Y(p, a, (p - 1) // a) for p in primes if p % 4 == 1 and is_prime(p) for a in divisors(p - 1)]
+
+
+def test_first_family_pencils_are_decided_at_2_at_their_subfamily_level():
+    # to_matrices doubles both forms; their content-free forms are eq1 and
+    # eq2 again, so each pencil is decided where its subfamily form is (the
+    # doubled forms went four levels deeper)
+    surfaces = first_family(range(5, 114))
+    assert len(surfaces) == 118
+    for s in surfaces:
+        general, subfamily = decide_Qq(to_matrices(s), 2), decide_Qq(s, 2)
+        assert (general.status, general.level) == (subfamily.status, subfamily.level), s
+
+
+def test_family_pencils_read_no_more_nodes_at_2_than_their_subfamily_form(monkeypatch):
+    # the pencil benchmark's family rows (p in {5, 13, 29, 37}: every first-
+    # family row and the first four admissible t of the second); node reads
+    # repeat exactly, unlike times
+    surfaces = first_family((5, 13, 29, 37))
+    for p in (5, 13, 29, 37):
+        t0 = 3 * (p - 1) // 4 % 8 or 8
+        surfaces += [make_S(*s_from_t(p, t0 + 8 * k)) for k in range(4)]
+    reads = [0]
+    real_node = localsolve._node
+
+    def node(surface, pt):
+        reads[0] += 1
+        return real_node(surface, pt)
+
+    def walked(surface):
+        reads[0] = 0
+        decide_Qq(surface, 2)
+        return reads[0]
+
+    monkeypatch.setattr(localsolve, "_node", node)
+    for s in surfaces:
+        assert walked(to_matrices(s)) <= walked(s), s
+
+
+def test_level1_draws_beyond_the_budget_prove_q_prime_at_most_once(monkeypatch):
+    # past RESIDUE_ENUM_BUDGET each slot takes its roots by Tonelli-Shanks,
+    # with the non-residue found once and q not proved prime again
+    q = 10037
+    s = make_Y(q, 1, q - 1)
+    calls = [0]
+    real = arith.is_prime
+
+    def counted(n):
+        calls[0] += 1
+        return real(n)
+
+    monkeypatch.setattr(arith, "is_prime", counted)
+    monkeypatch.setattr(localsolve, "is_prime", counted)
+    draws = localsolve._level1_draws(s, q, random.Random(0))
+    assert sum(1 for _ in itertools.islice(draws, 100)) == 100
+    assert calls[0] <= 1
+
+
+def test_level1_draws_beyond_the_budget_need_a_prime():
+    with pytest.raises(ValueError, match="30021 is not prime"):
+        next(iter_residue_points(Y_13_2_6, 3 * 10007, random.Random(0)))
 
 
 def test_general_report_computes_the_quintic_once(monkeypatch):

@@ -56,13 +56,33 @@ def test_subfamily_equations_and_paper_points():
     assert not Y_13_2_6.contains((1, 0, 0, 0, 1))
 
 
+def test_content_free_forms_stay_out_of_repr_eq_and_hash():
+    # decide_Qq seeds its draws from repr(surface)
+    assert repr(BSD) == f"GeneralSurface(mat1={BSD_M1!r}, mat2={BSD_M2!r})"
+    doubled = GeneralSurface(*(tuple(tuple(2 * a for a in row) for row in m) for m in (BSD_M1, BSD_M2)))
+    assert doubled.hessians == BSD.hessians and doubled != BSD
+    assert GeneralSurface(BSD_M1, BSD_M2) == BSD and hash(GeneralSurface(BSD_M1, BSD_M2)) == hash(BSD)
+
+
+def test_content_free_forms_of_a_pencil():
+    # content of x.M1 x: gcd(2, 10, 2 * 1) = 2; of x.M2 x: gcd(2, 4, 2, 10, 2 * 3) = 2
+    assert BSD.hessians == (BSD_M1, BSD_M2)
+    zero = ((0,) * 5,) * 5
+    g = GeneralSurface(zero, tuple(tuple(3 * a for a in row) for row in BSD_M1))
+    assert g.hessians == (zero, BSD_M1)  # a zero form is left as it is
+    pt = (1, 2, 3, 4, 5)
+    assert g.equations(pt) == (0, BSD.quad_value(0, pt))
+    assert g.jacobian(pt)[0] == (0,) * 5
+
+
 def test_to_matrices_reproduces_equations():
     g = to_matrices(Y_13_2_6)
     rng = random.Random(0)
     for _ in range(40):
         pt = tuple(rng.randint(-9, 9) for _ in range(5))
-        assert g.quad_value(0, pt) == 2 * Y_13_2_6.eq1(pt)
-        assert g.quad_value(1, pt) == 2 * Y_13_2_6.eq2(pt)
+        # both doubled forms have content 2: the walked forms are eq1 and eq2
+        assert g.quad_value(0, pt) == Y_13_2_6.eq1(pt)
+        assert g.quad_value(1, pt) == Y_13_2_6.eq2(pt)
     assert g.equations((1, 0, 0, 0, 1)) != (0, 0)
     g2 = to_matrices(Y_13_12_1)
     assert g2.equations((1, -3, 2, 7, 16)) == (0, 0)
