@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -120,41 +121,49 @@ def class_representations(s: SubfamilySurface, tag: str) -> tuple[SymbolRep, ...
 # invariant evaluation
 
 
-def _eval_reps(s: SubfamilySurface, tag: str, point, v: Place | None) -> Fraction | None:
-    """Common value of the representatives determinate at the point, or None.
+class _Reading:
+    """One reading of the seven factors at a point and place.
 
-    At an exact integer point (finite place ``v``) a representative n/d counts
-    when n and d are nonzero; at a PadicApproxPoint n and d are read mod q^k
-    and each must carry enough unit digits to fix its square class (3 at
-    q = 2, else 1).  Hilbert symbols are bimultiplicative, so
-    (p, n/d)_q = (p, n)_q (p, d)_q = (p, n*d)_q, and (p, n*d)_q depends only on
-    the parity of v_q(n) + v_q(d) and on the unit of n*d mod q (mod 8 at 2):
-    one symbol per representative, from integer valuations alone.
+    Each factor f is read once, mod q^k first at a PadicApproxPoint: vals[f]
+    is v_q(f), or room + 1 where f is zero (0 mod q^k, or exactly 0).  A
+    representative n/d counts when max(v_q(n), v_q(d)) <= room, v_q(n) being
+    the sum over n's factors: at a p-adic point room = k - 3 at q = 2, else
+    k - 1, so n keeps the unit digits that fix its square class (its unit
+    mod q^(k - v_q(n)) is the product of its factors' units); at an exact
+    point there is no bound.  Every factor of a counting representative
+    then has v_q(f) <= room, and only those factors get signs[f] = (p, f)_q,
+    from f's unit (mod 8 at 2).  By bimultiplicativity (p, n/d)_q is the
+    product of its factors' signs.
     """
-    local = isinstance(point, PadicApproxPoint)
-    coords, q = (point.coords, point.q) if local else (point, v.q)
-    mod = 8 if q == 2 else q
-    need = 3 if q == 2 else 1  # unit digits a p-adic value must carry
-    modulus = q ** point.k if local else None
-    val_p = valuation(s.p, q)
-    unit_p = s.p // q ** val_p % mod
-    factors = _factor_values(s, coords)
-    values = set()
-    for rep in class_representations(s, tag):
-        n, d = rep.eval_num(factors), rep.eval_den(factors)
-        if local:
-            n, d = n % modulus, d % modulus
-        if n == 0 or d == 0:
-            continue
-        val_n, val_d = valuation(n, q), valuation(d, q)
-        if local and point.k - max(val_n, val_d) < need:
-            continue
-        unit = n // q ** val_n * (d // q ** val_d) % mod
-        sym = hilbert_valunit(q, val_p, unit_p, val_n + val_d, unit)
-        values.add(ZERO if sym == 1 else HALF)
-    if len(values) > 1:
-        raise AssertionError(f"representations disagree for {tag} at {point}, place {q}")
-    return values.pop() if values else None
+
+    def __init__(self, s: SubfamilySurface, point, v: Place | None):
+        local = isinstance(point, PadicApproxPoint)
+        coords, q = (point.coords, point.q) if local else (point, v.q)
+        mod = 8 if q == 2 else q
+        val_p = valuation(s.p, q)
+        unit_p = s.p // q ** val_p % mod
+        self.point, self.q = point, q
+        self.room = room = point.k - (3 if q == 2 else 1) if local else sys.maxsize
+        self.vals, self.signs = {}, {}
+        for name, f in _factor_values(s, coords).items():
+            if local:
+                f %= q ** point.k
+            self.vals[name] = val = valuation(f, q) if f else room + 1
+            if val <= room:
+                self.signs[name] = hilbert_valunit(q, val_p, unit_p, val, f // q ** val % mod)
+
+
+def _eval_reps(s: SubfamilySurface, tag: str, point, v: Place | None) -> Fraction | None:
+    """Common value of the representatives determinate at the point, or None:
+    the one-class view of the point's reading, which ``point`` may already be."""
+    reading = point if isinstance(point, _Reading) else _Reading(s, point, v)
+    vals, signs = reading.vals, reading.signs
+    found = {math.prod(map(signs.__getitem__, rep.num + rep.den))
+             for rep in class_representations(s, tag)
+             if max(sum(map(vals.__getitem__, rep.num)), sum(map(vals.__getitem__, rep.den))) <= reading.room}
+    if len(found) > 1:
+        raise AssertionError(f"representations disagree for {tag} at {reading.point}, place {reading.q}")
+    return (ZERO if found.pop() == 1 else HALF) if found else None
 
 
 def evaluate_invariant(s: SubfamilySurface, tag: str, point, v=None) -> Fraction:
@@ -189,22 +198,26 @@ def evaluate_invariant(s: SubfamilySurface, tag: str, point, v=None) -> Fraction
 def _point_values(s, point, v) -> tuple:
     """Values of A, B and C at the point, None where a class is indeterminate.
 
-    C = A + B wherever A and B are determinate, and C's own representatives
-    that are determinate there must agree: the Klein-four identity, checked
-    at every point that comes through here.  Elsewhere C takes its own path.
+    All three come from one reading of the point.  C = A + B wherever A and
+    B are determinate, and C's own representatives that are determinate
+    there must agree: the Klein-four identity, checked at every point that
+    comes through here.  Elsewhere C takes its own path.
     """
-    a = _direct_value(s, "A", point, v)
-    b = _direct_value(s, "B", point, v)
+    reading = _Reading(s, point, v)
+    a = _direct_value(s, "A", reading, v)
+    b = _direct_value(s, "B", reading, v)
     if a is None or b is None:
-        return a, b, _direct_value(s, "C", point, v)
-    c = (a + b) % 1
-    if _eval_reps(s, "C", point, v) not in (None, c):
+        return a, b, _direct_value(s, "C", reading, v)
+    c = ZERO if a == b else HALF
+    own = _eval_reps(s, "C", reading, v)
+    if own is not None and own != c:
         raise AssertionError(f"Klein-four identity fails at {point}, place {v or point.q}")
     return a, b, c
 
 
 def _direct_value(s, tag, point, v) -> Fraction | None:
-    """The class's value from its own representatives, or None.
+    """The class's value from its own representatives, or None; ``point`` may
+    be its reading (``_Reading``).
 
     A rational point needs nothing beyond ``_eval_reps`` for A and B.  (C2)
     gives M (AD - BC) != 0, and a zero among A..D would make the (C1) value
@@ -215,6 +228,7 @@ def _direct_value(s, tag, point, v) -> Fraction | None:
     BD t^2 + (AD+BC-M) t + AC, whose discriminant p N^2 is not a square.
     """
     value = _eval_reps(s, tag, point, v)
+    point = point.point if isinstance(point, _Reading) else point
     if value is not None or not isinstance(point, PadicApproxPoint):
         return value
     pt = point

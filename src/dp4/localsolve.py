@@ -28,7 +28,6 @@ from .quadform import (
     SubfamilySurface,
     binary_form_eval,
     binary_resultant,
-    discriminant_quintic,
     mat_det,
 )
 
@@ -350,46 +349,43 @@ def newton_refine(surface, pt: PadicApproxPoint, target_k: int) -> PadicApproxPo
         cert = lift_certificate(surface, pt)
         if cert is None:
             raise ValueError("point carries no lift certificate")
-        pt = replace(pt, cert=cert)
+        pt = PadicApproxPoint(pt.q, pt.k, pt.coords, pt.pinned, cert)
     if target_k <= pt.k:
         return pt.reduce(target_k) if target_k < pt.k else pt
     q, e = pt.q, pt.cert.e
     i, j = pt.cert.cols
-    big = q ** (target_k + e + 1)
+    qe, qt = q ** e, q ** target_k
+    big = qt * qe * q
     coords = [c % big for c in pt.coords]
     for _ in range(64):
         f1, f2 = surface.equations(coords)
         f1 %= big
         f2 %= big
-        cur = min(valuation(f1, q) if f1 else target_k + e + 1,
-                  valuation(f2, q) if f2 else target_k + e + 1)
-        if cur >= target_k:
+        if f1 % qt == 0 and f2 % qt == 0:  # both residuals vanish mod q^target_k
             break
         j1, j2 = surface.jacobian(coords)  # read apart: the last pass needs only the residuals
         m11, m12 = j1[i], j1[j]
         m21, m22 = j2[i], j2[j]
         det = m11 * m22 - m12 * m21
-        dv = valuation(det % big if det % big else det, q)
-        if dv != e:
+        if det % qe or det % (qe * q) == 0:  # v_q(det) != e
             raise ArithmeticError("certificate minor valuation drifted during refinement")
-        unit = det // q ** e
-        unit_inv = pow(unit % big, -1, big)
+        unit_inv = pow(det // qe % big, -1, big)
         # delta = -J2^{-1} F = -adj(J2) F / det, exact division by q^e
         n1 = -(m22 * f1 - m12 * f2)
         n2 = -(-m21 * f1 + m11 * f2)
-        if n1 % q ** e or n2 % q ** e:
+        if n1 % qe or n2 % qe:
             raise AssertionError("Newton numerators are not divisible by the minor's q-power")
-        coords[i] = (coords[i] + (n1 // q ** e) * unit_inv) % big
-        coords[j] = (coords[j] + (n2 // q ** e) * unit_inv) % big
+        coords[i] = (coords[i] + (n1 // qe) * unit_inv) % big
+        coords[j] = (coords[j] + (n2 // qe) * unit_inv) % big
     else:
         raise ArithmeticError("Newton refinement did not converge")
     out = normalize_residue_tuple(q, target_k, coords)
     if out is None or out.pinned != pt.pinned:
         raise AssertionError("Newton refinement lost primitivity or moved the pinned coordinate")
     f1, f2 = surface.equations(out.coords)
-    if f1 % q ** target_k or f2 % q ** target_k:
+    if f1 % qt or f2 % qt:
         raise ValueError(f"point does not satisfy the equations mod {q}^{target_k}")
-    return replace(out, cert=pt.cert)
+    return PadicApproxPoint(q, target_k, out.coords, out.pinned, pt.cert)
 
 
 # ---------------------------------------------------------------------------
@@ -624,11 +620,7 @@ def decide_R(surface) -> SolubilityVerdict:
     if isinstance(surface, SubfamilySurface):
         return SolubilityVerdict(0, "soluble", real_witness="(0:0:1:sqrt(p):sqrt(p))",
                                  method="theorem: real witness")
-    return _decide_R_general(surface, discriminant_quintic(surface))
-
-
-def _decide_R_general(surface: GeneralSurface, quintic: list[int]) -> SolubilityVerdict:
-    for r, t in _points_on_every_arc(quintic):
+    for r, t in _points_on_every_arc(surface.quintic):
         member = surface.member(r, t)
         minors = [mat_det([row[:k] for row in member[:k]]) for k in range(1, 6)]
         if all(d > 0 for d in minors) or all((-1) ** k * d > 0 for k, d in enumerate(minors, 1)):
@@ -751,10 +743,10 @@ def _odd_prime_divisors(n: int) -> list[int]:
     return sorted({f for f in factor(abs(n)) if f % 2})
 
 
-def validate_pencil(g: GeneralSurface) -> tuple[list[int], int]:
+def validate_pencil(g: GeneralSurface) -> tuple[tuple[int, ...], int]:
     """The pencil quintic and the resultant of its partials (+-5^3 Disc); ValueError
     unless the quintic is squarefree (nonzero, no repeated root): else the surface is singular."""
-    quintic = discriminant_quintic(g)
+    quintic = g.quintic
     if all(c == 0 for c in quintic):
         raise ValueError("pencil discriminant vanishes identically; not a del Pezzo pencil")
     dk = [(5 - i) * c for i, c in enumerate(quintic[:5])]
@@ -777,7 +769,7 @@ def everywhere_locally_soluble_general(g: GeneralSurface) -> LocalSolubilityRepo
     candidates.update(factor(abs(res)))
     candidates.update(factor(abs(math.gcd(*quintic))))
     rows: list[tuple[str, SolubilityVerdict | None, str]] = []
-    rows.append(("oo", _decide_R_general(g, quintic), ""))
+    rows.append(("oo", decide_R(g), ""))
     rows.append(("other odd primes", None,
                  "theorem: good reduction, a residue point exists and is smooth"))
     for q in sorted(candidates):
@@ -791,7 +783,9 @@ def everywhere_locally_soluble_general(g: GeneralSurface) -> LocalSolubilityRepo
 
 def sample_local_points(surface, q: int, count: int, precision: int,
                         seed: int = 0) -> list[PadicApproxPoint]:
-    """At least ``count`` distinct certified points at the given precision.
+    """``count`` certified points at the given precision, distinct as residue
+    tuples mod q^precision: two lifts of one node can refine to two of them
+    that approximate the same Q_q point.
 
     Stratified: one point per level-1 residue class that is certified at once,
     the classes drawn lazily in seeded random order until ``count`` points are
@@ -818,7 +812,8 @@ def sample_local_points(surface, q: int, count: int, precision: int,
 
     def try_collect(pt: PadicApproxPoint, cert: LiftCertificate) -> None:
         """Refine a certified pt to the precision and keep it if it is a new point."""
-        refined = newton_refine(surface, replace(pt, cert=cert), precision)
+        certified_pt = PadicApproxPoint(pt.q, pt.k, pt.coords, pt.pinned, cert)
+        refined = newton_refine(surface, certified_pt, precision)
         if refined.coords not in seen:
             seen.add(refined.coords)
             out.append(refined)

@@ -390,6 +390,11 @@ class GeneralSurface:
             out.append(tuple(tuple(2 * a // content for a in row) for row in m))
         return tuple(out)
 
+    @cached_property
+    def quintic(self) -> tuple[int, ...]:
+        """``discriminant_quintic(self)``, worked out on first use, once per surface; not a field."""
+        return tuple(discriminant_quintic(self))
+
     def member(self, r: int, t: int) -> Matrix:
         return tuple(tuple(r * a + t * b for a, b in zip(ra, rb))
                      for ra, rb in zip(self.mat1, self.mat2))
@@ -516,11 +521,7 @@ def binary_form_is_squarefree(coeffs: list[int]) -> bool:
 
 def degenerate_members(g: GeneralSurface) -> list[tuple[tuple[int, int], int]]:
     """Rational points of the pencil where the member degenerates, with exact ranks."""
-    return _degenerate_members(g, discriminant_quintic(g))
-
-
-def _degenerate_members(g: GeneralSurface, quintic: list[int]):
-    return [(root, mat_rank(g.member(*root))) for root in rational_roots_binary_form(quintic)]
+    return [(root, mat_rank(g.member(*root))) for root in rational_roots_binary_form(g.quintic)]
 
 
 def epsilon_T(g: GeneralSurface, root: tuple[int, int]) -> SquareClass:
@@ -558,12 +559,12 @@ def order4_test(g: GeneralSurface) -> Order4Report:
     Certified exactly when three distinct rational degenerate members have rank
     4 and share one non-square determinant class eps.
     """
-    quintic = discriminant_quintic(g)
+    quintic = g.quintic
     if all(c == 0 for c in quintic):
         raise ValueError("pencil discriminant is identically zero")
     members = []
     by_class: dict[int, list[tuple[int, int]]] = {}
-    for root, rank in _degenerate_members(g, quintic):
+    for root, rank in degenerate_members(g):
         cls = epsilon_T(g, root).rep if rank == 4 else None
         members.append((root, rank, cls))
         if cls is not None and cls != 1:
@@ -571,9 +572,8 @@ def order4_test(g: GeneralSurface) -> Order4Report:
     for cls, points in sorted(by_class.items()):
         if len(points) >= 3:
             return Order4Report(True, SquareClass(cls), tuple(points[:3]), tuple(members),
-                             tuple(quintic), binary_form_is_squarefree(quintic))
-    return Order4Report(False, None, (), tuple(members), tuple(quintic),
-                     binary_form_is_squarefree(quintic))
+                             quintic, binary_form_is_squarefree(quintic))
+    return Order4Report(False, None, (), tuple(members), quintic, binary_form_is_squarefree(quintic))
 
 
 # ---------------------------------------------------------------------------

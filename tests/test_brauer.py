@@ -76,19 +76,21 @@ def written_out(s, label, coords):
     }[label]
 
 
+def symbol_value(s, n, d, q):
+    sym = hilbert_symbol(s.p, Fraction(n, d), Place(q))
+    return ZERO if sym == 1 else HALF
+
+
+def determinate(x, q, k):
+    scalar = PadicScalar.from_residue(q, x, k)
+    return scalar.k >= (3 if q == 2 else 1)
+
+
 def test_eval_reps_agrees_with_hilbert_symbol_per_representative(monkeypatch):
     # one representative at a time, the integer-valuation loop must give
     # (p, n/d)_q as hilbert_symbol computes it from the written-out n/d: at
     # exact points wherever n, d are nonzero, at p-adic points wherever n and
     # d are determinate mod q^k, and nothing at the other p-adic points
-    def symbol_value(s, n, d, q):
-        sym = hilbert_symbol(s.p, Fraction(n, d), Place(q))
-        return ZERO if sym == 1 else HALF
-
-    def determinate(x, q, k):
-        scalar = PadicScalar.from_residue(q, x, k)
-        return scalar.k >= (3 if q == 2 else 1)
-
     checked = skipped = 0
     for s in (Y_13_2_6, S_13, CASE_PATTERN_SURFACES["case2"]):
         for q in (2, 3, s.p):
@@ -113,6 +115,102 @@ def test_eval_reps_agrees_with_hilbert_symbol_per_representative(monkeypatch):
                             assert got_local is None
                             skipped += 1
     assert checked > 500 and skipped > 500
+
+
+def written_point_values(s, point, q):
+    """(A, B, C) as _point_values must give them without refinement, from the
+    written-out representatives and hilbert_symbol; an AssertionError where
+    it must raise one."""
+    local = isinstance(point, localsolve.PadicApproxPoint)
+    coords = point.coords if local else point
+
+    def value(tag):
+        found = set()
+        for rep in class_representations(s, tag):
+            n, d = written_out(s, rep.label, coords)
+            if (determinate(n, q, point.k) and determinate(d, q, point.k)) if local else n and d:
+                found.add(symbol_value(s, n, d, q))
+        if len(found) > 1:
+            raise AssertionError(f"representations disagree for {tag}")
+        return found.pop() if found else None
+
+    a, b = value("A"), value("B")
+    if a is None or b is None:
+        return a, b, value("C")
+    if value("C") not in (None, (a + b) % 1):
+        raise AssertionError("Klein-four identity fails")
+    return a, b, (a + b) % 1
+
+
+def test_point_values_agree_with_hilbert_symbol_on_written_out_representatives(monkeypatch):
+    # the one reading per point and place gives every value the written-out
+    # representatives give, None included: at sampled points reduced to
+    # precisions 1, 2, 3 and full, and at exact points on the loci u = 0,
+    # Au + Bv = 0 and z = y, where it must also raise exactly where they
+    # disagree (most of these integer tuples are not on the surface)
+    def no_refinement(*args):
+        raise ValueError("refinement switched off")
+
+    monkeypatch.setattr(brauer, "newton_refine", no_refinement)
+    monkeypatch.setattr(brauer, "_eval_by_local_constancy", lambda *args: None)
+    counts = {"value": 0, "None": 0, "raises": 0}
+    for s in (Y_13_2_6, S_13, CASE_PATTERN_SURFACES["case2"]):
+        box = [c for c in itertools.product(range(-2, 3), repeat=5)
+               if any(c) and (c[0] == 0 or s.A * c[0] + s.B * c[1] == 0 or c[3] == c[4])]
+        for q in (2, 3, s.p):
+            sampled = sample_local_points(s, q, 12, 14 if q == 2 else 8, seed=3)
+            points = [full.reduce(k) for full in sampled for k in (1, 2, 3, full.k)] + box
+            for point in points:
+                v = None if isinstance(point, localsolve.PadicApproxPoint) else Place(q)
+                try:
+                    expected = written_point_values(s, point, q)
+                except AssertionError as exc:
+                    with pytest.raises(AssertionError, match=str(exc)):
+                        brauer._point_values(s, point, v)
+                    counts["raises"] += 1
+                    continue
+                assert brauer._point_values(s, point, v) == expected, (s, point, q)
+                for value in expected:
+                    counts["None" if value is None else "value"] += 1
+    assert min(counts.values()) > 1000, counts
+
+
+def test_one_factor_reading_per_point_and_place(monkeypatch):
+    # A, B and C, the disagreement check and the Klein-four check come from
+    # one reading of the seven factors per sampled point (A and B are
+    # determinate at every point sampled here); reciprocity_check reads them
+    # once to find its places and once per place
+    reads, sampled, places = [0], [0], []
+    real_factors, real_sampler, real_values = (
+        brauer._factor_values, brauer.sample_local_points, brauer._point_values)
+
+    def factors(s, coords):
+        reads[0] += 1
+        return real_factors(s, coords)
+
+    def sampler(*args, **kwargs):
+        points = real_sampler(*args, **kwargs)
+        sampled[0] += len(points)
+        return points
+
+    def point_values(s, point, v):
+        places.append(v)
+        return real_values(s, point, v)
+
+    monkeypatch.setattr(brauer, "_factor_values", factors)
+    monkeypatch.setattr(brauer, "sample_local_points", sampler)
+    monkeypatch.setattr(brauer, "_point_values", point_values)
+    for s in (Y_13_2_6, S_13):
+        for q in relevant_places(s)[0]:
+            reads[0] = sampled[0] = 0
+            invariant_image(s, q)
+            assert reads[0] == sampled[0] > 0, (s, q)
+    for s, point in [(Y_13_1_12, (1, 0, 0, 0, 1)), (Y_13_12_1, (1, -3, 2, 7, 16)),
+                     (SubfamilySurface(3, -4, 1, 1, -4, 1), (1, 4, 0, 2, 0))]:
+        reads[0] = 0
+        places.clear()
+        assert reciprocity_check(s, point)
+        assert reads[0] == 1 + len(places) and len(places) >= 2, (s, point)
 
 
 def test_invariant_A_at_p_is_half_on_obstructed_family_member():

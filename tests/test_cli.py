@@ -230,6 +230,26 @@ def test_census_point_checks_survive_optimized_mode():
     assert all(not r["points"] for r in rows)  # every row with a point failed
 
 
+def test_representation_check_survives_optimized_mode():
+    # with B's (z-y)/u added to A's table, A's representatives disagree at
+    # some sampled point; python -O strips assert statements, not this check
+    script = ("import dp4.brauer as br\n"
+              "from dp4.families import make_Y\n"
+              "real = br.class_representations\n"
+              "extra = tuple(r for r in real(None, 'B') if r.label == '(z-y)/u')\n"
+              "br.class_representations = lambda s, tag: real(s, tag) + (extra if tag == 'A' else ())\n"
+              "try:\n"
+              "    br.invariant_image(make_Y(13, 2, 6), 13)\n"
+              "except AssertionError as exc:\n"
+              "    print(exc)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("representations disagree for A at "), proc.stdout
+
+
 def test_library_has_no_assert_statements():
     # python -O strips assert statements; invariant checks must raise instead
     src = Path(__file__).resolve().parents[1] / "src" / "dp4"

@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from dp4 import localsolve
+from dp4 import localsolve, quadform
 from dp4.quadform import (GeneralSurface, SubfamilySurface, check_subfamily, discriminant_quintic,
-                          mat_det, to_matrices)
+                          mat_det, order4_test, to_matrices)
 from dp4.localsolve import (
     EnumerationBudgetError,
     _node,
@@ -580,18 +580,59 @@ def test_level1_draws_beyond_the_budget_need_a_prime():
         next(iter_residue_points(Y_13_2_6, 3 * 10007, random.Random(0)))
 
 
-def test_general_report_computes_the_quintic_once(monkeypatch):
+def test_newton_refine_checks_the_certificate_minor():
+    # a certificate whose e is off by one, either way, is caught at the first
+    # Newton step; the correct one refines the reduced point
+    full = next(pt for pt in sample_local_points(Y_13_2_6, 2, 8, 14, seed=3) if pt.cert.e == 2)
+    start = full.reduce(2 * full.cert.e + 1)
+    assert all(f % 2 ** 14 == 0 for f in Y_13_2_6.equations(newton_refine(Y_13_2_6, start, 14).coords))
+    for e in (full.cert.e - 1, full.cert.e + 1):
+        wrong = localsolve.PadicApproxPoint(2, start.k, start.coords, start.pinned,
+                                            localsolve.LiftCertificate(full.cert.cols, e))
+        with pytest.raises(ArithmeticError, match="certificate minor valuation drifted during refinement"):
+            newton_refine(Y_13_2_6, wrong, 14)
+
+
+def test_newton_refine_needs_a_certificate_and_reduces_below_its_precision():
+    uncertified = next(pt for pt in iter_residue_points(Y_13_2_6, 2) if lift_certificate(Y_13_2_6, pt) is None)
+    with pytest.raises(ValueError, match="point carries no lift certificate"):
+        newton_refine(Y_13_2_6, uncertified, 10)
+    full = sample_local_points(Y_13_2_6, 2, 1, 14, seed=3)[0]
+    assert newton_refine(Y_13_2_6, full, 14) is full
+    assert newton_refine(Y_13_2_6, full, 9) == full.reduce(9)
+
+
+def count_quintics(monkeypatch) -> list:
+    """Record each computation of a pencil quintic; GeneralSurface.quintic is its one call site."""
     calls = []
-    real = localsolve.discriminant_quintic
+    real = quadform.discriminant_quintic
 
     def counted(g):
         calls.append(g)
         return real(g)
 
-    monkeypatch.setattr(localsolve, "discriminant_quintic", counted)
-    rep = everywhere_locally_soluble_general(BSD)
+    monkeypatch.setattr(quadform, "discriminant_quintic", counted)
+    return calls
+
+
+def test_general_report_computes_the_quintic_once(monkeypatch):
+    calls = count_quintics(monkeypatch)
+    g = GeneralSurface(BSD.mat1, BSD.mat2)  # a fresh pencil: BSD keeps the quintic earlier tests worked out
+    rep = everywhere_locally_soluble_general(g)
     assert len(calls) == 1
     assert rep.rows[0][1] == decide_R(BSD)
+
+
+def test_one_quintic_per_pencil_across_the_pencil_reports(monkeypatch):
+    # order4_test, the local solubility report and decide_R all read the
+    # quintic held on the pencil; it is worked out once, on first use
+    calls = count_quintics(monkeypatch)
+    g = GeneralSurface(BSD.mat1, BSD.mat2)
+    rep = order4_test(g)
+    report = everywhere_locally_soluble_general(g)
+    assert decide_R(g) == report.rows[0][1]
+    assert len(calls) == 1 and calls[0] is g
+    assert g.quintic == rep.quintic == tuple(discriminant_quintic(g))
 
 
 # pencils whose quintic det(k*mat1 + l*mat2) has a repeated root

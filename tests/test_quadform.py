@@ -281,10 +281,11 @@ def test_order4_computes_the_quintic_once(monkeypatch):
         return discriminant_quintic(g)
 
     monkeypatch.setattr(quadform, "discriminant_quintic", counted)
-    rep = order4_test(BSD)
+    g = GeneralSurface(BSD_M1, BSD_M2)  # a fresh pencil: BSD keeps the quintic earlier tests worked out
+    rep = order4_test(g)
     assert len(calls) == 1
     assert rep.quintic == tuple(discriminant_quintic(BSD))
-    assert [(root, rank) for root, rank, _ in rep.members] == degenerate_members(BSD)
+    assert [(root, rank) for root, rank, _ in rep.members] == degenerate_members(g)
 
 
 def test_order4_rejects_degenerate_pencil():
