@@ -76,12 +76,6 @@ class SymbolRep:
     num: tuple[str, ...]
     den: tuple[str, ...]
 
-    def eval_num(self, values):
-        return math.prod(values[name] for name in self.num)
-
-    def eval_den(self, values):
-        return math.prod(values[name] for name in self.den)
-
 
 def _factor_values(s: SubfamilySurface, coords) -> dict[str, int]:
     """The seven integers every class representative is a product of."""

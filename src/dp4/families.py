@@ -16,7 +16,7 @@ import multiprocessing
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .arith import is_prime, legendre
+from .arith import is_prime, legendre, valuation
 from .brauer import bm_verdict, reciprocity_check
 from .quadform import Point, SubfamilySurface, validate_subfamily
 
@@ -129,12 +129,27 @@ def point_search(s: SubfamilySurface, height_bound: int, jobs: int = 1) -> list[
     """All primitive points with max |coordinate| <= height_bound, u > 0 or u = 0 < v.
 
     Walks the hyperbola y^2 - p x^2 = M u v.  For each u >= 1 and x >= 0 the
-    y with |v| <= h are the square roots of p x^2 mod |M| u lifted through a
-    window, so v is exact and only z takes an integer square root.  On u = 0
-    a non-square p forces x = y = 0 and primitivity v = 1.  Work: about
-    sum_u min(|M| u, h) for the root tables plus h^2 log h / sqrt(p)
-    candidates, where a scan over (u, v, x) costs h^3 / sqrt(p).
+    y are the square roots of p x^2 mod m = |M| u lifted through a window, so
+    v is exact and only z takes an integer square root.  On u = 0 a non-square
+    p forces x = y = 0 and primitivity v = 1.
+
+    x and y step by g(m), the product of l^ceil(k/2) over the odd primes
+    l <= h with (p/l) = -1 and l^k || m: if y^2 = p x^2 mod l^k and l did not
+    divide x, p would be the square (y/x)^2 mod l; so l | x, l | y and
+    (y/l)^2 = p (x/l)^2 mod l^(k-2), and induction on k gives l^ceil(k/2).
+
+    v lies in a window: z^2 = BD v^2 + (AD+BC) u v + AC u^2 + p x^2 must lie
+    in [0, h^2], and BD != 0 on a valid surface ((C1) with BD = 0 forces
+    N = 0).  With sigma = sign(BD) and T = h^2 if BD > 0 else 0, the quadratic
+    sigma (z^2 - T) <= 0 in v has discriminant K_u - 4 BD p x^2; the integers
+    between its roots, clamped to |v| <= h, give the window of y through
+    y^2 = p x^2 + M u v, and for BD > 0 a bound on x.  Both cuts drop only
+    candidates that the z checks reject.  Work: h log log h to tabulate g,
+    then per u about min(|M| u, h) / g roots and h / g values of x with about
+    one candidate each, where a scan over (u, v, x) costs h^3 / sqrt(p).
     """
+    if height_bound < 0 or jobs < 1:
+        raise ValueError(f"need height_bound >= 0 and jobs >= 1, got {height_bound}, {jobs}")
     validate_subfamily(s)
     h = height_bound
     z = isqrt(max(s.B * s.D, 0))
@@ -149,24 +164,53 @@ def point_search(s: SubfamilySurface, height_bound: int, jobs: int = 1) -> list[
     return sorted(found.union(*parts))
 
 
+def _forced_divisors(p: int, M: int, n: int) -> list[int]:
+    """g(|M| u) of ``point_search`` for 1 <= u <= n, over the primes l <= n."""
+    g = [1] * (n + 1)
+    for q in range(3, n + 1, 2):
+        if pow(p, q // 2, q) == q - 1 and is_prime(q):  # (p/q) = -1
+            # q^ceil(k/2) gains a factor q at k = 1, 3, 5, ..., and
+            # v_q(|M| u) >= j exactly when q^(j - v_q(M)) divides u
+            e = valuation(M, q)
+            for j in range(1, e + n.bit_length() + 2, 2):
+                step = q ** max(j - e, 0)
+                for u in range(step, n + 1, step):
+                    g[u] *= q
+    return g
+
+
 def _search_hyperbola(s: SubfamilySurface, h: int, us) -> set[Point]:
     p, A, B, C, D, M = s.p, s.A, s.B, s.C, s.D, s.M
+    BD, h2 = B * D, h * h
+    T, a2, c = h2 if BD > 0 else 0, 2 * abs(BD), 4 * BD * p
+    # t = sign(M) v, so y^2 = p x^2 + m t and sign(BD) (z^2 - T) = |BD| t^2 + e u t + ...
+    e = (A * D + B * C) * (1 if BD > 0 else -1) * (1 if M > 0 else -1)
+    g = _forced_divisors(p, M, h)
     found: set[Point] = set()
     for u in us:
         m, Mu, Au, Cu = abs(M) * u, M * u, A * u, C * u
-        mh = m * h
+        b, step = e * u, g[u]
+        K = b * b - 4 * BD * (A * C * u * u - T)  # the discriminant at x = 0
+        xmax = min(h, isqrt((h2 + m * h) // p))
+        if BD > 0:
+            if K < 0:
+                continue
+            xmax = min(xmax, isqrt(K // c))
         roots: dict[int, list[int]] = {}
-        for y0 in range(min(m, h + 1)):
+        for y0 in range(0, min(m, h + 1), step):
             roots.setdefault(y0 * y0 % m, []).append(y0)
-        for x in range(min(h, isqrt((h * h + mh) // p)) + 1):
+        for x in range(0, xmax + 1, step):
             px2 = p * x * x
-            ylo = isqrt(px2 - mh - 1) + 1 if px2 > mh else 0  # y^2 >= px2 - mh
-            yhi = min(h, isqrt(px2 + mh))
+            r = isqrt(K - c * x * x)  # the quadratic is <= 0 iff |2 |BD| t + b| <= r
+            lo = px2 + m * max(-h, -((b + r) // a2))
+            hi = px2 + m * min(h, (r - b) // a2)
+            ylo = isqrt(lo - 1) + 1 if lo > 0 else 0
+            yhi = min(h, isqrt(hi)) if hi >= 0 else -1
             for y0 in roots.get(px2 % m, ()):
                 for y in range(y0 - (y0 - ylo) // m * m, yhi + 1, m):
                     v = (y * y - px2) // Mu
                     z2 = (Au + B * v) * (Cu + D * v) + px2
-                    if 0 <= z2 <= h * h:
+                    if 0 <= z2 <= h2:
                         z = isqrt(z2)
                         if z * z == z2 and gcd(u, v, x, y, z) == 1:
                             found.update((u, v, xx, yy, zz) for xx in {x, -x}

@@ -1,10 +1,12 @@
 import itertools
+import random
 from math import gcd, isqrt
 
 import pytest
 
 from dp4.brauer import reciprocity_check
 from dp4.families import (
+    _forced_divisors,
     census_S,
     census_Y,
     check_S_params,
@@ -125,6 +127,59 @@ def test_point_search_jobs_agree():
     assert len({pt[0] for pt in pts}) == 7
     for jobs in (2, 3):
         assert point_search(s, 40, jobs=jobs) == pts
+    s = SubfamilySurface(5, 2, 3, 2, -3, 24)  # B D < 0, and 3 | M is inert at p = 5
+    pts = point_search(s, 40)
+    assert len(pts) == 12
+    assert point_search(s, 40, jobs=3) == pts
+
+
+def test_point_search_rejects_a_negative_height_or_no_jobs():
+    s = make_Y(13, 12, 1)
+    with pytest.raises(ValueError, match="height_bound"):
+        point_search(s, -1)
+    with pytest.raises(ValueError, match="jobs"):
+        point_search(s, 8, jobs=0)
+    assert point_search(s, 0) == []
+    row = census_Y(5, height_bound=-2, sample_budget=8).rows[0]
+    assert row.error.startswith("ValueError") and not row.agreement
+
+
+@pytest.mark.parametrize("p", [5, 13, 17, 29, 37, 41, 53])
+def test_forced_divisor_divides_every_solution(p):
+    # every solution of y^2 = p x^2 mod m has g(m) | x and g(m) | y
+    g = _forced_divisors(p, 1, 12000)
+    for m in range(1, 121):
+        roots = {}
+        for y in range(m):
+            roots.setdefault(y * y % m, []).append(y)
+        for x in range(m):
+            for y in roots.get(p * x * x % m, ()):
+                assert x % g[m] == 0 and y % g[m] == 0, (p, m, x, y)
+    inert = [q for q in (3, 5, 7, 11) if q != p and pow(p, q // 2, q) == q - 1]
+    for q in inert:
+        assert (g[q], g[q * q], g[q ** 3]) == (q, q, q * q)
+    if p == 13:
+        assert g[125] == 25 and g[2 * 5 * 7 * 11] == 5 * 7 * 11 and g[3 * 17 * 23] == 1
+    if p == 5:
+        assert g[9] == 3 and g[27] == 9 and g[63] == 21
+    # the table for M != 1 holds g(|M| u), built from v_q(M) and the multiples of q in u
+    for M in (9, -27, 25, -175, 2 * 3 ** 4 * 7):
+        gM = _forced_divisors(p, M, 10)
+        assert gM[1:] == [g[abs(M) * u] for u in range(1, 11)], M
+
+
+def _mixed_sign_surfaces():
+    """Seeded valid surfaces, two in three with B D < 0, the first four at p = 5 with 9 | M."""
+    rng = random.Random(18)
+    out = []
+    while len(out) < 12:
+        p, M = ((5, rng.choice((-27, -9, 9, 27))) if len(out) < 4 else
+                (rng.choice((5, 13)), rng.choice([m for m in range(-30, 31) if m])))
+        A, B, C, D = (rng.randint(-6, 6) for _ in range(4))
+        s = SubfamilySurface(p, A, B, C, D, M)
+        if s not in out and check_subfamily(s).valid and (B * D < 0) == (len(out) % 3 > 0):
+            out.append(s)
+    return out
 
 
 def _shell_scan(s, bound):
@@ -174,6 +229,19 @@ def test_point_search_matches_the_shell_scan():
               make_Y(13, 2, 6), make_Y(29, 4, 7), make_S(13, 153, 179), make_S(*s_from_t(29, 5))]
     for s in family:
         assert point_search(s, 60) == _shell_scan(s, 60), s.label()
+
+
+def test_point_search_matches_the_shell_scan_on_either_sign_of_BD():
+    # the v-window takes z^2 >= 0 as its bound when B D < 0 and z^2 <= h^2 when B D > 0
+    edge = SubfamilySurface(5, 1, -4, -1, 1, -9)  # v = h and z = 0 at the window's ends
+    assert (1, 4, -3, -3, 0) in point_search(edge, 4)
+    surfaces = [edge] + _mixed_sign_surfaces()
+    assert {s.B * s.D > 0 for s in surfaces} == {True, False}
+    assert any(_forced_divisors(s.p, s.M, abs(s.M))[1] > 1 for s in surfaces)
+    for s in surfaces:
+        for bound in (4, 8, 20, 40):
+            assert point_search(s, bound) == _shell_scan(s, bound), (s.label(), bound)
+    assert sum(bool(point_search(s, 40)) for s in surfaces if s.B * s.D < 0) >= 4
 
 
 def test_census_small():
