@@ -59,10 +59,6 @@ from .brauer import (
     surjectivity_witness,
 )
 from .families import (
-    CensusResult,
-    CensusRow,
-    census_S,
-    census_Y,
     make_S,
     make_Y,
     point_search,
@@ -70,6 +66,7 @@ from .families import (
     predict_Y,
     s_from_t,
 )
+from .census import CensusResult, CensusRow, census_S, census_Y
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

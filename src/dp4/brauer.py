@@ -48,6 +48,7 @@ from .localsolve import (
     normalize_residue_tuple,
     sample_local_points,
 )
+from .families import family_of, point_search, predict_S, predict_Y
 from .quadform import SubfamilySurface, normalize_point, validate_subfamily
 
 CLASS_TAGS = ("A", "B", "C")
@@ -293,52 +294,35 @@ class PlaceImage:
         return {"image": image, "evidence": ev}
 
 
-def y_family_params(s: SubfamilySurface) -> tuple[int, int, int] | None:
-    """(p, a, b) when the surface is the first explicit family, else None."""
-    if (s.B == -s.p and s.C == 1 and s.M == 1 and s.p % 4 == 1
-            and s.A > 0 and s.D < 0 and s.A * (-s.D) == s.p - 1):
-        return (s.p, s.A, -s.D)
-    return None
-
-
-def s_family_params(s: SubfamilySurface) -> tuple[int, int, int] | None:
-    """(p, a, b) when the surface is the second explicit family, else None."""
-    a, b = s.C, s.D
-    if (s.A == 1 and s.B == 1 and s.M == 1 and s.p % 2 == 1
-            and (a + b - 1) ** 2 - 4 * a * b == s.p
-            and (4 * a - 1) % s.p == 0 and (4 * b - 1) % s.p == 0
-            and a % 2 == 1 and b % 2 == 1 and a % 8 == 1):
-        return (s.p, a, b)
-    return None
-
-
 def _theorem_image(s: SubfamilySurface, tag: str, q: int) -> PlaceImage | None:
     """Family results that pin an invariant image without sampling."""
-    yp = y_family_params(s)
-    if yp is not None and tag == "A":
-        p, a, _ = yp
+    family = family_of(s)
+    if family is None:
+        return None
+    name, (p, a, _) = family
+    if name == "Y" and tag == "A":
         if q != p:
             return PlaceImage(frozenset({ZERO}), "theorem", "first family: class A vanishes away from p")
         val = ZERO if legendre(a, p) == 1 else HALF
         return PlaceImage(frozenset({val}), "theorem", "first family: class A at p is (a/p)")
-    sp = s_family_params(s)
-    if sp is not None and tag == "B":
-        if q != s.p:
+    if name == "S" and tag == "B":
+        if q != p:
             return PlaceImage(frozenset({ZERO}), "theorem", "second family: class B vanishes away from p")
         return PlaceImage(frozenset({HALF}), "theorem", "second family: class B at p is 1/2")
     return None
 
 
-def invariant_image(s: SubfamilySurface, q: int, sample_budget: int = 64, seed: int = 0,
-                    use_theorems: bool = True) -> dict[str, PlaceImage]:
+def invariant_image(s: SubfamilySurface, q: int, sample_budget: int = 64,
+                    seed: int = 0) -> dict[str, PlaceImage]:
     """Images of A, B and C at q from one sample of local points, with evidence.
 
     At each sampled point A and B are evaluated once and C = A + B, with the
     Klein-four identity checked against C's own representatives.  Each class
     counts its determinate points until it has seen both values.  A class
     with a family theorem gets the theorem's image, after its sampled values
-    are checked against it; every other image is sampled evidence, not a
-    proof.
+    are checked against it (an empty sample raises, and a sampled value
+    outside the theorem's image is an AssertionError); every other image is
+    sampled evidence, not a proof.
     """
     if not is_prime(q):
         raise ValueError(f"{q} is not prime")
@@ -366,7 +350,7 @@ def invariant_image(s: SubfamilySurface, q: int, sample_budget: int = 64, seed: 
         if evaluated[tag] == 0:
             raise SamplingBudgetError(f"no sampled point allowed evaluating class {tag} at {q}")
         images[tag] = PlaceImage(frozenset(values[tag]), "sampled", n=evaluated[tag])
-        thm = _theorem_image(s, tag, q) if use_theorems else None
+        thm = _theorem_image(s, tag, q)
         if thm is not None:
             if not images[tag].values <= thm.values:
                 raise AssertionError(
@@ -837,7 +821,7 @@ class ObstructionReport:
     images: dict  # tag -> {place label -> PlaceImage}
     hp_obstructed_by: tuple[str, ...]
     wa_failure: bool
-    unknown_classes: tuple[str, ...]
+    unknown_classes: tuple[str, ...]  # always (): every relevant place is sampled
     witness: WitnessResult | None
     rational_point: tuple | None = None  # refutes any Hasse-principle obstruction
 
@@ -857,24 +841,21 @@ class ObstructionReport:
         }
 
 
-# places above this are not sampled; a family theorem covers them or they stay unknown
-PLACE_BOUND = 1500
+def relevant_places(s: SubfamilySurface) -> list[int]:
+    """Finite places where some invariant can be nonzero: 2, p, then the odd
+    primes q != p dividing N (AD - BC) with (p/q) = -1, in increasing order.
 
-
-def relevant_places(s: SubfamilySurface) -> tuple[list, list]:
-    """Finite places where some invariant can be nonzero: {2, p} and the odd
-    bad primes q with p a non-residue.  Returns (feasible, skipped), split at
-    PLACE_BOUND."""
-    ps = {2, s.p}
-    bad = set()
-    for coeff in (s.A, s.B, s.C, s.D, s.M, s.N, s.A * s.D - s.B * s.C):
-        bad.update(f for f in factor(abs(coeff)) if f % 2 and f != s.p)
-    feasible, skipped = [], []
-    for q in sorted(bad):
-        if legendre(s.p, q) == 1:
-            continue  # (p, *)_q is identically trivial
-        (feasible if q <= PLACE_BOUND else skipped).append(q)
-    return sorted(ps) + feasible, skipped
+    Every class symbol is (p, f)_q with f a product of u, Mv, Au+Bv, Cu+Dv,
+    z-y, z+y and AC; at an odd q != p with (p/q) = 1 it is trivial, and at
+    one of good reduction every local invariant is 0.  The bad primes are
+    those of A, B, C, D, M, N and AD - BC, and an inert one divides
+    N (AD - BC).  Lemma: let q be an odd prime, q != p, q not dividing N.
+    If q | A, (C1) reduces mod q to (BC - M)^2 = p N^2, so p is a nonzero
+    square mod q; B, C and D are alike.  If q | M, (C1) reduces to
+    (AD - BC)^2 = p N^2, with the same conclusion.
+    """
+    bad = set(factor(abs(s.N))) | set(factor(abs(s.A * s.D - s.B * s.C)))
+    return [2, s.p] + sorted(q for q in bad if q % 2 and q != s.p and _legendre_unchecked(s.p, q) == -1)
 
 
 def bm_verdict(s: SubfamilySurface, sample_budget: int = 64, seed: int = 0) -> ObstructionReport:
@@ -883,40 +864,33 @@ def bm_verdict(s: SubfamilySurface, sample_budget: int = 64, seed: int = 0) -> O
     A class obstructs exactly when every place's image is a singleton and the
     values sum to 1/2.  Each relevant place is sampled once for all three
     classes; family theorems and the Klein-four identity are checked on that
-    sample, and a mismatch is a hard error.
+    sample, and the verdict on a family member against its closed-form
+    prediction; a mismatch is a hard error.
     """
     validate_subfamily(s)
     els = everywhere_locally_soluble(s)
     if els.everywhere_soluble is not True:
         raise ValueError(f"bm_verdict needs an everywhere locally soluble surface; got {els.everywhere_soluble}")
-    places, skipped = relevant_places(s)
     images: dict[str, dict[str, PlaceImage]] = {
         tag: {"oo": PlaceImage(frozenset({ZERO}), "theorem", "p > 0: trivial at the real place")}
         for tag in CLASS_TAGS}
     witness = surjectivity_witness(s, seed=seed)
     if witness.insoluble_at_p:
         raise AssertionError(f"witness machinery finds {s.label()} insoluble at p")
-    for q in places:
+    for q in relevant_places(s):
         for tag, img in invariant_image(s, q, sample_budget=sample_budget, seed=seed).items():
             images[tag][str(q)] = img
-    for q in skipped:
-        for tag in CLASS_TAGS:
-            thm = _theorem_image(s, tag, q)
-            if thm is not None:
-                images[tag][str(q)] = thm
     # fold in the surjectivity witness at p
     prev = images[witness.tag][str(s.p)]
     images[witness.tag][str(s.p)] = PlaceImage(prev.values | {ZERO, HALF}, "witness-pair",
                                                "separating pair from the case construction", prev.n)
-    obstructing, unknown = _obstruction_flags(images, skipped)
+    obstructing = _obstructing(images)
     rational_point = None
-    family_backed = y_family_params(s) is not None or s_family_params(s) is not None
-    if obstructing and not family_backed:
+    family = family_of(s)
+    if obstructing and family is None:
         # a sampled singleton image is evidence, not proof; an actual rational
         # point refutes any Hasse-principle obstruction outright, and its
         # exact invariants repair whichever image the sampler undersampled
-        from .families import point_search
-
         found = point_search(s, 64)
         if found:
             rational_point = found[0]
@@ -932,47 +906,27 @@ def bm_verdict(s: SubfamilySurface, sample_budget: int = 64, seed: int = 0) -> O
                             img.values | {value}, "sampled",
                             f"{img.detail}; exact value at {rational_point}".strip("; "),
                             img.n + 1)
-            obstructing, unknown = _obstruction_flags(images, skipped)
+            obstructing = _obstructing(images)
             if obstructing:
                 raise AssertionError(
                     f"{s.label()} has the rational point {rational_point} but the invariant "
                     f"images still sum to 1/2 for {obstructing}; evaluation is inconsistent")
     if len(obstructing) > 1:
         raise AssertionError(f"two classes obstruct on {s.label()}: {obstructing}")
+    if family is not None:
+        name, params = family
+        expected = (predict_Y if name == "Y" else predict_S)(*params).obstructed_by
+        if obstructing != expected:
+            raise AssertionError(f"family prediction {expected} disagrees with computed {obstructing}")
     wa_failure = any(len(img.values) == 2 for tag in CLASS_TAGS for img in images[tag].values())
-    report = ObstructionReport(s, images, tuple(obstructing), wa_failure, tuple(unknown), witness,
-                               rational_point)
-    _family_cross_check(s, report)
-    return report
+    return ObstructionReport(s, images, obstructing, wa_failure, (), witness, rational_point)
 
 
-def _obstruction_flags(images, skipped):
-    obstructing, unknown = [], []
-    for tag in CLASS_TAGS:
-        skipped_unknown = [q for q in skipped if str(q) not in images[tag]]
-        if any(len(img.values) == 2 for img in images[tag].values()):
-            continue  # a surjective place: this class never obstructs
-        if skipped_unknown:
-            unknown.append(tag)
-            continue
-        total = sum((next(iter(img.values)) for img in images[tag].values()), ZERO) % 1
-        if total == HALF:
-            obstructing.append(tag)
-    return obstructing, unknown
-
-
-def _family_cross_check(s: SubfamilySurface, report: ObstructionReport) -> None:
-    yp = y_family_params(s)
-    if yp is not None:
-        p, a, _ = yp
-        expected = ("A",) if legendre(a, p) == -1 else ()
-        if report.hp_obstructed_by != expected:
-            raise AssertionError(
-                f"family prediction {expected} disagrees with computed {report.hp_obstructed_by}")
-    sp = s_family_params(s)
-    if sp is not None and report.hp_obstructed_by != ("B",):
-        raise AssertionError(
-            f"family prediction ('B',) disagrees with computed {report.hp_obstructed_by}")
+def _obstructing(images) -> tuple[str, ...]:
+    """Classes whose image is a singleton at every place, with values summing to 1/2."""
+    return tuple(tag for tag in CLASS_TAGS
+                 if all(len(img.values) == 1 for img in images[tag].values())
+                 and sum((next(iter(img.values)) for img in images[tag].values()), ZERO) % 1 == HALF)
 
 
 # ---------------------------------------------------------------------------

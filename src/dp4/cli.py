@@ -45,7 +45,8 @@ from .quadform import (
     order4_test,
     validate_subfamily,
 )
-from .families import census_S, census_Y, make_S, make_Y, point_search
+from .families import make_S, make_Y, point_search
+from .census import census_S, census_Y
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -202,13 +203,15 @@ def cmd_classify(args) -> int:
 def cmd_solubility(args) -> int:
     surface = parse_surface_spec(args.spec)
     general = isinstance(surface, GeneralSurface)
+    if not general:
+        validate_subfamily(surface)
     if args.place is None:
         rep = (everywhere_locally_soluble_general(surface) if general
-               else everywhere_locally_soluble(validate_subfamily(surface)))
+               else everywhere_locally_soluble(surface))
         _emit(rep.to_json(), args)
         return EXIT_INCONCLUSIVE if rep.everywhere_soluble is None else EXIT_OK
-    if args.place != "oo":  # a finite place is walked only on a surface the full report accepts
-        (validate_pencil if general else validate_subfamily)(surface)
+    if general and args.place != "oo":  # a singular pencil is still decided at the real place
+        validate_pencil(surface)
     verdict = decide_R(surface) if args.place == "oo" else decide_Qq(surface, int(args.place))
     _emit(verdict.to_json(), args)
     return EXIT_INCONCLUSIVE if verdict.status == "inconclusive" else EXIT_OK
@@ -219,17 +222,12 @@ def cmd_invariants(args) -> int:
     if not isinstance(surface, SubfamilySurface):
         raise InputError("invariants need the split two-form shape")
     validate_subfamily(surface)
-    if args.place is not None:
-        places = [int(args.place)]
-        skipped = []
-    else:
-        places, skipped = relevant_places(surface)
+    places = relevant_places(surface) if args.place is None else [int(args.place)]
     images = {q: invariant_image(surface, q, sample_budget=args.samples, seed=args.seed)
               for q in places}
     entries = [{"class": tag, "place": str(q), **images[q][tag].to_json()}
                for tag in CLASS_TAGS for q in places]
-    payload = {"surface": surface.label(), "entries": entries,
-               "skipped_places": [str(q) for q in skipped]}
+    payload = {"surface": surface.label(), "entries": entries}
     witness = surjectivity_witness(surface, seed=args.seed)
     payload["witness"] = witness.to_json()
     _emit(payload, args)
@@ -302,8 +300,7 @@ def cmd_verify_paper(args) -> int:
         s = make_Y(13, 2, 6)
         els = everywhere_locally_soluble(s)
         _expect(els.everywhere_soluble is True, "local solubility")
-        img = invariant_image(s, 13, sample_budget=args.samples, seed=args.seed,
-                              use_theorems=False)["A"]
+        img = invariant_image(s, 13, sample_budget=args.samples, seed=args.seed)["A"]
         _expect(set(img.values) == {Fraction(1, 2)}, "inv_13 image of A")
         rep = bm_verdict(s, sample_budget=args.samples, seed=args.seed)
         _expect(rep.hp_obstructed_by == ("A",), f"obstruction {rep.hp_obstructed_by}")

@@ -1,4 +1,4 @@
-"""The two explicit families, closed-form predictions, point search and censuses.
+"""The two explicit families, closed-form predictions and point search.
 
 First family (parameters p = 1 mod 4 prime, a*b = p - 1):
 
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .arith import is_prime, legendre, valuation
-from .brauer import bm_verdict, reciprocity_check
 from .quadform import Point, SubfamilySurface, validate_subfamily
 
 
@@ -121,6 +120,17 @@ def predict_S(p: int, a: int, b: int) -> PredictedVerdict:
     return PredictedVerdict(("B",), "class B has constant invariant 1/2 at p")
 
 
+def family_of(s: SubfamilySurface) -> tuple[str, tuple[int, int, int]] | None:
+    """("Y", (p, a, b)) when s is make_Y(p, a, b) with a, b > 0, ("S", (p, a, b))
+    when s is make_S(p, a, b), else None."""
+    p, A, B, C, D, M = s.p, s.A, s.B, s.C, s.D, s.M
+    if (B, C, M) == (-p, 1, 1) and p % 4 == 1 and A > 0 > D and A * -D == p - 1:
+        return "Y", (p, A, -D)
+    if (A, B, M) == (1, 1, 1) and not check_S_params(p, C, D):
+        return "S", (p, C, D)
+    return None
+
+
 # ---------------------------------------------------------------------------
 # rational point search
 
@@ -216,119 +226,3 @@ def _search_hyperbola(s: SubfamilySurface, h: int, us) -> set[Point]:
                             found.update((u, v, xx, yy, zz) for xx in {x, -x}
                                          for yy in {y, -y} for zz in {z, -z})
     return found
-
-
-# ---------------------------------------------------------------------------
-# censuses
-
-
-@dataclass(frozen=True)
-class CensusRow:
-    family: str
-    params: tuple[int, int, int]
-    surface: str
-    predicted: tuple[str, ...]
-    computed: tuple[str, ...] | None
-    wa_failure: bool | None
-    unknown_classes: tuple[str, ...]
-    points: tuple[Point, ...]
-    agreement: bool
-    error: str | None = None
-
-    def to_json(self):
-        return {
-            "family": self.family,
-            "params": list(self.params),
-            "surface": self.surface,
-            "predicted_obstruction": list(self.predicted),
-            "computed_obstruction": None if self.computed is None else list(self.computed),
-            "wa_failure": self.wa_failure,
-            "unknown_classes": list(self.unknown_classes),
-            "points": [list(pt) for pt in self.points],
-            "agreement": self.agreement,
-            "error": self.error,
-        }
-
-
-@dataclass(frozen=True)
-class CensusResult:
-    header: dict
-    rows: tuple[CensusRow, ...]
-
-    def to_json(self):
-        return {"header": self.header, "rows": [r.to_json() for r in self.rows]}
-
-
-def _census_row(task) -> CensusRow:
-    family, p, a, b, height_bound, sample_budget, seed = task
-    params = (p, a, b)
-    predicted: tuple[str, ...] = ()
-    label = f"X_{p}"
-    try:
-        if family == "Y":
-            s = make_Y(p, a, b)
-            predicted = predict_Y(p, a, b).obstructed_by
-        else:
-            s = make_S(p, a, b)
-            predicted = predict_S(p, a, b).obstructed_by
-        label = s.label()
-        report = bm_verdict(s, sample_budget=sample_budget, seed=seed)
-        points = tuple(point_search(s, height_bound)) if height_bound else ()
-        for pt in points:
-            if not s.contains(pt):
-                raise AssertionError(f"found point {pt} is not on the surface")
-            if not reciprocity_check(s, pt):
-                raise AssertionError(f"reciprocity fails at found point {pt}")
-        agreement = (report.hp_obstructed_by == predicted
-                     and len(report.hp_obstructed_by) <= 1
-                     and report.wa_failure
-                     and not report.unknown_classes)
-        return CensusRow(family, params, s.label(), predicted, report.hp_obstructed_by,
-                         report.wa_failure, report.unknown_classes, points, agreement)
-    except Exception as exc:  # a census survives per-row failures and reports them
-        return CensusRow(family, params, label, predicted,
-                         None, None, (), (), False, error=f"{type(exc).__name__}: {exc}")
-
-
-def census_Y(p_max: int, height_bound: int = 0, sample_budget: int = 32,
-             seed: int = 0, jobs: int = 1) -> CensusResult:
-    """Every (p, a, b) with p = 1 mod 4 prime, p <= p_max, ab = p - 1, a, b > 0."""
-    tasks = []
-    for p in range(5, p_max + 1):
-        if p % 4 == 1 and is_prime(p):
-            for a in range(1, p):
-                if (p - 1) % a == 0:
-                    tasks.append(("Y", p, a, (p - 1) // a, height_bound, sample_budget, seed))
-    return _run_census(tasks, jobs, {"family": "Y", "p_max": p_max})
-
-
-def census_S(p_list, t_count: int = 3, height_bound: int = 0, sample_budget: int = 32,
-             seed: int = 0, jobs: int = 1) -> CensusResult:
-    """Rows from the stock construction: the first t_count admissible t per p."""
-    tasks = []
-    for p in p_list:
-        t0 = 3 * (p - 1) // 4 % 8
-        if t0 == 0:
-            t0 = 8
-        for i in range(t_count):
-            t = t0 + 8 * i
-            _, a, b = s_from_t(p, t)
-            tasks.append(("S", p, a, b, height_bound, sample_budget, seed))
-    return _run_census(tasks, jobs, {"family": "S", "p_list": list(p_list), "t_count": t_count})
-
-
-def _run_census(tasks, jobs: int, extra_header: dict) -> CensusResult:
-    if jobs > 1:
-        with multiprocessing.get_context("fork").Pool(jobs) as pool:
-            rows = tuple(pool.map(_census_row, tasks))
-    else:
-        rows = tuple(_census_row(t) for t in tasks)
-    header = {
-        "rows": len(rows),
-        "height_bound": tasks[0][4] if tasks else 0,
-        "sample_budget": tasks[0][5] if tasks else 0,
-        "seed": tasks[0][6] if tasks else 0,
-        "jobs": jobs,
-        **extra_header,
-    }
-    return CensusResult(header, rows)

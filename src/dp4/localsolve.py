@@ -27,8 +27,8 @@ from .quadform import (
     GeneralSurface,
     SubfamilySurface,
     binary_form_eval,
-    binary_resultant,
     mat_det,
+    quintic_partials_resultant,
 )
 
 LEVEL_CAP = 24
@@ -749,9 +749,7 @@ def validate_pencil(g: GeneralSurface) -> tuple[tuple[int, ...], int]:
     quintic = g.quintic
     if all(c == 0 for c in quintic):
         raise ValueError("pencil discriminant vanishes identically; not a del Pezzo pencil")
-    dk = [(5 - i) * c for i, c in enumerate(quintic[:5])]
-    dl = [(i + 1) * c for i, c in enumerate(quintic[1:])]
-    res = binary_resultant(dk, dl)
+    res = quintic_partials_resultant(quintic)
     if res == 0:
         raise ValueError("pencil quintic is not squarefree; the surface is singular")
     return quintic, res

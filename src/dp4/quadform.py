@@ -502,21 +502,12 @@ def rational_roots_binary_form(coeffs: list[int]) -> list[tuple[int, int]]:
     return roots
 
 
-def binary_form_is_squarefree(coeffs: list[int]) -> bool:
-    """No repeated roots over the algebraic closure (smoothness proxy)."""
-    if all(c == 0 for c in coeffs):
-        return False
-    content = gcd(*coeffs)
-    cs = [c // content for c in coeffs]
-    lead = next(i for i, c in enumerate(cs) if c != 0)
-    trail = next(i for i in reversed(range(len(cs))) if cs[i] != 0)
-    if lead > 1 or trail < len(cs) - 2:
-        return False  # repeated root at (1:0) or (0:1)
-    middle = cs[lead:trail + 1]
-    if len(middle) <= 2:
-        return True
-    deriv = [c * (len(middle) - 1 - i) for i, c in enumerate(middle[:-1])]
-    return binary_resultant(middle, deriv) != 0
+def quintic_partials_resultant(quintic) -> int:
+    """Res(f_k, f_l) of a binary quintic f(k, l), which is +-5^3 Disc(f): zero
+    exactly when f is zero or has a repeated root (at infinity included)."""
+    dk = [(5 - i) * c for i, c in enumerate(quintic[:5])]
+    dl = [(i + 1) * c for i, c in enumerate(quintic[1:])]
+    return binary_resultant(dk, dl)
 
 
 def degenerate_members(g: GeneralSurface) -> list[tuple[tuple[int, int], int]]:
@@ -569,11 +560,12 @@ def order4_test(g: GeneralSurface) -> Order4Report:
         members.append((root, rank, cls))
         if cls is not None and cls != 1:
             by_class.setdefault(cls, []).append(root)
+    squarefree = quintic_partials_resultant(quintic) != 0
     for cls, points in sorted(by_class.items()):
         if len(points) >= 3:
             return Order4Report(True, SquareClass(cls), tuple(points[:3]), tuple(members),
-                             quintic, binary_form_is_squarefree(quintic))
-    return Order4Report(False, None, (), tuple(members), quintic, binary_form_is_squarefree(quintic))
+                                quintic, squarefree)
+    return Order4Report(False, None, (), tuple(members), quintic, squarefree)
 
 
 # ---------------------------------------------------------------------------

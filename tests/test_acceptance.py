@@ -18,7 +18,8 @@ from dp4.brauer import (
     quadres_counts,
     surjectivity_witness,
 )
-from dp4.families import census_Y, make_S, make_Y, point_search, predict_Y, s_from_t
+from dp4.census import census_Y
+from dp4.families import make_S, make_Y, point_search, predict_Y, s_from_t
 from dp4.localsolve import (
     decide_Qq,
     everywhere_locally_soluble,
@@ -61,7 +62,8 @@ def test_criterion_1_paper_example_regression():
     t0 = time.time()
     y226 = make_Y(13, 2, 6)
     assert everywhere_locally_soluble(y226).everywhere_soluble is True
-    assert set(invariant_image(y226, 13, use_theorems=False)["A"].values) == {HALF}
+    img = invariant_image(y226, 13)["A"]
+    assert img.kind == "theorem" and set(img.values) == {HALF}
     assert bm_verdict(y226).hp_obstructed_by == ("A",)
     assert point_search(y226, 200) == []
 

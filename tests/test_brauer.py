@@ -20,11 +20,9 @@ from dp4.brauer import (
     quadres_witness,
     reciprocity_check,
     relevant_places,
-    s_family_params,
     surjectivity_witness,
-    y_family_params,
 )
-from dp4.families import make_Y, point_search
+from dp4.families import family_of, make_S, make_Y, point_search, s_from_t
 from dp4.localsolve import sample_local_points
 from dp4.quadform import SubfamilySurface
 
@@ -40,10 +38,8 @@ S_13 = SubfamilySurface(13, 1, 1, 153, 179, 1)
 
 
 def test_family_detection():
-    assert y_family_params(Y_13_2_6) == (13, 2, 6)
-    assert y_family_params(S_13) is None
-    assert s_family_params(S_13) == (13, 153, 179)
-    assert s_family_params(Y_13_2_6) is None
+    assert family_of(Y_13_2_6) == ("Y", (13, 2, 6))
+    assert family_of(S_13) == ("S", (13, 153, 179))
 
 
 def test_representation_consistency_on_sampled_points():
@@ -202,7 +198,7 @@ def test_one_factor_reading_per_point_and_place(monkeypatch):
     monkeypatch.setattr(brauer, "sample_local_points", sampler)
     monkeypatch.setattr(brauer, "_point_values", point_values)
     for s in (Y_13_2_6, S_13):
-        for q in relevant_places(s)[0]:
+        for q in relevant_places(s):
             reads[0] = sampled[0] = 0
             invariant_image(s, q)
             assert reads[0] == sampled[0] > 0, (s, q)
@@ -267,12 +263,14 @@ def test_klein_four_identity():
 
 
 def test_invariant_images_paper_values():
-    images = invariant_image(Y_13_2_6, 13, use_theorems=False)
+    # a theorem's image stands only after the sampled image is checked to be
+    # a nonempty subset of it, so these are the sampled values too
+    images = invariant_image(Y_13_2_6, 13)
     assert set(images["B"].values) == {ZERO, HALF}
-    assert set(images["A"].values) == {HALF}
-    assert set(invariant_image(Y_13_1_12, 13, use_theorems=False)["A"].values) == {ZERO}
-    assert set(invariant_image(S_13, 13, use_theorems=False)["B"].values) == {HALF}
-    img = invariant_image(Y_13_2_6, 13)["A"]
+    assert images["A"].kind == "theorem" and set(images["A"].values) == {HALF}
+    img = invariant_image(Y_13_1_12, 13)["A"]
+    assert img.kind == "theorem" and set(img.values) == {ZERO}
+    img = invariant_image(S_13, 13)["B"]
     assert img.kind == "theorem" and set(img.values) == {HALF}
 
 
@@ -323,7 +321,39 @@ def test_bm_verdict_samples_each_place_once(monkeypatch):
     for s in (Y_13_2_6, S_13):
         calls.clear()
         bm_verdict(s)
-        assert sorted(calls) == relevant_places(s)[0], s
+        assert sorted(calls) == relevant_places(s), s
+
+
+def test_inert_primes_of_the_coefficients_divide_N_times_AD_minus_BC(monkeypatch):
+    # the lemma of relevant_places: an odd q != p dividing A B C D M but not
+    # N (AD - BC) has (p/q) = 1, so N and AD - BC carry every inert bad prime
+    checked = 0
+    for s in box_slice(19, 150):
+        W = s.N * (s.A * s.D - s.B * s.C)
+        for q in set(factor(abs(s.A * s.B * s.C * s.D * s.M))):
+            if q % 2 and q != s.p and W % q:
+                assert legendre(s.p, q) == 1, (s, q)
+                checked += 1
+        coefficients = (s.A, s.B, s.C, s.D, s.M, s.N, s.A * s.D - s.B * s.C)
+        inert = {q for c in coefficients for q in factor(abs(c))
+                 if q % 2 and q != s.p and legendre(s.p, q) == -1}
+        assert relevant_places(s) == [2, s.p] + sorted(inert), s
+    assert checked > 40
+    calls = []
+    monkeypatch.setattr(brauer, "factor", lambda n: calls.append(n) or factor(n))
+    assert relevant_places(CASE_PATTERN_SURFACES["case6"]) == [2, 5, 3]
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("s, q, verdict", [
+    (make_S(*s_from_t(13, 1601)), "1601", ("B",)),  # 1601 divides AD - BC = 2 t p
+    (SubfamilySurface(5, 1, 1, 1, -2899411, -2899411), "1523", ()),  # 1523 divides N
+])
+def test_bm_verdict_samples_inert_places_of_any_size(s, q, verdict):
+    assert int(q) in relevant_places(s) and legendre(s.p, int(q)) == -1
+    report = bm_verdict(s)
+    assert report.hp_obstructed_by == verdict and report.unknown_classes == ()
+    assert all(q in report.images[tag] for tag in CLASS_TAGS)
 
 
 def test_bm_verdict_draws_few_level1_points_at_large_p(monkeypatch):

@@ -92,6 +92,15 @@ def test_cli_solubility_at_a_place_checks_the_surface_first(capsys, spec, messag
         assert (code, out) == (2, "") and err.startswith(message)
 
 
+def test_cli_solubility_checks_a_subfamily_at_the_real_place(capsys):
+    # p = -5 breaks (C1); the real place must not report the witness
+    # (0:0:1:sqrt(p):sqrt(p)), which exists only for p > 0
+    spec = '{"family": "subfamily", "p": -5, "A": 1, "B": 1, "C": 1, "D": 1, "M": 1}'
+    for extra in ((), ("--place", "oo"), ("--place", "2")):
+        code, out, err = run_cli(capsys, "solubility", spec, *extra)
+        assert (code, out) == (2, "") and err.startswith("input error: invalid subfamily surface")
+
+
 def test_cli_classify_bsd(capsys):
     bsd = {"matrices": [
         [[0, -1, 0, 0, 0], [-1, 0, 0, 0, 0], [0, 0, 2, 0, 0], [0, 0, 0, -10, 0], [0, 0, 0, 0, 0]],
@@ -212,9 +221,9 @@ def test_cli_verify_paper_checks_survive_optimized_mode():
 
 def test_census_point_checks_survive_optimized_mode():
     # a census row whose found point fails reciprocity must say so under python -O
-    script = ("import json, dp4.families as fam\n"
-              "fam.reciprocity_check = lambda s, pt: False\n"
-              "res = fam.census_Y(13, height_bound=30, sample_budget=16)\n"
+    script = ("import json, dp4.census as census\n"
+              "census.reciprocity_check = lambda s, pt: False\n"
+              "res = census.census_Y(13, height_bound=30, sample_budget=16)\n"
               "print(json.dumps([r.to_json() for r in res.rows]))\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
@@ -258,6 +267,34 @@ def test_library_has_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_relative_imports_follow_the_layers():
+    # arith -> quadform -> {localsolve, families} -> brauer -> census -> cli:
+    # a module imports only from lower layers, and never inside a function,
+    # where an import cycle would hide until the function runs
+    layer = {"arith": 0, "quadform": 1, "localsolve": 2, "families": 2, "brauer": 3,
+             "census": 4, "cli": 5, "__init__": 6}
+    src = Path(__file__).resolve().parents[1] / "src" / "dp4"
+    paths = sorted(src.glob("*.py"))
+    assert {path.stem for path in paths} == set(layer)
+    upward, nested = [], []
+    for path in paths:
+        tree = ast.parse(path.read_text(), str(path))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                nested += [f"{path.name}:{node.lineno}" for node in ast.walk(fn)
+                           if isinstance(node, ast.ImportFrom) and node.level]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                targets = [node.module] if node.module else [alias.name for alias in node.names]
+                upward += [f"{path.name}:{node.lineno} imports {target}" for target in targets
+                           if layer[target.split(".")[0]] >= layer[path.stem]]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [node.module or ""] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
+                upward += [f"{path.name}:{node.lineno} imports {name}" for name in names
+                           if name.split(".")[0] == "dp4"]
+    assert upward == [] and nested == []
 
 
 def test_library_has_no_floating_point():

@@ -4,12 +4,13 @@ from math import gcd, isqrt
 
 import pytest
 
+from dp4.arith import is_prime
 from dp4.brauer import reciprocity_check
+from dp4.census import census_S, census_Y
 from dp4.families import (
     _forced_divisors,
-    census_S,
-    census_Y,
     check_S_params,
+    family_of,
     make_S,
     make_Y,
     point_search,
@@ -18,7 +19,7 @@ from dp4.families import (
     s_from_t,
 )
 from dp4.quadform import SubfamilySurface, check_subfamily
-from helpers import search_valid_surfaces
+from helpers import CASE_PATTERN_SURFACES, search_valid_surfaces
 
 
 def test_make_Y_examples():
@@ -242,6 +243,22 @@ def test_point_search_matches_the_shell_scan_on_either_sign_of_BD():
         for bound in (4, 8, 20, 40):
             assert point_search(s, bound) == _shell_scan(s, bound), (s.label(), bound)
     assert sum(bool(point_search(s, 40)) for s in surfaces if s.B * s.D < 0) >= 4
+
+
+def test_family_of_agrees_with_the_constructors():
+    for p in range(5, 101):
+        if p % 4 == 1 and is_prime(p):
+            for a in range(1, p):
+                if (p - 1) % a == 0:
+                    assert family_of(make_Y(p, a, (p - 1) // a)) == ("Y", (p, a, (p - 1) // a))
+    for p in (13, 29, 37, 53):
+        t0 = 3 * (p - 1) // 4 % 8 or 8
+        for t in range(t0, t0 + 24, 8):
+            params = s_from_t(p, t)
+            assert family_of(make_S(*params)) == ("S", params)
+    for s in CASE_PATTERN_SURFACES.values():
+        assert family_of(s) is None, s
+    assert family_of(make_Y(13, -2, -6)) is None  # a, b < 0: no closed form
 
 
 def test_census_small():

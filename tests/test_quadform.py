@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from dp4.arith import SquareClass, square_class
+from dp4.localsolve import validate_pencil
 from dp4.quadform import (
     GeneralSurface,
     NormalFormSurface,
@@ -21,6 +22,7 @@ from dp4.quadform import (
     normal_form_point_to_subfamily,
     normalize_point,
     points_sign_equivalent,
+    quintic_partials_resultant,
     rational_roots_binary_form,
     sign_normalize_point,
     subfamily_point_to_normal_form,
@@ -286,6 +288,52 @@ def test_order4_computes_the_quintic_once(monkeypatch):
     assert len(calls) == 1
     assert rep.quintic == tuple(discriminant_quintic(BSD))
     assert [(root, rank) for root, rank, _ in rep.members] == degenerate_members(g)
+
+
+def _squarefree_by_euclid(quintic) -> bool:
+    """No repeated root over Qbar: gcd(f(k, 1), f'(k, 1)) by Euclid over Q, with
+    degree below 4 a repeated root at (1 : 0)."""
+    f = [Fraction(c) for c in itertools.dropwhile(lambda c: c == 0, quintic)]
+    if len(f) < 5:
+        return False
+    a, b = f, [c * (len(f) - 1 - i) for i, c in enumerate(f[:-1])]
+    while b:
+        while len(a) >= len(b):
+            ratio = a[0] / b[0]
+            a = list(itertools.dropwhile(lambda c: c == 0, [x - ratio * y for x, y in
+                                                           zip(a, b + [0] * (len(a) - len(b)))]))
+        a, b = b, a
+    return len(a) == 1
+
+
+def test_one_squarefree_test_for_the_pencil_quintic():
+    # the partials' resultant against Euclid on random quintics, and
+    # validate_pencil against order4_test on diagonal pencils
+    rng = random.Random(19)
+    singular = 0
+    for n in range(2000):
+        quintic = [rng.randint(-3, 3) for _ in range(6)]
+        if n % 4 == 0:  # a cubic times a squared linear form, (1 : 0) and (0 : 1) included
+            r, s = rng.choice([(r, s) for r in range(-2, 3) for s in range(3) if r or s])
+            square = [r * r, 2 * r * s, s * s]
+            quintic = [sum(quintic[i] * square[j - i] for i in range(4) if 0 <= j - i < 3)
+                       for j in range(6)]
+        if any(quintic):
+            squarefree = _squarefree_by_euclid(quintic)
+            assert (quintic_partials_resultant(quintic) != 0) == squarefree, quintic
+            singular += not squarefree
+    assert singular > 500
+    for _ in range(60):
+        g = GeneralSurface(*(tuple(tuple(d if i == j else 0 for j in range(5)) for i, d in enumerate(diag))
+                             for diag in ([rng.randint(-2, 2) for _ in range(5)] for _ in range(2))))
+        if not any(g.quintic):
+            continue
+        try:
+            validate_pencil(g)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert order4_test(g).quintic_squarefree == accepted == _squarefree_by_euclid(g.quintic)
 
 
 def test_order4_rejects_degenerate_pencil():
