@@ -41,7 +41,6 @@ from .localsolve import (
     PadicApproxPoint,
     SamplingBudgetError,
     decide_Qq,
-    everywhere_locally_soluble,
     expand_children,
     lift_certificate,
     newton_refine,
@@ -168,10 +167,9 @@ def evaluate_invariant(s: SubfamilySurface, tag: str, point, v=None) -> Fraction
     or a PadicApproxPoint (then the place is its prime); an exact point off
     the surface, or zero, is a ValueError at every place.  Representations
     that vanish are skipped.  At a rational point some representation of A
-    and of B is always determinate (see ``_direct_value``); an imprecise local
-    point is re-lifted, doubling the precision up to four times, and where
-    every representation stays indeterminate nearby points carry the value.
-    Class C is A + B wherever both are determinate (see ``_point_values``).
+    and of B is always determinate (see ``_direct_value``); at a local point
+    where all are indeterminate, nearby points carry the value.  Class C is
+    A + B wherever both are determinate (see ``_point_values``).
     """
     if not isinstance(point, PadicApproxPoint):
         point = normalize_point(point)
@@ -221,22 +219,12 @@ def _direct_value(s, tag, point, v) -> Fraction | None:
     not a square.  B's vanish together only where y = z = 0; there
     Muv = (Au+Bv)(Cu+Dv) with uv != 0, so v/u is a rational root of
     BD t^2 + (AD+BC-M) t + AC, whose discriminant p N^2 is not a square.
+    A local point where all vanish is read through its certified neighbours.
     """
     value = _eval_reps(s, tag, point, v)
     point = point.point if isinstance(point, _Reading) else point
     if value is not None or not isinstance(point, PadicApproxPoint):
         return value
-    pt = point
-    for _ in range(4):
-        try:
-            pt = newton_refine(s, pt, 2 * pt.k)
-        except (ValueError, ArithmeticError):
-            break
-        value = _eval_reps(s, tag, pt, None)
-        if value is not None:
-            return value
-    # refinement stalls when the point sits exactly on the vanishing locus
-    # of every representation; nearby points carry the value then
     return _eval_by_local_constancy(s, tag, point)
 
 
@@ -316,28 +304,26 @@ def invariant_image(s: SubfamilySurface, q: int, sample_budget: int = 64,
                     seed: int = 0) -> dict[str, PlaceImage]:
     """Images of A, B and C at q from one sample of local points, with evidence.
 
-    At each sampled point A and B are evaluated once and C = A + B, with the
-    Klein-four identity checked against C's own representatives.  Each class
-    counts its determinate points until it has seen both values.  A class
-    with a family theorem gets the theorem's image, after its sampled values
-    are checked against it (an empty sample raises, and a sampled value
-    outside the theorem's image is an AssertionError); every other image is
-    sampled evidence, not a proof.
+    The sampler runs once; a short sample stands if it holds min(4,
+    sample_budget) points, and a place with none runs ``decide_Qq`` once (an
+    empty X(Q_q) is a ValueError naming q).  At each point A and B are read
+    once and C = A + B, checked against C's own representatives (the
+    Klein-four identity).  Each class counts its determinate points until it
+    has seen both values.  A family theorem's image replaces the sampled one
+    once the sample is checked nonempty and inside it (else an
+    AssertionError); every other image is sampled evidence, not a proof.
     """
     if not is_prime(q):
         raise ValueError(f"{q} is not prime")
     precision = 14 if q == 2 else 8
-    want = sample_budget
-    while True:
-        # on surfaces with very thin solution branches the full budget may be
-        # unreachable; a smaller sample is still honest evidence (n is recorded)
-        try:
-            points = sample_local_points(s, q, want, precision, seed=seed)
-            break
-        except SamplingBudgetError:
-            if want <= 4:
-                raise
-            want //= 2
+    try:
+        points = sample_local_points(s, q, sample_budget, precision, seed=seed)
+    except SamplingBudgetError as exc:
+        if not exc.points and (verdict := decide_Qq(s, q)).status == "insoluble":
+            raise ValueError(f"{s.label()} is insoluble at {q}: no primitive solutions mod {q}^{verdict.level}") from exc
+        if len(exc.points) < min(4, sample_budget):
+            raise
+        points = exc.points
     values = {tag: set() for tag in CLASS_TAGS}
     evaluated = dict.fromkeys(CLASS_TAGS, 0)
     for pt in points:
@@ -348,7 +334,7 @@ def invariant_image(s: SubfamilySurface, q: int, sample_budget: int = 64,
     images = {}
     for tag in CLASS_TAGS:
         if evaluated[tag] == 0:
-            raise SamplingBudgetError(f"no sampled point allowed evaluating class {tag} at {q}")
+            raise SamplingBudgetError(f"no sampled point allowed evaluating class {tag} at {q}", points)
         images[tag] = PlaceImage(frozenset(values[tag]), "sampled", n=evaluated[tag])
         thm = _theorem_image(s, tag, q)
         if thm is not None:
@@ -865,21 +851,21 @@ def bm_verdict(s: SubfamilySurface, sample_budget: int = 64, seed: int = 0) -> O
     values sum to 1/2.  Each relevant place is sampled once for all three
     classes; family theorems and the Klein-four identity are checked on that
     sample, and the verdict on a family member against its closed-form
-    prediction; a mismatch is a hard error.
+    prediction; a mismatch is a hard error.  The samples also prove local
+    solubility: X(R) holds (0:0:1:sqrt(p):sqrt(p)), the places that
+    ``everywhere_locally_soluble`` decides (2, p, inert q | N) are relevant
+    ones, and each relevant place has a certified sampled point or raises.
     """
     validate_subfamily(s)
-    els = everywhere_locally_soluble(s)
-    if els.everywhere_soluble is not True:
-        raise ValueError(f"bm_verdict needs an everywhere locally soluble surface; got {els.everywhere_soluble}")
     images: dict[str, dict[str, PlaceImage]] = {
         tag: {"oo": PlaceImage(frozenset({ZERO}), "theorem", "p > 0: trivial at the real place")}
         for tag in CLASS_TAGS}
-    witness = surjectivity_witness(s, seed=seed)
-    if witness.insoluble_at_p:
-        raise AssertionError(f"witness machinery finds {s.label()} insoluble at p")
     for q in relevant_places(s):
         for tag, img in invariant_image(s, q, sample_budget=sample_budget, seed=seed).items():
             images[tag][str(q)] = img
+    witness = surjectivity_witness(s, seed=seed)
+    if witness.insoluble_at_p:
+        raise AssertionError(f"witness machinery finds {s.label()} insoluble at p")
     # fold in the surjectivity witness at p
     prev = images[witness.tag][str(s.p)]
     images[witness.tag][str(s.p)] = PlaceImage(prev.values | {ZERO, HALF}, "witness-pair",

@@ -102,8 +102,6 @@ def census_S(p_list, t_count: int = 3, height_bound: int = 0, sample_budget: int
     tasks = []
     for p in p_list:
         t0 = 3 * (p - 1) // 4 % 8
-        if t0 == 0:
-            t0 = 8
         for i in range(t_count):
             t = t0 + 8 * i
             _, a, b = s_from_t(p, t)

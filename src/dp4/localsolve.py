@@ -45,7 +45,12 @@ class EnumerationBudgetError(Exception):
 
 
 class SamplingBudgetError(Exception):
-    """Could not produce the requested number of certified local points."""
+    """Could not produce the requested number of certified local points;
+    ``points`` holds the distinct certified points found, maybe none."""
+
+    def __init__(self, message: str, points: list):
+        super().__init__(message)
+        self.points = points
 
 
 @dataclass(frozen=True)
@@ -796,8 +801,9 @@ def sample_local_points(surface, q: int, count: int, precision: int,
     caps the lifts inspected in passes 2 and 3.  Beyond the exhaustive
     enumeration budget (see ``iter_residue_points``) the level-1 set is never
     exhausted, so pass 1 draws at most SAMPLING_BUDGET classes there and then
-    raises EnumerationBudgetError.  Takes subfamily
-    surfaces and general pencils.  Deterministic for a fixed seed.
+    raises EnumerationBudgetError; falling short otherwise raises
+    SamplingBudgetError with the points found as ``.points``.  Takes
+    subfamily surfaces and general pencils.  Deterministic for a fixed seed.
     """
     if count == 0:
         return []
@@ -852,7 +858,7 @@ def sample_local_points(surface, q: int, count: int, precision: int,
             spent += 1
             if spent > budget:
                 raise SamplingBudgetError(
-                    f"sampling budget exhausted with {len(out)}/{count} points")
+                    f"sampling budget exhausted with {len(out)}/{count} points", out)
             if len(out) >= cap:
                 return
             dfs_collect(child(i), cap, None)
@@ -880,7 +886,7 @@ def sample_local_points(surface, q: int, count: int, precision: int,
         for i in range(n):
             spent += 1
             if spent > budget:
-                raise SamplingBudgetError(f"sampling budget exhausted with {len(out)}/{count} points")
+                raise SamplingBudgetError(f"sampling budget exhausted with {len(out)}/{count} points", out)
             if len(out) >= count:
                 break
             pt = child(i)
@@ -888,5 +894,5 @@ def sample_local_points(surface, q: int, count: int, precision: int,
             if cert is not None:
                 try_collect(pt, cert)
     if len(out) < count:
-        raise SamplingBudgetError(f"only found {len(out)} of {count} requested points at q={q}")
+        raise SamplingBudgetError(f"only found {len(out)} of {count} requested points at q={q}", out)
     return out[:count]

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from dp4 import brauer, localsolve
-from dp4.arith import PLACE_INF, PadicScalar, Place, factor, hilbert_symbol, legendre
+from dp4.arith import PLACE_INF, PadicScalar, Place, factor, hilbert_symbol, is_prime, legendre
 from dp4.brauer import (
     CLASS_TAGS,
     IndeterminateEvaluationError,
@@ -23,7 +23,7 @@ from dp4.brauer import (
     surjectivity_witness,
 )
 from dp4.families import family_of, make_S, make_Y, point_search, s_from_t
-from dp4.localsolve import sample_local_points
+from dp4.localsolve import everywhere_locally_soluble, sample_local_points
 from dp4.quadform import SubfamilySurface
 
 from helpers import CASE_PATTERN_SURFACES, INSOLUBLE_AT_P, box_slice
@@ -318,10 +318,66 @@ def test_bm_verdict_samples_each_place_once(monkeypatch):
 
     monkeypatch.setattr(brauer, "sample_local_points", sampler)
     monkeypatch.setattr(brauer, "surjectivity_witness", witness)
-    for s in (Y_13_2_6, S_13):
+    # the sample of p3mod4 at 2 falls short (60 of 64) and still stands
+    for s in (Y_13_2_6, S_13, CASE_PATTERN_SURFACES["p3mod4"]):
         calls.clear()
         bm_verdict(s)
         assert sorted(calls) == relevant_places(s), s
+
+
+def test_bm_verdict_decides_no_place_itself(monkeypatch):
+    # certified samples prove local solubility; no place is walked again
+    calls, real = [], localsolve.decide_Qq
+
+    def counted(surface, q, *args, **kwargs):
+        calls.append(q)
+        return real(surface, q, *args, **kwargs)
+
+    monkeypatch.setattr(localsolve, "decide_Qq", counted)
+    monkeypatch.setattr(brauer, "decide_Qq", counted)
+    for s in (Y_13_2_6, S_13, CASE_PATTERN_SURFACES["case1"]):
+        bm_verdict(s)
+    assert calls == []
+
+
+def test_places_decided_without_sampling_are_relevant():
+    # bm_verdict proves local solubility from its samples at relevant_places,
+    # so every place that everywhere_locally_soluble decides must be among them
+    surfaces = [make_Y(p, a, (p - 1) // a) for p in range(5, 100) if p % 4 == 1 and is_prime(p)
+                for a in range(1, p) if (p - 1) % a == 0]
+    for p in range(5, 100, 8):
+        if is_prime(p):
+            t0 = 3 * (p - 1) // 4 % 8
+            surfaces += [make_S(*s_from_t(p, t)) for t in (t0, t0 + 8)]
+    surfaces += [*CASE_PATTERN_SURFACES.values(), *box_slice(1, 60)]
+    for s in surfaces:
+        decided = everywhere_locally_soluble(s).decided_places
+        assert set(decided) <= set(relevant_places(s)), s
+    assert len(surfaces) > 130
+
+
+def test_rational_point_repairs_an_undersampled_image(monkeypatch):
+    # case1 is off-family; make A read {0} at 2 and {1/2} at 13, as an
+    # undersampled image would: the search finds (0, 1, 0, 0, -1), whose
+    # exact value 0 at 13 joins the image and refutes the obstruction
+    s = CASE_PATTERN_SURFACES["case1"]
+    real = brauer.invariant_image
+    sampled_n = {}
+
+    def undersampled(surface, q, **kwargs):
+        images = real(surface, q, **kwargs)
+        sampled_n[q] = images["A"].n
+        images["A"] = brauer.PlaceImage(frozenset({HALF if q == 13 else ZERO}), "sampled", n=sampled_n[q])
+        return images
+
+    monkeypatch.setattr(brauer, "invariant_image", undersampled)
+    rep = bm_verdict(s)
+    assert rep.rational_point == (0, 1, 0, 0, -1)
+    assert rep.hp_obstructed_by == ()
+    img = rep.images["A"]["13"]
+    assert img.values == {ZERO, HALF} and img.n == sampled_n[13] + 1
+    assert img.detail == "exact value at (0, 1, 0, 0, -1)"
+    assert rep.images["A"]["2"].values == {ZERO} and rep.images["A"]["2"].n == sampled_n[2]
 
 
 def test_inert_primes_of_the_coefficients_divide_N_times_AD_minus_BC(monkeypatch):
@@ -586,7 +642,7 @@ def test_bm_verdict_paper_surfaces():
 
 
 def test_bm_verdict_requires_local_solubility():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="insoluble at 5"):
         bm_verdict(INSOLUBLE_AT_P[0])
 
 

@@ -3,11 +3,12 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from dp4 import localsolve
+from dp4 import brauer, localsolve
 from dp4.cli import main, parse_surface_spec, InputError
 from dp4.quadform import GeneralSurface, SubfamilySurface
 
@@ -177,6 +178,29 @@ def test_cli_invariants_place_checks_the_surface_conditions(capsys):
         code, out, err = run_cli(capsys, "invariants", spec, *extra)
         assert code == 2 and out == ""
         assert err.startswith("input error: invalid subfamily surface")
+
+
+def test_cli_invariants_names_an_empty_place(capsys):
+    # X(Q_5) is empty: the sampler finds no point, and one decision at 5 says why
+    spec = '{"family": "subfamily", "p": 5, "A": 5, "B": 5, "C": 1, "D": 4, "M": -45}'
+    code, out, err = run_cli(capsys, "invariants", spec, "--place", "5")
+    assert code == 2 and out == ""
+    assert err == "input error: X_5_5_5_1_4_-45 is insoluble at 5: no primitive solutions mod 5^2\n"
+
+
+def test_cli_analyze_decides_each_place_once(capsys, monkeypatch):
+    calls = Counter()
+    real = localsolve.decide_Qq
+
+    def counted(surface, q, *args, **kwargs):
+        calls[q] += 1
+        return real(surface, q, *args, **kwargs)
+
+    monkeypatch.setattr(localsolve, "decide_Qq", counted)
+    monkeypatch.setattr(brauer, "decide_Qq", counted)
+    code, out, _ = run_cli(capsys, "analyze", '{"family": "Y", "p": 13, "a": 2, "b": 6}')
+    assert code == 0 and json.loads(out)["obstruction"]["hp_obstructed_by"] == ["A"]
+    assert calls == {2: 1, 13: 1}
 
 
 @pytest.mark.parametrize("spec", [

@@ -823,8 +823,29 @@ def test_sampling_insoluble_surface_raises(monkeypatch):
     from dp4.localsolve import SamplingBudgetError
 
     monkeypatch.setattr(localsolve, "SAMPLING_BUDGET", 30_000)
-    with pytest.raises(SamplingBudgetError):
+    with pytest.raises(SamplingBudgetError) as err:
         sample_local_points(INSOLUBLE_AT_P[0], 5, 4, 6)
+    assert err.value.points == []
+
+
+@pytest.mark.parametrize("s, q, count, precision, budget", [
+    (Y_13_2_6, 2, 64, 14, 50),  # the lift budget runs out in pass 2
+    (CASE_PATTERN_SURFACES["p3mod4"], 2, 64, 14, 50),
+    (CASE_PATTERN_SURFACES["p3mod4"], 2, 64, 14, 2000),  # every class explored: 60 points
+])
+def test_a_short_sample_carries_its_certified_points(monkeypatch, s, q, count, precision, budget):
+    from dp4.localsolve import SamplingBudgetError
+
+    monkeypatch.setattr(localsolve, "SAMPLING_BUDGET", budget)
+    with pytest.raises(SamplingBudgetError) as err:
+        sample_local_points(s, q, count, precision)
+    points = err.value.points
+    assert 0 < len(points) < count
+    assert len({pt.coords for pt in points}) == len(points)
+    for pt in points:
+        assert (pt.q, pt.k) == (q, precision)
+        assert pt.cert is not None and lift_certificate(s, pt) == pt.cert
+        assert all(e % q ** precision == 0 for e in s.equations(pt.coords))
 
 
 def test_y_family_points_at_p_have_unit_u():
