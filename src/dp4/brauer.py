@@ -487,14 +487,12 @@ def _attach_certificate(s: SubfamilySurface, pt: PadicApproxPoint) -> PadicAppro
 
 
 def _validated_result(s, hint, pt1, pt2, ctx) -> WitnessResult | None:
-    tags = [hint] + [t for t in CLASS_TAGS if t != hint]
-    for tag in tags:
-        try:
-            v1 = evaluate_invariant(s, tag, pt1)
-            v2 = evaluate_invariant(s, tag, pt2)
-        except IndeterminateEvaluationError:
-            continue
-        if v1 != v2:
+    """The first class, the hinted one first, that takes two determinate
+    values on the pair; each point is read once for all three classes."""
+    values = dict(zip(CLASS_TAGS, zip(_point_values(s, pt1, None), _point_values(s, pt2, None))))
+    for tag in [hint] + [t for t in CLASS_TAGS if t != hint]:
+        v1, v2 = values[tag]
+        if None not in (v1, v2) and v1 != v2:
             ctx.trace.append(f"validated: class {tag} separates the pair")
             return WitnessResult(tag, pt1, pt2, False, tuple(ctx.trace), (v1, v2))
     return None
@@ -615,15 +613,6 @@ def _require(cond: bool, what: str) -> None:
         raise _ConstructionDegenerate(f"derived valuation claim failed: {what}")
 
 
-def _ensure_soluble_at_p(s: SubfamilySurface) -> None:
-    """A sign flip needs a Q_p point; decide on the reduced surface when none was sampled."""
-    verdict = decide_Qq(s, s.p, budget=400_000)
-    if verdict.status == "insoluble":
-        raise _InsolubleAtP(f"X(Q_{s.p}) empty: no primitive solutions mod {s.p}^{verdict.level}")
-    if verdict.status == "inconclusive":
-        raise _ConstructionDegenerate("could not establish solubility at p for the sign flip")
-
-
 def _linear_map_back(p, A, B, C, D, k, scaled_v: bool):
     # inverse of (u:v:...) -> ((Au+Bv)/(AD-BC) : [p](Cu+Dv)/(AD-BC) : x/p^k : z/p^k : y/p^k)
     def back(c):
@@ -641,11 +630,14 @@ def _linear_map_back(p, A, B, C, D, k, scaled_v: bool):
 
 
 def _flip_pair(s, ctx, flip_y: bool, flip_z: bool):
-    """A sampled point and its sign flip; the flip changes inv_p of class B."""
+    """A sampled point and its sign flip; the flip changes inv_p of class B.  A
+    short sample re-raises: a certified point proves X(Q_p) nonempty, and with
+    none one ``decide_Qq`` at p either proves X(Q_p) empty or leaves the budget."""
     try:
         pts = sample_local_points(s, s.p, 24, ctx.precision, seed=ctx.rng.randint(0, 10 ** 6))
-    except SamplingBudgetError:
-        _ensure_soluble_at_p(s)
+    except SamplingBudgetError as exc:
+        if not exc.points and (verdict := decide_Qq(s, s.p, budget=400_000)).status == "insoluble":
+            raise _InsolubleAtP(f"X(Q_{s.p}) empty: no primitive solutions mod {s.p}^{verdict.level}") from exc
         raise
     for pt in pts:
         flipped = _flip_point(pt, flip_y, flip_z)
@@ -860,7 +852,8 @@ def bm_verdict(s: SubfamilySurface, sample_budget: int = 64, seed: int = 0) -> O
     images: dict[str, dict[str, PlaceImage]] = {
         tag: {"oo": PlaceImage(frozenset({ZERO}), "theorem", "p > 0: trivial at the real place")}
         for tag in CLASS_TAGS}
-    for q in relevant_places(s):
+    places = relevant_places(s)
+    for q in places:
         for tag, img in invariant_image(s, q, sample_budget=sample_budget, seed=seed).items():
             images[tag][str(q)] = img
     witness = surjectivity_witness(s, seed=seed)
@@ -876,19 +869,16 @@ def bm_verdict(s: SubfamilySurface, sample_budget: int = 64, seed: int = 0) -> O
     if obstructing and family is None:
         # a sampled singleton image is evidence, not proof; an actual rational
         # point refutes any Hasse-principle obstruction outright, and its
-        # exact invariants repair whichever image the sampler undersampled
+        # exact invariants, read once per finite place (every class is 0 at
+        # the real place), repair whichever image the sampler undersampled
         found = point_search(s, 64)
         if found:
             rational_point = found[0]
-            for tag in CLASS_TAGS:
-                for place_label, img in list(images[tag].items()):
-                    v = PLACE_INF if place_label == "oo" else Place(int(place_label))
-                    try:
-                        value = evaluate_invariant(s, tag, rational_point, v)
-                    except IndeterminateEvaluationError:
-                        continue
+            for q in places:
+                for tag, value in zip(CLASS_TAGS, _exact_values(s, rational_point, q)):
+                    img = images[tag][str(q)]
                     if value not in img.values:
-                        images[tag][place_label] = PlaceImage(
+                        images[tag][str(q)] = PlaceImage(
                             img.values | {value}, "sampled",
                             f"{img.detail}; exact value at {rational_point}".strip("; "),
                             img.n + 1)
@@ -939,9 +929,16 @@ def reciprocity_check(s: SubfamilySurface, point) -> bool:
             places.update(q for q in factor(abs(value)) if q == 2 or _legendre_unchecked(s.p, q) != 1)
     totals = [ZERO, ZERO, ZERO]
     for q in sorted(places):
-        values = _point_values(s, point, Place(q))
-        for tag, value in zip(CLASS_TAGS, values):
-            if value is None:
-                raise IndeterminateEvaluationError(f"class {tag} indeterminate at {point}, place {q}")
-        totals = [t + value for t, value in zip(totals, values)]
+        totals = [t + value for t, value in zip(totals, _exact_values(s, point, q))]
     return all(t % 1 == 0 for t in totals)
+
+
+def _exact_values(s: SubfamilySurface, point, q: int) -> tuple:
+    """A, B and C at a rational point on s and the finite place q, from one
+    reading.  A and B are determinate there (see ``_direct_value``), hence so
+    is C = A + B; an indeterminate class is an error, never skipped."""
+    values = _point_values(s, point, Place(q))
+    if None in values:
+        tag = CLASS_TAGS[values.index(None)]
+        raise IndeterminateEvaluationError(f"class {tag} indeterminate at {point}, place {q}")
+    return values

@@ -87,40 +87,28 @@ def _census_row(task) -> CensusRow:
 def census_Y(p_max: int, height_bound: int = 0, sample_budget: int = 32,
              seed: int = 0, jobs: int = 1) -> CensusResult:
     """Every (p, a, b) with p = 1 mod 4 prime, p <= p_max, ab = p - 1, a, b > 0."""
-    tasks = []
-    for p in range(5, p_max + 1):
-        if p % 4 == 1 and is_prime(p):
-            for a in range(1, p):
-                if (p - 1) % a == 0:
-                    tasks.append(("Y", p, a, (p - 1) // a, height_bound, sample_budget, seed))
-    return _run_census(tasks, jobs, {"family": "Y", "p_max": p_max})
+    members = [("Y", p, a, (p - 1) // a) for p in range(5, p_max + 1) if p % 4 == 1 and is_prime(p)
+               for a in range(1, p) if (p - 1) % a == 0]
+    return _run_census(members, height_bound, sample_budget, seed, jobs, {"family": "Y", "p_max": p_max})
 
 
 def census_S(p_list, t_count: int = 3, height_bound: int = 0, sample_budget: int = 32,
              seed: int = 0, jobs: int = 1) -> CensusResult:
     """Rows from the stock construction: the first t_count admissible t per p."""
-    tasks = []
-    for p in p_list:
-        t0 = 3 * (p - 1) // 4 % 8
-        for i in range(t_count):
-            t = t0 + 8 * i
-            _, a, b = s_from_t(p, t)
-            tasks.append(("S", p, a, b, height_bound, sample_budget, seed))
-    return _run_census(tasks, jobs, {"family": "S", "p_list": list(p_list), "t_count": t_count})
+    members = [("S", *s_from_t(p, 3 * (p - 1) // 4 % 8 + 8 * i)) for p in p_list for i in range(t_count)]
+    return _run_census(members, height_bound, sample_budget, seed, jobs,
+                       {"family": "S", "p_list": list(p_list), "t_count": t_count})
 
 
-def _run_census(tasks, jobs: int, extra_header: dict) -> CensusResult:
+def _run_census(members, height_bound: int, sample_budget: int, seed: int, jobs: int,
+                extra_header: dict) -> CensusResult:
+    """A row per (family, p, a, b) member; the header states the settings, rows or none."""
+    tasks = [(*member, height_bound, sample_budget, seed) for member in members]
     if jobs > 1:
         with multiprocessing.get_context("fork").Pool(jobs) as pool:
             rows = tuple(pool.map(_census_row, tasks))
     else:
         rows = tuple(_census_row(t) for t in tasks)
-    header = {
-        "rows": len(rows),
-        "height_bound": tasks[0][4] if tasks else 0,
-        "sample_budget": tasks[0][5] if tasks else 0,
-        "seed": tasks[0][6] if tasks else 0,
-        "jobs": jobs,
-        **extra_header,
-    }
+    header = {"rows": len(rows), "height_bound": height_bound, "sample_budget": sample_budget,
+              "seed": seed, "jobs": jobs, **extra_header}
     return CensusResult(header, rows)

@@ -245,12 +245,16 @@ def cmd_search(args) -> int:
 
 
 def cmd_census(args) -> int:
+    foreign = {"Y": {"--plist": args.plist, "--tcount": args.tcount}, "S": {"--pmax": args.pmax}}[args.family]
+    stray = [flag for flag, value in foreign.items() if value is not None]
+    if stray:
+        raise InputError(f"--family {args.family} does not take {', '.join(stray)}")
     if args.family == "Y":
-        result = census_Y(args.pmax, height_bound=args.height, sample_budget=args.samples,
-                          seed=args.seed, jobs=args.jobs)
+        result = census_Y(100 if args.pmax is None else args.pmax, height_bound=args.height,
+                          sample_budget=args.samples, seed=args.seed, jobs=args.jobs)
     else:
-        p_list = [int(p) for p in args.plist.split(",")] if args.plist else [13, 29, 37, 53]
-        result = census_S(p_list, t_count=args.tcount, height_bound=args.height,
+        p_list = [13, 29, 37, 53] if args.plist is None else [int(p) for p in args.plist.split(",")]
+        result = census_S(p_list, t_count=3 if args.tcount is None else args.tcount, height_bound=args.height,
                           sample_budget=args.samples, seed=args.seed, jobs=args.jobs)
     if args.format == "json":
         print(json.dumps({"header": result.header}, sort_keys=True))
@@ -351,12 +355,15 @@ def cmd_verify_paper(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--samples", type=int, default=64, help="sample budget per place")
-    common.add_argument("--height", type=int, default=64, help="height bound for point search")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--format", choices=("json", "table"), default="json")
-    common.add_argument("--jobs", type=int, default=1)
+    # each subcommand takes only the parents whose options its handler reads
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=("json", "table"), default="json")
+    sampling = argparse.ArgumentParser(add_help=False)
+    sampling.add_argument("--samples", type=int, default=64, help="sample budget per place")
+    sampling.add_argument("--seed", type=int, default=0)
+    searching = argparse.ArgumentParser(add_help=False)
+    searching.add_argument("--height", type=int, default=64, help="height bound for point search")
+    searching.add_argument("--jobs", type=int, default=1)
 
     parser = argparse.ArgumentParser(
         prog="dp4",
@@ -364,46 +371,48 @@ def build_parser() -> argparse.ArgumentParser:
                     "Brauer classes, obstruction verdicts, point search.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", parents=[common],
+    p = sub.add_parser("analyze", parents=[output, sampling],
                        help="validity, solubility, invariants, verdict")
     p.add_argument("spec")
     p.set_defaults(fn=cmd_analyze)
 
-    p = sub.add_parser("classify", parents=[common],
+    p = sub.add_parser("classify", parents=[output],
                        help="pencil quintic, degenerate members, order-4 certificate")
     p.add_argument("spec")
     p.set_defaults(fn=cmd_classify)
 
-    p = sub.add_parser("solubility", parents=[common], help="local solubility per place")
+    p = sub.add_parser("solubility", parents=[output], help="local solubility per place")
     p.add_argument("spec")
     p.add_argument("--place", default=None, help="a prime, or 'oo'")
     p.set_defaults(fn=cmd_solubility)
 
-    p = sub.add_parser("invariants", parents=[common],
+    p = sub.add_parser("invariants", parents=[output, sampling],
                        help="invariant images per class per place")
     p.add_argument("spec")
     p.add_argument("--place", default=None)
     p.set_defaults(fn=cmd_invariants)
 
-    p = sub.add_parser("search", parents=[common], help="rational points up to the height bound")
+    p = sub.add_parser("search", parents=[output, searching], help="rational points up to the height bound")
     p.add_argument("spec")
     p.set_defaults(fn=cmd_search)
 
-    p = sub.add_parser("census", parents=[common], help="family censuses with predictions")
+    p = sub.add_parser("census", parents=[output, sampling, searching],
+                       help="family censuses with predictions")
     p.add_argument("--family", choices=("Y", "S"), default="Y")
-    p.add_argument("--pmax", type=int, default=100)
-    p.add_argument("--plist", default=None, help="comma-separated primes (S family)")
-    p.add_argument("--tcount", type=int, default=3)
+    p.add_argument("--pmax", type=int, default=None, help="largest p (Y family, default 100)")
+    p.add_argument("--plist", default=None, help="comma-separated primes (S family, default 13,29,37,53)")
+    p.add_argument("--tcount", type=int, default=None, help="rows per prime (S family, default 3)")
     p.set_defaults(fn=cmd_census)
 
-    p = sub.add_parser("verify-paper", parents=[common], help="re-run the five worked examples")
+    p = sub.add_parser("verify-paper", parents=[output, sampling], help="re-run the five worked examples")
     p.set_defaults(fn=cmd_verify_paper)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.height < 0 or min(args.samples, args.jobs) < 1:
+    budgets = vars(args)  # a command has only the budgets it reads
+    if budgets.get("height", 0) < 0 or min(budgets.get("samples", 1), budgets.get("jobs", 1)) < 1:
         print("input error: budgets must be positive", file=sys.stderr)
         return EXIT_INPUT
     try:

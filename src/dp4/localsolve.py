@@ -29,6 +29,7 @@ from .quadform import (
     binary_form_eval,
     mat_det,
     quintic_partials_resultant,
+    validate_subfamily,
 )
 
 LEVEL_CAP = 24
@@ -720,8 +721,10 @@ def everywhere_locally_soluble(s: SubfamilySurface) -> LocalSolubilityReport:
     Places v not in {2, p} with p a non-square at v and v not dividing N are
     soluble by the four-case residue argument; places where p is a square have
     the witness (0:0:1:sqrt(p):sqrt(p)).  That leaves {2, p} and the odd prime
-    divisors of N at which p is a non-residue.
+    divisors of N at which p is a non-residue.  Those arguments assume
+    (C1)/(C2): any other surface is a ValueError.
     """
+    validate_subfamily(s)
     p = s.p
     n_val = s.N
     rows: list[tuple[str, SolubilityVerdict | None, str]] = []

@@ -23,7 +23,7 @@ from dp4.brauer import (
     surjectivity_witness,
 )
 from dp4.families import family_of, make_S, make_Y, point_search, s_from_t
-from dp4.localsolve import everywhere_locally_soluble, sample_local_points
+from dp4.localsolve import SamplingBudgetError, SolubilityVerdict, everywhere_locally_soluble, sample_local_points
 from dp4.quadform import SubfamilySurface
 
 from helpers import CASE_PATTERN_SURFACES, INSOLUBLE_AT_P, box_slice
@@ -380,6 +380,35 @@ def test_rational_point_repairs_an_undersampled_image(monkeypatch):
     assert rep.images["A"]["2"].values == {ZERO} and rep.images["A"]["2"].n == sampled_n[2]
 
 
+def test_witness_pair_and_repairing_point_are_read_once(monkeypatch):
+    # the witness pair is read once per point whatever the hint; a rational
+    # point that repairs an image is read once per finite relevant place
+    reads = []
+    real_factors, real_image = brauer._factor_values, brauer.invariant_image
+
+    def factors(s, coords):
+        reads.append(tuple(coords))
+        return real_factors(s, coords)
+
+    monkeypatch.setattr(brauer, "_factor_values", factors)
+    w = surjectivity_witness(Y_13_2_6)
+    for hint in CLASS_TAGS:
+        reads.clear()
+        assert brauer._validated_result(Y_13_2_6, hint, w.point1, w.point2, brauer._WitnessContext(26))
+        assert reads == [w.point1.coords, w.point2.coords], hint
+
+    def undersampled(surface, q, **kwargs):  # as in the repair test above
+        images = real_image(surface, q, **kwargs)
+        images["A"] = brauer.PlaceImage(frozenset({HALF if q == 13 else ZERO}), "sampled", n=1)
+        return images
+
+    monkeypatch.setattr(brauer, "invariant_image", undersampled)
+    s = CASE_PATTERN_SURFACES["case1"]
+    reads.clear()
+    assert bm_verdict(s).rational_point == (0, 1, 0, 0, -1)
+    assert reads.count((0, 1, 0, 0, -1)) == len(relevant_places(s))
+
+
 def test_inert_primes_of_the_coefficients_divide_N_times_AD_minus_BC(monkeypatch):
     # the lemma of relevant_places: an odd q != p dividing A B C D M but not
     # N (AD - BC) has (p/q) = 1, so N and AD - BC carry every inert bad prime
@@ -615,6 +644,35 @@ def test_flip_witness_decides_nothing_when_it_samples_a_point(monkeypatch):
     monkeypatch.setattr(brauer, "decide_Qq", counted)
     w = surjectivity_witness(Y_13_2_6)
     assert not w.insoluble_at_p and calls == []
+
+
+def test_flip_witness_keeps_an_inconclusive_decision_a_budget(monkeypatch):
+    # p = 7 = 3 mod 4 takes the sign-flip branch; an empty short sample and
+    # an inconclusive decision at 7 leave a spent budget, not a failed check
+    def short(*args, **kwargs):
+        raise SamplingBudgetError("short", [])
+
+    monkeypatch.setattr(brauer, "sample_local_points", short)
+    monkeypatch.setattr(brauer, "decide_Qq", lambda s, q, budget: SolubilityVerdict(q, "inconclusive"))
+    with pytest.raises(SamplingBudgetError, match="short"):
+        surjectivity_witness(CASE_PATTERN_SURFACES["p3mod4"])
+
+
+def test_flip_witness_decides_nothing_on_a_short_sample_with_points(monkeypatch):
+    # a certified point proves X(Q_p) nonempty: the budget error stands at once
+    s = CASE_PATTERN_SURFACES["p3mod4"]
+    found = sample_local_points(s, 7, 1, 26)
+    calls = []
+
+    def short(*args, **kwargs):
+        raise SamplingBudgetError("short", found)
+
+    monkeypatch.setattr(brauer, "sample_local_points", short)
+    monkeypatch.setattr(brauer, "decide_Qq",
+                        lambda s, q, budget: calls.append(q) or SolubilityVerdict(q, "soluble"))
+    with pytest.raises(SamplingBudgetError, match="short"):
+        surjectivity_witness(s)
+    assert calls == []
 
 
 def test_flip_witness_reports_insolubility_when_nothing_is_sampled():

@@ -1,15 +1,18 @@
+import argparse
 import ast
+import inspect
 import json
 import os
 import subprocess
 import sys
+import textwrap
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from dp4 import brauer, localsolve
-from dp4.cli import main, parse_surface_spec, InputError
+from dp4.cli import build_parser, main, parse_surface_spec, InputError
 from dp4.quadform import GeneralSurface, SubfamilySurface
 
 
@@ -379,13 +382,53 @@ def test_cli_analyze_decides_a_place_that_needs_level_11(capsys):
 
 def test_cli_rejects_bad_budgets(capsys):
     # --height 0 is a legal search bound; --samples 0 leaves nothing to sample
-    for flag, value in (("--height", "-2"), ("--samples", "0")):
-        code, _, err = run_cli(capsys, "search", '{"family": "Y", "p": 13, "a": 1, "b": 12}',
+    for command, flag, value in (("search", "--height", "-2"), ("analyze", "--samples", "0"),
+                                 ("search", "--jobs", "0")):
+        code, _, err = run_cli(capsys, command, '{"family": "Y", "p": 13, "a": 1, "b": 12}',
                                flag, value)
         assert code == 2 and "budgets must be positive" in err
     code, _, _ = run_cli(capsys, "search", '{"family": "Y", "p": 13, "a": 1, "b": 12}',
                          "--height", "0")
     assert code == 0
+
+
+def test_cli_options_are_the_ones_each_handler_reads():
+    # a subcommand accepts exactly the options its handler reads as args.*,
+    # with --format wherever the handler prints through _emit
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    accepted, read = {}, {}
+    for name, parser in sub.choices.items():
+        options = [a for a in parser._actions if a.option_strings and a.dest != "help"]
+        positional = {a.dest for a in parser._actions if not a.option_strings}
+        accepted[name] = {a.dest for a in options}
+        tree = ast.parse(textwrap.dedent(inspect.getsource(parser.get_default("fn"))))
+        attrs = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                 and isinstance(node.value, ast.Name) and node.value.id == "args"}
+        if any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+               and node.func.id == "_emit" for node in ast.walk(tree)):
+            attrs.add("format")
+        read[name] = attrs - positional
+    assert accepted == read
+    assert sum(map(len, accepted.values())) == 25
+
+
+def test_cli_rejects_options_a_command_does_not_take(capsys):
+    spec = '{"family": "Y", "p": 13, "a": 1, "b": 12}'
+    for argv in (("classify", spec, "--samples", "5"), ("analyze", spec, "--height", "5")):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[2:])}" in capsys.readouterr().err
+    for argv, message in ((("--family", "S", "--pmax", "50"), "--family S does not take --pmax"),
+                          (("--plist", "13", "--tcount", "1"), "--family Y does not take --plist, --tcount")):
+        code, out, err = run_cli(capsys, "census", *argv)
+        assert (code, out, err) == (2, "", f"input error: {message}\n")
+
+
+def test_cli_census_parses_a_given_plist(capsys):
+    # an empty --plist is not the default list
+    code, out, err = run_cli(capsys, "census", "--family", "S", "--plist", "")
+    assert (code, out) == (2, "") and err.startswith("input error: ")
 
 
 def test_cli_analyze_general_matrices(capsys):

@@ -275,6 +275,16 @@ def test_census_small():
     assert res.header["rows"] == 14
 
 
+def test_census_header_states_its_settings_without_rows():
+    # no p = 1 mod 4 prime up to 4, so no rows; the header still holds the settings
+    res = census_Y(4, height_bound=10, sample_budget=16, seed=5)
+    assert res.rows == ()
+    assert res.header == {"rows": 0, "height_bound": 10, "sample_budget": 16, "seed": 5, "jobs": 1,
+                          "family": "Y", "p_max": 4}
+    res = census_S([], height_bound=7, sample_budget=9, seed=2)
+    assert (res.header["height_bound"], res.header["sample_budget"], res.header["seed"]) == (7, 9, 2)
+
+
 def test_census_jobs_deterministic():
     seq = census_Y(13, sample_budget=16)
     par = census_Y(13, sample_budget=16, jobs=2)

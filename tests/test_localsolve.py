@@ -393,6 +393,12 @@ def test_everywhere_locally_soluble_reports():
     assert payload["everywhere_locally_soluble"] is True
 
 
+def test_everywhere_locally_soluble_checks_the_surface_conditions():
+    # AD - BC = 0 breaks (C2); the theorem rows assume (C1)/(C2)
+    with pytest.raises(ValueError, match="invalid subfamily surface"):
+        everywhere_locally_soluble(SubfamilySurface(13, 1, 1, 1, 1, 13))
+
+
 def test_sampling_spec_examples():
     pts = sample_local_points(Y_13_2_6, 13, 20, 4, seed=7)
     assert len(pts) == 20
