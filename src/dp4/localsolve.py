@@ -431,9 +431,37 @@ def _node(surface, pt: PadicApproxPoint):
     mod q^k, from one reading of the equations and the 2x5 Jacobian.  cert is
     a 2x2 Jacobian minor of least valuation e, when 2e+1 <= k (the residuals
     already vanish mod q^k >= q^(2e+1)), else None.  lifts() builds the digit
-    system from the same values and returns (n, child): pt has n lifts mod
-    q^(k+1), and child(i) is the i-th of them, the index read in base q as the
-    free digits, the last free digit varying fastest; n is 0 when pt is dead.
+    system J t = -F/q^k mod q from the same values and returns
+    (n, child, dead): pt has n lifts mod q^(k+1), child(i) is the i-th of
+    them, the index read in base q as the free digits, the last free digit
+    varying fastest, and dead(i) says, without building or reading that lift,
+    whether it is dead and uncertified; n is 0 when pt itself is dead (its
+    digit system mod q is inconsistent).
+
+    Dead lifts.  Let x = pt and c = x + q^k t a lift (t_pinned = 0).  Both
+    forms are quadratic and J is their gradient, so
+    F(c) = F(x) + q^k J(x) t + q^(2k) F(t), that is
+    F(c)/q^(k+1) = (F(x)/q^k + J(x) t)/q + q^(k-1) F(t), and J(c) = J(x) + q^k J(t)
+    is J(x) mod q.  So c's digit system has x's matrix mod q, and c is dead
+    exactly when lam . F(c)/q^(k+1) is nonzero mod q for some lam in the left
+    kernel of that matrix mod q (a system is consistent iff every left-kernel
+    vector kills its right-hand side).  For a lift of lam with lam J(x) = 0
+    mod q on the free columns, lam (F(x)/q^k + J(x) t) is 0 mod q, so modulo
+    q that test is one dot product, a/q + (w/q) . t + [k = 1] lam . F(t), with
+    a = lam F(x)/q^k and w = lam J(x) taken mod q^2; the pivot digits of t,
+    affine in its free digits, are folded into a and w.  A full-rank matrix
+    has no kernel: then no lift is dead.
+
+    Certified lifts.  Every 2x2 minor of J(c) is the same minor of J(x) plus a
+    multiple of q^k.  So a minor of valuation e < k at x keeps it at every
+    lift, and one that is 0 mod q^k at x stays so.  Hence, if x's least
+    valuation below k is e, with 2e <= k, every lift of x is certified at
+    level k + 1 >= 2e + 1, whether or not it is dead: a dead certified lift
+    still carries a Q_q point nearby (Hensel moves the coordinates), so it
+    is a valid point, and dead(i) is then False for every i.  That happens
+    when x is certified itself, or when k is even and e = k/2.  Otherwise no
+    lift is certified (e >= (k + 1)/2, or every minor is 0 mod q^k), and a
+    dead lift, read, would give no certificate and no lifts.
     """
     q, k = pt.q, pt.k
     qk = q ** k
@@ -459,24 +487,65 @@ def _node(surface, pt: PadicApproxPoint):
         rows = ([j1[idx] % q for idx in free_idx], [j2[idx] % q for idx in free_idx])
         reduced = _reduce_digit_system(rows, ((-(f1 // qk)) % q, (-(f2 // qk)) % q), q)
         if reduced is None:
-            return 0, None
+            return 0, None, None
         mat, pivots = reduced
         free = [c for c in range(4) if c not in pivots]
 
-        def child(i: int) -> PadicApproxPoint:
+        def digits(i: int) -> list[int]:
             t = [0, 0, 0, 0]
             for c in reversed(free):
                 i, t[c] = divmod(i, q)
             for row, pc in zip(mat, pivots):
                 t[pc] = (row[4] - sum(row[c] * t[c] for c in free)) % q
+            return t
+
+        def child(i: int) -> PadicApproxPoint:
             coords = list(pt.coords)
-            for pos, idx in enumerate(free_idx):
-                coords[idx] += qk * t[pos]
+            for idx, d in zip(free_idx, digits(i)):
+                coords[idx] += qk * d
             return PadicApproxPoint(q, k + 1, tuple(coords), pt.pinned)
 
-        return q ** len(free), child
+        if len(pivots) == 2 or (best is not None and 2 * best.e <= k):
+            return q ** len(free), child, _never
+        if pivots:  # rank 1: the kernel vector kills the nonzero row
+            r0, r1 = rows
+            c = next(c for c in range(4) if r0[c] or r1[c])
+            kernel = [(r1[c] * pow(r0[c], -1, q), -1) if r0[c] else (1, 0)]
+        else:
+            kernel = [(1, 0), (0, 1)]
+        q2 = q * q
+        tests = []  # per kernel vector lam: lam, and a/q + (w/q) . t folded onto the free digits
+        for l1, l2 in kernel:
+            a = (l1 * (f1 // qk) + l2 * (f2 // qk)) % q2 // q
+            w = [(l1 * j1[idx] + l2 * j2[idx]) % q2 // q for idx in free_idx]
+            for row, pc in zip(mat, pivots):  # t[pc] = row[4] - sum of row[c] t[c] over free c
+                a += w[pc] * row[4]
+                w = [wc - w[pc] * rc for wc, rc in zip(w, row)]
+            tests.append((l1, l2, a, [w[c] for c in reversed(free)]))
+
+        def dead(i: int) -> bool:
+            g1 = g2 = 0
+            if k == 1:  # the F(t) term
+                full = [0] * 5
+                for idx, d in zip(free_idx, digits(i)):
+                    full[idx] = d
+                g1, g2 = surface.equations(full)
+            for l1, l2, a, coefs in tests:
+                j = i
+                for c in coefs:
+                    j, d = divmod(j, q)
+                    a += c * d
+                if (a + l1 * g1 + l2 * g2) % q:
+                    return True
+            return False
+
+        return q ** len(free), child, dead
 
     return cert, lifts
+
+
+def _never(i: int) -> bool:
+    return False
 
 
 def lift_certificate(surface, pt: PadicApproxPoint) -> LiftCertificate | None:
@@ -490,7 +559,7 @@ def lift_certificate(surface, pt: PadicApproxPoint) -> LiftCertificate | None:
 
 def expand_children(surface, pt: PadicApproxPoint):
     """All normalized solutions mod q^(k+1) over pt, lazily, in order: the lifts half of ``_node``."""
-    n, child = _node(surface, pt)[1]()
+    n, child, _ = _node(surface, pt)[1]()
     yield from map(child, range(n))
 
 
@@ -547,9 +616,12 @@ def decide_Qq(surface, q: int, budget: int = DEFAULT_EXPANSION_BUDGET) -> Solubi
     depth-first walk over primitive solutions mod q^k, cut at LEVEL_CAP.
     The level-1 points and the lifts of each node are taken in the fixed
     exhaustive order.  Each node is read once (``_node``): its certificate,
-    and from the same values its lifts when the walk descends.  A branch
-    ends at its first certified candidate, which proves solubility.  If
-    every branch dies before some level, that level is empty and the surface
+    and from the same values its lifts when the walk descends.  A lift that
+    its parent's reading shows dead and uncertified is not built or read: it
+    counts as a lift spent and as a branch ending at its level, as its
+    reading would.  A branch ends at its first certified candidate, which
+    proves solubility.  If every branch dies before some level, that level
+    is empty and the surface
     is insoluble at q (a Q_q point would reduce to every level).  A branch
     cut at LEVEL_CAP, or a walk past ``budget`` lifts, is inconclusive,
     never insoluble.  Lifts are streamed, so memory stays bounded even when
@@ -581,11 +653,15 @@ def decide_Qq(surface, q: int, budget: int = DEFAULT_EXPANSION_BUDGET) -> Solubi
         if pt.k >= LEVEL_CAP:
             truncated = True
             return None
-        n, child = lifts()
+        n, child, dead = lifts()
         for i in range(n):
             expansions += 1
             if expansions > budget:
                 raise _BudgetExhausted
+            if dead(i):  # read, it would end its branch here, one level down
+                deepest = max(deepest, pt.k + 1)
+                truncated = truncated or pt.k + 1 >= LEVEL_CAP
+                continue
             found = dfs(child(i))
             if found is not None:
                 return found
@@ -796,16 +872,21 @@ def sample_local_points(surface, q: int, count: int, precision: int,
     Stratified: one point per level-1 residue class that is certified at once,
     the classes drawn lazily in seeded random order until ``count`` points are
     in hand, so a small request costs about the same at any q.  Only once every
-    level-1 class has been drawn: one depth-first search below the uncertified
-    classes, down to max(precision, LEVEL_CAP), each node read once and its
-    lifts drawn lazily in seeded random order, then further lifts of the
-    certified classes.  Pass 1 keeps each drawn class's reading (``_node``)
-    for passes 2 and 3, so no level-1 node is read twice.  SAMPLING_BUDGET
-    caps the lifts inspected in passes 2 and 3.  Beyond the exhaustive
-    enumeration budget (see ``iter_residue_points``) the level-1 set is never
-    exhausted, so pass 1 draws at most SAMPLING_BUDGET classes there and then
-    raises EnumerationBudgetError; falling short otherwise raises
-    SamplingBudgetError with the points found as ``.points``.  Takes
+    level-1 class has been drawn, pass 2 searches depth first below the
+    uncertified classes, down to max(precision, LEVEL_CAP), each node's lifts
+    drawn lazily in seeded random order: up to three round-robin rounds that
+    give each class a share of the points still wanted, then one uncapped
+    sweep.  Each round and the sweep walk each class's subtree again from its
+    start, so a node below level 1 is read once per walk that reaches it, not
+    once per call.  A lift that its parent's reading shows dead and
+    uncertified is drawn and counted but not read.  Pass 3 takes further lifts
+    of the certified classes.  Pass 1 keeps each drawn class's reading
+    (``_node``) for passes 2 and 3, so no level-1 node is read twice.
+    SAMPLING_BUDGET caps the lifts inspected in passes 2 and 3.  Beyond the
+    exhaustive enumeration budget (see ``iter_residue_points``) the level-1
+    set is never exhausted, so pass 1 draws at most SAMPLING_BUDGET classes
+    there and then raises EnumerationBudgetError; falling short otherwise
+    raises SamplingBudgetError with the points found as ``.points``.  Takes
     subfamily surfaces and general pencils.  Deterministic for a fixed seed.
     """
     if count == 0:
@@ -856,7 +937,7 @@ def sample_local_points(surface, q: int, count: int, precision: int,
                 return
         if len(out) >= cap or pt.k >= max_depth:
             return
-        n, child = lifts()
+        n, child, dead = lifts()
         for i in _shuffled_indices(n, rng):
             spent += 1
             if spent > budget:
@@ -864,7 +945,8 @@ def sample_local_points(surface, q: int, count: int, precision: int,
                     f"sampling budget exhausted with {len(out)}/{count} points", out)
             if len(out) >= cap:
                 return
-            dfs_collect(child(i), cap, None)
+            if not dead(i):  # a dead uncertified lift, read, would add nothing
+                dfs_collect(child(i), cap, None)
 
     for _ in range(3):
         if len(out) >= count or not pending:
@@ -885,7 +967,7 @@ def sample_local_points(surface, q: int, count: int, precision: int,
     for lifts in certified:
         if len(out) >= count:
             break
-        n, child = lifts()
+        n, child, _ = lifts()
         for i in range(n):
             spent += 1
             if spent > budget:

@@ -232,7 +232,40 @@ def test_decide_reads_each_node_once(monkeypatch):
     monkeypatch.setattr(JacobianCounting, "reads", 0)
     verdict = decide_Qq(JacobianCounting(g.mat1, g.mat2), 2)
     assert verdict.soluble and verdict.level == 7
-    assert JacobianCounting.reads == visited[0] == 16
+    assert JacobianCounting.reads == visited[0] == 8
+
+
+@pytest.mark.parametrize("s, q, level, coords, cols, e, bound", [
+    (SubfamilySurface(401, 4, 5, -4, 2, 64), 2, 13, (1, 1336, 8, 232, 4), (1, 2), 6, 12_000),
+    (CASE_PATTERN_SURFACES["case6"], 5, 9, (1, 1, 72785, 53400, 0), (2, 3), 4, 1_000),
+])
+def test_deep_places_skip_dead_lifts(monkeypatch, s, q, level, coords, cols, e, bound):
+    # most nodes below these deep places are dead; recognised at their parent,
+    # they are never read (184 210 and 198 504 reads when each was read), and
+    # the walk still ends at the same certified witness
+    reads = [0]
+    real_node = localsolve._node
+
+    def node(surface, pt):
+        reads[0] += 1
+        return real_node(surface, pt)
+
+    monkeypatch.setattr(localsolve, "_node", node)
+    verdict = decide_Qq(s, q)
+    assert (verdict.status, verdict.level) == ("soluble", level)
+    assert verdict.witness.coords == coords and verdict.witness.cert == localsolve.LiftCertificate(cols, e)
+    assert reads[0] < bound
+
+
+def test_skipped_dead_lifts_at_the_level_cap_leave_the_walk_inconclusive(monkeypatch):
+    # insoluble at 2 with level 6 empty, so every level-5 node is dead; with
+    # the cap at 5 they end their branches at the cap, read or skipped
+    s = SubfamilySurface(13, 2, -4, 3, 6, 16)
+    verdict = decide_Qq(s, 2)
+    assert (verdict.status, verdict.level) == ("insoluble", 6)
+    monkeypatch.setattr(localsolve, "LEVEL_CAP", 5)
+    verdict = decide_Qq(s, 2)
+    assert (verdict.status, verdict.level, verdict.method) == ("inconclusive", 5, "level budget exhausted")
 
 
 @pytest.mark.parametrize("s, q, count, precision, digest", [
@@ -336,6 +369,51 @@ def test_level_monotonicity_projection():
         assert proj <= {p.coords for p in l2}
 
 
+@pytest.mark.parametrize("s, q, levels, traps", [
+    (S_13, 2, {1, 3}, True),
+    (to_matrices(S_13), 2, {1, 3}, True),
+    (S_13, 3, {1}, True),
+    (to_matrices(S_13), 13, {1}, True),
+    (CASE_PATTERN_SURFACES["case6"], 5, {1, 2, 3}, False),  # q^4 lifts: a two-dimensional kernel
+    (to_matrices(CASE_PATTERN_SURFACES["case6"]), 5, {1, 2, 3}, False),
+    (CASE_PATTERN_SURFACES["case2"], 13, {1, 2, 3}, True),
+])
+def test_dead_lifts_are_recognised_at_their_parent(s, q, levels, traps):
+    # a lift the parent flags dead, read, has no certificate and no lifts; an
+    # uncertified lift it does not flag has lifts.  A node's lifts are all
+    # certified or none is; all are only at even k (e = k/2), where nothing is
+    # flagged although some certified lifts are dead.  Eight seeded live
+    # uncertified parents per level 1-6, up to 300 lifts each; levels are
+    # those of the parents with a flagged lift
+    rng = random.Random(0)
+    frontier = list(iter_residue_points(s, q))
+    flagged_at, certified_dead = set(), 0
+    for k in range(1, 7):
+        parents = [lifts for cert, lifts in map(lambda pt: _node(s, pt), frontier)
+                   if cert is None and lifts()[0]]
+        frontier = []
+        for lifts in rng.sample(parents, min(8, len(parents))):
+            n, child, dead = lifts()
+            readings = {}
+            for i in range(n) if n <= 300 else rng.sample(range(n), 300):
+                cert, child_lifts = _node(s, child(i))
+                readings[i] = (dead(i), cert is not None, child_lifts()[0])
+            certified = {c for _, c, _ in readings.values()}
+            assert len(certified) == 1, (s, q, k)
+            if certified == {True}:
+                assert k % 2 == 0 and not any(d for d, _, _ in readings.values()), (s, q, k)
+                certified_dead += sum(m == 0 for _, _, m in readings.values())
+                continue
+            for i, (d, _, m) in readings.items():
+                assert d == (m == 0), (s, q, k, i)
+                if d:
+                    flagged_at.add(k)
+                else:
+                    frontier.append(child(i))
+    assert flagged_at == levels  # level 1 is the F(t) term
+    assert (certified_dead > 0) == traps
+
+
 def test_expand_children_are_exactly_the_lifts():
     q = 3
     for pt in list(iter_residue_points(Y_13_2_6, q))[:6]:
@@ -354,7 +432,7 @@ def test_expand_children_are_exactly_the_lifts():
                 brute.add(tuple(coords))
         assert children == brute
         # the sampler's order: the same lifts, each exactly once, fixed by the seed
-        n, child = _node(Y_13_2_6, pt)[1]()
+        n, child, _ = _node(Y_13_2_6, pt)[1]()
         shuffled = [child(i).coords for i in _shuffled_indices(n, random.Random(5))]
         assert sorted(shuffled) == sorted(brute)
         again = [child(i).coords for i in _shuffled_indices(n, random.Random(5))]
