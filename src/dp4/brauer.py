@@ -732,16 +732,17 @@ def _case2(s: SubfamilySurface, ctx: _WitnessContext):
 
 
 def _case3(s: SubfamilySurface, ctx: _WitnessContext):
+    """A..D and M units at p, AC = s^2 and BD = t^2 mod p.  Then ABM is a
+    nonzero square mod p: (C1) gives (AD + BC - M)^2 = 4 ABCD = (2st)^2,
+    so M = AD + BC -+ 2st and ABM = A^2 t^2 + B^2 s^2 -+ 2ABst = (At -+ Bs)^2,
+    and construction 3b always applies."""
     p, A, B, C, D, M = s.p, s.A, s.B, s.C, s.D, s.M
     K = ctx.precision
     mod = p ** K
     _require(legendre(A * C, p) == 1 and legendre(B * D, p) == 1, "case 3 needs AC, BD squares")
+    _require(legendre(A * B * M, p) == 1, "case 3 has ABM a square")
     s1 = _unit_sqrt(p, A * C % mod, K)
     pt1 = (1, 0, 0, 0, s1)
-    if legendre(A * B * M, p) == -1:
-        ctx.trace.append("case 3a")
-        s2 = _unit_sqrt(p, B * D % mod, K)
-        return "A", pt1, (0, 1, 0, 0, s2), K
     ctx.trace.append("case 3b")
     inv_ma = pow(M * A % p, -1, p)
     bb = B * inv_ma % p

@@ -164,9 +164,9 @@ def cmd_analyze(args) -> int:
                "validity": {"c1": rep.c1_holds, "c2": rep.c2_holds, "c1_value": rep.c1_value,
                             "N": rep.derived_N}}
     if not rep.valid:
-        payload["error"] = "conditions (C1)/(C2) fail"
+        payload["error"] = "conditions (C1)/(C2) fail" if rep.p_prime else "p is not an odd prime"
         _emit(payload, args)
-        print(f"input error: conditions (C1)/(C2) fail on {surface.label()}", file=sys.stderr)
+        print(f"input error: {payload['error']} on {surface.label()}", file=sys.stderr)
         return EXIT_INPUT
     els = everywhere_locally_soluble(surface)
     payload["local_solubility"] = els.to_json()

@@ -667,18 +667,14 @@ def decide_Qq(surface, q: int, budget: int = DEFAULT_EXPANSION_BUDGET) -> Solubi
                 return found
         return None
 
-    seen_any = False
     try:
         for pt in iter_residue_points(surface, q):
-            seen_any = True
             found = dfs(pt)
             if found is not None:
                 return SolubilityVerdict(q, "soluble", found, level=found.k, method="hensel")
     except _BudgetExhausted:
         return SolubilityVerdict(q, "inconclusive", level=deepest,
                                  method="expansion budget exhausted")
-    if not seen_any:
-        return SolubilityVerdict(q, "insoluble", level=1, method="empty residue level")
     if truncated:
         return SolubilityVerdict(q, "inconclusive", level=LEVEL_CAP, method="level budget exhausted")
     return SolubilityVerdict(q, "insoluble", level=deepest + 1, method="empty residue level")
@@ -848,8 +844,9 @@ def everywhere_locally_soluble_general(g: GeneralSurface) -> LocalSolubilityRepo
     """
     quintic, res = validate_pencil(g)
     candidates = {2, 3, 5}
+    # the quintic's content c divides every row of the Sylvester matrix of its
+    # partials, so c^8 divides res != 0: its primes are among res's
     candidates.update(factor(abs(res)))
-    candidates.update(factor(abs(math.gcd(*quintic))))
     rows: list[tuple[str, SolubilityVerdict | None, str]] = []
     rows.append(("oo", decide_R(g), ""))
     rows.append(("other odd primes", None,
@@ -872,28 +869,30 @@ def sample_local_points(surface, q: int, count: int, precision: int,
     Stratified: one point per level-1 residue class that is certified at once,
     the classes drawn lazily in seeded random order until ``count`` points are
     in hand, so a small request costs about the same at any q.  Only once every
-    level-1 class has been drawn, pass 2 searches depth first below the
-    uncertified classes, down to max(precision, LEVEL_CAP), each node's lifts
-    drawn lazily in seeded random order: up to three round-robin rounds that
-    give each class a share of the points still wanted, then one uncapped
-    sweep.  Each round and the sweep walk each class's subtree again from its
-    start, so a node below level 1 is read once per walk that reaches it, not
-    once per call.  A lift that its parent's reading shows dead and
-    uncertified is drawn and counted but not read.  Pass 3 takes further lifts
-    of the certified classes.  Pass 1 keeps each drawn class's reading
-    (``_node``) for passes 2 and 3, so no level-1 node is read twice.
-    SAMPLING_BUDGET caps the lifts inspected in passes 2 and 3.  Beyond the
-    exhaustive enumeration budget (see ``iter_residue_points``) the level-1
-    set is never exhausted, so pass 1 draws at most SAMPLING_BUDGET classes
-    there and then raises EnumerationBudgetError; falling short otherwise
-    raises SamplingBudgetError with the points found as ``.points``.  Takes
+    level-1 class has been drawn does pass 2 walk below them, depth first: a
+    node's lifts are drawn lazily in seeded random order and each drawn lift
+    is read once, where it is drawn (``_node``); a certified lift is kept and
+    an uncertified one descended into, down to max(precision, LEVEL_CAP).  A
+    lift that its parent's reading shows dead and uncertified is drawn and
+    counted but not read.  Up to three round-robin rounds over the uncertified
+    classes give each a share of the points still wanted; one uncapped sweep
+    then walks the uncertified classes and the certified ones, whose lifts are
+    all certified.  Each round and the sweep walk each class's subtree again
+    from its start, so a node below level 1 is read once per walk that
+    reaches it, not once per call.  Pass 1 keeps each drawn class's reading
+    for pass 2, so no level-1 node is read twice.  SAMPLING_BUDGET caps the
+    lifts drawn in pass 2.  Beyond the exhaustive enumeration budget (see
+    ``iter_residue_points``) the level-1 set is never exhausted, so pass 1
+    draws at most SAMPLING_BUDGET classes there and then raises
+    EnumerationBudgetError; falling short otherwise raises
+    SamplingBudgetError with the points found as ``.points``.  Takes
     subfamily surfaces and general pencils.  Deterministic for a fixed seed.
     """
     if count == 0:
         return []
     budget = SAMPLING_BUDGET
     rng = random.Random(f"{seed}:{q}:{precision}:{surface!r}")
-    certified, pending = [], []  # the lifts, and (pt, lifts), of each drawn class: one reading each
+    certified, pending = [], []  # the lifts of each drawn class, from its one reading
     out: list[PadicApproxPoint] = []
     seen: set[tuple] = set()
     spent = 0
@@ -913,30 +912,22 @@ def sample_local_points(surface, q: int, count: int, precision: int,
                 f"{budget} level-1 classes drawn at q={q} gave only {len(out)} of {count} certified points")
         cert, lifts = _node(surface, pt)
         if cert is None:
-            pending.append((pt, lifts))
+            pending.append(lifts)
         else:
             try_collect(pt, cert)
             certified.append(lifts)
             if len(out) >= count:
                 return out
-    # pass 2: depth-first search below the uncertified classes.  Lifts are
-    # drawn lazily, so a node with a full digit space of q^4 lifts costs only
-    # the lifts inspected.  Round-robin with a per-class share first, so that
-    # no single branch swallows the request (stratification); then fill
+    # pass 2: depth-first search below the level-1 classes.  Lifts are drawn
+    # lazily, so a node with a full digit space of q^4 lifts costs only the
+    # lifts inspected.  Round-robin with a per-class share first, so that no
+    # single branch swallows the request (stratification); then fill
     # greedily from whatever is productive.
     max_depth = max(precision, LEVEL_CAP)
 
-    def dfs_collect(pt: PadicApproxPoint, cap: int, lifts) -> None:
-        """Read pt once, unless its lifts are given (an uncertified start):
-        keep it if certified, else descend into its lifts."""
+    def dfs_collect(lifts, cap: int) -> None:
+        """Draw a node's lifts, reading each once: keep it if certified, else descend."""
         nonlocal spent
-        if lifts is None:
-            cert, lifts = _node(surface, pt)
-            if cert is not None:
-                try_collect(pt, cert)
-                return
-        if len(out) >= cap or pt.k >= max_depth:
-            return
         n, child, dead = lifts()
         for i in _shuffled_indices(n, rng):
             spent += 1
@@ -945,39 +936,30 @@ def sample_local_points(surface, q: int, count: int, precision: int,
                     f"sampling budget exhausted with {len(out)}/{count} points", out)
             if len(out) >= cap:
                 return
-            if not dead(i):  # a dead uncertified lift, read, would add nothing
-                dfs_collect(child(i), cap, None)
+            if dead(i):  # a dead uncertified lift, read, would add nothing
+                continue
+            pt = child(i)
+            cert, pt_lifts = _node(surface, pt)
+            if cert is not None:
+                try_collect(pt, cert)
+            elif pt.k < max_depth:
+                dfs_collect(pt_lifts, cap)
 
     for _ in range(3):
         if len(out) >= count or not pending:
             break
         before = len(out)
         share = max(1, (count - len(out) + len(pending) - 1) // len(pending))
-        for start, lifts in pending:
+        for lifts in pending:
             if len(out) >= count:
                 break
-            dfs_collect(start, min(count, len(out) + share), lifts)
+            dfs_collect(lifts, min(count, len(out) + share))
         if len(out) == before:
             break
-    for start, lifts in pending:  # uncapped fill: one sweep explores each subtree fully
+    for lifts in pending + certified:  # uncapped fill: one sweep explores each subtree fully
         if len(out) >= count:
             break
-        dfs_collect(start, count, lifts)
-    # pass 3: widen with further lifts of already-certified classes
-    for lifts in certified:
-        if len(out) >= count:
-            break
-        n, child, _ = lifts()
-        for i in range(n):
-            spent += 1
-            if spent > budget:
-                raise SamplingBudgetError(f"sampling budget exhausted with {len(out)}/{count} points", out)
-            if len(out) >= count:
-                break
-            pt = child(i)
-            cert = lift_certificate(surface, pt)
-            if cert is not None:
-                try_collect(pt, cert)
+        dfs_collect(lifts, count)
     if len(out) < count:
         raise SamplingBudgetError(f"only found {len(out)} of {count} requested points at q={q}", out)
     return out[:count]

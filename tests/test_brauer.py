@@ -24,7 +24,7 @@ from dp4.brauer import (
 )
 from dp4.families import family_of, make_S, make_Y, point_search, s_from_t
 from dp4.localsolve import SamplingBudgetError, SolubilityVerdict, everywhere_locally_soluble, sample_local_points
-from dp4.quadform import SubfamilySurface
+from dp4.quadform import SubfamilySurface, check_subfamily
 
 from helpers import CASE_PATTERN_SURFACES, INSOLUBLE_AT_P, box_slice
 
@@ -601,6 +601,30 @@ def test_witness_pair_that_fails_validation_raises(monkeypatch):
     monkeypatch.setattr(brauer, "_validated_result", lambda s, hint, pt1, pt2, ctx: None)
     with pytest.raises(WitnessSearchError, match="failed validation"):
         surjectivity_witness(Y_13_2_6)
+
+
+def test_case3_has_abm_a_square_on_a_box():
+    # the _case3 lemma: with A..D and M units at p and AC, BD squares mod p,
+    # (C1) makes ABM a nonzero square mod p
+    reached = 0
+    units = [c for c in range(-4, 5) if c]
+    for p in (5, 13):
+        for A, B, C, D in itertools.product(units, repeat=4):
+            if legendre(A * C, p) != 1 or legendre(B * D, p) != 1:
+                continue
+            for M in range(-30, 31):
+                if M % p == 0:
+                    continue
+                s = SubfamilySurface(p, A, B, C, D, M)
+                if not check_subfamily(s).valid:
+                    continue
+                reached += 1
+                assert legendre(A * B * M, p) == 1, s
+    assert reached > 5000
+    # a surface that breaks the lemma (it fails (C1)) is a degenerate
+    # construction, which surjectivity_witness reports as WitnessSearchError
+    with pytest.raises(brauer._ConstructionDegenerate, match="ABM a square"):
+        brauer._case3(SubfamilySurface(5, 1, 1, 1, 1, 2), brauer._WitnessContext(precision=26))
 
 
 def test_witness_construction_is_total_on_a_box_slice():

@@ -356,6 +356,17 @@ def test_cli_analyze_invalid_surface_exit_2(capsys):
         assert "input error" in err
 
 
+def test_cli_analyze_names_a_p_that_is_not_prime(capsys):
+    # (C1) and (C2) hold at p = 9; the error names the condition that fails
+    spec = '{"family": "subfamily", "p": 9, "A": -4, "B": -4, "C": -4, "D": 0, "M": -2}'
+    code, out, err = run_cli(capsys, "analyze", spec)
+    payload = json.loads(out)
+    assert code == 2
+    assert payload["validity"]["c1"] is True and payload["validity"]["c2"] is True
+    assert payload["error"] == "p is not an odd prime"
+    assert "p is not an odd prime" in err and "(C1)" not in err
+
+
 def test_cli_supplied_N_mismatch_is_noted(capsys):
     spec = '{"family": "subfamily", "p": 13, "A": 2, "B": -13, "C": 1, "D": -6, "M": 1, "N": 1}'
     code, _, err = run_cli(capsys, "classify", spec)

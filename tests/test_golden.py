@@ -5,11 +5,18 @@ proves it here.  A change that moves output on purpose re-records the
 fixtures and says why:
 
     PYTHONPATH=src python tests/test_golden.py
+
+To list, for each case that differs from its fixture, the JSON paths whose
+values differ, without rewriting anything (exit 1 if any case differs):
+
+    PYTHONPATH=src python tests/test_golden.py --diff
 """
 
 import contextlib
 import io
+import itertools
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -70,7 +77,65 @@ def test_golden_output(name):
     assert code == json.loads((GOLDEN / "exit_codes.json").read_text())[name]
 
 
+def json_paths_that_differ(old, new, path="$"):
+    """The paths, in the parsed JSON of two outputs, at which their values differ."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(old.keys() | new.keys()):
+            if key not in old or key not in new:
+                yield f"{path}.{key}"
+            else:
+                yield from json_paths_that_differ(old[key], new[key], f"{path}.{key}")
+    elif isinstance(old, list) and isinstance(new, list):
+        for i in range(max(len(old), len(new))):
+            if i >= len(old) or i >= len(new):
+                yield f"{path}[{i}]"
+            else:
+                yield from json_paths_that_differ(old[i], new[i], f"{path}[{i}]")
+    elif old != new or type(old) is not type(new):
+        yield path
+
+
+def diff_against_fixtures() -> int:
+    codes, moved = json.loads((GOLDEN / "exit_codes.json").read_text()), 0
+    for name, argv in sorted(CASES.items()):
+        code, out = run(argv)
+        fixture = (GOLDEN / f"{name}.out").read_text()
+        if out == fixture and code == codes[name]:
+            continue
+        moved += 1
+        print(f"{name}:")
+        if code != codes[name]:
+            print(f"  exit code {codes[name]} -> {code}")
+        for line, (old, new) in enumerate(itertools.zip_longest(fixture.splitlines(), out.splitlines()), 1):
+            if old is None or new is None:
+                print(f"  line {line} {'added' if old is None else 'removed'}")
+            elif old != new:
+                for path in json_paths_that_differ(json.loads(old), json.loads(new)):
+                    print(f"  line {line}: {path}")
+    print(f"{moved} of {len(CASES)} cases differ from their fixtures")
+    return 1 if moved else 0
+
+
+def test_diff_lists_the_json_paths_that_moved(tmp_path, monkeypatch, capsys):
+    name = "solubility_narrow_oo"
+    moved = json.loads((GOLDEN / f"{name}.out").read_text())
+    moved.update(status="soluble", extra=[1])
+    fixture = json.dumps(moved) + "\n{}\n"  # and a line the output no longer has
+    (tmp_path / f"{name}.out").write_text(fixture)
+    (tmp_path / "exit_codes.json").write_text(json.dumps({name: 3}))
+    monkeypatch.setitem(globals(), "GOLDEN", tmp_path)
+    monkeypatch.setitem(globals(), "CASES", {name: CASES[name]})
+    assert diff_against_fixtures() == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"{name}:", "  exit code 3 -> 0", "  line 1: $.extra", "  line 1: $.status", "  line 2 removed",
+        "1 of 1 cases differ from their fixtures"]
+    assert (tmp_path / f"{name}.out").read_text() == fixture
+    assert list(json_paths_that_differ({"a": [1, {"b": 2}]}, {"a": [1, {"b": 2.0}, 3]})) == ["$.a[1].b", "$.a[2]"]
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--diff"]:
+        sys.exit(diff_against_fixtures())
     codes = {}
     for name, argv in sorted(CASES.items()):
         codes[name], out = run(argv)

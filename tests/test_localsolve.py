@@ -186,12 +186,12 @@ def test_sampler_reads_each_drawn_lift_once(monkeypatch, q, count, precision):
 
 @pytest.mark.parametrize("s, q, count, precision", [
     (Y_13_2_6, 2, 64, 14),  # pass 2 below uncertified classes
-    (Y_13_2_6, 3, 64, 6),  # pass 3 below certified classes
+    (Y_13_2_6, 3, 64, 6),  # the sweep below certified classes
     (Y_13_2_6, 13, 40, 4),  # pass 1 alone
     (CASE_PATTERN_SURFACES["case2"], 13, 64, 8),
 ])
 def test_sampler_reads_each_level1_class_once(monkeypatch, s, q, count, precision):
-    # pass 1 keeps each drawn class's reading for passes 2 and 3
+    # pass 1 keeps each drawn class's reading for pass 2
     reads, drawn = [0], [0]
     real_node, real_draws = localsolve._node, localsolve.iter_residue_points
 
@@ -314,6 +314,17 @@ def test_decide_paper_surfaces():
     assert decide_Qq(Y_13_2_6, 13).soluble
     assert decide_Qq(S_13, 2).soluble
     assert decide_Qq(S_13, 13).soluble
+
+
+@pytest.mark.parametrize("budget, level", [(5, 3), (50, 5), (500, 5)])
+def test_a_spent_expansion_budget_is_inconclusive_never_insoluble(budget, level):
+    # insoluble at 2, with level 6 empty; a walk cut short by its budget
+    # says so, at the deepest level it reached
+    s = SubfamilySurface(13, 2, -4, 3, 6, 16)
+    full = decide_Qq(s, 2)
+    assert (full.status, full.level) == ("insoluble", 6)
+    verdict = decide_Qq(s, 2, budget=budget)
+    assert (verdict.status, verdict.method, verdict.level) == ("inconclusive", "expansion budget exhausted", level)
 
 
 def test_s_family_2adic_witness_from_unit_square():
