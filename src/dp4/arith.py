@@ -72,6 +72,13 @@ class Place:
         if self.q != 0 and not is_prime(self.q):
             raise ValueError(f"{self.q} is not prime")
 
+    @classmethod
+    def proved(cls, q: int) -> "Place":
+        """The place of a q that the caller has already proved prime: no second proof."""
+        place = object.__new__(cls)
+        object.__setattr__(place, "q", q)
+        return place
+
     @property
     def is_infinite(self) -> bool:
         return self.q == 0
@@ -290,22 +297,15 @@ def hensel_sqrt(a: PadicScalar, target_precision: int) -> PadicScalar:
 # Hilbert symbol
 
 
-def _eps2(u: int) -> int:
-    return (u - 1) // 2 % 2
-
-
-def _omega2(u: int) -> int:
-    return (u * u - 1) // 8 % 2
-
-
 def hilbert_valunit(q: int, val_a: int, unit_a: int, val_b: int, unit_b: int) -> int:
     """Hilbert symbol (a, b)_q from valuations and unit parts.
 
-    For odd q the units are needed mod q; for q = 2 mod 8.
+    For odd q the units are needed mod q; for q = 2 mod 8, with eps(u) = (u - 1)/2
+    and omega(u) = (u^2 - 1)/8 in the exponent (J.-P. Serre, A Course in Arithmetic, III.1.2).
     """
     if q == 2:
-        exp = _eps2(unit_a % 8) * _eps2(unit_b % 8)
-        exp += val_a * _omega2(unit_b % 8) + val_b * _omega2(unit_a % 8)
+        a, b = unit_a % 8, unit_b % 8
+        exp = (a - 1) // 2 * ((b - 1) // 2) + val_a * ((b * b - 1) // 8) + val_b * ((a * a - 1) // 8)
         return -1 if exp % 2 else 1
     s = 1
     if val_a % 2 and val_b % 2 and (q - 1) // 2 % 2:

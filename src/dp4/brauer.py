@@ -15,7 +15,6 @@ representatives form one table shared by all surfaces, with no memo.
 
 from __future__ import annotations
 
-import math
 import random
 import sys
 from dataclasses import dataclass, field, replace
@@ -70,18 +69,26 @@ class WitnessSearchError(AssertionError):
 
 @dataclass(frozen=True)
 class SymbolRep:
-    """n/d with n and d products of named factors (see ``_factor_values``)."""
+    """n/d with n and d products of named factors, at positions ``num_at`` and ``den_at`` of FACTORS."""
 
     label: str
     num: tuple[str, ...]
     den: tuple[str, ...]
+    num_at: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    den_at: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "num_at", tuple(map(FACTORS.index, self.num)))
+        object.__setattr__(self, "den_at", tuple(map(FACTORS.index, self.den)))
+
+
+FACTORS = ("u", "Mv", "Au+Bv", "Cu+Dv", "z-y", "z+y", "AC")
 
 
 def _factor_values(s: SubfamilySurface, coords) -> dict[str, int]:
-    """The seven integers every class representative is a product of."""
+    """The seven integers every class representative is a product of, by name in FACTORS order."""
     u, v, _, y, z = coords
-    return {"u": u, "Mv": s.M * v, "Au+Bv": s.A * u + s.B * v, "Cu+Dv": s.C * u + s.D * v,
-            "z-y": z - y, "z+y": z + y, "AC": s.A * s.C}
+    return dict(zip(FACTORS, (u, s.M * v, s.A * u + s.B * v, s.C * u + s.D * v, z - y, z + y, s.A * s.C)))
 
 
 # the defining fractions, and variants multiplied by the norm forms
@@ -118,16 +125,16 @@ def class_representations(s: SubfamilySurface, tag: str) -> tuple[SymbolRep, ...
 class _Reading:
     """One reading of the seven factors at a point and place.
 
-    Each factor f is read once, mod q^k first at a PadicApproxPoint: vals[f]
-    is v_q(f), or room + 1 where f is zero (0 mod q^k, or exactly 0).  A
-    representative n/d counts when max(v_q(n), v_q(d)) <= room, v_q(n) being
-    the sum over n's factors: at a p-adic point room = k - 3 at q = 2, else
-    k - 1, so n keeps the unit digits that fix its square class (its unit
-    mod q^(k - v_q(n)) is the product of its factors' units); at an exact
-    point there is no bound.  Every factor of a counting representative
-    then has v_q(f) <= room, and only those factors get signs[f] = (p, f)_q,
-    from f's unit (mod 8 at 2).  By bimultiplicativity (p, n/d)_q is the
-    product of its factors' signs.
+    Each factor f is read once, mod q^k first at a PadicApproxPoint: vals[i]
+    is v_q(f) for f the i-th of FACTORS, or room + 1 where f is zero (0 mod
+    q^k, or exactly 0).  A representative n/d counts when max(v_q(n), v_q(d))
+    <= room, v_q(n) being the sum over n's factors: at a p-adic point room =
+    k - 3 at q = 2, else k - 1, so n keeps the unit digits that fix its square
+    class (its unit mod q^(k - v_q(n)) is the product of its factors' units);
+    at an exact point there is no bound.  Every factor of a counting
+    representative then has v_q(f) <= room, and only those factors get
+    signs[i] = (p, f)_q, from f's unit (mod 8 at 2), the others 0.  By
+    bimultiplicativity (p, n/d)_q is the product of its factors' signs.
     """
 
     def __init__(self, s: SubfamilySurface, point, v: Place | None):
@@ -138,26 +145,38 @@ class _Reading:
         unit_p = s.p // q ** val_p % mod
         self.point, self.q = point, q
         self.room = room = point.k - (3 if q == 2 else 1) if local else sys.maxsize
-        self.vals, self.signs = {}, {}
-        for name, f in _factor_values(s, coords).items():
+        self.vals, self.signs = vals, signs = [room + 1] * 7, [0] * 7
+        qk = q ** point.k if local else 0
+        for i, f in enumerate(_factor_values(s, coords).values()):
             if local:
-                f %= q ** point.k
-            self.vals[name] = val = valuation(f, q) if f else room + 1
-            if val <= room:
-                self.signs[name] = hilbert_valunit(q, val_p, unit_p, val, f // q ** val % mod)
+                f %= qk
+            if f:
+                vals[i] = val = valuation(f, q)
+                if val <= room:
+                    signs[i] = hilbert_valunit(q, val_p, unit_p, val, f // q ** val % mod)
 
 
 def _eval_reps(s: SubfamilySurface, tag: str, point, v: Place | None) -> Fraction | None:
     """Common value of the representatives determinate at the point, or None:
     the one-class view of the point's reading, which ``point`` may already be."""
     reading = point if isinstance(point, _Reading) else _Reading(s, point, v)
-    vals, signs = reading.vals, reading.signs
-    found = {math.prod(map(signs.__getitem__, rep.num + rep.den))
-             for rep in class_representations(s, tag)
-             if max(sum(map(vals.__getitem__, rep.num)), sum(map(vals.__getitem__, rep.den))) <= reading.room}
-    if len(found) > 1:
-        raise AssertionError(f"representations disagree for {tag} at {reading.point}, place {reading.q}")
-    return (ZERO if found.pop() == 1 else HALF) if found else None
+    vals, signs, room = reading.vals, reading.signs, reading.room
+    found = 0  # the common sign (p, n/d)_q, 0 while no representative counts
+    for rep in class_representations(s, tag):
+        n = d = 0
+        for i in rep.num_at:
+            n += vals[i]
+        for i in rep.den_at:
+            d += vals[i]
+        if n > room or d > room:
+            continue
+        sign = 1
+        for i in rep.num_at + rep.den_at:
+            sign *= signs[i]
+        if found and sign != found:
+            raise AssertionError(f"representations disagree for {tag} at {reading.point}, place {reading.q}")
+        found = sign
+    return None if not found else ZERO if found == 1 else HALF
 
 
 def evaluate_invariant(s: SubfamilySurface, tag: str, point, v=None) -> Fraction:
@@ -938,7 +957,7 @@ def _exact_values(s: SubfamilySurface, point, q: int) -> tuple:
     """A, B and C at a rational point on s and the finite place q, from one
     reading.  A and B are determinate there (see ``_direct_value``), hence so
     is C = A + B; an indeterminate class is an error, never skipped."""
-    values = _point_values(s, point, Place(q))
+    values = _point_values(s, point, Place.proved(q))  # q is 2, the validated p or from factor
     if None in values:
         tag = CLASS_TAGS[values.index(None)]
         raise IndeterminateEvaluationError(f"class {tag} indeterminate at {point}, place {q}")

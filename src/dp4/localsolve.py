@@ -39,6 +39,7 @@ RESIDUE_ENUM_BUDGET = 10 ** 4
 GENERAL_ENUM_BUDGET = 60
 CERTIFICATE_DRAWS = 1000  # seeded level-1 draws of decide_Qq beyond the exhaustive budgets
 ROOT_SCAN_BOUND = 64  # up to this q, polynomial roots are found by evaluating at every residue
+_MINOR_PAIRS = tuple(itertools.combinations(range(5), 2))  # the 2x2 minors of a 2x5 Jacobian, in reading order
 
 
 class EnumerationBudgetError(Exception):
@@ -350,21 +351,24 @@ def iter_residue_points(surface, q: int, rng: random.Random | None = None):
 
 
 def newton_refine(surface, pt: PadicApproxPoint, target_k: int) -> PadicApproxPoint:
-    """Refine a certified point to precision target_k (Newton on two coordinates)."""
+    """Refine a certified point to precision target_k (Newton on two coordinates);
+    ValueError unless pt solves both equations mod q^k, as lifts refined unread must."""
     if pt.cert is None:
         cert = lift_certificate(surface, pt)
         if cert is None:
             raise ValueError("point carries no lift certificate")
         pt = PadicApproxPoint(pt.q, pt.k, pt.coords, pt.pinned, cert)
+    q, e = pt.q, pt.cert.e
+    f1, f2 = surface.equations(pt.coords)
+    if f1 % q ** pt.k or f2 % q ** pt.k:
+        raise ValueError(f"point does not satisfy the equations mod {q}^{pt.k}")
     if target_k <= pt.k:
         return pt.reduce(target_k) if target_k < pt.k else pt
-    q, e = pt.q, pt.cert.e
     i, j = pt.cert.cols
     qe, qt = q ** e, q ** target_k
     big = qt * qe * q
     coords = [c % big for c in pt.coords]
     for _ in range(64):
-        f1, f2 = surface.equations(coords)
         f1 %= big
         f2 %= big
         if f1 % qt == 0 and f2 % qt == 0:  # both residuals vanish mod q^target_k
@@ -383,6 +387,7 @@ def newton_refine(surface, pt: PadicApproxPoint, target_k: int) -> PadicApproxPo
             raise AssertionError("Newton numerators are not divisible by the minor's q-power")
         coords[i] = (coords[i] + (n1 // qe) * unit_inv) % big
         coords[j] = (coords[j] + (n2 // qe) * unit_inv) % big
+        f1, f2 = surface.equations(coords)
     else:
         raise ArithmeticError("Newton refinement did not converge")
     out = normalize_residue_tuple(q, target_k, coords)
@@ -429,14 +434,16 @@ def _node(surface, pt: PadicApproxPoint):
 
     Checks that the pinned coordinate is a unit and that both residuals vanish
     mod q^k, from one reading of the equations and the 2x5 Jacobian.  cert is
-    a 2x2 Jacobian minor of least valuation e, when 2e+1 <= k (the residuals
-    already vanish mod q^k >= q^(2e+1)), else None.  lifts() builds the digit
-    system J t = -F/q^k mod q from the same values and returns
-    (n, child, dead): pt has n lifts mod q^(k+1), child(i) is the i-th of
-    them, the index read in base q as the free digits, the last free digit
-    varying fastest, and dead(i) says, without building or reading that lift,
-    whether it is dead and uncertified; n is 0 when pt itself is dead (its
-    digit system mod q is inconsistent).
+    the first 2x2 Jacobian minor, in the order of _MINOR_PAIRS, of least
+    valuation e below k, when 2e+1 <= k (the residuals already vanish mod
+    q^k >= q^(2e+1)), else None.  lifts() builds the digit system
+    J t = -F/q^k mod q from the same values and returns (n, child, dead): pt
+    has n lifts mod q^(k+1), child(i) is the i-th of them, the index read in
+    base q as the free digits, the last free digit varying fastest, carrying
+    pt's minor and e as its certificate when 2e <= k (below), and dead(i)
+    says, without building or reading that lift, whether it is dead and
+    uncertified; n is 0 when pt itself is dead (its digit system mod q is
+    inconsistent).
 
     Dead lifts.  Let x = pt and c = x + q^k t a lift (t_pinned = 0).  Both
     forms are quadratic and J is their gradient, so
@@ -461,7 +468,15 @@ def _node(surface, pt: PadicApproxPoint):
     is a valid point, and dead(i) is then False for every i.  That happens
     when x is certified itself, or when k is even and e = k/2.  Otherwise no
     lift is certified (e >= (k + 1)/2, or every minor is 0 mod q^k), and a
-    dead lift, read, would give no certificate and no lifts.
+    dead lift, read, would give no certificate and no lifts.  The certificate
+    itself is inherited too: with 2e <= k and k >= 1, e < k, so at a lift c,
+    read at level k + 1, the minors of valuation below k are x's, with the
+    same valuations, and every other one is still 0 mod q^k, of valuation at
+    least k > e.  So c's least valuation is e, reached by the same minors,
+    and c's reading takes the same first one: c's certificate is x's, minor
+    and e, and child(i) carries it, so that a walk need not read c.  And a
+    read lift is never certified: a minor of valuation e' with 2e' <= k at c
+    has the same valuation e' < k at x, so x has 2e <= k.
     """
     q, k = pt.q, pt.k
     qk = q ** k
@@ -470,17 +485,15 @@ def _node(surface, pt: PadicApproxPoint):
     (f1, f2), (j1, j2) = surface.equations_and_jacobian(pt.coords)
     if f1 % qk or f2 % qk:
         raise ValueError(f"point does not satisfy the equations mod {q}^{k}")
-    best: LiftCertificate | None = None
-    for a, b in itertools.combinations(range(5), 2):
+    e, cols = k, None  # the least valuation below k, and the first minor that has it
+    for a, b in _MINOR_PAIRS:
         minor = (j1[a] * j2[b] - j1[b] * j2[a]) % qk
-        if minor == 0:
-            continue  # valuation at least k at this precision
-        e = valuation(minor, q)
-        if best is None or e < best.e:
-            best = LiftCertificate((a, b), e)
-            if e == 0:
+        if minor and (v := valuation(minor, q)) < e:  # a zero minor has valuation at least k
+            e, cols = v, (a, b)
+            if v == 0:
                 break
-    cert = best if best is not None and 2 * best.e + 1 <= k else None
+    inherited = LiftCertificate(cols, e) if 2 * e <= k else None  # every lift's certificate
+    cert = inherited if 2 * e < k else None
 
     def lifts():
         free_idx = [idx for idx in range(5) if idx != pt.pinned]
@@ -503,9 +516,9 @@ def _node(surface, pt: PadicApproxPoint):
             coords = list(pt.coords)
             for idx, d in zip(free_idx, digits(i)):
                 coords[idx] += qk * d
-            return PadicApproxPoint(q, k + 1, tuple(coords), pt.pinned)
+            return PadicApproxPoint(q, k + 1, tuple(coords), pt.pinned, inherited)
 
-        if len(pivots) == 2 or (best is not None and 2 * best.e <= k):
+        if len(pivots) == 2 or inherited is not None:
             return q ** len(free), child, _never
         if pivots:  # rank 1: the kernel vector kills the nonzero row
             r0, r1 = rows
@@ -870,18 +883,19 @@ def sample_local_points(surface, q: int, count: int, precision: int,
     the classes drawn lazily in seeded random order until ``count`` points are
     in hand, so a small request costs about the same at any q.  Only once every
     level-1 class has been drawn does pass 2 walk below them, depth first: a
-    node's lifts are drawn lazily in seeded random order and each drawn lift
-    is read once, where it is drawn (``_node``); a certified lift is kept and
-    an uncertified one descended into, down to max(precision, LEVEL_CAP).  A
-    lift that its parent's reading shows dead and uncertified is drawn and
-    counted but not read.  Up to three round-robin rounds over the uncertified
-    classes give each a share of the points still wanted; one uncapped sweep
-    then walks the uncertified classes and the certified ones, whose lifts are
-    all certified.  Each round and the sweep walk each class's subtree again
-    from its start, so a node below level 1 is read once per walk that
-    reaches it, not once per call.  Pass 1 keeps each drawn class's reading
-    for pass 2, so no level-1 node is read twice.  SAMPLING_BUDGET caps the
-    lifts drawn in pass 2.  Beyond the exhaustive enumeration budget (see
+    node's lifts are drawn lazily in seeded random order; a lift that carries
+    its parent's certificate (``_node``) is refined without a reading of its
+    own, and an uncertified one is read where it is drawn and descended into,
+    down to max(precision, LEVEL_CAP).  A lift that its parent's reading
+    shows dead and uncertified is drawn and counted but not read.  Up to three
+    round-robin rounds over the uncertified classes give each a share of the
+    points still wanted; one uncapped sweep then walks the uncertified
+    classes and the certified ones, whose lifts are all certified.  Each
+    round and the sweep walk each class's subtree again from its start, so a
+    node below level 1 is read once per walk that reaches it, not once per
+    call.  Pass 1 keeps each drawn class's reading for pass 2, so no level-1
+    node is read twice, nor are its lifts built twice.  SAMPLING_BUDGET caps
+    the lifts drawn in pass 2.  Beyond the exhaustive enumeration budget (see
     ``iter_residue_points``) the level-1 set is never exhausted, so pass 1
     draws at most SAMPLING_BUDGET classes there and then raises
     EnumerationBudgetError; falling short otherwise raises
@@ -897,10 +911,9 @@ def sample_local_points(surface, q: int, count: int, precision: int,
     seen: set[tuple] = set()
     spent = 0
 
-    def try_collect(pt: PadicApproxPoint, cert: LiftCertificate) -> None:
+    def try_collect(pt: PadicApproxPoint) -> None:
         """Refine a certified pt to the precision and keep it if it is a new point."""
-        certified_pt = PadicApproxPoint(pt.q, pt.k, pt.coords, pt.pinned, cert)
-        refined = newton_refine(surface, certified_pt, precision)
+        refined = newton_refine(surface, pt, precision)
         if refined.coords not in seen:
             seen.add(refined.coords)
             out.append(refined)
@@ -914,7 +927,7 @@ def sample_local_points(surface, q: int, count: int, precision: int,
         if cert is None:
             pending.append(lifts)
         else:
-            try_collect(pt, cert)
+            try_collect(PadicApproxPoint(pt.q, pt.k, pt.coords, pt.pinned, cert))
             certified.append(lifts)
             if len(out) >= count:
                 return out
@@ -924,11 +937,12 @@ def sample_local_points(surface, q: int, count: int, precision: int,
     # single branch swallows the request (stratification); then fill
     # greedily from whatever is productive.
     max_depth = max(precision, LEVEL_CAP)
+    pending = [lifts() for lifts in pending]  # (n, child, dead), built once for every walk
 
     def dfs_collect(lifts, cap: int) -> None:
-        """Draw a node's lifts, reading each once: keep it if certified, else descend."""
+        """Draw a node's lifts (n, child, dead): keep the certified ones unread, read the others to descend."""
         nonlocal spent
-        n, child, dead = lifts()
+        n, child, dead = lifts
         for i in _shuffled_indices(n, rng):
             spent += 1
             if spent > budget:
@@ -939,11 +953,10 @@ def sample_local_points(surface, q: int, count: int, precision: int,
             if dead(i):  # a dead uncertified lift, read, would add nothing
                 continue
             pt = child(i)
-            cert, pt_lifts = _node(surface, pt)
-            if cert is not None:
-                try_collect(pt, cert)
-            elif pt.k < max_depth:
-                dfs_collect(pt_lifts, cap)
+            if pt.cert is not None:  # certified by the node's reading
+                try_collect(pt)
+            elif pt.k < max_depth:  # uncertified, so no reading certifies it (``_node``)
+                dfs_collect(_node(surface, pt)[1](), cap)
 
     for _ in range(3):
         if len(out) >= count or not pending:
@@ -956,7 +969,8 @@ def sample_local_points(surface, q: int, count: int, precision: int,
             dfs_collect(lifts, min(count, len(out) + share))
         if len(out) == before:
             break
-    for lifts in pending + certified:  # uncapped fill: one sweep explores each subtree fully
+    # uncapped fill: one sweep explores each subtree fully, the certified classes' built as reached
+    for lifts in itertools.chain(pending, (build() for build in certified)):
         if len(out) >= count:
             break
         dfs_collect(lifts, count)

@@ -231,9 +231,12 @@ def check_subfamily(s: SubfamilySurface) -> SubfamilyReport:
 
 
 def validate_subfamily(s: SubfamilySurface) -> SubfamilySurface:
+    """s, or a ValueError naming the first condition that fails."""
     rep = check_subfamily(s)
     if not rep.valid:
-        raise ValueError(f"invalid subfamily surface {s}: {rep}")
+        failed = ("p is not an odd prime" if not rep.p_prime
+                  else "(C1) fails" if not rep.c1_holds else "(C2) fails")
+        raise ValueError(f"invalid subfamily surface {s.label()}: {failed}")
     return s
 
 

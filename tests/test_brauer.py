@@ -799,6 +799,24 @@ def test_reciprocity_evaluates_each_class_once_per_finite_place(monkeypatch):
         assert sorted(calls, key=str) == sorted(((tag, v) for tag in "AB" for v in places), key=str)
 
 
+def test_reciprocity_proves_no_place_prime_again(monkeypatch):
+    # the places are 2, the validated p and primes from factor: none is
+    # proved prime again, not even once per point
+    proofs = []
+    real = Place.__post_init__
+
+    def counting(place):
+        proofs.append(place.q)
+        real(place)
+
+    monkeypatch.setattr(Place, "__post_init__", counting)
+    s = CASE_PATTERN_SURFACES["case2"]
+    for surface, point in [(s, pt) for pt in point_search(s, 60)] + [
+            (Y_13_1_12, (1, 0, 0, 0, 1)), (Y_13_12_1, (1, -3, 2, 7, 16))]:
+        assert reciprocity_check(surface, point)
+    assert proofs == []
+
+
 def test_reciprocity_skips_only_places_where_every_class_is_zero():
     # at an odd q != p with (p/q) = 1, (p, *)_q is identically 1, so every
     # class is 0 and reciprocity_check leaves the place out

@@ -367,6 +367,15 @@ def test_cli_analyze_names_a_p_that_is_not_prime(capsys):
     assert "p is not an odd prime" in err and "(C1)" not in err
 
 
+@pytest.mark.parametrize("command", ["invariants", "solubility", "search"])
+def test_cli_names_the_condition_an_invalid_surface_fails(capsys, command):
+    # the p = 9 surface of the analyze test above: (C1) and (C2) hold
+    spec = '{"family": "subfamily", "p": 9, "A": -4, "B": -4, "C": -4, "D": 0, "M": -2}'
+    code, out, err = run_cli(capsys, command, spec)
+    assert (code, out) == (2, "")
+    assert err == "input error: invalid subfamily surface X_9_-4_-4_-4_0_-2: p is not an odd prime\n"
+
+
 def test_cli_supplied_N_mismatch_is_noted(capsys):
     spec = '{"family": "subfamily", "p": 13, "A": 2, "B": -13, "C": 1, "D": -6, "M": 1, "N": 1}'
     code, _, err = run_cli(capsys, "classify", spec)

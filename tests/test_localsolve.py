@@ -180,8 +180,79 @@ def test_sampler_reads_each_drawn_lift_once(monkeypatch, q, count, precision):
     monkeypatch.setattr(localsolve, "_shuffled_indices", draws)
     pts = sample_local_points(Y_13_2_6, q, count, precision)
     assert len(pts) == count
-    assert len({id(pt) for pt in reads}) == len(reads) > 0  # reads keeps each point alive: no id reuse
+    assert len({id(pt) for pt in reads}) == len(reads)  # reads keeps each point alive: no id reuse
     assert len(reads) <= drawn[0]
+    # at 3 the points come from certified classes, whose lifts inherit the
+    # certificate unread; at 2 the walk reads below uncertified classes
+    assert bool(reads) == (q == 2)
+
+
+def test_sampler_reads_no_certified_node_below_level_1(monkeypatch):
+    # a lift is certified only under a node with 2e <= k, which hands it its
+    # certificate (``_node``, "Certified lifts"), so it is never read
+    certs = []
+    real_node = localsolve._node
+
+    def node(surface, pt):
+        cert, lifts = real_node(surface, pt)
+        if pt.k > 1:
+            certs.append(cert)
+        return cert, lifts
+
+    monkeypatch.setattr(localsolve, "_node", node)
+    assert len(sample_local_points(Y_13_2_6, 2, 64, 14)) == 64
+    assert certs and all(cert is None for cert in certs)
+
+
+def least_minor(s, pt):
+    """(cols, e) of the first 2x2 Jacobian minor of least valuation below k, or None."""
+    j1, j2 = s.jacobian(pt.coords)
+    qk = pt.q ** pt.k
+    found = [(arith.valuation(m, pt.q), cols) for cols in itertools.combinations(range(5), 2)
+             if (m := (j1[cols[0]] * j2[cols[1]] - j1[cols[1]] * j2[cols[0]]) % qk)]
+    return None if not found else min(found, key=lambda f: f[0])[::-1]
+
+
+def test_lifts_inherit_the_node_certificate():
+    # the "Certified lifts" lemma of ``_node``: where the least minor valuation
+    # e of a node has 2e <= k, each lift's own reading gives the node's minor
+    # and e; elsewhere no lift carries a certificate from its parent.  Seeded
+    # nodes of levels 1-6, uncertified ones first, up to 40 lifts each
+    rng = random.Random(4)
+    inherited = at_half = 0
+    for s in (Y_13_2_6, S_13, CASE_PATTERN_SURFACES["case2"]):
+        for q in (2, 3, 5, 13):
+            frontier = list(iter_residue_points(s, q))
+            for k in range(1, 7):
+                kids = []
+                for pt in frontier:
+                    n, child, _ = _node(s, pt)[1]()
+                    lifts = [child(i) for i in (range(n) if n <= 40 else rng.sample(range(n), 40))]
+                    found = least_minor(s, pt)
+                    if found is not None and 2 * found[1] <= k:
+                        want = localsolve.LiftCertificate(*found)
+                        assert all(_node(s, c)[0] == c.cert == want for c in lifts), (s, q, pt)
+                        inherited += len(lifts)
+                        at_half += 2 * found[1] == k and bool(lifts)
+                    else:
+                        assert all(c.cert is None for c in lifts), (s, q, pt)
+                    kids += lifts
+                bare = [c for c in kids if c.cert is None]
+                frontier = (rng.sample(bare, min(12, len(bare)))
+                            + rng.sample([c for c in kids if c.cert], min(4, len(kids) - len(bare))))
+    assert inherited > 10_000 and at_half > 5, (inherited, at_half)
+
+
+def test_newton_refine_checks_the_equations_at_the_point_first():
+    # a certified level-1 point claimed at level 2 without solving both
+    # equations mod q^2: Newton would still reach a genuine point nearby
+    s = Y_13_2_6
+    pt = next(pt for pt in iter_residue_points(s, 3)
+              if lift_certificate(s, pt) and any(f % 9 for f in s.equations(pt.coords)))
+    claimed = localsolve.PadicApproxPoint(3, 2, pt.coords, pt.pinned, lift_certificate(s, pt))
+    for target in (2, 8):
+        with pytest.raises(ValueError, match="does not satisfy the equations mod 3\\^2"):
+            newton_refine(s, claimed, target)
 
 
 @pytest.mark.parametrize("s, q, count, precision", [

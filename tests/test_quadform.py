@@ -28,6 +28,7 @@ from dp4.quadform import (
     subfamily_point_to_normal_form,
     subfamily_to_normal_form,
     to_matrices,
+    validate_subfamily,
     order4_test,
 )
 
@@ -50,6 +51,18 @@ def test_check_subfamily_examples():
     bad = check_subfamily(SubfamilySurface(5, 1, 1, 1, 1, 1))
     assert not bad.c1_holds and not bad.valid
     assert bad.c1_value == -3
+
+
+@pytest.mark.parametrize("coeffs, failed", [
+    ((9, -4, -4, -4, 0, -2), "p is not an odd prime"),
+    ((5, 1, 1, 1, 1, 1), "(C1) fails"),
+    ((5, 1, 1, 1, 1, -1), "(C2) fails"),  # (C1) holds with N = 1, but AD - BC = 0
+])
+def test_validate_subfamily_names_the_failed_condition(coeffs, failed):
+    s = SubfamilySurface(*coeffs)
+    with pytest.raises(ValueError) as exc:
+        validate_subfamily(s)
+    assert str(exc.value) == f"invalid subfamily surface {s.label()}: {failed}"
 
 
 def test_subfamily_equations_and_paper_points():
