@@ -110,6 +110,12 @@ def _legendre_unchecked(a: int, p: int) -> int:
     return -1 if ls == p - 1 else 1
 
 
+def _prime_is_square_at(p: int, q: int) -> bool:
+    """Whether the odd prime p is a square in Q_q (q proved prime), so that every (p, f)_q
+    is 1: p = 1 mod 8 at q = 2, (p/q) = 1 at odd q != p, never at q = p."""
+    return p % 8 == 1 if q == 2 else q != p and _legendre_unchecked(p, q) == 1
+
+
 def find_nonresidue(p: int) -> int:
     """Smallest quadratic non-residue modulo an odd prime p."""
     for z in range(2, p):

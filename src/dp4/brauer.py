@@ -27,6 +27,7 @@ from .arith import (
     Place,
     PLACE_INF,
     _legendre_unchecked,
+    _prime_is_square_at,
     factor,
     find_nonresidue,
     hensel_sqrt,
@@ -39,8 +40,8 @@ from .arith import (
 from .localsolve import (
     PadicApproxPoint,
     SamplingBudgetError,
+    _node,
     decide_Qq,
-    expand_children,
     lift_certificate,
     newton_refine,
     normalize_residue_tuple,
@@ -252,23 +253,21 @@ def _eval_by_local_constancy(s, tag, pt: PadicApproxPoint) -> Fraction | None:
 
     The invariant map is locally constant on X(Q_q), so certified neighbours
     at two consecutive depths must agree; any disagreement or failure to find
-    neighbours returns None.
+    neighbours returns None.  Each depth's lifts come from one reading of the
+    base (``_node``), which certifies all of them or none, so no lift is read.
     """
     lo = max(2, pt.k // 2)
     values = set()
     for depth in (lo, lo + 1):
         if depth >= pt.k:
             return None
-        base = pt.reduce(depth)
         own = pt.reduce(depth + 1).coords
+        n, lift, _ = _node(s, pt.reduce(depth))[1]()
         got = 0
-        for child in expand_children(s, base):
-            if child.coords == own:
+        for child in map(lift, range(n)):
+            if child.cert is None or child.coords == own:
                 continue
-            cert = lift_certificate(s, child)
-            if cert is None:
-                continue
-            refined = newton_refine(s, replace(child, cert=cert), depth + 8)
+            refined = newton_refine(s, child, depth + 8)
             value = _eval_reps(s, tag, refined, None)
             if value is not None:
                 values.add(value)
@@ -332,8 +331,6 @@ def invariant_image(s: SubfamilySurface, q: int, sample_budget: int = 64,
     once the sample is checked nonempty and inside it (else an
     AssertionError); every other image is sampled evidence, not a proof.
     """
-    if not is_prime(q):
-        raise ValueError(f"{q} is not prime")
     precision = 14 if q == 2 else 8
     try:
         points = sample_local_points(s, q, sample_budget, precision, seed=seed)
@@ -840,20 +837,22 @@ class ObstructionReport:
 
 
 def relevant_places(s: SubfamilySurface) -> list[int]:
-    """Finite places where some invariant can be nonzero: 2, p, then the odd
-    primes q != p dividing N (AD - BC) with (p/q) = -1, in increasing order.
+    """Finite places where some invariant can be nonzero: 2 unless p = 1 mod 8,
+    p, then the odd primes q != p dividing N (AD - BC) with (p/q) = -1, in
+    increasing order.
 
     Every class symbol is (p, f)_q with f a product of u, Mv, Au+Bv, Cu+Dv,
-    z-y, z+y and AC; at an odd q != p with (p/q) = 1 it is trivial, and at
-    one of good reduction every local invariant is 0.  The bad primes are
-    those of A, B, C, D, M, N and AD - BC, and an inert one divides
+    z-y, z+y and AC; wherever p is a square in Q_q (``_prime_is_square_at``:
+    at 2 when p = 1 mod 8, at an odd q != p when (p/q) = 1) it is trivial,
+    and at an odd q of good reduction every local invariant is 0.  The bad
+    primes are those of A, B, C, D, M, N and AD - BC, and an inert one divides
     N (AD - BC).  Lemma: let q be an odd prime, q != p, q not dividing N.
     If q | A, (C1) reduces mod q to (BC - M)^2 = p N^2, so p is a nonzero
     square mod q; B, C and D are alike.  If q | M, (C1) reduces to
     (AD - BC)^2 = p N^2, with the same conclusion.
     """
     bad = set(factor(abs(s.N))) | set(factor(abs(s.A * s.D - s.B * s.C)))
-    return [2, s.p] + sorted(q for q in bad if q % 2 and q != s.p and _legendre_unchecked(s.p, q) == -1)
+    return [q for q in [2, s.p] + sorted(bad - {2, s.p}) if not _prime_is_square_at(s.p, q)]
 
 
 def bm_verdict(s: SubfamilySurface, sample_budget: int = 64, seed: int = 0) -> ObstructionReport:
@@ -864,9 +863,9 @@ def bm_verdict(s: SubfamilySurface, sample_budget: int = 64, seed: int = 0) -> O
     classes; family theorems and the Klein-four identity are checked on that
     sample, and the verdict on a family member against its closed-form
     prediction; a mismatch is a hard error.  The samples also prove local
-    solubility: X(R) holds (0:0:1:sqrt(p):sqrt(p)), the places that
-    ``everywhere_locally_soluble`` decides (2, p, inert q | N) are relevant
-    ones, and each relevant place has a certified sampled point or raises.
+    solubility: X(R) holds (0:0:1:sqrt(p):sqrt(p)), every place that
+    ``everywhere_locally_soluble`` decides is relevant (both leave out those
+    where p is a square in Q_q), and each has a certified point or raises.
     """
     validate_subfamily(s)
     images: dict[str, dict[str, PlaceImage]] = {
@@ -935,7 +934,7 @@ def reciprocity_check(s: SubfamilySurface, point) -> bool:
     Every representative is a product of the seven factor values, so the
     symbols are trivial away from {2, p} and the primes of the nonzero values
     (each factored once), and at the real place since p > 0.  They are also
-    trivial at odd q != p with (p/q) = 1: p is a square unit in Q_q, so every
+    trivial wherever p is a square in Q_q (``_prime_is_square_at``), so every
     representative gives 0 (A and B stay determinate at rational points, see
     ``_direct_value``).  One evaluation per remaining place gives A, B and C
     and runs the Klein-four check there.
@@ -946,9 +945,9 @@ def reciprocity_check(s: SubfamilySurface, point) -> bool:
     places = {2, s.p}
     for value in _factor_values(s, point).values():
         if value:
-            places.update(q for q in factor(abs(value)) if q == 2 or _legendre_unchecked(s.p, q) != 1)
+            places.update(factor(abs(value)))
     totals = [ZERO, ZERO, ZERO]
-    for q in sorted(places):
+    for q in sorted(q for q in places if not _prime_is_square_at(s.p, q)):
         totals = [t + value for t, value in zip(totals, _exact_values(s, point, q))]
     return all(t % 1 == 0 for t in totals)
 

@@ -22,13 +22,13 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .arith import _sqrt_mod_unchecked, factor, find_nonresidue, is_prime, legendre, valuation
+from .arith import _prime_is_square_at, _sqrt_mod_unchecked, factor, find_nonresidue, is_prime, valuation
 from .quadform import (
     GeneralSurface,
     SubfamilySurface,
     binary_form_eval,
     mat_det,
-    quintic_partials_resultant,
+    validate_pencil,
     validate_subfamily,
 )
 
@@ -114,11 +114,9 @@ def _sqrt_table(q: int) -> list[list[int]]:
 
 class _SqrtRoots:
     """Indexed like ``_sqrt_table(q)``, by Tonelli-Shanks: no memory that grows with q.
-    q is proved prime and its non-residue found once, not once per root."""
+    The non-residue of the prime q is found once, not once per root."""
 
     def __init__(self, q: int):
-        if not is_prime(q):
-            raise ValueError(f"{q} is not prime")
         self.q, self.nonresidue = q, find_nonresidue(q)
 
     def __getitem__(self, a: int) -> list[int]:
@@ -323,7 +321,10 @@ def _enumeration_budget(surface) -> int:
 
 
 def _level1_draws(surface, q: int, rng: random.Random | None):
-    """The level-1 points, lazily, and None for each draw (a slot, a plane or a column) without one."""
+    """The level-1 points, lazily, and None for each draw (a slot, a plane or a column) without one;
+    the one proof per listing that q is prime, which every walk below relies on."""
+    if not is_prime(q):
+        raise ValueError(f"{q} is not prime")
     general = not isinstance(surface, SubfamilySurface)
     n, cell = _level1_general(surface, q, rng) if general else _level1_subfamily(surface, q)
     cells = map(cell, range(n) if rng is None else _shuffled_indices(n, rng))
@@ -340,10 +341,11 @@ def iter_residue_points(surface, q: int, rng: random.Random | None = None):
     plane per draw, each in O(log q) work: taking the first few costs about
     as much at any q as at a small one.
     """
+    draws = _level1_draws(surface, q, rng)
     if rng is None and q > _enumeration_budget(surface):
         raise EnumerationBudgetError(
             f"exhaustive residue enumeration is limited to q <= {_enumeration_budget(surface)}, got {q}")
-    return (pt for pt in _level1_draws(surface, q, rng) if pt is not None)
+    return (pt for pt in draws if pt is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -404,8 +406,10 @@ def newton_refine(surface, pt: PadicApproxPoint, target_k: int) -> PadicApproxPo
 
 
 def _reduce_digit_system(rows, rhs, q: int):
-    """Row-reduce the 2x4 digit system; (mat, pivots) or None if inconsistent."""
-    mat = [list(rows[0]) + [rhs[0]], list(rows[1]) + [rhs[1]]]
+    """Row-reduce the 2x4 digit system: (mat, pivots, kernel), or None if inconsistent.
+    Columns 5 and 6 carry each row's combination (l1, l2) of the two equations,
+    so the rows left zero give kernel, a basis of the matrix's left kernel mod q."""
+    mat = [list(rows[0]) + [rhs[0], 1, 0], list(rows[1]) + [rhs[1], 0, 1]]
     pivots = []
     r = 0
     for c in range(4):
@@ -426,7 +430,7 @@ def _reduce_digit_system(rows, rhs, q: int):
     for rr in range(r, 2):
         if mat[rr][4] % q:
             return None
-    return mat, pivots
+    return mat, pivots, [row[5:] for row in mat[r:]]
 
 
 def _node(surface, pt: PadicApproxPoint):
@@ -456,8 +460,9 @@ def _node(surface, pt: PadicApproxPoint):
     mod q on the free columns, lam (F(x)/q^k + J(x) t) is 0 mod q, so modulo
     q that test is one dot product, a/q + (w/q) . t + [k = 1] lam . F(t), with
     a = lam F(x)/q^k and w = lam J(x) taken mod q^2; the pivot digits of t,
-    affine in its free digits, are folded into a and w.  A full-rank matrix
-    has no kernel: then no lift is dead.
+    affine in its free digits, are folded into a and w.  The kernel comes
+    from the elimination that solves the system; a full-rank matrix has none,
+    and then no lift is dead.
 
     Certified lifts.  Every 2x2 minor of J(c) is the same minor of J(x) plus a
     multiple of q^k.  So a minor of valuation e < k at x keeps it at every
@@ -501,7 +506,7 @@ def _node(surface, pt: PadicApproxPoint):
         reduced = _reduce_digit_system(rows, ((-(f1 // qk)) % q, (-(f2 // qk)) % q), q)
         if reduced is None:
             return 0, None, None
-        mat, pivots = reduced
+        mat, pivots, kernel = reduced
         free = [c for c in range(4) if c not in pivots]
 
         def digits(i: int) -> list[int]:
@@ -518,14 +523,8 @@ def _node(surface, pt: PadicApproxPoint):
                 coords[idx] += qk * d
             return PadicApproxPoint(q, k + 1, tuple(coords), pt.pinned, inherited)
 
-        if len(pivots) == 2 or inherited is not None:
+        if not kernel or inherited is not None:
             return q ** len(free), child, _never
-        if pivots:  # rank 1: the kernel vector kills the nonzero row
-            r0, r1 = rows
-            c = next(c for c in range(4) if r0[c] or r1[c])
-            kernel = [(r1[c] * pow(r0[c], -1, q), -1) if r0[c] else (1, 0)]
-        else:
-            kernel = [(1, 0), (0, 1)]
         q2 = q * q
         tests = []  # per kernel vector lam: lam, and a/q + (w/q) . t folded onto the free digits
         for l1, l2 in kernel:
@@ -633,20 +632,19 @@ def decide_Qq(surface, q: int, budget: int = DEFAULT_EXPANSION_BUDGET) -> Solubi
     its parent's reading shows dead and uncertified is not built or read: it
     counts as a lift spent and as a branch ending at its level, as its
     reading would.  A branch ends at its first certified candidate, which
-    proves solubility.  If every branch dies before some level, that level
-    is empty and the surface
-    is insoluble at q (a Q_q point would reduce to every level).  A branch
-    cut at LEVEL_CAP, or a walk past ``budget`` lifts, is inconclusive,
-    never insoluble.  Lifts are streamed, so memory stays bounded even when
-    a singular residue point has a full digit space of lifts.
+    proves solubility: a lift that carries its parent's certificate, unread.
+    If every branch dies before some level, that level is empty and the
+    surface is insoluble at q (a Q_q point would reduce to every level).  A
+    branch cut at LEVEL_CAP, or a walk past ``budget`` lifts, is
+    inconclusive, never insoluble; a later branch can still prove
+    solubility.  Lifts are streamed, so memory stays bounded even when a
+    singular residue point has a full digit space of lifts.
 
     Beyond it: up to CERTIFICATE_DRAWS level-1 draws, seeded from (q, surface)
     as the sampler is; a smooth F_q point (e = 0) proves solubility.  No draw
     is descended below (a singular point can have q^4 lifts), and spent draws
     give "inconclusive", never "insoluble".
     """
-    if not is_prime(q):
-        raise ValueError(f"{q} is not prime")
     if q > _enumeration_budget(surface):
         draws = _level1_draws(surface, q, random.Random(f"{q}:{surface!r}"))
         for pt in itertools.islice(draws, CERTIFICATE_DRAWS):
@@ -654,17 +652,17 @@ def decide_Qq(surface, q: int, budget: int = DEFAULT_EXPANSION_BUDGET) -> Solubi
             if cert is not None:
                 return SolubilityVerdict(q, "soluble", replace(pt, cert=cert), level=1, method="hensel")
         return SolubilityVerdict(q, "inconclusive", level=1, method="certificate draws exhausted")
-    expansions = deepest = 0
-    truncated = False  # some branch hit the cap without a certificate
+    expansions = deepest = 0  # deepest: the level of the deepest uncertified node, read or dead
 
     def dfs(pt: PadicApproxPoint):
-        nonlocal expansions, deepest, truncated
+        nonlocal expansions, deepest
+        if pt.cert is not None:  # certified by its parent's reading (``_node``)
+            return pt
         cert, lifts = _node(surface, pt)
         if cert is not None:
             return replace(pt, cert=cert)
         deepest = max(deepest, pt.k)
         if pt.k >= LEVEL_CAP:
-            truncated = True
             return None
         n, child, dead = lifts()
         for i in range(n):
@@ -673,7 +671,6 @@ def decide_Qq(surface, q: int, budget: int = DEFAULT_EXPANSION_BUDGET) -> Solubi
                 raise _BudgetExhausted
             if dead(i):  # read, it would end its branch here, one level down
                 deepest = max(deepest, pt.k + 1)
-                truncated = truncated or pt.k + 1 >= LEVEL_CAP
                 continue
             found = dfs(child(i))
             if found is not None:
@@ -688,7 +685,7 @@ def decide_Qq(surface, q: int, budget: int = DEFAULT_EXPANSION_BUDGET) -> Solubi
     except _BudgetExhausted:
         return SolubilityVerdict(q, "inconclusive", level=deepest,
                                  method="expansion budget exhausted")
-    if truncated:
+    if deepest >= LEVEL_CAP:  # some branch met the cap uncertified
         return SolubilityVerdict(q, "inconclusive", level=LEVEL_CAP, method="level budget exhausted")
     return SolubilityVerdict(q, "insoluble", level=deepest + 1, method="empty residue level")
 
@@ -811,41 +808,21 @@ def everywhere_locally_soluble(s: SubfamilySurface) -> LocalSolubilityReport:
     """
     validate_subfamily(s)
     p = s.p
-    n_val = s.N
     rows: list[tuple[str, SolubilityVerdict | None, str]] = []
     rows.append(("oo", decide_R(s), ""))
     rows.append(("v with p square in Q_v", None, "theorem: witness (0:0:1:sqrt(p):sqrt(p))"))
-    rows.append((f"v not in {{2,{p}}}, p nonsquare at v, v ndiv {n_val}", None,
+    rows.append((f"v not in {{2,{p}}}, p nonsquare at v, v ndiv {s.N}", None,
                  "theorem: four-case residue argument"))
-    explicit = [2]
-    if p % 8 == 1:
-        rows.append(("2", None, "theorem: p = 1 mod 8, sqrt(p) in Q_2"))
-        explicit.remove(2)
-    explicit.append(p)
-    for q in sorted({f for f in _odd_prime_divisors(n_val) if f != p}):
-        if legendre(p, q) == -1:
+    explicit = []
+    for q in [2, p] + sorted({f for f in factor(abs(s.N)) if f % 2} - {p}):
+        if not _prime_is_square_at(p, q):
             explicit.append(q)
         else:
-            rows.append((str(q), None, "theorem: p is a square mod q, sqrt(p) witness"))
+            rows.append((str(q), None, "theorem: p = 1 mod 8, sqrt(p) in Q_2" if q == 2
+                         else "theorem: p is a square mod q, sqrt(p) witness"))
     for q in explicit:
         rows.append((str(q), decide_Qq(s, q), ""))
     return LocalSolubilityReport(tuple(rows), tuple(explicit), s)
-
-
-def _odd_prime_divisors(n: int) -> list[int]:
-    return sorted({f for f in factor(abs(n)) if f % 2})
-
-
-def validate_pencil(g: GeneralSurface) -> tuple[tuple[int, ...], int]:
-    """The pencil quintic and the resultant of its partials (+-5^3 Disc); ValueError
-    unless the quintic is squarefree (nonzero, no repeated root): else the surface is singular."""
-    quintic = g.quintic
-    if all(c == 0 for c in quintic):
-        raise ValueError("pencil discriminant vanishes identically; not a del Pezzo pencil")
-    res = quintic_partials_resultant(quintic)
-    if res == 0:
-        raise ValueError("pencil quintic is not squarefree; the surface is singular")
-    return quintic, res
 
 
 def everywhere_locally_soluble_general(g: GeneralSurface) -> LocalSolubilityReport:

@@ -240,6 +240,22 @@ def validate_subfamily(s: SubfamilySurface) -> SubfamilySurface:
     return s
 
 
+def _nonzero_quintic(g: GeneralSurface) -> tuple[int, ...]:
+    """The pencil quintic; ValueError if it vanishes identically (every member singular)."""
+    if not any(g.quintic):
+        raise ValueError("pencil discriminant vanishes identically; not a del Pezzo pencil")
+    return g.quintic
+
+
+def validate_pencil(g: GeneralSurface) -> tuple[tuple[int, ...], int]:
+    """The pencil quintic and the resultant of its partials (+-5^3 Disc); ValueError
+    unless the quintic is squarefree (nonzero, no repeated root): else the surface is singular."""
+    quintic = _nonzero_quintic(g)
+    if (res := quintic_partials_resultant(quintic)) == 0:
+        raise ValueError("pencil quintic is not squarefree; the surface is singular")
+    return quintic, res
+
+
 # ---------------------------------------------------------------------------
 # the normal form
 
@@ -553,9 +569,7 @@ def order4_test(g: GeneralSurface) -> Order4Report:
     Certified exactly when three distinct rational degenerate members have rank
     4 and share one non-square determinant class eps.
     """
-    quintic = g.quintic
-    if all(c == 0 for c in quintic):
-        raise ValueError("pencil discriminant is identically zero")
+    quintic = _nonzero_quintic(g)
     members = []
     by_class: dict[int, list[tuple[int, int]]] = {}
     for root, rank in degenerate_members(g):

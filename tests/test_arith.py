@@ -264,3 +264,22 @@ def test_hensel_sqrt_branch_follows_mod_p_root():
     a = PadicScalar.from_rational(13, 3, 6)
     r = hensel_sqrt(a, 3)
     assert r.u % 13 == 4
+
+
+def test_prime_is_square_at_is_the_trivial_hilbert_symbol():
+    # p is a square in Q_q exactly when (p, b)_q = 1 for every b in a set of
+    # representatives of Q_q^x / (Q_q^x)^2: {+-1, +-5} times {1, 2} at 2,
+    # {1, n} times {1, q} at odd q, n a non-residue mod q
+    primes = [q for q in range(2, 200) if is_prime(q)]
+    squares = 0
+    for p in primes[1:]:
+        for q in primes:
+            if q == 2:
+                classes = [u * t for u in (1, -1, 5, -5) for t in (1, 2)]
+            else:
+                n = arith.find_nonresidue(q)
+                classes = [u * t for u in (1, n) for t in (1, q)]
+            trivial = all(hilbert_symbol(p, b, Place(q)) == 1 for b in classes)
+            assert arith._prime_is_square_at(p, q) == trivial, (p, q)
+            squares += trivial
+    assert squares > 500 and not arith._prime_is_square_at(17, 17)

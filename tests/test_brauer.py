@@ -356,6 +356,71 @@ def test_places_decided_without_sampling_are_relevant():
     assert len(surfaces) > 130
 
 
+P_1_MOD_8 = [make_Y(17, 2, 8), make_Y(89, 2, 44), make_Y(233, 1, 232)]
+
+
+def test_places_where_p_is_a_square_at_2_are_not_sampled(monkeypatch):
+    # p = 1 mod 8 makes p a square in Q_2, so every class is 0 there by
+    # theorem: bm_verdict samples nothing at 2 (where every representative
+    # vanishes at (0:0:1:sqrt(p):+-sqrt(p))) and needs no local constancy
+    sampled, constancy, exact = [], [], []
+    real_sampler, real_constancy, real_exact = (
+        brauer.sample_local_points, brauer._eval_by_local_constancy, brauer._exact_values)
+
+    def sampler(s, q, *args, **kwargs):
+        sampled.append(q)
+        return real_sampler(s, q, *args, **kwargs)
+
+    def local_constancy(*args):
+        constancy.append(args)
+        return real_constancy(*args)
+
+    def exact_values(s, point, q):
+        exact.append(q)
+        return real_exact(s, point, q)
+
+    monkeypatch.setattr(brauer, "sample_local_points", sampler)
+    monkeypatch.setattr(brauer, "_eval_by_local_constancy", local_constancy)
+    monkeypatch.setattr(brauer, "_exact_values", exact_values)
+    points = 0
+    for s in P_1_MOD_8:
+        assert relevant_places(s)[0] == s.p and 2 not in everywhere_locally_soluble(s).decided_places
+        sampled.clear()
+        report = bm_verdict(s)
+        assert 2 not in sampled and sampled and constancy == [], s
+        assert (report.hp_obstructed_by, report.wa_failure) == ((), True), s
+        assert all("2" not in report.images[tag] for tag in CLASS_TAGS), s
+        exact.clear()
+        for point in point_search(s, 16):
+            assert reciprocity_check(s, point)
+            points += 1
+        assert 2 not in exact, s
+    assert points == 10
+
+
+def test_local_constancy_reads_each_base_once(monkeypatch):
+    # (0:0:1:sqrt(89):sqrt(89)) mod 2^14 lies where every representative of A
+    # and B vanishes; its neighbours come from one reading per depth
+    s = make_Y(89, 2, 44)
+    pt = localsolve.PadicApproxPoint(2, 14, (0, 0, 1, 12379, 4005), 2)
+    assert brauer._eval_reps(s, "A", pt, None) is None and brauer._eval_reps(s, "B", pt, None) is None
+    reads = []
+    real_node = brauer._node
+
+    def node(surface, base):
+        reads.append(base.k)
+        return real_node(surface, base)
+
+    def no_certificate(*args):
+        raise AssertionError("a lift was read for its certificate")
+
+    monkeypatch.setattr(brauer, "_node", node)
+    monkeypatch.setattr(brauer, "lift_certificate", no_certificate)
+    monkeypatch.setattr(localsolve, "lift_certificate", no_certificate)
+    assert [brauer._eval_by_local_constancy(s, tag, pt) for tag in "AB"] == [ZERO, ZERO]
+    assert len(reads) <= 4
+
+
 def test_rational_point_repairs_an_undersampled_image(monkeypatch):
     # case1 is off-family; make A read {0} at 2 and {1/2} at 13, as an
     # undersampled image would: the search finds (0, 1, 0, 0, -1), whose

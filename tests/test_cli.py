@@ -82,6 +82,14 @@ def test_cli_solubility_rejects_singular_pencils(capsys, diagonals, message):
     assert (code, out, err) == (2, "", f"input error: {message}\n")
 
 
+@pytest.mark.parametrize("command", ["classify", "analyze", "solubility"])
+def test_cli_the_zero_pencil_has_one_message(capsys, command):
+    # one zero check, shared by validate_pencil and order4_test
+    code, out, err = run_cli(capsys, command, json.dumps({"matrices": [[[0] * 5] * 5] * 2}))
+    assert (code, out, err) == (2, "", "input error: pencil discriminant vanishes identically; "
+                                       "not a del Pezzo pencil\n")
+
+
 @pytest.mark.parametrize("spec, message", [
     (json.dumps({"matrices": [[[d if i == j else 0 for j in range(5)] for i, d in enumerate(diag)]
                               for diag in ((1, 1, 1, -1, -1), (0, 0, 1, 2, 3))]}),

@@ -290,7 +290,8 @@ class JacobianCounting(GeneralSurface):
 
 
 def test_decide_reads_each_node_once(monkeypatch):
-    # one equations-and-Jacobian reading per node the walk visits
+    # one equations-and-Jacobian reading per node the walk visits; the
+    # level-7 witness carries its parent's certificate and comes unread
     g = to_matrices(make_Y(17, 16, 1))
     visited = [0]
     real_node = localsolve._node
@@ -303,7 +304,7 @@ def test_decide_reads_each_node_once(monkeypatch):
     monkeypatch.setattr(JacobianCounting, "reads", 0)
     verdict = decide_Qq(JacobianCounting(g.mat1, g.mat2), 2)
     assert verdict.soluble and verdict.level == 7
-    assert JacobianCounting.reads == visited[0] == 8
+    assert JacobianCounting.reads == visited[0] == 7
 
 
 @pytest.mark.parametrize("s, q, level, coords, cols, e, bound", [
@@ -337,6 +338,37 @@ def test_skipped_dead_lifts_at_the_level_cap_leave_the_walk_inconclusive(monkeyp
     monkeypatch.setattr(localsolve, "LEVEL_CAP", 5)
     verdict = decide_Qq(s, 2)
     assert (verdict.status, verdict.level, verdict.method) == ("inconclusive", 5, "level budget exhausted")
+
+
+@pytest.mark.parametrize("cap, status, level, coords", [
+    (2, "inconclusive", 2, None),
+    (3, "soluble", 3, (1, 0, 1, 1, 1)),
+    # the first branch is cut at level 6 uncertified; a later one certifies
+    (6, "soluble", 3, (1, 0, 1, 1, 1)),
+    # the first branch reaches the golden's witness, a lift of a level-6 node
+    (7, "soluble", 7, (1, 0, 0, 0, 4)),
+])
+def test_the_level_cap_boundary_on_the_y17_pencil(monkeypatch, cap, status, level, coords):
+    monkeypatch.setattr(localsolve, "LEVEL_CAP", cap)
+    verdict = decide_Qq(to_matrices(make_Y(17, 16, 1)), 2)
+    assert (verdict.status, verdict.level) == (status, level)
+    if coords is None:
+        assert verdict.method == "level budget exhausted" and verdict.witness is None
+    else:
+        assert verdict.witness.coords == coords and verdict.witness.k == level
+    if cap == 7:
+        assert verdict.witness.cert == localsolve.LiftCertificate((1, 4), 3)
+
+
+@pytest.mark.parametrize("cap, verdict", [
+    (5, ("inconclusive", 5, "level budget exhausted")),
+    (6, ("insoluble", 6, "empty residue level")),
+])
+def test_the_level_cap_boundary_on_an_insoluble_place(monkeypatch, cap, verdict):
+    # level 6 is empty at 2: a cap at 5 leaves it unproved, a cap at 6 proves it
+    monkeypatch.setattr(localsolve, "LEVEL_CAP", cap)
+    v = decide_Qq(SubfamilySurface(13, 2, -4, 3, 6, 16), 2)
+    assert (v.status, v.level, v.method) == verdict
 
 
 @pytest.mark.parametrize("s, q, count, precision, digest", [
@@ -744,6 +776,44 @@ def test_level1_draws_beyond_the_budget_prove_q_prime_at_most_once(monkeypatch):
 def test_level1_draws_beyond_the_budget_need_a_prime():
     with pytest.raises(ValueError, match="30021 is not prime"):
         next(iter_residue_points(Y_13_2_6, 3 * 10007, random.Random(0)))
+
+
+@pytest.mark.parametrize("q", [9, 15, 3 * 10007])
+def test_every_listing_rejects_a_q_that_is_not_prime(q):
+    # the level-1 listing proves q prime once; no walk lists "points" mod 9
+    message = f"^{q} is not prime$"
+    for rng in (None, random.Random(0)):
+        with pytest.raises(ValueError, match=message):
+            next(iter_residue_points(Y_13_2_6, q, rng))
+    with pytest.raises(ValueError, match=message):
+        sample_local_points(Y_13_2_6, q, 4, 6)
+    for s in (Y_13_2_6, to_matrices(Y_13_2_6)):
+        with pytest.raises(ValueError, match=message):
+            decide_Qq(s, q)
+
+
+def test_q_is_proved_prime_once_per_decision_and_per_sample(monkeypatch):
+    proofs = []
+    real = arith.is_prime
+
+    def counted(n):
+        proofs.append(n)
+        return real(n)
+
+    monkeypatch.setattr(arith, "is_prime", counted)
+    monkeypatch.setattr(localsolve, "is_prime", counted)
+    decisions = [(Y_13_2_6, 2), (Y_13_2_6, 13), (to_matrices(make_Y(17, 16, 1)), 2),
+                 (SubfamilySurface(13, 2, -4, 3, 6, 16), 2), (make_Y(10037, 1, 10036), 10037)]
+    for s, q in decisions:
+        proofs.clear()
+        decide_Qq(s, q)
+        assert proofs.count(q) == 1, (s, q)
+    samples = [(Y_13_2_6, 2, 64, 14), (Y_13_2_6, 13, 20, 4), (CASE_PATTERN_SURFACES["case2"], 13, 64, 8),
+               (make_Y(10037, 1, 10036), 10037, 8, 4)]
+    for s, q, count, precision in samples:
+        proofs.clear()
+        sample_local_points(s, q, count, precision)
+        assert proofs.count(q) == 1, (s, q)
 
 
 def test_newton_refine_checks_the_certificate_minor():
