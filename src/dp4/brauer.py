@@ -189,7 +189,8 @@ def evaluate_invariant(s: SubfamilySurface, tag: str, point, v=None) -> Fraction
     that vanish are skipped.  At a rational point some representation of A
     and of B is always determinate (see ``_direct_value``); at a local point
     where all are indeterminate, nearby points carry the value.  Class C is
-    A + B wherever both are determinate (see ``_point_values``).
+    A + B wherever both are determinate (see ``_point_values``).  The caller
+    validates s: this runs once per point.
     """
     if not isinstance(point, PadicApproxPoint):
         point = normalize_point(point)
@@ -331,6 +332,7 @@ def invariant_image(s: SubfamilySurface, q: int, sample_budget: int = 64,
     once the sample is checked nonempty and inside it (else an
     AssertionError); every other image is sampled evidence, not a proof.
     """
+    validate_subfamily(s)
     precision = 14 if q == 2 else 8
     try:
         points = sample_local_points(s, q, sample_budget, precision, seed=seed)
@@ -851,6 +853,7 @@ def relevant_places(s: SubfamilySurface) -> list[int]:
     square mod q; B, C and D are alike.  If q | M, (C1) reduces to
     (AD - BC)^2 = p N^2, with the same conclusion.
     """
+    validate_subfamily(s)
     bad = set(factor(abs(s.N))) | set(factor(abs(s.A * s.D - s.B * s.C)))
     return [q for q in [2, s.p] + sorted(bad - {2, s.p}) if not _prime_is_square_at(s.p, q)]
 
@@ -867,11 +870,10 @@ def bm_verdict(s: SubfamilySurface, sample_budget: int = 64, seed: int = 0) -> O
     ``everywhere_locally_soluble`` decides is relevant (both leave out those
     where p is a square in Q_q), and each has a certified point or raises.
     """
-    validate_subfamily(s)
     images: dict[str, dict[str, PlaceImage]] = {
         tag: {"oo": PlaceImage(frozenset({ZERO}), "theorem", "p > 0: trivial at the real place")}
         for tag in CLASS_TAGS}
-    places = relevant_places(s)
+    places = relevant_places(s)  # validates s
     for q in places:
         for tag, img in invariant_image(s, q, sample_budget=sample_budget, seed=seed).items():
             images[tag][str(q)] = img
@@ -937,7 +939,8 @@ def reciprocity_check(s: SubfamilySurface, point) -> bool:
     trivial wherever p is a square in Q_q (``_prime_is_square_at``), so every
     representative gives 0 (A and B stay determinate at rational points, see
     ``_direct_value``).  One evaluation per remaining place gives A, B and C
-    and runs the Klein-four check there.
+    and runs the Klein-four check there.  The caller validates s, as
+    ``point_search`` does: this runs once per point.
     """
     point = normalize_point(point)
     if not s.contains(point):
@@ -946,10 +949,10 @@ def reciprocity_check(s: SubfamilySurface, point) -> bool:
     for value in _factor_values(s, point).values():
         if value:
             places.update(factor(abs(value)))
-    totals = [ZERO, ZERO, ZERO]
+    parities = [False, False, False]
     for q in sorted(q for q in places if not _prime_is_square_at(s.p, q)):
-        totals = [t + value for t, value in zip(totals, _exact_values(s, point, q))]
-    return all(t % 1 == 0 for t in totals)
+        parities = [par ^ (value == HALF) for par, value in zip(parities, _exact_values(s, point, q))]
+    return not any(parities)
 
 
 def _exact_values(s: SubfamilySurface, point, q: int) -> tuple:

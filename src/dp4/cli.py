@@ -221,7 +221,6 @@ def cmd_invariants(args) -> int:
     surface = parse_surface_spec(args.spec)
     if not isinstance(surface, SubfamilySurface):
         raise InputError("invariants need the split two-form shape")
-    validate_subfamily(surface)
     places = relevant_places(surface) if args.place is None else [int(args.place)]
     images = {q: invariant_image(surface, q, sample_budget=args.samples, seed=args.seed)
               for q in places}

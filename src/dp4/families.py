@@ -13,6 +13,7 @@ a, b odd, a = 1 mod 8):
 from __future__ import annotations
 
 import multiprocessing
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import gcd, isqrt
 
@@ -154,9 +155,16 @@ def point_search(s: SubfamilySurface, height_bound: int, jobs: int = 1) -> list[
     sigma (z^2 - T) <= 0 in v has discriminant K_u - 4 BD p x^2; the integers
     between its roots, clamped to |v| <= h, give the window of y through
     y^2 = p x^2 + M u v, and for BD > 0 a bound on x.  Both cuts drop only
-    candidates that the z checks reject.  Work: h log log h to tabulate g,
-    then per u about min(|M| u, h) / g roots and h / g values of x with about
-    one candidate each, where a scan over (u, v, x) costs h^3 / sqrt(p).
+    candidates that the z checks reject.  The multiples y0 of g in
+    [0, min(m, h + 1)) are listed by y0^2 mod m, increasing.  A window
+    [ylo, yhi] of fewer than m integers has distinct residues mod m, filling
+    the cyclic interval [ylo, yhi] mod m, so y0 + mZ meets it exactly when y0
+    lies in that interval: one slice of the sorted roots, or two when it
+    wraps (never when m > h + 1, as then yhi <= h < m).  A wider window meets
+    every y0 + mZ.  Work: h log log h to tabulate g, then per u about
+    min(|M| u, h) / g roots and h / g values of x, each one root lookup and
+    then only the roots that meet the window, with about one candidate each;
+    a scan over (u, v, x) costs h^3 / sqrt(p).
     """
     if height_bound < 0 or jobs < 1:
         raise ValueError(f"need height_bound >= 0 and jobs >= 1, got {height_bound}, {jobs}")
@@ -165,10 +173,11 @@ def point_search(s: SubfamilySurface, height_bound: int, jobs: int = 1) -> list[
     z = isqrt(max(s.B * s.D, 0))
     on_u0 = h >= 1 and z <= h and z * z == s.B * s.D
     found = {(0, 1, 0, 0, w) for w in {z, -z}} if on_u0 else set()
-    if jobs > 1:
-        with multiprocessing.get_context("fork").Pool(jobs) as pool:
-            parts = pool.starmap(_search_hyperbola, [(s, h, range(1 + i, h + 1, jobs))
-                                                     for i in range(jobs)])
+    workers = min(jobs, h)  # no worker without a value of u
+    if workers > 1:
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
+            parts = pool.starmap(_search_hyperbola, [(s, h, range(1 + i, h + 1, workers))
+                                                     for i in range(workers)])
     else:
         parts = [_search_hyperbola(s, h, range(1, h + 1))]
     return sorted(found.union(*parts))
@@ -211,12 +220,24 @@ def _search_hyperbola(s: SubfamilySurface, h: int, us) -> set[Point]:
             roots.setdefault(y0 * y0 % m, []).append(y0)
         for x in range(0, xmax + 1, step):
             px2 = p * x * x
+            rs = roots.get(px2 % m)
+            if rs is None:
+                continue
             r = isqrt(K - c * x * x)  # the quadratic is <= 0 iff |2 |BD| t + b| <= r
-            lo = px2 + m * max(-h, -((b + r) // a2))
-            hi = px2 + m * min(h, (r - b) // a2)
+            tlo, thi = -((b + r) // a2), (r - b) // a2
+            lo = px2 + m * (tlo if tlo > -h else -h)
+            hi = px2 + m * (thi if thi < h else h)
             ylo = isqrt(lo - 1) + 1 if lo > 0 else 0
-            yhi = min(h, isqrt(hi)) if hi >= 0 else -1
-            for y0 in roots.get(px2 % m, ()):
+            yhi = isqrt(hi) if hi >= 0 else -1
+            if yhi > h:
+                yhi = h
+            if yhi < ylo:
+                continue
+            if yhi - ylo + 1 < m:  # only the roots in the cyclic interval [ylo, yhi] mod m
+                ya, yb = ylo % m, yhi % m
+                i, j = bisect_left(rs, ya), bisect_right(rs, yb)
+                rs = rs[i:j] if ya <= yb else rs[i:] + rs[:j]
+            for y0 in rs:
                 for y in range(y0 - (y0 - ylo) // m * m, yhi + 1, m):
                     v = (y * y - px2) // Mu
                     z2 = (Au + B * v) * (Cu + D * v) + px2

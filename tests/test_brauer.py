@@ -882,6 +882,33 @@ def test_reciprocity_proves_no_place_prime_again(monkeypatch):
     assert proofs == []
 
 
+def test_reciprocity_fails_when_one_local_value_flips(monkeypatch):
+    # the check sums parities per class: one flipped 1/2 breaks reciprocity
+    # for that class, at whichever place it sits
+    real = brauer._exact_values
+    for flip_q, flip_k in ((2, 0), (13, 1), (13, 2)):
+        def flipped(s, point, q, flip_q=flip_q, flip_k=flip_k):
+            values = list(real(s, point, q))
+            if q == flip_q:
+                values[flip_k] = HALF - values[flip_k]
+            return tuple(values)
+
+        monkeypatch.setattr(brauer, "_exact_values", flipped)
+        assert not reciprocity_check(Y_13_12_1, (1, -3, 2, 7, 16)), (flip_q, flip_k)
+    monkeypatch.setattr(brauer, "_exact_values", real)
+    assert reciprocity_check(Y_13_12_1, (1, -3, 2, 7, 16))
+
+
+def test_place_level_calls_name_the_failed_condition():
+    # (C2) fails on X_13_1_1_1_1_13 (AD - BC = 0): the per-surface calls say
+    # so, rather than failing to factor 0 or sampling an invalid surface
+    s = SubfamilySurface(13, 1, 1, 1, 1, 13)
+    with pytest.raises(ValueError, match=r"\(C2\) fails"):
+        relevant_places(s)
+    with pytest.raises(ValueError, match=r"\(C2\) fails"):
+        invariant_image(s, 13, sample_budget=8)
+
+
 def test_reciprocity_skips_only_places_where_every_class_is_zero():
     # at an odd q != p with (p/q) = 1, (p, *)_q is identically 1, so every
     # class is 0 and reciprocity_check leaves the place out

@@ -1,9 +1,11 @@
 import itertools
 import random
 from math import gcd, isqrt
+from types import SimpleNamespace
 
 import pytest
 
+from dp4 import families
 from dp4.arith import is_prime
 from dp4.brauer import reciprocity_check
 from dp4.census import census_S, census_Y
@@ -134,6 +136,37 @@ def test_point_search_jobs_agree():
     assert point_search(s, 40, jobs=3) == pts
 
 
+def test_point_search_starts_no_worker_without_a_value_of_u(monkeypatch):
+    # min(jobs, h) workers: none at h <= 1, two at h = 2 whatever jobs asks
+    s = make_Y(13, 1, 12)
+    serial = {h: point_search(s, h) for h in (0, 1, 2)}
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, args):
+            return [fn(*a) for a in args]
+
+    def no_pool(method):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(families.multiprocessing, "get_context", no_pool)
+    assert point_search(s, 0, jobs=4) == serial[0]
+    assert point_search(s, 1, jobs=8) == serial[1] == [(1, 0, 0, 0, -1), (1, 0, 0, 0, 1)]
+    monkeypatch.setattr(families.multiprocessing, "get_context",
+                        lambda method: SimpleNamespace(Pool=InlinePool))
+    assert point_search(s, 2, jobs=8) == serial[2]
+    assert sizes == [2]
+
+
 def test_point_search_rejects_a_negative_height_or_no_jobs():
     s = make_Y(13, 12, 1)
     with pytest.raises(ValueError, match="height_bound"):
@@ -243,6 +276,21 @@ def test_point_search_matches_the_shell_scan_on_either_sign_of_BD():
         for bound in (4, 8, 20, 40):
             assert point_search(s, bound) == _shell_scan(s, bound), (s.label(), bound)
     assert sum(bool(point_search(s, 40)) for s in surfaces if s.B * s.D < 0) >= 4
+
+
+def test_point_search_walks_only_the_roots_in_the_y_window():
+    # the selection of roots by the cyclic interval [ylo, yhi] mod m, on
+    # windows narrower than m that wrap and that do not, beside wide ones;
+    # at height 20, |M| = 24 > h + 1 keeps every window narrow and unwrapped
+    # and 3 | M, inert at p = 5, makes g(m) >= 3 at every u; X_5_1_1_1_4_-1
+    # has wrapped intervals with no root between their ends
+    wide_m = SubfamilySurface(5, 2, 3, 2, -3, 24)
+    assert all(g % 3 == 0 for g in _forced_divisors(5, 24, 20)[1:])
+    wraps = SubfamilySurface(5, 1, 1, 1, 4, -1)
+    for s, bound in ((wide_m, 20), (wide_m, 40), (make_Y(13, 3, 4), 60), (wraps, 20)):
+        assert point_search(s, bound) == _shell_scan(s, bound), (s.label(), bound)
+    found = point_search(wraps, 40, jobs=2)
+    assert len(found) == 48 and found == _shell_scan(wraps, 40)
 
 
 def test_family_of_agrees_with_the_constructors():
