@@ -40,10 +40,8 @@ from .arith import (
 from .localsolve import (
     PadicApproxPoint,
     SamplingBudgetError,
-    _node,
     decide_Qq,
     lift_certificate,
-    newton_refine,
     normalize_residue_tuple,
     sample_local_points,
 )
@@ -185,13 +183,11 @@ def evaluate_invariant(s: SubfamilySurface, tag: str, point, v=None) -> Fraction
 
     ``point`` is either an exact integer 5-tuple (then ``v`` names the place)
     or a PadicApproxPoint (then the place is its prime); an exact point off
-    the surface, or zero, is a ValueError at every place.  Representations
-    that vanish are skipped.  At a rational point some representation of A
-    and of B is always determinate (see ``_direct_value``); at a local point
-    where all are indeterminate, nearby points carry the value.  Class C is
-    A + B wherever both are determinate (see ``_point_values``).  The caller
-    validates s: this runs once per point.
+    the surface, or zero, is a ValueError at every place.  The value is the
+    class's entry in ``_point_values``, one reading of the point for all
+    three classes.  The caller validates s: this runs once per point.
     """
+    class_representations(s, tag)  # an unknown tag is a ValueError
     if not isinstance(point, PadicApproxPoint):
         point = normalize_point(point)
         if not s.contains(point):
@@ -202,7 +198,7 @@ def evaluate_invariant(s: SubfamilySurface, tag: str, point, v=None) -> Fraction
             v = PLACE_INF if v in (0, "oo") else Place(int(v))
         if v.is_infinite:
             return ZERO  # all class symbols are (p, *) with p > 0
-    value = _point_values(s, point, v)[2] if tag == "C" else _direct_value(s, tag, point, v)
+    value = _point_values(s, point, v)[CLASS_TAGS.index(tag)]
     if value is None:
         raise IndeterminateEvaluationError(
             f"class {tag} indeterminate at {point}, place {v or point.q}")
@@ -212,72 +208,24 @@ def evaluate_invariant(s: SubfamilySurface, tag: str, point, v=None) -> Fraction
 def _point_values(s, point, v) -> tuple:
     """Values of A, B and C at the point, None where a class is indeterminate.
 
-    All three come from one reading of the point.  C = A + B wherever A and
-    B are determinate, and C's own representatives that are determinate
-    there must agree: the Klein-four identity, checked at every point that
-    comes through here.  Elsewhere C takes its own path.
+    All three come from one reading of the point.  A class that the reading
+    leaves undecided where p is a square in Q_q (``_prime_is_square_at``) is
+    0, every symbol (p, f)_q being 1 there.  C = A + B wherever A and B are
+    determinate, checked against C's own determinate representatives (the
+    Klein-four identity); elsewhere C is read from its own representatives.
     """
     reading = _Reading(s, point, v)
-    a = _direct_value(s, "A", reading, v)
-    b = _direct_value(s, "B", reading, v)
-    if a is None or b is None:
-        return a, b, _direct_value(s, "C", reading, v)
-    c = ZERO if a == b else HALF
+    a = _eval_reps(s, "A", reading, v)
+    b = _eval_reps(s, "B", reading, v)
     own = _eval_reps(s, "C", reading, v)
+    if a is None or b is None:
+        if not _prime_is_square_at(s.p, reading.q):  # q is proved prime by the walk or by v
+            return a, b, own
+        a, b = a or ZERO, b or ZERO
+    c = ZERO if a == b else HALF
     if own is not None and own != c:
         raise AssertionError(f"Klein-four identity fails at {point}, place {v or point.q}")
     return a, b, c
-
-
-def _direct_value(s, tag, point, v) -> Fraction | None:
-    """The class's value from its own representatives, or None; ``point`` may
-    be its reading (``_Reading``).
-
-    A rational point needs nothing beyond ``_eval_reps`` for A and B.  (C2)
-    gives M (AD - BC) != 0, and a zero among A..D would make the (C1) value
-    a square and so N = 0; hence ABCD != 0.  A's four representatives then
-    vanish together only where u = v = 0, which forces x = y = z = 0 as p is
-    not a square.  B's vanish together only where y = z = 0; there
-    Muv = (Au+Bv)(Cu+Dv) with uv != 0, so v/u is a rational root of
-    BD t^2 + (AD+BC-M) t + AC, whose discriminant p N^2 is not a square.
-    A local point where all vanish is read through its certified neighbours.
-    """
-    value = _eval_reps(s, tag, point, v)
-    point = point.point if isinstance(point, _Reading) else point
-    if value is not None or not isinstance(point, PadicApproxPoint):
-        return value
-    return _eval_by_local_constancy(s, tag, point)
-
-
-def _eval_by_local_constancy(s, tag, pt: PadicApproxPoint) -> Fraction | None:
-    """Value at a point on the common vanishing locus of the representations.
-
-    The invariant map is locally constant on X(Q_q), so certified neighbours
-    at two consecutive depths must agree; any disagreement or failure to find
-    neighbours returns None.  Each depth's lifts come from one reading of the
-    base (``_node``), which certifies all of them or none, so no lift is read.
-    """
-    lo = max(2, pt.k // 2)
-    values = set()
-    for depth in (lo, lo + 1):
-        if depth >= pt.k:
-            return None
-        own = pt.reduce(depth + 1).coords
-        n, lift, _ = _node(s, pt.reduce(depth))[1]()
-        got = 0
-        for child in map(lift, range(n)):
-            if child.cert is None or child.coords == own:
-                continue
-            refined = newton_refine(s, child, depth + 8)
-            value = _eval_reps(s, tag, refined, None)
-            if value is not None:
-                values.add(value)
-                got += 1
-            if got >= 2 or len(values) > 1:
-                break
-        if got == 0 or len(values) > 1:
-            return None
-    return values.pop()
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +247,9 @@ class PlaceImage:
         if self.detail:
             ev["detail"] = self.detail
         return {"image": image, "evidence": ev}
+
+
+REAL_PLACE_IMAGE = PlaceImage(frozenset({ZERO}), "theorem", "p > 0: trivial at the real place")
 
 
 def _theorem_image(s: SubfamilySurface, tag: str, q: int) -> PlaceImage | None:
@@ -658,14 +609,12 @@ def _flip_pair(s, ctx, flip_y: bool, flip_z: bool):
             raise _InsolubleAtP(f"X(Q_{s.p}) empty: no primitive solutions mod {s.p}^{verdict.level}") from exc
         raise
     for pt in pts:
-        flipped = _flip_point(pt, flip_y, flip_z)
-        try:
-            v1 = evaluate_invariant(s, "B", pt)
-            pt2 = normalize_residue_tuple(s.p, pt.k, flipped)
-            v2 = evaluate_invariant(s, "B", pt2)
-        except IndeterminateEvaluationError:
+        v1 = _point_values(s, pt, None)[1]
+        if v1 is None:
             continue
-        if v1 != v2:
+        pt2 = normalize_residue_tuple(s.p, pt.k, _flip_point(pt, flip_y, flip_z))
+        v2 = _point_values(s, pt2, None)[1]
+        if v2 is not None and v1 != v2:
             return "B", pt.coords, pt2.coords, pt.k
     raise _ConstructionDegenerate("sign flip did not separate on any sampled point")
 
@@ -870,9 +819,7 @@ def bm_verdict(s: SubfamilySurface, sample_budget: int = 64, seed: int = 0) -> O
     ``everywhere_locally_soluble`` decides is relevant (both leave out those
     where p is a square in Q_q), and each has a certified point or raises.
     """
-    images: dict[str, dict[str, PlaceImage]] = {
-        tag: {"oo": PlaceImage(frozenset({ZERO}), "theorem", "p > 0: trivial at the real place")}
-        for tag in CLASS_TAGS}
+    images: dict[str, dict[str, PlaceImage]] = {tag: {"oo": REAL_PLACE_IMAGE} for tag in CLASS_TAGS}
     places = relevant_places(s)  # validates s
     for q in places:
         for tag, img in invariant_image(s, q, sample_budget=sample_budget, seed=seed).items():
@@ -938,7 +885,7 @@ def reciprocity_check(s: SubfamilySurface, point) -> bool:
     (each factored once), and at the real place since p > 0.  They are also
     trivial wherever p is a square in Q_q (``_prime_is_square_at``), so every
     representative gives 0 (A and B stay determinate at rational points, see
-    ``_direct_value``).  One evaluation per remaining place gives A, B and C
+    ``_exact_values``).  One evaluation per remaining place gives A, B and C
     and runs the Klein-four check there.  The caller validates s, as
     ``point_search`` does: this runs once per point.
     """
@@ -957,8 +904,14 @@ def reciprocity_check(s: SubfamilySurface, point) -> bool:
 
 def _exact_values(s: SubfamilySurface, point, q: int) -> tuple:
     """A, B and C at a rational point on s and the finite place q, from one
-    reading.  A and B are determinate there (see ``_direct_value``), hence so
-    is C = A + B; an indeterminate class is an error, never skipped."""
+    reading.  A and B are determinate there, hence so is C = A + B, and an
+    indeterminate class is an error, never skipped.  (C2) gives M (AD - BC)
+    != 0, and a zero among A..D would make the (C1) value a square and so
+    N = 0; hence ABCD != 0.  A's four representatives then vanish together
+    only where u = v = 0, which forces x = y = z = 0 as p is not a square.
+    B's vanish together only where y = z = 0; there Muv = (Au+Bv)(Cu+Dv)
+    with uv != 0, so v/u is a rational root of BD t^2 + (AD+BC-M) t + AC,
+    whose discriminant p N^2 is not a square."""
     values = _point_values(s, point, Place.proved(q))  # q is 2, the validated p or from factor
     if None in values:
         tag = CLASS_TAGS[values.index(None)]

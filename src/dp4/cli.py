@@ -22,6 +22,7 @@ from fractions import Fraction
 from .arith import FactorBudgetExceeded
 from .brauer import (
     CLASS_TAGS,
+    REAL_PLACE_IMAGE,
     IndeterminateEvaluationError,
     bm_verdict,
     invariant_image,
@@ -65,6 +66,16 @@ def _to_int(x, field: str) -> int:
         return int(x)
     except ValueError as exc:
         raise InputError(f"field {field!r}: {exc}") from exc
+
+
+def _place_arg(text: str | None):
+    """The --place value: None, "oo" or an integer; anything else is an input error."""
+    if text is None or text == "oo":
+        return text
+    try:
+        return int(text)
+    except ValueError:
+        raise InputError(f"--place must be a prime or 'oo', got {text!r}") from None
 
 
 def _spec_fields(data: dict, family: str, keys) -> list[int]:
@@ -201,28 +212,31 @@ def cmd_classify(args) -> int:
 
 
 def cmd_solubility(args) -> int:
+    place = _place_arg(args.place)
     surface = parse_surface_spec(args.spec)
     general = isinstance(surface, GeneralSurface)
     if not general:
         validate_subfamily(surface)
-    if args.place is None:
+    if place is None:
         rep = (everywhere_locally_soluble_general(surface) if general
                else everywhere_locally_soluble(surface))
         _emit(rep.to_json(), args)
         return EXIT_INCONCLUSIVE if rep.everywhere_soluble is None else EXIT_OK
-    if general and args.place != "oo":  # a singular pencil is still decided at the real place
+    if general and place != "oo":  # a singular pencil is still decided at the real place
         validate_pencil(surface)
-    verdict = decide_R(surface) if args.place == "oo" else decide_Qq(surface, int(args.place))
+    verdict = decide_R(surface) if place == "oo" else decide_Qq(surface, place)
     _emit(verdict.to_json(), args)
     return EXIT_INCONCLUSIVE if verdict.status == "inconclusive" else EXIT_OK
 
 
 def cmd_invariants(args) -> int:
+    place = _place_arg(args.place)
     surface = parse_surface_spec(args.spec)
     if not isinstance(surface, SubfamilySurface):
         raise InputError("invariants need the split two-form shape")
-    places = relevant_places(surface) if args.place is None else [int(args.place)]
-    images = {q: invariant_image(surface, q, sample_budget=args.samples, seed=args.seed)
+    places = relevant_places(surface) if place is None else [place]
+    images = {q: dict.fromkeys(CLASS_TAGS, REAL_PLACE_IMAGE) if q == "oo"
+              else invariant_image(surface, q, sample_budget=args.samples, seed=args.seed)
               for q in places}
     entries = [{"class": tag, "place": str(q), **images[q][tag].to_json()}
                for tag in CLASS_TAGS for q in places]
@@ -388,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("invariants", parents=[output, sampling],
                        help="invariant images per class per place")
     p.add_argument("spec")
-    p.add_argument("--place", default=None)
+    p.add_argument("--place", default=None, help="a prime, or 'oo'")
     p.set_defaults(fn=cmd_invariants)
 
     p = sub.add_parser("search", parents=[output, searching], help="rational points up to the height bound")

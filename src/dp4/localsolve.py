@@ -354,12 +354,9 @@ def iter_residue_points(surface, q: int, rng: random.Random | None = None):
 
 def newton_refine(surface, pt: PadicApproxPoint, target_k: int) -> PadicApproxPoint:
     """Refine a certified point to precision target_k (Newton on two coordinates);
-    ValueError unless pt solves both equations mod q^k, as lifts refined unread must."""
+    ValueError unless pt is certified and solves both equations mod q^k, as lifts refined unread must."""
     if pt.cert is None:
-        cert = lift_certificate(surface, pt)
-        if cert is None:
-            raise ValueError("point carries no lift certificate")
-        pt = PadicApproxPoint(pt.q, pt.k, pt.coords, pt.pinned, cert)
+        raise ValueError("point carries no lift certificate")
     q, e = pt.q, pt.cert.e
     f1, f2 = surface.equations(pt.coords)
     if f1 % q ** pt.k or f2 % q ** pt.k:

@@ -11,7 +11,7 @@ from fractions import Fraction
 from dp4.arith import PLACE_INF, Place, factor, hilbert_symbol, is_prime, legendre, sqrt_mod
 from dp4.brauer import (
     IndeterminateEvaluationError,
-    _direct_value,
+    _eval_reps,
     bm_verdict,
     evaluate_invariant,
     invariant_image,
@@ -180,7 +180,7 @@ def test_criterion_5_witness_pair_property_suite():
     assert "case 3" in blob
     assert any(f"case {n} ->" in blob for n in (5, 6, 7, 8))
     # Klein-four identity at sampled points of a representative subset, with
-    # C from its own full direct path rather than derived from A and B
+    # C read from its own representatives rather than derived from A and B
     rng = random.Random(5)
     for s in rng.sample(surfaces, 6):
         checked = 0
@@ -190,7 +190,7 @@ def test_criterion_5_witness_pair_property_suite():
                 b = evaluate_invariant(s, "B", pt)
             except IndeterminateEvaluationError:
                 continue
-            c = _direct_value(s, "C", pt, None)
+            c = _eval_reps(s, "C", pt, None)
             if c is None:
                 continue
             assert (a + b) % 1 == c, (s, pt)

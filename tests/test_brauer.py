@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,6 @@ from dp4.brauer import (
     CLASS_TAGS,
     IndeterminateEvaluationError,
     WitnessSearchError,
-    _direct_value,
     _eval_reps,
     bm_verdict,
     class_representations,
@@ -144,12 +144,10 @@ def test_point_values_agree_with_hilbert_symbol_on_written_out_representatives(m
     # representatives give, None included: at sampled points reduced to
     # precisions 1, 2, 3 and full, and at exact points on the loci u = 0,
     # Au + Bv = 0 and z = y, where it must also raise exactly where they
-    # disagree (most of these integer tuples are not on the surface)
-    def no_refinement(*args):
-        raise ValueError("refinement switched off")
-
-    monkeypatch.setattr(brauer, "newton_refine", no_refinement)
-    monkeypatch.setattr(brauer, "_eval_by_local_constancy", lambda *args: None)
+    # disagree (most of these integer tuples are not on the surface); the
+    # theorem that makes every class 0 where p is a square in Q_q is
+    # switched off, as the written-out representatives know nothing of it
+    monkeypatch.setattr(brauer, "_prime_is_square_at", lambda p, q: False)
     counts = {"value": 0, "None": 0, "raises": 0}
     for s in (Y_13_2_6, S_13, CASE_PATTERN_SURFACES["case2"]):
         box = [c for c in itertools.product(range(-2, 3), repeat=5)
@@ -243,8 +241,8 @@ def test_invariant_B_flip_for_3mod4():
 
 
 def test_klein_four_identity():
-    # C's own full direct path (refinement, then the local-constancy
-    # fallback), not evaluate_invariant, which derives C from A and B
+    # C's own representatives, not evaluate_invariant, which derives C from
+    # A and B
     checked = 0
     for s in (Y_13_2_6, S_13, CASE_PATTERN_SURFACES["case4"]):
         for q in (2, s.p):
@@ -254,7 +252,7 @@ def test_klein_four_identity():
                     b = evaluate_invariant(s, "B", pt)
                 except IndeterminateEvaluationError:
                     continue
-                c = _direct_value(s, "C", pt, None)
+                c = _eval_reps(s, "C", pt, None)
                 if c is None:
                     continue
                 assert (a + b) % 1 == c
@@ -362,32 +360,26 @@ P_1_MOD_8 = [make_Y(17, 2, 8), make_Y(89, 2, 44), make_Y(233, 1, 232)]
 def test_places_where_p_is_a_square_at_2_are_not_sampled(monkeypatch):
     # p = 1 mod 8 makes p a square in Q_2, so every class is 0 there by
     # theorem: bm_verdict samples nothing at 2 (where every representative
-    # vanishes at (0:0:1:sqrt(p):+-sqrt(p))) and needs no local constancy
-    sampled, constancy, exact = [], [], []
-    real_sampler, real_constancy, real_exact = (
-        brauer.sample_local_points, brauer._eval_by_local_constancy, brauer._exact_values)
+    # vanishes at (0:0:1:sqrt(p):+-sqrt(p)))
+    sampled, exact = [], []
+    real_sampler, real_exact = brauer.sample_local_points, brauer._exact_values
 
     def sampler(s, q, *args, **kwargs):
         sampled.append(q)
         return real_sampler(s, q, *args, **kwargs)
-
-    def local_constancy(*args):
-        constancy.append(args)
-        return real_constancy(*args)
 
     def exact_values(s, point, q):
         exact.append(q)
         return real_exact(s, point, q)
 
     monkeypatch.setattr(brauer, "sample_local_points", sampler)
-    monkeypatch.setattr(brauer, "_eval_by_local_constancy", local_constancy)
     monkeypatch.setattr(brauer, "_exact_values", exact_values)
     points = 0
     for s in P_1_MOD_8:
         assert relevant_places(s)[0] == s.p and 2 not in everywhere_locally_soluble(s).decided_places
         sampled.clear()
         report = bm_verdict(s)
-        assert 2 not in sampled and sampled and constancy == [], s
+        assert 2 not in sampled and sampled, s
         assert (report.hp_obstructed_by, report.wa_failure) == ((), True), s
         assert all("2" not in report.images[tag] for tag in CLASS_TAGS), s
         exact.clear()
@@ -398,27 +390,39 @@ def test_places_where_p_is_a_square_at_2_are_not_sampled(monkeypatch):
     assert points == 10
 
 
-def test_local_constancy_reads_each_base_once(monkeypatch):
-    # (0:0:1:sqrt(89):sqrt(89)) mod 2^14 lies where every representative of A
-    # and B vanishes; its neighbours come from one reading per depth
+def test_an_undecided_class_is_zero_where_p_is_a_square(monkeypatch):
+    # (0:0:1:sqrt(89):sqrt(89)) mod 2^14 lies where every representative of
+    # A, B and C vanishes; 89 = 1 mod 8 is a square in Q_2, so each class is
+    # 0 there by theorem, with no residue node read and no Newton step
     s = make_Y(89, 2, 44)
     pt = localsolve.PadicApproxPoint(2, 14, (0, 0, 1, 12379, 4005), 2)
-    assert brauer._eval_reps(s, "A", pt, None) is None and brauer._eval_reps(s, "B", pt, None) is None
-    reads = []
-    real_node = brauer._node
+    assert all(_eval_reps(s, tag, pt, None) is None for tag in CLASS_TAGS)
+    walk = {localsolve._node.__code__, localsolve.newton_refine.__code__}
+    calls = []
 
-    def node(surface, base):
-        reads.append(base.k)
-        return real_node(surface, base)
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in walk:
+            calls.append(frame.f_code.co_name)
 
-    def no_certificate(*args):
-        raise AssertionError("a lift was read for its certificate")
+    sys.setprofile(profile)
+    try:
+        values = brauer._point_values(s, pt, None)
+    finally:
+        sys.setprofile(None)
+    assert values == (ZERO, ZERO, ZERO) and calls == []
+    assert [evaluate_invariant(s, tag, pt) for tag in CLASS_TAGS] == [ZERO, ZERO, ZERO]
+    # without the theorem nothing decides the classes there
+    monkeypatch.setattr(brauer, "_prime_is_square_at", lambda p, q: False)
+    assert brauer._point_values(s, pt, None) == (None, None, None)
+    with pytest.raises(IndeterminateEvaluationError, match="class A indeterminate"):
+        evaluate_invariant(s, "A", pt)
 
-    monkeypatch.setattr(brauer, "_node", node)
-    monkeypatch.setattr(brauer, "lift_certificate", no_certificate)
-    monkeypatch.setattr(localsolve, "lift_certificate", no_certificate)
-    assert [brauer._eval_by_local_constancy(s, tag, pt) for tag in "AB"] == [ZERO, ZERO]
-    assert len(reads) <= 4
+
+def test_evaluate_invariant_rejects_an_unknown_class_tag():
+    local = sample_local_points(Y_13_2_6, 13, 1, 8, seed=5)[0]
+    for point, v in ((local, None), ((1, 0, 0, 0, 1), Place(13)), ((1, 0, 0, 0, 1), PLACE_INF)):
+        with pytest.raises(ValueError, match="unknown class tag 'D'"):
+            evaluate_invariant(Y_13_1_12 if v else Y_13_2_6, "D", point, v)
 
 
 def test_rational_point_repairs_an_undersampled_image(monkeypatch):
@@ -848,20 +852,20 @@ def test_reciprocity_evaluates_each_class_once_per_finite_place(monkeypatch):
     # where both are determinate); the real place is skipped, every class
     # symbol there being (p, *) with p > 0
     calls = []
-    real = brauer._direct_value
+    real = brauer._eval_reps
 
     def counting(s, tag, point, v):
         calls.append((tag, v))
         return real(s, tag, point, v)
 
-    monkeypatch.setattr(brauer, "_direct_value", counting)
+    monkeypatch.setattr(brauer, "_eval_reps", counting)
     for surface, point in [(Y_13_1_12, (1, 0, 0, 0, 1)), (Y_13_12_1, (1, -3, 2, 7, 16)),
                            (SubfamilySurface(3, -4, 1, 1, -4, 1), (1, 4, 0, 2, 0))]:
         calls.clear()
         assert reciprocity_check(surface, point)
         places = {v for _, v in calls}
         assert {Place(2), Place(surface.p)} <= places and PLACE_INF not in places
-        assert sorted(calls, key=str) == sorted(((tag, v) for tag in "AB" for v in places), key=str)
+        assert sorted(calls, key=str) == sorted(((tag, v) for tag in "ABC" for v in places), key=str)
 
 
 def test_reciprocity_proves_no_place_prime_again(monkeypatch):

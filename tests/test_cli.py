@@ -182,6 +182,24 @@ def test_cli_invariants_rejects_non_prime_place(capsys, place):
     assert out == "" and err == f"input error: {place} is not prime\n"
 
 
+@pytest.mark.parametrize("command", ["invariants", "solubility"])
+def test_cli_place_is_a_prime_or_oo(capsys, command):
+    code, out, err = run_cli(capsys, command, '{"family": "Y", "p": 13, "a": 1, "b": 12}', "--place", "x")
+    assert code == 2 and out == ""
+    assert err == "input error: --place must be a prime or 'oo', got 'x'\n"
+
+
+def test_cli_invariants_at_the_real_place_are_theorems(capsys):
+    code, out, _ = run_cli(capsys, "invariants", '{"family": "Y", "p": 13, "a": 1, "b": 12}', "--place", "oo")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["entries"] == [
+        {"class": tag, "place": "oo", "image": ["0"],
+         "evidence": {"kind": "theorem", "detail": "p > 0: trivial at the real place"}}
+        for tag in "ABC"]
+    assert payload["witness"]["class"] == "B"
+
+
 def test_cli_invariants_place_checks_the_surface_conditions(capsys):
     # Y_13_2_6 with M = 2 violates (C1); an explicit place must not skip the check
     spec = '{"family": "subfamily", "p": 13, "A": 2, "B": -13, "C": 1, "D": -6, "M": 2}'
@@ -330,6 +348,19 @@ def test_relative_imports_follow_the_layers():
                 upward += [f"{path.name}:{node.lineno} imports {name}" for name in names
                            if name.split(".")[0] == "dp4"]
     assert upward == [] and nested == []
+
+
+def test_only_localsolve_reads_residue_nodes():
+    # the residue-tree walk stays inside localsolve: no other module imports,
+    # calls or otherwise names its node reader ``_node``
+    src = Path(__file__).resolve().parents[1] / "src" / "dp4"
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(src.glob("*.py")) if path.stem != "localsolve"
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if (isinstance(node, ast.Name) and node.id == "_node")
+             or (isinstance(node, ast.Attribute) and node.attr == "_node")
+             or (isinstance(node, ast.alias) and "_node" in (node.name, node.asname))]
+    assert found == []
 
 
 def test_library_has_no_floating_point():

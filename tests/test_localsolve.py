@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -403,7 +404,7 @@ def test_newton_refinement_doubles_residual_valuation():
         cert = lift_certificate(Y_13_2_6, pt)
         if cert is None:
             continue
-        refined = newton_refine(Y_13_2_6, pt, 2 * (pt.k - cert.e) + cert.e)
+        refined = newton_refine(Y_13_2_6, replace(pt, cert=cert), 2 * (pt.k - cert.e) + cert.e)
         mod = 3 ** refined.k
         assert Y_13_2_6.eq1(refined.coords) % mod == 0
         assert Y_13_2_6.eq2(refined.coords) % mod == 0
