@@ -40,10 +40,11 @@ from .arith import (
 from .localsolve import (
     PadicApproxPoint,
     SamplingBudgetError,
+    _sample_points,
     decide_Qq,
     lift_certificate,
+    newton_refine,
     normalize_residue_tuple,
-    sample_local_points,
 )
 from .families import family_of, point_search, predict_S, predict_Y
 from .quadform import SubfamilySurface, normalize_point, validate_subfamily
@@ -134,25 +135,40 @@ class _Reading:
     representative then has v_q(f) <= room, and only those factors get
     signs[i] = (p, f)_q, from f's unit (mod 8 at 2), the others 0.  By
     bimultiplicativity (p, n/d)_q is the product of its factors' signs.
+
+    A certified pt below the target ``precision`` is read mod q^m, m = k - e:
+    if every factor has v_q(f) <= m - 1 there (m - 3 at 2), with the target's
+    room, else as P = newton_refine(pt, precision).  Either way it is P's
+    reading.  Newton moves only the certificate's two coordinates, each step
+    by a multiple of q^(k - e), and normalisation divides by a unit that is 1
+    mod q^(k - e), so P = pt mod q^m.  Each factor, a linear form in the
+    coordinates or a constant, then agrees mod q^m at P and at pt, and one of
+    valuation w <= m - 1 keeps its valuation and its unit mod q (mod 8 when
+    w <= m - 3 at 2).
     """
 
-    def __init__(self, s: SubfamilySurface, point, v: Place | None):
+    def __init__(self, s: SubfamilySurface, point, v: Place | None, precision: int = 0):
         local = isinstance(point, PadicApproxPoint)
         coords, q = (point.coords, point.q) if local else (point, v.q)
-        mod = 8 if q == 2 else q
+        mod, slack = (8, 3) if q == 2 else (q, 1)
         val_p = valuation(s.p, q)
         unit_p = s.p // q ** val_p % mod
+        short = local and point.k < precision
+        k = point.k - point.cert.e if short else point.k if local else 0
         self.point, self.q = point, q
-        self.room = room = point.k - (3 if q == 2 else 1) if local else sys.maxsize
+        self.room = room = k - slack if local else sys.maxsize
         self.vals, self.signs = vals, signs = [room + 1] * 7, [0] * 7
-        qk = q ** point.k if local else 0
         for i, f in enumerate(_factor_values(s, coords).values()):
             if local:
-                f %= qk
+                f %= q ** k
             if f:
                 vals[i] = val = valuation(f, q)
                 if val <= room:
                     signs[i] = hilbert_valunit(q, val_p, unit_p, val, f // q ** val % mod)
+        if short and max(vals) > room:  # a factor needs more digits than pt carries
+            self.__init__(s, newton_refine(s, point, precision), v)
+        elif short:
+            self.room = precision - slack
 
 
 def _eval_reps(s: SubfamilySurface, tag: str, point, v: Place | None) -> Fraction | None:
@@ -205,16 +221,17 @@ def evaluate_invariant(s: SubfamilySurface, tag: str, point, v=None) -> Fraction
     return value
 
 
-def _point_values(s, point, v) -> tuple:
+def _point_values(s, point, v, precision: int = 0) -> tuple:
     """Values of A, B and C at the point, None where a class is indeterminate.
 
-    All three come from one reading of the point.  A class that the reading
-    leaves undecided where p is a square in Q_q (``_prime_is_square_at``) is
-    0, every symbol (p, f)_q being 1 there.  C = A + B wherever A and B are
+    All three come from one reading of the point (``_Reading``, with the
+    target ``precision`` of a sample), or ``point`` is one.  A class that the
+    reading leaves undecided where p is a square in Q_q
+    (``_prime_is_square_at``) is 0, every symbol (p, f)_q being 1 there.  C = A + B wherever A and B are
     determinate, checked against C's own determinate representatives (the
     Klein-four identity); elsewhere C is read from its own representatives.
     """
-    reading = _Reading(s, point, v)
+    reading = point if isinstance(point, _Reading) else _Reading(s, point, v, precision)
     a = _eval_reps(s, "A", reading, v)
     b = _eval_reps(s, "B", reading, v)
     own = _eval_reps(s, "C", reading, v)
@@ -224,7 +241,7 @@ def _point_values(s, point, v) -> tuple:
         a, b = a or ZERO, b or ZERO
     c = ZERO if a == b else HALF
     if own is not None and own != c:
-        raise AssertionError(f"Klein-four identity fails at {point}, place {v or point.q}")
+        raise AssertionError(f"Klein-four identity fails at {reading.point}, place {v or reading.q}")
     return a, b, c
 
 
@@ -286,7 +303,7 @@ def invariant_image(s: SubfamilySurface, q: int, sample_budget: int = 64,
     validate_subfamily(s)
     precision = 14 if q == 2 else 8
     try:
-        points = sample_local_points(s, q, sample_budget, precision, seed=seed)
+        points = _sample_points(s, q, sample_budget, precision, seed=seed)
     except SamplingBudgetError as exc:
         if not exc.points and (verdict := decide_Qq(s, q)).status == "insoluble":
             raise ValueError(f"{s.label()} is insoluble at {q}: no primitive solutions mod {q}^{verdict.level}") from exc
@@ -296,7 +313,7 @@ def invariant_image(s: SubfamilySurface, q: int, sample_budget: int = 64,
     values = {tag: set() for tag in CLASS_TAGS}
     evaluated = dict.fromkeys(CLASS_TAGS, 0)
     for pt in points:
-        for tag, value in zip(CLASS_TAGS, _point_values(s, pt, None)):
+        for tag, value in zip(CLASS_TAGS, _point_values(s, pt, None, precision)):
             if value is not None and len(values[tag]) < 2:
                 values[tag].add(value)
                 evaluated[tag] += 1
@@ -599,22 +616,27 @@ def _linear_map_back(p, A, B, C, D, k, scaled_v: bool):
 
 
 def _flip_pair(s, ctx, flip_y: bool, flip_z: bool):
-    """A sampled point and its sign flip; the flip changes inv_p of class B.  A
-    short sample re-raises: a certified point proves X(Q_p) nonempty, and with
-    none one ``decide_Qq`` at p either proves X(Q_p) empty or leaves the budget."""
+    """A sampled point and its sign flip; the flip changes inv_p of class B
+    and permutes the factors' valuations, so both are read at the point's
+    level (``_Reading``) and only the point returned is refined.  A short
+    sample re-raises: a certified point proves X(Q_p) nonempty, and with none
+    one ``decide_Qq`` at p either proves X(Q_p) empty or leaves the budget."""
     try:
-        pts = sample_local_points(s, s.p, 24, ctx.precision, seed=ctx.rng.randint(0, 10 ** 6))
+        pts = _sample_points(s, s.p, 24, ctx.precision, seed=ctx.rng.randint(0, 10 ** 6))
     except SamplingBudgetError as exc:
         if not exc.points and (verdict := decide_Qq(s, s.p, budget=400_000)).status == "insoluble":
             raise _InsolubleAtP(f"X(Q_{s.p}) empty: no primitive solutions mod {s.p}^{verdict.level}") from exc
         raise
     for pt in pts:
-        v1 = _point_values(s, pt, None)[1]
+        reading = _Reading(s, pt, None, ctx.precision)
+        v1 = _point_values(s, reading, None)[1]
         if v1 is None:
             continue
-        pt2 = normalize_residue_tuple(s.p, pt.k, _flip_point(pt, flip_y, flip_z))
-        v2 = _point_values(s, pt2, None)[1]
+        pt = reading.point  # refined if a factor needed more digits
+        v2 = _point_values(s, replace(pt, coords=_flip_point(pt, flip_y, flip_z)), None, ctx.precision)[1]
         if v2 is not None and v1 != v2:
+            pt = newton_refine(s, pt, ctx.precision) if pt.k < ctx.precision else pt
+            pt2 = normalize_residue_tuple(s.p, pt.k, _flip_point(pt, flip_y, flip_z))
             return "B", pt.coords, pt2.coords, pt.k
     raise _ConstructionDegenerate("sign flip did not separate on any sampled point")
 

@@ -78,6 +78,14 @@ def _place_arg(text: str | None):
         raise InputError(f"--place must be a prime or 'oo', got {text!r}") from None
 
 
+def _plist_arg(text: str | None) -> list[int]:
+    """The --plist primes, 13,29,37,53 by default; anything but comma-separated integers is an input error."""
+    try:
+        return [13, 29, 37, 53] if text is None else [int(p) for p in text.split(",")]
+    except ValueError:
+        raise InputError(f"--plist must be comma-separated primes, got {text!r}") from None
+
+
 def _spec_fields(data: dict, family: str, keys) -> list[int]:
     """The integer fields ``keys`` of a family spec, in order."""
     out = []
@@ -266,9 +274,8 @@ def cmd_census(args) -> int:
         result = census_Y(100 if args.pmax is None else args.pmax, height_bound=args.height,
                           sample_budget=args.samples, seed=args.seed, jobs=args.jobs)
     else:
-        p_list = [13, 29, 37, 53] if args.plist is None else [int(p) for p in args.plist.split(",")]
-        result = census_S(p_list, t_count=3 if args.tcount is None else args.tcount, height_bound=args.height,
-                          sample_budget=args.samples, seed=args.seed, jobs=args.jobs)
+        result = census_S(_plist_arg(args.plist), t_count=3 if args.tcount is None else args.tcount,
+                          height_bound=args.height, sample_budget=args.samples, seed=args.seed, jobs=args.jobs)
     if args.format == "json":
         print(json.dumps({"header": result.header}, sort_keys=True))
         for row in result.rows:

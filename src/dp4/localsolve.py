@@ -851,7 +851,15 @@ def sample_local_points(surface, q: int, count: int, precision: int,
                         seed: int = 0) -> list[PadicApproxPoint]:
     """``count`` certified points at the given precision, distinct as residue
     tuples mod q^precision: two lifts of one node can refine to two of them
-    that approximate the same Q_q point.
+    that approximate the same Q_q point.  ``_sample_points``' list, refined."""
+    return [newton_refine(surface, pt, precision) if pt.k < precision else pt
+            for pt in _sample_points(surface, q, count, precision, seed)]
+
+
+def _sample_points(surface, q: int, count: int, precision: int, seed: int = 0) -> list[PadicApproxPoint]:
+    """The sample of ``sample_local_points`` before its last refinement: a
+    call that ends in pass 1 returns its certified level-1 points unrefined,
+    so that a reader can take each at the level its certificate places it.
 
     Stratified: one point per level-1 residue class that is certified at once,
     the classes drawn lazily in seeded random order until ``count`` points are
@@ -873,7 +881,7 @@ def sample_local_points(surface, q: int, count: int, precision: int,
     ``iter_residue_points``) the level-1 set is never exhausted, so pass 1
     draws at most SAMPLING_BUDGET classes there and then raises
     EnumerationBudgetError; falling short otherwise raises
-    SamplingBudgetError with the points found as ``.points``.  Takes
+    SamplingBudgetError with the points found, refined, as ``.points``.  Takes
     subfamily surfaces and general pencils.  Deterministic for a fixed seed.
     """
     if count == 0:
@@ -892,7 +900,8 @@ def sample_local_points(surface, q: int, count: int, precision: int,
             seen.add(refined.coords)
             out.append(refined)
 
-    # pass 1: one certified point per level-1 class where immediately possible
+    # pass 1: one certified point per level-1 class where immediately possible, kept
+    # unrefined: refinement keeps it mod q^(k - e) = q, so no two refine to one tuple
     for pt in iter_residue_points(surface, q, rng):
         if q > _enumeration_budget(surface) and len(certified) + len(pending) >= budget:
             raise EnumerationBudgetError(
@@ -901,10 +910,12 @@ def sample_local_points(surface, q: int, count: int, precision: int,
         if cert is None:
             pending.append(lifts)
         else:
-            try_collect(PadicApproxPoint(pt.q, pt.k, pt.coords, pt.pinned, cert))
+            out.append(PadicApproxPoint(pt.q, pt.k, pt.coords, pt.pinned, cert))
             certified.append(lifts)
             if len(out) >= count:
                 return out
+    out[:] = [newton_refine(surface, pt, precision) for pt in out]
+    seen.update(pt.coords for pt in out)
     # pass 2: depth-first search below the level-1 classes.  Lifts are drawn
     # lazily, so a node with a full digit space of q^4 lifts costs only the
     # lifts inspected.  Round-robin with a per-class share first, so that no

@@ -172,12 +172,13 @@ def test_point_values_agree_with_hilbert_symbol_on_written_out_representatives(m
 
 def test_one_factor_reading_per_point_and_place(monkeypatch):
     # A, B and C, the disagreement check and the Klein-four check come from
-    # one reading of the seven factors per sampled point (A and B are
-    # determinate at every point sampled here); reciprocity_check reads them
-    # once to find its places and once per place
-    reads, sampled, places = [0], [0], []
-    real_factors, real_sampler, real_values = (
-        brauer._factor_values, brauer.sample_local_points, brauer._point_values)
+    # one reading of the seven factors per sampled point, and one more for
+    # each point that the reading refines (A and B are determinate at every
+    # point sampled here); reciprocity_check reads them once to find its
+    # places and once per place
+    reads, sampled, refined, places = [0], [0], [0], []
+    real_factors, real_sampler, real_refine, real_values = (
+        brauer._factor_values, brauer._sample_points, brauer.newton_refine, brauer._point_values)
 
     def factors(s, coords):
         reads[0] += 1
@@ -188,24 +189,89 @@ def test_one_factor_reading_per_point_and_place(monkeypatch):
         sampled[0] += len(points)
         return points
 
-    def point_values(s, point, v):
+    def refine(*args):
+        refined[0] += 1
+        return real_refine(*args)
+
+    def point_values(s, point, v, *precision):
         places.append(v)
-        return real_values(s, point, v)
+        return real_values(s, point, v, *precision)
 
     monkeypatch.setattr(brauer, "_factor_values", factors)
-    monkeypatch.setattr(brauer, "sample_local_points", sampler)
+    monkeypatch.setattr(brauer, "_sample_points", sampler)
+    monkeypatch.setattr(brauer, "newton_refine", refine)
     monkeypatch.setattr(brauer, "_point_values", point_values)
     for s in (Y_13_2_6, S_13):
         for q in relevant_places(s):
-            reads[0] = sampled[0] = 0
+            reads[0] = sampled[0] = refined[0] = 0
             invariant_image(s, q)
-            assert reads[0] == sampled[0] > 0, (s, q)
+            assert reads[0] == sampled[0] + refined[0] and sampled[0] > 0, (s, q)
     for s, point in [(Y_13_1_12, (1, 0, 0, 0, 1)), (Y_13_12_1, (1, -3, 2, 7, 16)),
                      (SubfamilySurface(3, -4, 1, 1, -4, 1), (1, 4, 0, 2, 0))]:
         reads[0] = 0
         places.clear()
         assert reciprocity_check(s, point)
         assert reads[0] == 1 + len(places) and len(places) >= 2, (s, point)
+
+
+READING_LEMMA_SURFACES = [
+    make_Y(13, 2, 6), make_Y(101, 4, 25), make_Y(229, 4, 57), SubfamilySurface(229, 5, 6, 8, 5, -19),
+    SubfamilySurface(13, 3, -2, 2, 1, 27), SubfamilySurface(13, -3, 1, 4, 4, -4),
+    SubfamilySurface(101, -1, 2, 2, -5, -13), SubfamilySurface(101, 1, -4, -1, 5, -13),
+    SubfamilySurface(229, 5, 2, -1, -6, 2), SubfamilySurface(229, 2, -1, 6, 5, -22)]
+
+
+def test_a_sample_is_read_as_its_refinement_is():
+    # a point below the target precision is read mod q^(k - e) where that
+    # fixes every factor's valuation and unit, else refined first: either way
+    # the reading is the refined point's, valuations, signs and room
+    branches = set()
+    for s in READING_LEMMA_SURFACES:
+        for q in relevant_places(s):
+            precision = 14 if q == 2 else 8
+            for pt in localsolve._sample_points(s, q, 16, precision, seed=1):
+                refined = localsolve.newton_refine(s, pt, precision)
+                reading, full = brauer._Reading(s, pt, None, precision), brauer._Reading(s, refined, None)
+                assert (reading.vals, reading.signs, reading.room) == (full.vals, full.signs, full.room)
+                assert brauer._point_values(s, pt, None, precision) == brauer._point_values(s, refined, None)
+                m = pt.k - pt.cert.e
+                vanishes = any(f % q ** m == 0 for f in brauer._factor_values(s, pt.coords).values())
+                if pt.k == precision:  # a pass-2 point, refined by the sampler
+                    branches.add("pass 2, e > 0" if pt.cert.e else "pass 2")
+                elif reading.point is pt:
+                    branches.add("read unrefined")
+                    assert q > 2 and not vanishes
+                else:
+                    assert reading.point == refined and (vanishes or q == 2)
+                    branches.add("refined where a factor vanishes")
+    assert branches >= {"read unrefined", "refined where a factor vanishes", "pass 2, e > 0"}
+
+
+def newton_calls(monkeypatch):
+    """The precisions of the newton_refine calls made after this, in order."""
+    calls, real = [], localsolve.newton_refine
+
+    def counted(s, pt, precision):
+        calls.append(precision)
+        return real(s, pt, precision)
+
+    monkeypatch.setattr(localsolve, "newton_refine", counted)
+    monkeypatch.setattr(brauer, "newton_refine", counted)
+    return calls
+
+
+def test_invariant_image_refines_only_the_points_it_cannot_read(monkeypatch):
+    # 64 level-1 points at 229 are read there; those where a factor
+    # vanishes mod 229 are refined (every point used to be)
+    calls = newton_calls(monkeypatch)
+    invariant_image(make_Y(229, 4, 57), 229)
+    assert 0 < len(calls) <= 4
+
+
+def test_sign_flip_witness_refines_only_the_point_it_returns(monkeypatch):
+    calls = newton_calls(monkeypatch)
+    w = surjectivity_witness(make_Y(229, 2, 114))
+    assert w.point1.k == w.point2.k == 26 and calls.count(26) == 1
 
 
 def test_invariant_A_at_p_is_half_on_obstructed_family_member():
@@ -300,7 +366,7 @@ def test_bm_verdict_samples_each_place_once(monkeypatch):
     # one sample per relevant place serves all three classes, the theorem
     # cross-checks and the Klein-four check; the witness draws its own
     calls, in_witness = [], []
-    real_sampler, real_witness = brauer.sample_local_points, brauer.surjectivity_witness
+    real_sampler, real_witness = brauer._sample_points, brauer.surjectivity_witness
 
     def sampler(s, q, *args, **kwargs):
         if not in_witness:
@@ -314,7 +380,7 @@ def test_bm_verdict_samples_each_place_once(monkeypatch):
         finally:
             in_witness.pop()
 
-    monkeypatch.setattr(brauer, "sample_local_points", sampler)
+    monkeypatch.setattr(brauer, "_sample_points", sampler)
     monkeypatch.setattr(brauer, "surjectivity_witness", witness)
     # the sample of p3mod4 at 2 falls short (60 of 64) and still stands
     for s in (Y_13_2_6, S_13, CASE_PATTERN_SURFACES["p3mod4"]):
@@ -362,7 +428,7 @@ def test_places_where_p_is_a_square_at_2_are_not_sampled(monkeypatch):
     # theorem: bm_verdict samples nothing at 2 (where every representative
     # vanishes at (0:0:1:sqrt(p):+-sqrt(p)))
     sampled, exact = [], []
-    real_sampler, real_exact = brauer.sample_local_points, brauer._exact_values
+    real_sampler, real_exact = brauer._sample_points, brauer._exact_values
 
     def sampler(s, q, *args, **kwargs):
         sampled.append(q)
@@ -372,7 +438,7 @@ def test_places_where_p_is_a_square_at_2_are_not_sampled(monkeypatch):
         exact.append(q)
         return real_exact(s, point, q)
 
-    monkeypatch.setattr(brauer, "sample_local_points", sampler)
+    monkeypatch.setattr(brauer, "_sample_points", sampler)
     monkeypatch.setattr(brauer, "_exact_values", exact_values)
     points = 0
     for s in P_1_MOD_8:
@@ -745,7 +811,7 @@ def test_flip_witness_keeps_an_inconclusive_decision_a_budget(monkeypatch):
     def short(*args, **kwargs):
         raise SamplingBudgetError("short", [])
 
-    monkeypatch.setattr(brauer, "sample_local_points", short)
+    monkeypatch.setattr(brauer, "_sample_points", short)
     monkeypatch.setattr(brauer, "decide_Qq", lambda s, q, budget: SolubilityVerdict(q, "inconclusive"))
     with pytest.raises(SamplingBudgetError, match="short"):
         surjectivity_witness(CASE_PATTERN_SURFACES["p3mod4"])
@@ -760,7 +826,7 @@ def test_flip_witness_decides_nothing_on_a_short_sample_with_points(monkeypatch)
     def short(*args, **kwargs):
         raise SamplingBudgetError("short", found)
 
-    monkeypatch.setattr(brauer, "sample_local_points", short)
+    monkeypatch.setattr(brauer, "_sample_points", short)
     monkeypatch.setattr(brauer, "decide_Qq",
                         lambda s, q, budget: calls.append(q) or SolubilityVerdict(q, "soluble"))
     with pytest.raises(SamplingBudgetError, match="short"):

@@ -490,6 +490,13 @@ def test_cli_census_parses_a_given_plist(capsys):
     assert (code, out) == (2, "") and err.startswith("input error: ")
 
 
+@pytest.mark.parametrize("plist", ["13,x", "", "13,,29"])
+def test_cli_census_plist_errors_name_the_flag(capsys, plist):
+    code, out, err = run_cli(capsys, "census", "--family", "S", "--plist", plist)
+    assert (code, out) == (2, "")
+    assert err == f"input error: --plist must be comma-separated primes, got {plist!r}\n"
+
+
 def test_cli_analyze_general_matrices(capsys):
     bsd = {"matrices": [
         [[0, -1, 0, 0, 0], [-1, 0, 0, 0, 0], [0, 0, 2, 0, 0], [0, 0, 0, -10, 0], [0, 0, 0, 0, 0]],

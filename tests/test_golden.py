@@ -60,6 +60,11 @@ CASES = {
     # the exhaustive walk at 2 reaches its first certified point at level 7,
     # as on the subfamily form (level 11 on the doubled forms)
     "solubility_Y_17_16_1_place2": ["solubility", Y17_SPEC, "--place", "2"],
+    # large p: A-obstructed, through the sign-flip witness with a precision-26 pair
+    "analyze_Y_229_2_114": ["analyze", '{"family": "Y", "p": 229, "a": 2, "b": 114}'],
+    # off-family at large p: sampled images at 2, 23 and 229
+    "analyze_X_229_5_6_8_5_-19": [
+        "analyze", '{"family": "subfamily", "p": 229, "A": 5, "B": 6, "C": 8, "D": 5, "M": -19}'],
 }
 
 

@@ -606,6 +606,20 @@ def test_sampling_spec_examples():
     assert [p.coords for p in rerun] == [p.coords for p in pts]
 
 
+@pytest.mark.parametrize("q, precision, count, level", [(13, 8, 16, 1), (3, 6, 25, 6), (2, 14, 16, 14)])
+def test_public_sample_is_the_private_one_refined(q, precision, count, level):
+    # at 13 the call ends in pass 1 and its points come back unrefined, at
+    # level 1; at 3 the 24 certified level-1 classes fall short (and the
+    # sweep reaches a lift of one that refines to its pass-1 point), and at
+    # 2 there are none, so pass 2 runs and every point comes back refined
+    private = localsolve._sample_points(Y_13_2_6, q, count, precision, seed=5)
+    public = sample_local_points(Y_13_2_6, q, count, precision, seed=5)
+    assert {pt.k for pt in private} == {level}
+    assert public == [newton_refine(Y_13_2_6, pt, precision) if pt.k < precision else pt for pt in private]
+    assert all(pt.k == precision for pt in public) and len({pt.coords for pt in public}) == count
+    assert (q == 2) == any(pt.cert.e > 0 for pt in public)
+
+
 def test_sampling_covers_distinct_residue_classes():
     pts = sample_local_points(Y_13_2_6, 13, 30, 4, seed=1)
     level1 = {tuple(c % 13 for c in p.coords) for p in pts}
