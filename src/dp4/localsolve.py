@@ -822,12 +822,66 @@ def everywhere_locally_soluble(s: SubfamilySurface) -> LocalSolubilityReport:
     return LocalSolubilityReport(tuple(rows), tuple(explicit), s)
 
 
+def _nodal_reduction(quintic, q: int) -> str | None:
+    """The reduction type of a pencil at a prime q > 5 when the theorem of
+    ``everywhere_locally_soluble_general`` applies, else None.
+
+    f(k) = quintic(k, 1), lowest coefficient first, is ``reversed(quintic)``;
+    the root (1 : 0) has multiplicity 5 - deg f.  As q > 5, a root of f has
+    multiplicity at least 3 exactly when it is a root of f, f' and f''.  The
+    double roots, at most two, are those of gcd(f, f') and a (1 : 0) of
+    multiplicity 2.
+    """
+    f = _poly_trim([c % q for c in reversed(quintic)])
+    if len(f) < 4:  # f = 0, or (1 : 0) a root of multiplicity 5 - deg f >= 3
+        return None
+    df = [i * c % q for i, c in enumerate(f)][1:]
+    ddf = [i * c % q for i, c in enumerate(df)][1:]
+    repeated = _poly_gcd(f, df, q)
+    if len(_poly_gcd(repeated, ddf, q)) > 1:
+        return None
+    doubles = len(repeated) - 1 + (len(f) == 4)
+    plural = "s" if doubles > 1 else ""
+    return f"theorem: nodal reduction, the quintic mod q has {doubles} double root{plural} and no triple root"
+
+
 def everywhere_locally_soluble_general(g: GeneralSurface) -> LocalSolubilityReport:
     """Local solubility of a general pencil at every place.
 
     At an odd prime of good reduction (the pencil quintic stays squarefree of
-    degree 5 mod q) the surface has a smooth residue point, so it is soluble;
-    only 2, the small primes, and the primes of bad reduction need deciding.
+    degree 5 mod q) the surface has a smooth residue point, so it is soluble.
+    The candidate primes left are 2, 3, 5 and the primes of bad reduction.
+    A candidate q >= 11 whose quintic mod q is nonzero with no root of
+    multiplicity >= 3 over the algebraic closure (``_nodal_reduction``) is
+    soluble by theorem; every other candidate goes to ``decide_Qq``.
+
+    The theorem.  Let X be the reduction mod q of the content-free quadrics
+    read by the walks; for odd q prime to a quadric's content it is cut out by
+    the reductions of mat1 and mat2, and if q divides a content, that matrix
+    vanishes mod q and (1 : 0) or (0 : 1) is a root of multiplicity 5.
+    - X is geometrically integral.  A quintic nonzero mod q makes X a surface
+      of degree 4; if it is reducible or non-reduced (q odd), a component of
+      degree <= 2 is a plane, or an irreducible quadric surface S spanning a
+      hyperplane H.  A plane lies on every member, and a quadric in P^4 that
+      contains a plane is singular: the quintic is 0 mod q.  Every member
+      contains H or meets it in S, so some member vanishes on H: it has rank
+      <= 2, and a member of rank r is a root of multiplicity >= 5 - r >= 3.
+      (J.-L. Colliot-Thelene, J.-J. Sansuc and P. Swinnerton-Dyer,
+      "Intersections of two quadrics and Chatelet surfaces I", J. reine
+      angew. Math. 373 (1987).)
+    - For odd q the Segre symbol of the pencil classifies X over the
+      algebraic closure.  The symbols whose roots all have multiplicity <= 2
+      are [11111], [2111], [(11)111], [221], [(11)21] and [(11)(11)1]: X has
+      at most 4 singular points, each an A1 node.
+    - The minimal resolution Y of X is a weak del Pezzo surface of degree 4,
+      rational with Pic of rank 6 over the algebraic closure, so
+      #Y(F_q) = q^2 + t q + 1 with |t| <= 6 (Yu. I. Manin, Cubic Forms, §27):
+      #Y(F_q) >= q^2 - 6q + 1.
+    - Y maps isomorphically onto the smooth locus of X away from the
+      exceptional curves, one conic over each node; only a node defined over
+      F_q has a curve with F_q points, at most q + 1 of them.  So X has at
+      least q^2 - 6q + 1 - 4(q + 1) = q^2 - 10q - 3 smooth F_q points, and
+      q^2 - 10q - 3 > 0 once q >= 11.  Hensel lifts one to a Q_q point.
     """
     quintic, res = validate_pencil(g)
     candidates = {2, 3, 5}
@@ -839,7 +893,10 @@ def everywhere_locally_soluble_general(g: GeneralSurface) -> LocalSolubilityRepo
     rows.append(("other odd primes", None,
                  "theorem: good reduction, a residue point exists and is smooth"))
     for q in sorted(candidates):
-        rows.append((str(q), decide_Qq(g, q), ""))
+        # at least q^2 - 10q - 3 smooth F_q points on a nodal reduction, > 0 from q = 11
+        nodal = _nodal_reduction(quintic, q) if q * q - 10 * q - 3 > 0 else None
+        verdict = decide_Qq(g, q) if nodal is None else SolubilityVerdict(q, "soluble", method=nodal)
+        rows.append((str(q), verdict, ""))
     return LocalSolubilityReport(tuple(rows), tuple(sorted(candidates)))
 
 

@@ -83,28 +83,44 @@ def _row_reduce(m) -> tuple[list[list[Fraction]], list[int]]:
     return rows, pivots
 
 
+def _bareiss(m: Matrix) -> tuple[int, int]:
+    """Fraction-free elimination (E. H. Bareiss, Math. Comp. 22 (1968)): the rank and the
+    signed last pivot, which is the determinant of a square matrix of full rank.
+
+    After r pivots each entry below them is the (r+1)-minor on the pivot rows
+    and columns and its own, so the division by the previous pivot is exact;
+    a column with no pivot left is skipped.
+    """
+    a = [list(row) for row in m]
+    n = len(a[0]) if a else 0
+    rank, sign, prev = 0, 1, 1
+    for col in range(n):
+        if rank == len(a):
+            break
+        swap = next((i for i in range(rank, len(a)) if a[i][col]), None)
+        if swap is None:
+            continue
+        if swap != rank:
+            a[rank], a[swap] = a[swap], a[rank]
+            sign = -sign
+        pr = a[rank]
+        for row in a[rank + 1:]:
+            for j in range(col + 1, n):
+                row[j] = (row[j] * pr[col] - row[col] * pr[j]) // prev
+            row[col] = 0
+        prev = pr[col]
+        rank += 1
+    return rank, sign * prev
+
+
 def mat_rank(m: Matrix) -> int:
-    return len(_row_reduce(m)[1])
+    return _bareiss(m)[0]
 
 
 def mat_det(m: Matrix) -> int:
-    """Bareiss fraction-free determinant of a square integer matrix."""
-    a = [list(row) for row in m]
-    n = len(a)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[-1][-1]
+    """The determinant of a square integer matrix, by ``_bareiss``."""
+    rank, last = _bareiss(m)
+    return last if rank == len(m) else 0
 
 
 def left_kernel_basis(rows: list[list[int]]) -> list[list[Fraction]]:
@@ -489,8 +505,12 @@ def discriminant_quintic(g: GeneralSurface) -> list[int]:
 
 
 def binary_form_eval(coeffs: list[int], r: int, t: int) -> int:
-    deg = len(coeffs) - 1
-    return sum(c * r ** (deg - i) * t ** i for i, c in enumerate(coeffs))
+    """sum c_i r^(deg - i) t^i over coeffs = [c_0..c_deg], by Horner's rule in r."""
+    acc, ti = 0, 1
+    for c in coeffs:
+        acc = acc * r + c * ti
+        ti *= t
+    return acc
 
 
 def rational_roots_binary_form(coeffs: list[int]) -> list[tuple[int, int]]:

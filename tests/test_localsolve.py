@@ -908,11 +908,12 @@ def test_general_report_rejects_the_zero_pencil():
 
 
 def test_certificate_draws_decide_a_bad_prime_beyond_the_enumeration_budget(monkeypatch):
-    # 61 divides 1*(-61) - 0*1 and so the pencil discriminant: the quintic has
-    # a repeated root mod 61 > GENERAL_ENUM_BUDGET.  A seeded smooth F_61
-    # point proves solubility there; with no draw left the row is
-    # inconclusive, never insoluble
-    g = GeneralSurface(diag(1, 0, 1, -1, 1), diag(0, 1, 2, 3, -61))
+    # mod 61 > GENERAL_ENUM_BUDGET the quintic k (k + 61 l) (k - 122 l) (3 l - k) l
+    # has the triple root (0 : 1), so 61 is no theorem row: it is decided by
+    # the walk's certificate draws.  A seeded smooth F_61 point proves
+    # solubility there; with no draw left the row is inconclusive, never
+    # insoluble
+    g = GeneralSurface(diag(1, 1, 1, -1, 0), diag(0, 61, -122, 3, 1))
 
     def row61():
         rep = everywhere_locally_soluble_general(g)
@@ -928,10 +929,57 @@ def test_certificate_draws_decide_a_bad_prime_beyond_the_enumeration_budget(monk
     assert rep.everywhere_soluble is None
 
 
+def theorem_test_pencils():
+    """The family pencils of the pencil workload and of make_Y for 13 <= p <= 53,
+    and the smooth pencils among 600 with entries in [-1, 1]."""
+    pencils = [to_matrices(make_Y(p, a, (p - 1) // a))
+               for p in range(13, 54, 4) if is_prime(p) for a in divisors(p - 1)]
+    for p in (5, 13, 29, 37):
+        t0 = 3 * (p - 1) // 4 % 8 or 8
+        pencils += [to_matrices(make_S(*s_from_t(p, t0 + 8 * k))) for k in range(5)]
+    rng = random.Random(11)
+    for _ in range(600):
+        mats = [[[0] * 5 for _ in range(5)] for _ in range(2)]
+        for m in mats:
+            for i, j in itertools.combinations_with_replacement(range(5), 2):
+                m[i][j] = m[j][i] = rng.randint(-1, 1)
+        g = GeneralSurface(*(tuple(map(tuple, m)) for m in mats))
+        if quadform.quintic_partials_resultant(g.quintic):
+            pencils.append(g)
+    return pencils
+
+
+def test_the_nodal_reduction_theorem_agrees_with_the_walk():
+    # at every odd bad prime 11 <= q <= GENERAL_ENUM_BUDGET, where the walk is
+    # exhaustive, a theorem row is soluble by the walk too
+    theorem = walked = 0
+    for g in theorem_test_pencils():
+        quintic, res = quadform.validate_pencil(g)
+        for q in sorted(set(arith.factor(abs(res)))):
+            if 11 <= q <= localsolve.GENERAL_ENUM_BUDGET:
+                nodal = localsolve._nodal_reduction(quintic, q)
+                theorem += nodal is not None
+                walked += nodal is None
+                assert nodal is None or decide_Qq(g, q).soluble, (g, q)
+    assert theorem > 200 and walked > 50
+
+
+def test_a_prime_with_a_triple_root_is_still_walked():
+    # mod 13 the quintic k (k + 13 l) (k - 26 l) (3 l - k) l has the triple
+    # root (0 : 1); mod 23 it has one double root and is a theorem row
+    g = GeneralSurface(diag(1, 1, 1, -1, 0), diag(0, 13, -26, 3, 1))
+    rows = {label: v for label, v, _ in everywhere_locally_soluble_general(g).rows}
+    assert localsolve._nodal_reduction(g.quintic, 13) is None
+    assert rows["13"] == decide_Qq(g, 13) and rows["13"].witness is not None
+    assert (rows["23"].status, rows["23"].witness) == ("soluble", None)
+    assert rows["23"].method == ("theorem: nodal reduction, the quintic mod q has 1 double root "
+                                 "and no triple root")
+
+
 def test_pencils_of_the_second_family_are_decided_at_every_bad_prime():
     # the paper's obstructed S_13_153_179 and the pencil workload's S rows
     # (p in {5, 13, 29, 37}, the first five admissible t): every bad prime
-    # above GENERAL_ENUM_BUDGET is certified soluble, and the verdict agrees
+    # above GENERAL_ENUM_BUDGET is proved soluble, and the verdict agrees
     # with the subfamily path
     surfaces = [make_S(13, 153, 179)]
     for p in (5, 13, 29, 37):

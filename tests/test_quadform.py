@@ -8,6 +8,7 @@ from dp4.arith import SquareClass, square_class
 from dp4.localsolve import validate_pencil
 from dp4.quadform import (
     GeneralSurface,
+    _row_reduce,
     NormalFormSurface,
     SubfamilySurface,
     binary_form_eval,
@@ -226,6 +227,34 @@ def test_rank_matches_minor_oracle():
     for surf in [Y_13_2_6, S_13]:
         for root, rank in degenerate_members(to_matrices(surf)):
             assert rank == minor_rank_oracle(to_matrices(surf).member(*root))
+
+
+def test_rank_matches_fraction_elimination_on_random_integer_matrices():
+    # rectangular shapes, zero rows and rows that are combinations of others
+    rng = random.Random(29)
+    for trial in range(600):
+        n_rows, n_cols = rng.randint(1, 6), rng.randint(1, 6)
+        m = [[rng.randint(-4, 4) for _ in range(n_cols)] for _ in range(n_rows)]
+        if trial % 3 == 1:
+            m[rng.randrange(n_rows)] = [0] * n_cols
+        if n_rows > 2 and trial % 3 == 2:
+            i, j, k = rng.sample(range(n_rows), 3)
+            c = rng.randint(-3, 3)
+            m[i] = [c * a + b for a, b in zip(m[j], m[k])]
+        assert mat_rank(m) == len(_row_reduce(m)[1]), m
+    assert mat_rank(((0, 0, 0), (0, 0, 0))) == 0
+    assert mat_rank(((0, 2, 4), (0, 1, 2), (0, 0, 5))) == 2
+
+
+def test_binary_form_eval_is_the_power_sum():
+    rng = random.Random(31)
+    for _ in range(300):
+        coeffs = [rng.randint(-9, 9) for _ in range(rng.randint(0, 7))]
+        for r, t in ((rng.randint(-6, 6), rng.randint(-6, 6)), (0, rng.randint(-6, 6)),
+                     (rng.randint(-6, 6), 0), (0, 0)):
+            deg = len(coeffs) - 1
+            assert binary_form_eval(coeffs, r, t) == sum(c * r ** (deg - i) * t ** i
+                                                         for i, c in enumerate(coeffs)), (coeffs, r, t)
 
 
 def test_degenerate_members_ranks():
