@@ -20,14 +20,13 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 from .arith import _prime_is_square_at, _sqrt_mod_unchecked, factor, find_nonresidue, is_prime, valuation
 from .quadform import (
     GeneralSurface,
     SubfamilySurface,
     binary_form_eval,
-    mat_det,
+    definite_sign,
     validate_pencil,
     validate_subfamily,
 )
@@ -701,16 +700,26 @@ def decide_R(surface) -> SolubilityVerdict:
     Proc. AMS 15 (1964)).  A member's signature is constant on every arc of
     P^1(R) between the real roots of the pencil quintic, so Sylvester's
     criterion on one member per arc decides.
+
+    The diagonal decides first.  Lemma: if the pairs w_i = (M1_ii, M2_ii) do
+    not all lie in one open half-plane through 0, no member is definite.
+    Proof: a definite member r M1 + t M2 takes the value r M1_ii + t M2_ii =
+    <(r, t), w_i> at e_i, nonzero and of one sign for every i; (r : t) and
+    (-r : -t) are the same member, so some (r, t) has <(r, t), w_i> > 0 for
+    every i, and the w_i lie in the open half-plane it bounds.  (A pair
+    w_i = (0, 0) makes e_i a common real zero.)  They do so iff some w_j sees
+    every w_i at an angle in [0, pi) counterclockwise from it: the cross
+    product w_j x w_i is positive, or zero with a positive dot product.
     """
     if isinstance(surface, SubfamilySurface):
         return SolubilityVerdict(0, "soluble", real_witness="(0:0:1:sqrt(p):sqrt(p))",
                                  method="theorem: real witness")
-    for r, t in _points_on_every_arc(surface.quintic):
-        member = surface.member(r, t)
-        minors = [mat_det([row[:k] for row in member[:k]]) for k in range(1, 6)]
-        if all(d > 0 for d in minors) or all((-1) ** k * d > 0 for k, d in enumerate(minors, 1)):
-            return SolubilityVerdict(0, "insoluble", real_witness=f"({r}:{t})",
-                                     method="definite pencil member")
+    ws = [(surface.mat1[i][i], surface.mat2[i][i]) for i in range(5)]
+    if any(all(a * d > b * c or (a * d == b * c and a * c + b * d > 0) for c, d in ws) for a, b in ws):
+        for r, t in _points_on_every_arc(surface.quintic):
+            if definite_sign(surface.member(r, t)):
+                return SolubilityVerdict(0, "insoluble", real_witness=f"({r}:{t})",
+                                         method="definite pencil member")
     return SolubilityVerdict(0, "soluble", method="theorem: no definite pencil member (Finsler-Calabi)")
 
 
@@ -726,6 +735,8 @@ def _points_on_every_arc(quintic: list[int]) -> list[tuple[int, int]]:
     integer coefficients: each reduction step is scaled by |lc(b)| and each
     negated remainder is divided by its content, positive factors that keep
     every sign.  A zero quintic makes every member singular, so none is listed.
+    A point n / 2^k is held as (n, k): binary_form_eval(g, n, 2^k) has the
+    sign of g there, and only the points returned are reduced.
     """
     f = list(itertools.dropwhile(lambda c: c == 0, quintic))
     if not f:
@@ -742,25 +753,32 @@ def _points_on_every_arc(quintic: list[int]) -> list[tuple[int, int]]:
         content = math.gcd(*rem)
         chain.append([c // content for c in rem])
 
-    def counted(x: Fraction) -> tuple[Fraction, int]:
-        """x with the sign changes of the chain at x, computed once per point."""
-        signs = [v > 0 for v in (binary_form_eval(g, x.numerator, x.denominator) for g in chain) if v]
-        return x, sum(a != b for a, b in zip(signs, signs[1:]))
+    def counted(n: int, k: int) -> tuple[int, int, int]:
+        """n / 2^k with the sign changes of the chain there, computed once per point."""
+        signs = [v > 0 for v in (binary_form_eval(g, n, 1 << k) for g in chain) if v]
+        return n, k, sum(a != b for a, b in zip(signs, signs[1:]))
 
-    bound = Fraction(2 ** (max(abs(c) for c in f) // abs(f[0]) + 1).bit_length())
-    points = [counted(-bound), counted(bound)]
+    bound = 1 << (max(abs(c) for c in f) // abs(f[0]) + 1).bit_length()
+    points = [counted(-bound, 0), counted(bound, 0)]
     pieces = [tuple(points)]
     while pieces:
-        (a, va), (b, vb) = pieces.pop()
+        (a, ka, va), (b, kb, vb) = pieces.pop()
         if va - vb > 1:
-            m = (a + b) / 2
-            while binary_form_eval(f, m.numerator, m.denominator) == 0:
-                m = (a + m) / 2  # a is no root, so this ends
-            points.append(counted(m))
-            pieces += [((a, va), points[-1]), (points[-1], (b, vb))]
+            k = max(ka, kb) + 1
+            m = (a << (k - 1 - ka)) + (b << (k - 1 - kb))  # (a + b) / 2
+            while binary_form_eval(f, m, 1 << k) == 0:
+                m, k = (a << (k - ka)) + m, k + 1  # (a + m) / 2; a is no root, so this ends
+            points.append(counted(m, k))
+            pieces += [((a, ka, va), points[-1]), (points[-1], (b, kb, vb))]
     # no root lies between sorted neighbours with equal counts: one point per run
-    points.sort()
-    return [(x.numerator, x.denominator) for i, (x, v) in enumerate(points) if i == 0 or v != points[i - 1][1]]
+    top = max(k for _, k, _ in points)
+    points.sort(key=lambda point: point[0] << (top - point[1]))
+    out = []
+    for i, (n, k, v) in enumerate(points):
+        if i == 0 or v != points[i - 1][2]:
+            z = min(k, (n & -n).bit_length() - 1) if n else k
+            out.append((n >> z, 1 << (k - z)))
+    return out
 
 
 # ---------------------------------------------------------------------------

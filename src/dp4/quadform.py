@@ -113,6 +113,28 @@ def _bareiss(m: Matrix) -> tuple[int, int]:
     return rank, sign * prev
 
 
+def definite_sign(m: Matrix) -> int:
+    """1 if the symmetric integer matrix m is positive definite, -1 if negative definite, else 0.
+
+    Sylvester's criterion in one pass: without pivoting, the k-th pivot of the
+    fraction-free elimination of ``_bareiss`` is the k-th leading principal
+    minor d_k, and m is definite iff d_k has the sign s^k for s = +-1 the sign
+    of d_1.  The elimination stops at the first zero or wrong-signed pivot.
+    """
+    a = [list(row) for row in m]
+    s = (a[0][0] > 0) - (a[0][0] < 0)
+    prev = 1
+    for k, pr in enumerate(a):
+        pivot = pr[k]
+        if pivot == 0 or (pivot > 0) != (s > 0 or k % 2 == 1):
+            return 0
+        for row in a[k + 1:]:
+            for j in range(k + 1, len(a)):
+                row[j] = (row[j] * pivot - row[k] * pr[j]) // prev
+        prev = pivot
+    return s
+
+
 def mat_rank(m: Matrix) -> int:
     return _bareiss(m)[0]
 
@@ -267,9 +289,9 @@ def validate_pencil(g: GeneralSurface) -> tuple[tuple[int, ...], int]:
     """The pencil quintic and the resultant of its partials (+-5^3 Disc); ValueError
     unless the quintic is squarefree (nonzero, no repeated root): else the surface is singular."""
     quintic = _nonzero_quintic(g)
-    if (res := quintic_partials_resultant(quintic)) == 0:
+    if g.partials_resultant == 0:
         raise ValueError("pencil quintic is not squarefree; the surface is singular")
-    return quintic, res
+    return quintic, g.partials_resultant
 
 
 # ---------------------------------------------------------------------------
@@ -429,6 +451,11 @@ class GeneralSurface:
     def quintic(self) -> tuple[int, ...]:
         """``discriminant_quintic(self)``, worked out on first use, once per surface; not a field."""
         return tuple(discriminant_quintic(self))
+
+    @cached_property
+    def partials_resultant(self) -> int:
+        """Res of the quintic's partials (``quintic_partials_resultant``), once per surface; not a field."""
+        return quintic_partials_resultant(self.quintic)
 
     def member(self, r: int, t: int) -> Matrix:
         return tuple(tuple(r * a + t * b for a, b in zip(ra, rb))
@@ -597,7 +624,7 @@ def order4_test(g: GeneralSurface) -> Order4Report:
         members.append((root, rank, cls))
         if cls is not None and cls != 1:
             by_class.setdefault(cls, []).append(root)
-    squarefree = quintic_partials_resultant(quintic) != 0
+    squarefree = g.partials_resultant != 0
     for cls, points in sorted(by_class.items()):
         if len(points) >= 3:
             return Order4Report(True, SquareClass(cls), tuple(points[:3]), tuple(members),

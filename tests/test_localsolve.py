@@ -1,7 +1,9 @@
 import hashlib
 import itertools
+import math
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -10,6 +12,7 @@ from dp4.quadform import (GeneralSurface, SubfamilySurface, check_subfamily, dis
                           mat_det, order4_test, to_matrices)
 from dp4.localsolve import (
     EnumerationBudgetError,
+    SolubilityVerdict,
     _node,
     _shuffled_indices,
     decide_Qq,
@@ -701,6 +704,138 @@ def test_bsd_general_path():
     assert set(rep.decided_places) == {2, 3, 5}
 
 
+def points_on_every_arc_by_fractions(quintic):
+    """The arc walk on Fraction points: the same Sturm chain and bisection order."""
+    f = list(itertools.dropwhile(lambda c: c == 0, quintic))
+    if not f:
+        return []
+    chain = [f, [(len(f) - 1 - i) * c for i, c in enumerate(f[:-1])]]
+    while len(chain[-1]) > 1:
+        a, b = chain[-2], chain[-1]
+        while len(a) >= len(b):
+            a = [abs(b[0]) * x - (a[0] if b[0] > 0 else -a[0]) * y
+                 for x, y in zip(a[1:], b[1:] + [0] * len(a))]
+        rem = [-c for c in itertools.dropwhile(lambda c: c == 0, a)]
+        if not rem:
+            break
+        content = math.gcd(*rem)
+        chain.append([c // content for c in rem])
+
+    def counted(x):
+        signs = [v > 0 for v in (quadform.binary_form_eval(g, x.numerator, x.denominator) for g in chain) if v]
+        return x, sum(a != b for a, b in zip(signs, signs[1:]))
+
+    bound = Fraction(2 ** (max(abs(c) for c in f) // abs(f[0]) + 1).bit_length())
+    points = [counted(-bound), counted(bound)]
+    pieces = [tuple(points)]
+    while pieces:
+        (a, va), (b, vb) = pieces.pop()
+        if va - vb > 1:
+            m = (a + b) / 2
+            while quadform.binary_form_eval(f, m.numerator, m.denominator) == 0:
+                m = (a + m) / 2
+            points.append(counted(m))
+            pieces += [((a, va), points[-1]), (points[-1], (b, vb))]
+    points.sort()
+    return [(x.numerator, x.denominator) for i, (x, v) in enumerate(points) if i == 0 or v != points[i - 1][1]]
+
+
+def form_from_roots(roots):
+    """Coefficients, from k^5 down, of the product of the linear forms t k - r l over roots (r : t)."""
+    coeffs = [1]
+    for r, t in roots:
+        coeffs = [t * a - r * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    return coeffs
+
+
+def test_arc_walk_on_dyadics_matches_the_fraction_walk():
+    rng = random.Random(31)
+    quintics = []
+    for n in range(600):
+        quintic = [rng.randint(-9, 9) for _ in range(6)]
+        if n % 3 == 0:  # leading zeros: a root at (1 : 0)
+            zeros = rng.randint(1, 3)
+            quintic[:zeros] = [0] * zeros
+        if n % 4 == 0:  # a root at 0
+            quintic[-1] = 0
+        quintics.append(quintic)
+    for _ in range(150):  # narrow arcs: roots r/t and (r + 1)/t a 1/t apart, t up to 5000
+        t = rng.choice([2 ** rng.randint(3, 12), rng.randint(100, 5000)])
+        r = rng.randint(-3 * t, 3 * t)
+        rest = [(rng.randint(-5, 5), rng.randint(0, 3)) for _ in range(3)]
+        quintics.append(form_from_roots([(r, t), (r + 1, t)] + [w for w in rest if w != (0, 0)]))
+        quintics[-1] = [0] * (6 - len(quintics[-1])) + quintics[-1]
+    quintics += [[0] * 6, [0, 0, 0, 0, 0, 7], form_from_roots([(0, 1), (1, 1024), (1, 1000), (1, 0), (-1, 1)])]
+    for quintic in quintics:
+        assert localsolve._points_on_every_arc(quintic) == points_on_every_arc_by_fractions(quintic), quintic
+
+
+def decide_R_by_the_walk(g):
+    """(status, witness, method) of decide_R from the arc walk alone, minors by mat_det."""
+    for r, t in points_on_every_arc_by_fractions(g.quintic):
+        member = g.member(r, t)
+        minors = [mat_det([row[:k] for row in member[:k]]) for k in range(1, 6)]
+        if all(d > 0 for d in minors) or all((-1) ** k * d > 0 for k, d in enumerate(minors, 1)):
+            return "insoluble", f"({r}:{t})", "definite pencil member"
+    return "soluble", None, "theorem: no definite pencil member (Finsler-Calabi)"
+
+
+def test_the_diagonal_test_agrees_with_the_arc_walk(monkeypatch):
+    # plain pencils (entries in [-3, 3]) and diagonal-biased ones (entries
+    # off the diagonal in [-1, 1], diagonal pairs (a_i, b_i) in [-6, 6]^2 with
+    # u a_i + v b_i > 0 for a random (u, v), one pair in four unconstrained),
+    # decided by decide_R and by the walk alone; whenever the diagonal pairs
+    # lie in no open half-plane, decide_R must not walk, and the walk finds no
+    # definite member
+    rng = random.Random(29)
+    walks = []
+    real_walk = localsolve._points_on_every_arc
+    monkeypatch.setattr(localsolve, "_points_on_every_arc", lambda f: walks.append(f) or real_walk(f))
+    counts = {"diagonal": 0, "walked": 0, "insoluble": 0}
+    for n in range(2000):
+        mats = [[[0] * 5 for _ in range(5)] for _ in range(2)]
+        size = 1 if n % 2 else 3
+        for m in mats:
+            for i, j in itertools.combinations_with_replacement(range(5), 2):
+                m[i][j] = m[j][i] = rng.randint(-size, size)
+        if n % 2:
+            u, v = rng.choice([(u, v) for u in range(-3, 4) for v in range(-3, 4) if u or v])
+            for i in range(5):
+                while True:
+                    a, b = rng.randint(-6, 6), rng.randint(-6, 6)
+                    if u * a + v * b > 0 or rng.random() < 0.25:
+                        break
+                mats[0][i][i], mats[1][i][i] = a, b
+        g = GeneralSurface(*(tuple(map(tuple, m)) for m in mats))
+        verdict = decide_R(g)
+        expected = decide_R_by_the_walk(g)
+        assert (verdict.status, verdict.real_witness, verdict.method) == expected, g
+        decided = not in_open_half_plane([(g.mat1[i][i], g.mat2[i][i]) for i in range(5)])
+        assert not decided or expected[0] == "soluble", g
+        counts["diagonal" if decided else "walked"] += 1
+        counts["insoluble"] += expected[0] == "insoluble"
+    assert len(walks) == counts["walked"]
+    assert counts["diagonal"] > 1000 and counts["walked"] > 500 and counts["insoluble"] > 200, counts
+
+
+def test_family_pencils_are_decided_at_the_real_place_by_the_diagonal(monkeypatch):
+    # the pencils of the benchmark's pencil workload: to_matrices of both
+    # families at p = 5, 13, 29, 37, and BSD
+    pencils = [BSD]
+    for p in (5, 13, 29, 37):
+        pencils += [to_matrices(make_Y(p, a, (p - 1) // a)) for a in divisors(p - 1)]
+        t0 = 3 * (p - 1) // 4 % 8 or 8
+        pencils += [to_matrices(make_S(*s_from_t(p, t0 + 8 * k))) for k in range(5)]
+
+    def no_walk(quintic):
+        raise AssertionError("decide_R walked the arcs")
+
+    monkeypatch.setattr(localsolve, "_points_on_every_arc", no_walk)
+    for g in pencils:
+        assert decide_R(g) == SolubilityVerdict(0, "soluble",
+                                                method="theorem: no definite pencil member (Finsler-Calabi)")
+
+
 Y17_PENCIL = to_matrices(make_Y(17, 16, 1))
 
 
@@ -872,6 +1007,19 @@ def test_general_report_computes_the_quintic_once(monkeypatch):
     rep = everywhere_locally_soluble_general(g)
     assert len(calls) == 1
     assert rep.rows[0][1] == decide_R(BSD)
+
+
+def test_one_resultant_per_pencil_across_the_pencil_reports(monkeypatch):
+    # order4_test and validate_pencil read the resultant of the quintic's
+    # partials held on the pencil
+    calls = []
+    real = quadform.quintic_partials_resultant
+    monkeypatch.setattr(quadform, "quintic_partials_resultant", lambda f: calls.append(f) or real(f))
+    g = to_matrices(make_Y(13, 2, 6))
+    assert order4_test(g).quintic_squarefree
+    assert len(calls) == 1
+    everywhere_locally_soluble_general(g)
+    assert len(calls) == 1 and g.partials_resultant == real(g.quintic) != 0
 
 
 def test_one_quintic_per_pencil_across_the_pencil_reports(monkeypatch):

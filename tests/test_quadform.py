@@ -15,6 +15,7 @@ from dp4.quadform import (
     check_normal_form,
     check_subfamily,
     collapse_triple,
+    definite_sign,
     degenerate_members,
     discriminant_quintic,
     epsilon_T,
@@ -165,6 +166,46 @@ def test_mat_det_against_leibniz_expansion():
             assert mat_det(mat) == leibniz_det(mat), mat
     assert mat_det(((0, 1), (1, 0))) == -1
     assert mat_det(((0, 0), (0, 5))) == 0
+
+
+def sylvester_by_minors(m):
+    """1, -1 or 0 (positive, negative or not definite), from every leading principal minor."""
+    minors = [mat_det(tuple(row[:k] for row in m[:k])) for k in range(1, len(m) + 1)]
+    if all(d > 0 for d in minors):
+        return 1
+    if all((-1) ** k * d > 0 for k, d in enumerate(minors, 1)):
+        return -1
+    return 0
+
+
+def test_definite_sign_matches_the_leading_minors():
+    rng = random.Random(23)
+    seen = {}
+    for trial in range(1200):
+        n = rng.randint(1, 5)
+        kind = trial % 5
+        if kind == 0:  # plain entries: mostly indefinite, some wrong-signed pivot
+            m = [[0] * n for _ in range(n)]
+            for i, j in itertools.combinations_with_replacement(range(n), 2):
+                m[i][j] = m[j][i] = rng.randint(-4, 4)
+        else:  # a Gram matrix B^T B, definite when B has rank n; rows < n make it singular
+            rows = n if kind in (1, 2) else rng.randint(1, n)
+            b = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rows)]
+            m = [[sum(r[i] * r[j] for r in b) for j in range(n)] for i in range(n)]
+            if kind == 2:
+                m = [[-x for x in row] for row in m]
+            if kind == 4 and n > 1:  # a zero leading minor: d_1 = 0, or d_2 = 0 with d_1 != 0
+                if rng.random() < 0.5:
+                    m[0][0] = 0
+                else:
+                    m[0][0], m[0][1], m[1][0], m[1][1] = 2, 2, 2, 2
+        mat = tuple(tuple(row) for row in m)
+        expected = sylvester_by_minors(mat)
+        assert definite_sign(mat) == expected, mat
+        seen[expected] = seen.get(expected, 0) + 1
+    assert min(seen.values()) > 100, seen
+    assert definite_sign(((0, 0), (0, 5))) == 0 and definite_sign(((1, 1), (1, 1))) == 0
+    assert definite_sign(((-2, 1), (1, -1))) == -1 and definite_sign(((-2, 1), (1, 1))) == 0
 
 
 def test_quintic_consistency_evaluations():
