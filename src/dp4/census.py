@@ -7,7 +7,6 @@ global reciprocity; a failing row reports its error and the census goes on.
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass
 
 from .arith import is_prime
@@ -105,6 +104,7 @@ def _run_census(members, height_bound: int, sample_budget: int, seed: int, jobs:
     """A row per (family, p, a, b) member; the header states the settings, rows or none."""
     tasks = [(*member, height_bound, sample_budget, seed) for member in members]
     if jobs > 1:
+        import multiprocessing  # only here: ``import dp4`` does not pay for it
         with multiprocessing.get_context("fork").Pool(jobs) as pool:
             rows = tuple(pool.map(_census_row, tasks))
     else:

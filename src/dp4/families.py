@@ -12,7 +12,6 @@ a, b odd, a = 1 mod 8):
 
 from __future__ import annotations
 
-import multiprocessing
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import gcd, isqrt
@@ -175,6 +174,7 @@ def point_search(s: SubfamilySurface, height_bound: int, jobs: int = 1) -> list[
     found = {(0, 1, 0, 0, w) for w in {z, -z}} if on_u0 else set()
     workers = min(jobs, h)  # no worker without a value of u
     if workers > 1:
+        import multiprocessing  # only here: ``import dp4`` does not pay for it
         with multiprocessing.get_context("fork").Pool(workers) as pool:
             parts = pool.starmap(_search_hyperbola, [(s, h, range(1 + i, h + 1, workers))
                                                      for i in range(workers)])

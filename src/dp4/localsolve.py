@@ -585,6 +585,37 @@ def _shuffled_indices(n: int, rng: random.Random):
         swapped[j] = swapped.pop(i, i)
 
 
+def _walk(surface, k: int, lifts, order, cap: int, spend):
+    """Yield the certified lifts below a level-k node, depth first.
+
+    lifts is the node's (n, child, dead) (``_node``), drawn one index at a
+    time in the order order(n), so memory stays bounded where a singular node
+    has q^4 lifts.  spend(k + 1) runs first for each index drawn: it counts
+    the lift, and may raise to end the walk or return True to end this
+    node's, its parent then drawing its next index.  By ``_node``'s lemmas, a
+    lift its parent shows dead and uncertified is skipped unbuilt and unread
+    (it has no certificate and no lifts), and one that carries its parent's
+    certificate is yielded unread and not walked below.  An uncertified lift
+    below level cap is read once and walked, one at the cap ends its branch
+    unread; a read lift is never certified ("Certified lifts"), so one that
+    is raises AssertionError.
+    """
+    n, child, dead = lifts
+    for i in order(n):
+        if spend(k + 1):
+            return
+        if dead(i):
+            continue
+        pt = child(i)
+        if pt.cert is not None:
+            yield pt
+        elif pt.k < cap:
+            cert, build = _node(surface, pt)
+            if cert is not None:
+                raise AssertionError(f"a read lift is certified: {pt.coords} mod {pt.q}^{pt.k}")
+            yield from _walk(surface, pt.k, build(), order, cap, spend)
+
+
 # ---------------------------------------------------------------------------
 # solubility decisions
 
@@ -620,21 +651,15 @@ class SolubilityVerdict:
 def decide_Qq(surface, q: int, budget: int = DEFAULT_EXPANSION_BUDGET) -> SolubilityVerdict:
     """Solubility at q: an exhaustive walk within the budget, certificates beyond it.
 
-    Within the exhaustive enumeration budget (``iter_residue_points``): one
-    depth-first walk over primitive solutions mod q^k, cut at LEVEL_CAP.
-    The level-1 points and the lifts of each node are taken in the fixed
-    exhaustive order.  Each node is read once (``_node``): its certificate,
-    and from the same values its lifts when the walk descends.  A lift that
-    its parent's reading shows dead and uncertified is not built or read: it
-    counts as a lift spent and as a branch ending at its level, as its
-    reading would.  A branch ends at its first certified candidate, which
-    proves solubility: a lift that carries its parent's certificate, unread.
-    If every branch dies before some level, that level is empty and the
-    surface is insoluble at q (a Q_q point would reduce to every level).  A
-    branch cut at LEVEL_CAP, or a walk past ``budget`` lifts, is
-    inconclusive, never insoluble; a later branch can still prove
-    solubility.  Lifts are streamed, so memory stays bounded even when a
-    singular residue point has a full digit space of lifts.
+    Within the exhaustive enumeration budget (``iter_residue_points``): each
+    level-1 point in the fixed exhaustive order is read once (``_node``); a
+    certified one proves solubility, and below an uncertified one ``_walk``
+    takes the lifts in the fixed order, down to LEVEL_CAP.  The first
+    certified lift it yields proves solubility.  If every branch dies before
+    some level, that level is empty and the surface is insoluble at q (a Q_q
+    point would reduce to every level).  A branch cut at LEVEL_CAP, or a
+    walk past ``budget`` lifts, is inconclusive, never insoluble; a later
+    branch can still prove solubility.
 
     Beyond it: up to CERTIFICATE_DRAWS level-1 draws, seeded from (q, surface)
     as the sampler is; a smooth F_q point (e = 0) proves solubility.  No draw
@@ -650,33 +675,20 @@ def decide_Qq(surface, q: int, budget: int = DEFAULT_EXPANSION_BUDGET) -> Solubi
         return SolubilityVerdict(q, "inconclusive", level=1, method="certificate draws exhausted")
     expansions = deepest = 0  # deepest: the level of the deepest uncertified node, read or dead
 
-    def dfs(pt: PadicApproxPoint):
+    def spend(level: int) -> None:
         nonlocal expansions, deepest
-        if pt.cert is not None:  # certified by its parent's reading (``_node``)
-            return pt
-        cert, lifts = _node(surface, pt)
-        if cert is not None:
-            return replace(pt, cert=cert)
-        deepest = max(deepest, pt.k)
-        if pt.k >= LEVEL_CAP:
-            return None
-        n, child, dead = lifts()
-        for i in range(n):
-            expansions += 1
-            if expansions > budget:
-                raise _BudgetExhausted
-            if dead(i):  # read, it would end its branch here, one level down
-                deepest = max(deepest, pt.k + 1)
-                continue
-            found = dfs(child(i))
-            if found is not None:
-                return found
-        return None
+        expansions += 1
+        if expansions > budget:
+            raise _BudgetExhausted
+        deepest = max(deepest, level)  # a certified lift ends the walk: deepest is then unused
 
     try:
         for pt in iter_residue_points(surface, q):
-            found = dfs(pt)
-            if found is not None:
+            cert, lifts = _node(surface, pt)
+            if cert is not None:
+                return SolubilityVerdict(q, "soluble", replace(pt, cert=cert), level=1, method="hensel")
+            deepest = max(deepest, 1)
+            for found in _walk(surface, 1, lifts(), range, LEVEL_CAP, spend) if LEVEL_CAP > 1 else ():
                 return SolubilityVerdict(q, "soluble", found, level=found.k, method="hensel")
     except _BudgetExhausted:
         return SolubilityVerdict(q, "inconclusive", level=deepest,
@@ -939,20 +951,18 @@ def _sample_points(surface, q: int, count: int, precision: int, seed: int = 0) -
     Stratified: one point per level-1 residue class that is certified at once,
     the classes drawn lazily in seeded random order until ``count`` points are
     in hand, so a small request costs about the same at any q.  Only once every
-    level-1 class has been drawn does pass 2 walk below them, depth first: a
-    node's lifts are drawn lazily in seeded random order; a lift that carries
-    its parent's certificate (``_node``) is refined without a reading of its
-    own, and an uncertified one is read where it is drawn and descended into,
-    down to max(precision, LEVEL_CAP).  A lift that its parent's reading
-    shows dead and uncertified is drawn and counted but not read.  Up to three
+    level-1 class has been drawn does pass 2 walk below them (``_walk``, the
+    lifts in seeded random order, down to max(precision, LEVEL_CAP)), keeping
+    each certified lift, refined, that is a new point.  Up to three
     round-robin rounds over the uncertified classes give each a share of the
-    points still wanted; one uncapped sweep then walks the uncertified
-    classes and the certified ones, whose lifts are all certified.  Each
-    round and the sweep walk each class's subtree again from its start, so a
-    node below level 1 is read once per walk that reaches it, not once per
-    call.  Pass 1 keeps each drawn class's reading for pass 2, so no level-1
-    node is read twice, nor are its lifts built twice.  SAMPLING_BUDGET caps
-    the lifts drawn in pass 2.  Beyond the exhaustive enumeration budget (see
+    points still wanted, a walk ending once its share is in hand; one
+    uncapped sweep then walks the uncertified classes and the certified ones,
+    whose lifts are all certified.  Each round and the sweep walk each
+    class's subtree again from its start, so a node below level 1 is read
+    once per walk that reaches it, not once per call.  Pass 1 keeps each
+    drawn class's reading for pass 2, so no level-1 node is read twice, nor
+    are its lifts built twice.  SAMPLING_BUDGET caps the lifts drawn in pass
+    2.  Beyond the exhaustive enumeration budget (see
     ``iter_residue_points``) the level-1 set is never exhausted, so pass 1
     draws at most SAMPLING_BUDGET classes there and then raises
     EnumerationBudgetError; falling short otherwise raises
@@ -967,13 +977,6 @@ def _sample_points(surface, q: int, count: int, precision: int, seed: int = 0) -
     out: list[PadicApproxPoint] = []
     seen: set[tuple] = set()
     spent = 0
-
-    def try_collect(pt: PadicApproxPoint) -> None:
-        """Refine a certified pt to the precision and keep it if it is a new point."""
-        refined = newton_refine(surface, pt, precision)
-        if refined.coords not in seen:
-            seen.add(refined.coords)
-            out.append(refined)
 
     # pass 1: one certified point per level-1 class where immediately possible, kept
     # unrefined: refinement keeps it mod q^(k - e) = q, so no two refine to one tuple
@@ -991,32 +994,26 @@ def _sample_points(surface, q: int, count: int, precision: int, seed: int = 0) -
                 return out
     out[:] = [newton_refine(surface, pt, precision) for pt in out]
     seen.update(pt.coords for pt in out)
-    # pass 2: depth-first search below the level-1 classes.  Lifts are drawn
-    # lazily, so a node with a full digit space of q^4 lifts costs only the
-    # lifts inspected.  Round-robin with a per-class share first, so that no
-    # single branch swallows the request (stratification); then fill
-    # greedily from whatever is productive.
+    # pass 2: walk below the level-1 classes, first round-robin with a share
+    # each, so that no single branch swallows the request (stratification),
+    # then greedily from whatever is productive
     max_depth = max(precision, LEVEL_CAP)
     pending = [lifts() for lifts in pending]  # (n, child, dead), built once for every walk
 
-    def dfs_collect(lifts, cap: int) -> None:
-        """Draw a node's lifts (n, child, dead): keep the certified ones unread, read the others to descend."""
-        nonlocal spent
-        n, child, dead = lifts
-        for i in _shuffled_indices(n, rng):
+    def walk(lifts, cap: int) -> None:  # the new points below a class, until cap are in hand
+        def spend(level: int) -> bool:
+            nonlocal spent
             spent += 1
             if spent > budget:
                 raise SamplingBudgetError(
-                    f"sampling budget exhausted with {len(out)}/{count} points", out)
-            if len(out) >= cap:
-                return
-            if dead(i):  # a dead uncertified lift, read, would add nothing
-                continue
-            pt = child(i)
-            if pt.cert is not None:  # certified by the node's reading
-                try_collect(pt)
-            elif pt.k < max_depth:  # uncertified, so no reading certifies it (``_node``)
-                dfs_collect(_node(surface, pt)[1](), cap)
+                    f"sampling budget exhausted with {len(out)}/{count} points at q={q}", out)
+            return len(out) >= cap
+
+        for pt in _walk(surface, 1, lifts, lambda n: _shuffled_indices(n, rng), max_depth, spend):
+            refined = newton_refine(surface, pt, precision)
+            if refined.coords not in seen:
+                seen.add(refined.coords)
+                out.append(refined)
 
     for _ in range(3):
         if len(out) >= count or not pending:
@@ -1026,14 +1023,14 @@ def _sample_points(surface, q: int, count: int, precision: int, seed: int = 0) -
         for lifts in pending:
             if len(out) >= count:
                 break
-            dfs_collect(lifts, min(count, len(out) + share))
+            walk(lifts, min(count, len(out) + share))
         if len(out) == before:
             break
     # uncapped fill: one sweep explores each subtree fully, the certified classes' built as reached
     for lifts in itertools.chain(pending, (build() for build in certified)):
         if len(out) >= count:
             break
-        dfs_collect(lifts, count)
+        walk(lifts, count)
     if len(out) < count:
         raise SamplingBudgetError(f"only found {len(out)} of {count} requested points at q={q}", out)
     return out[:count]

@@ -582,14 +582,16 @@ def degenerate_members(g: GeneralSurface) -> list[tuple[tuple[int, int], int]]:
 
 
 def epsilon_T(g: GeneralSurface, root: tuple[int, int]) -> SquareClass:
-    """Square class of the member's determinant off its radical (rank 4 only).
-
-    Restriction subspace: the lexicographically first 4 coordinates carrying a
-    nonsingular 4x4 block.
-    """
+    """Square class of the member's determinant off its radical (rank 4 only)."""
     m = g.member(*root)
     if mat_rank(m) != 4:
         raise ValueError(f"member at {root} does not have rank 4")
+    return _rank4_class(m)
+
+
+def _rank4_class(m: Matrix) -> SquareClass:
+    """``epsilon_T`` of a member m of rank 4, read on the restriction subspace:
+    the lexicographically first 4 coordinates carrying a nonsingular 4x4 block."""
     for keep in itertools.combinations(range(5), 4):
         sub = tuple(tuple(m[i][j] for j in keep) for i in keep)
         d = mat_det(sub)
@@ -620,7 +622,7 @@ def order4_test(g: GeneralSurface) -> Order4Report:
     members = []
     by_class: dict[int, list[tuple[int, int]]] = {}
     for root, rank in degenerate_members(g):
-        cls = epsilon_T(g, root).rep if rank == 4 else None
+        cls = _rank4_class(g.member(*root)).rep if rank == 4 else None
         members.append((root, rank, cls))
         if cls is not None and cls != 1:
             by_class.setdefault(cls, []).append(root)

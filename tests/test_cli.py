@@ -322,6 +322,15 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def test_import_leaves_multiprocessing_out():
+    # only the jobs > 1 branches of point_search and the census need it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", "import sys, dp4; print('multiprocessing' in sys.modules)"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
 def test_relative_imports_follow_the_layers():
     # arith -> quadform -> {localsolve, families} -> brauer -> census -> cli:
     # a module imports only from lower layers, and never inside a function,

@@ -1,11 +1,11 @@
 import itertools
+import multiprocessing
 import random
 from math import gcd, isqrt
 from types import SimpleNamespace
 
 import pytest
 
-from dp4 import families
 from dp4.arith import is_prime
 from dp4.brauer import reciprocity_check
 from dp4.census import census_S, census_Y
@@ -158,10 +158,10 @@ def test_point_search_starts_no_worker_without_a_value_of_u(monkeypatch):
     def no_pool(method):
         raise AssertionError("a pool was started")
 
-    monkeypatch.setattr(families.multiprocessing, "get_context", no_pool)
+    monkeypatch.setattr(multiprocessing, "get_context", no_pool)  # point_search imports it where it starts a pool
     assert point_search(s, 0, jobs=4) == serial[0]
     assert point_search(s, 1, jobs=8) == serial[1] == [(1, 0, 0, 0, -1), (1, 0, 0, 0, 1)]
-    monkeypatch.setattr(families.multiprocessing, "get_context",
+    monkeypatch.setattr(multiprocessing, "get_context",
                         lambda method: SimpleNamespace(Pool=InlinePool))
     assert point_search(s, 2, jobs=8) == serial[2]
     assert sizes == [2]

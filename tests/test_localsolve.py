@@ -1284,7 +1284,7 @@ def test_a_short_sample_carries_its_certified_points(monkeypatch, s, q, count, p
     from dp4.localsolve import SamplingBudgetError
 
     monkeypatch.setattr(localsolve, "SAMPLING_BUDGET", budget)
-    with pytest.raises(SamplingBudgetError) as err:
+    with pytest.raises(SamplingBudgetError, match=f"points at q={q}$") as err:
         sample_local_points(s, q, count, precision)
     points = err.value.points
     assert 0 < len(points) < count

@@ -350,6 +350,20 @@ def test_order4_certifies_subfamily_surfaces():
         assert len(rep.certificate_points) == 3
 
 
+def test_order4_ranks_each_member_once(monkeypatch):
+    # order4_test reads eps off each member that degenerate_members ranked 4,
+    # without ranking it again as the public epsilon_T does
+    import dp4.quadform as quadform
+    calls = []
+    real = quadform.mat_rank
+    monkeypatch.setattr(quadform, "mat_rank", lambda m: calls.append(m) or real(m))
+    rep = order4_test(to_matrices(Y_13_2_6))
+    assert len(calls) == 3
+    assert rep == quadform.Order4Report(
+        True, SquareClass(13), ((1, 0), (0, 1), (-1, 1)),
+        (((1, 0), 4, 13), ((0, 1), 4, 13), ((-1, 1), 4, 13)), (0, 104, -5096, -5096, 104, 0), True)
+
+
 def test_order4_bsd_not_certified():
     rep = order4_test(BSD)
     assert not rep.certified
