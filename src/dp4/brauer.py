@@ -374,9 +374,12 @@ def quadres_witness(p: int, a: int, b: int, c: int, d: int) -> int:
 # the surjectivity witness machine
 
 
+# constructed points carry 26 p-adic digits, as do the sampled points of a sign flip
+_WITNESS_PRECISION = 26
+
+
 @dataclass
 class _WitnessContext:
-    precision: int
     trace: list = field(default_factory=list)
     rng: random.Random = field(default_factory=random.Random)
 
@@ -439,8 +442,7 @@ def surjectivity_witness(s: SubfamilySurface, seed: int = 0) -> WitnessResult:
     """
     validate_subfamily(s)
     p = s.p
-    # constructed points carry 26 p-adic digits, as do the sampled points of a sign flip
-    ctx = _WitnessContext(precision=26, rng=random.Random(f"witness:{seed}:{s!r}"))
+    ctx = _WitnessContext(rng=random.Random(f"witness:{seed}:{s!r}"))
     try:
         hint, c1, c2, prec = _witness_recursive(s, ctx, depth=0)
         pt1 = _attach_certificate(s, _project_tuple(p, prec, c1))
@@ -490,12 +492,23 @@ def _flip_point(pt: PadicApproxPoint, flip_y: bool, flip_z: bool) -> tuple:
     return (u, v, x, (-y) % mod if flip_y else y, (-z) % mod if flip_z else z)
 
 
+# gcd normalizations: the coefficients divided with M, the power p^e, and
+# the coordinates of (u, v, x, y, z) that the map back multiplies by p
+_GCD_REDUCTIONS = (("AC", 1, (1, 2, 3, 4)), ("BD", 1, (0, 2, 3, 4)), ("AB", 2, (2, 3, 4)), ("CD", 2, (2, 3, 4)))
+
+# factor swaps that arrange the maximal valuation among A..D onto A, keyed by
+# where it lies: the new order of (A, B, C, D), whether u and v swap, the label
+_FACTOR_SWAPS = {"B": ("BADC", True, "swap u and v"), "C": ("CDAB", False, "swap the linear factors"),
+                 "D": ("DCBA", True, "swap u and v and the linear factors")}
+
+
 def _witness_recursive(s: SubfamilySurface, ctx: _WitnessContext, depth: int):
     """Returns (class hint, tuple1, tuple2, precision); tuples are residues mod p^prec."""
     if depth > 8:
         raise _ConstructionDegenerate("recursion depth exceeded")
     p = s.p
     A, B, C, D, M = s.A, s.B, s.C, s.D, s.M
+    coeffs = {"A": A, "B": B, "C": C, "D": D}
 
     def rec(s_next: SubfamilySurface, map_back, label: str):
         try:
@@ -506,38 +519,22 @@ def _witness_recursive(s: SubfamilySurface, ctx: _WitnessContext, depth: int):
         hint, c1, c2, prec = _witness_recursive(s_next, ctx, depth + 1)
         return hint, map_back(c1), map_back(c2), prec
 
-    # gcd normalizations
-    if all(c % p == 0 for c in (A, C, M)):
-        s2 = SubfamilySurface(p, A // p, B, C // p, D, M // p)
-        return rec(s2, lambda c: (c[0], p * c[1], p * c[2], p * c[3], p * c[4]),
-                   f"reduce: divide (A, C, M) by {p}")
-    if all(c % p == 0 for c in (B, D, M)):
-        s2 = SubfamilySurface(p, A, B // p, C, D // p, M // p)
-        return rec(s2, lambda c: (p * c[0], c[1], p * c[2], p * c[3], p * c[4]),
-                   f"reduce: divide (B, D, M) by {p}")
-    if all(c % p ** 2 == 0 for c in (A, B, M)):
-        s2 = SubfamilySurface(p, A // p ** 2, B // p ** 2, C, D, M // p ** 2)
-        return rec(s2, lambda c: (c[0], c[1], p * c[2], p * c[3], p * c[4]),
-                   f"reduce: divide (A, B, M) by {p}^2")
-    if all(c % p ** 2 == 0 for c in (C, D, M)):
-        s2 = SubfamilySurface(p, A, B, C // p ** 2, D // p ** 2, M // p ** 2)
-        return rec(s2, lambda c: (c[0], c[1], p * c[2], p * c[3], p * c[4]),
-                   f"reduce: divide (C, D, M) by {p}^2")
+    def scaled(coords):
+        return lambda c: tuple(p * ci if i in coords else ci for i, ci in enumerate(c))
 
-    # arrange the maximal valuation among A, B, C, D onto A
-    mvals = {name: valuation(val, p) for name, val in (("A", A), ("B", B), ("C", C), ("D", D))}
+    for names, e, coords in _GCD_REDUCTIONS:
+        if all(c % p ** e == 0 for c in (coeffs[names[0]], coeffs[names[1]], M)):
+            s2 = SubfamilySurface(p, *(c // p ** e if n in names else c for n, c in coeffs.items()), M // p ** e)
+            power = f"{p}^2" if e == 2 else f"{p}"
+            return rec(s2, scaled(coords), f"reduce: divide ({names[0]}, {names[1]}, M) by {power}")
+
+    mvals = {name: valuation(val, p) for name, val in coeffs.items()}
     m = max(mvals.values())
-    argmax = next(name for name in ("A", "B", "C", "D") if mvals[name] == m)
-    if argmax == "C":  # swap the two linear factors
-        s2 = SubfamilySurface(p, C, D, A, B, M)
-        return rec(s2, lambda c: c, "swap the linear factors")
-    if argmax == "B":  # swap u and v
-        s2 = SubfamilySurface(p, B, A, D, C, M)
-        return rec(s2, lambda c: (c[1], c[0], c[2], c[3], c[4]), "swap u and v")
-    if argmax == "D":
-        s2 = SubfamilySurface(p, D, C, B, A, M)
-        return rec(s2, lambda c: (c[1], c[0], c[2], c[3], c[4]),
-                   "swap u and v and the linear factors")
+    argmax = next(name for name in "ABCD" if mvals[name] == m)
+    if argmax in _FACTOR_SWAPS:
+        order, swap_uv, label = _FACTOR_SWAPS[argmax]
+        s2 = SubfamilySurface(p, *(coeffs[n] for n in order), M)
+        return rec(s2, (lambda c: (c[1], c[0], *c[2:])) if swap_uv else (lambda c: c), label)
 
     vM = valuation(M, p)
     W = A * D - B * C
@@ -546,32 +543,22 @@ def _witness_recursive(s: SubfamilySurface, ctx: _WitnessContext, depth: int):
         # p | B, p nmid C, D forced; shift one power of p from A to D
         _require(B % p == 0 and C % p and D % p, "case 5 valuation pattern")
         s2 = SubfamilySurface(p, A // p ** 2, B // p, C, p * D, M // p)
-        return rec(s2, lambda c: (c[0], p * c[1], p * c[2], p * c[3], p * c[4]),
-                   f"case 5 -> case 1 with coefficients {s2.label()}")
-    if vM % 2 == 1 and vM >= 3 and m >= 1:  # case 6
-        k = (vM - 1) // 2
-        _require(valuation(A, p) == 1 and B % p == 0 and C % p and D % p, "case 6 valuation pattern")
-        _require(valuation(W, p) >= k + 1, "case 6 needs v_p(AD-BC) > k")
-        s2 = SubfamilySurface(p, M * D // p ** (2 * k), -M * B // p ** (2 * k + 1), -C,
-                              A // p, W * W // p ** (2 * k + 1))
-        return rec(s2, _linear_map_back(p, A, B, C, D, k, scaled_v=True),
-                   f"case 6 -> case 2 with coefficients {s2.label()}")
-    if vM % 2 == 0 and vM >= 2 and m == 0:  # case 7
-        k = vM // 2
-        _require(valuation(W, p) == k, "case 7 needs v_p(AD-BC) = k")
-        s2 = SubfamilySurface(p, M * D // p ** (2 * k), -M * B // p ** (2 * k), -C,
-                              A, W * W // p ** (2 * k))
-        return rec(s2, _linear_map_back(p, A, B, C, D, k, scaled_v=False),
-                   f"case 7 -> case 3 with coefficients {s2.label()}")
-    if vM % 2 == 0 and vM >= 2 and m >= 1:  # case 8
-        k = vM // 2
-        _require(valuation(A, p) == 1 and valuation(B, p) == 1 and C % p and D % p,
-                 "case 8 valuation pattern")
-        _require(valuation(W, p) >= k + 1, "case 8 needs v_p(AD-BC) > k")
-        s2 = SubfamilySurface(p, M * D // p ** (2 * k), -M * B // p ** (2 * k + 1), -C,
-                              A // p, W * W // p ** (2 * k + 1))
-        return rec(s2, _linear_map_back(p, A, B, C, D, k, scaled_v=True),
-                   f"case 8 -> case 4 with coefficients {s2.label()}")
+        return rec(s2, scaled((1, 2, 3, 4)), f"case 5 -> case 1 with coefficients {s2.label()}")
+    if vM >= 2 and (vM % 2 == 0 or m >= 1):
+        # case 6 (v_p(M) odd), 7 (even, m = 0) or 8 (even, m >= 1)
+        k, j = vM // 2, min(m, 1)
+        case = 6 if vM % 2 else 7 + j
+        if j:  # v_p(A) = 1 = m makes p | B the same claim as v_p(B) = 1
+            _require(valuation(A, p) == 1 and B % p == 0 and C % p and D % p, f"case {case} valuation pattern")
+        vW = valuation(W, p)
+        _require(vW > k if j else vW == k, f"case {case} needs v_p(AD-BC) {'>' if j else '='} k")
+        s2 = SubfamilySurface(p, M * D // p ** (2 * k), -M * B // p ** (2 * k + j), -C, A // p ** j,
+                              W * W // p ** (2 * k + j))
+        # inverse of (u:v:...) -> ((Au+Bv)/(AD-BC) : p^j(Cu+Dv)/(AD-BC) : x/p^k : z/p^k : y/p^k)
+        pj, scale = p ** j, p ** (k + j)
+        return rec(s2, lambda c: (pj * D * c[0] - B * c[1], A * c[1] - pj * C * c[0],
+                                  scale * c[2], scale * c[4], scale * c[3]),
+                   f"case {case} -> case {case - 4} with coefficients {s2.label()}")
 
     # base patterns: v_p(M) = 1 = m (works for every odd p, and detects the
     # insoluble residue pattern); else a sign flip handles p = 3 mod 4 and
@@ -599,22 +586,6 @@ def _require(cond: bool, what: str) -> None:
         raise _ConstructionDegenerate(f"derived valuation claim failed: {what}")
 
 
-def _linear_map_back(p, A, B, C, D, k, scaled_v: bool):
-    # inverse of (u:v:...) -> ((Au+Bv)/(AD-BC) : [p](Cu+Dv)/(AD-BC) : x/p^k : z/p^k : y/p^k)
-    def back(c):
-        ut, vt, xt, yt, zt = c
-        if scaled_v:
-            u = p * D * ut - B * vt
-            v = -p * C * ut + A * vt
-        else:
-            u = D * ut - B * vt
-            v = -C * ut + A * vt
-        scale = p ** (k + 1) if scaled_v else p ** k
-        return (u, v, scale * xt, scale * zt, scale * yt)
-
-    return back
-
-
 def _flip_pair(s, ctx, flip_y: bool, flip_z: bool):
     """A sampled point and its sign flip; the flip changes inv_p of class B
     and permutes the factors' valuations, so both are read at the point's
@@ -622,20 +593,20 @@ def _flip_pair(s, ctx, flip_y: bool, flip_z: bool):
     sample re-raises: a certified point proves X(Q_p) nonempty, and with none
     one ``decide_Qq`` at p either proves X(Q_p) empty or leaves the budget."""
     try:
-        pts = _sample_points(s, s.p, 24, ctx.precision, seed=ctx.rng.randint(0, 10 ** 6))
+        pts = _sample_points(s, s.p, 24, _WITNESS_PRECISION, seed=ctx.rng.randint(0, 10 ** 6))
     except SamplingBudgetError as exc:
         if not exc.points and (verdict := decide_Qq(s, s.p, budget=400_000)).status == "insoluble":
             raise _InsolubleAtP(f"X(Q_{s.p}) empty: no primitive solutions mod {s.p}^{verdict.level}") from exc
         raise
     for pt in pts:
-        reading = _Reading(s, pt, None, ctx.precision)
+        reading = _Reading(s, pt, None, _WITNESS_PRECISION)
         v1 = _point_values(s, reading, None)[1]
         if v1 is None:
             continue
         pt = reading.point  # refined if a factor needed more digits
-        v2 = _point_values(s, replace(pt, coords=_flip_point(pt, flip_y, flip_z)), None, ctx.precision)[1]
+        v2 = _point_values(s, replace(pt, coords=_flip_point(pt, flip_y, flip_z)), None, _WITNESS_PRECISION)[1]
         if v2 is not None and v1 != v2:
-            pt = newton_refine(s, pt, ctx.precision) if pt.k < ctx.precision else pt
+            pt = newton_refine(s, pt, _WITNESS_PRECISION) if pt.k < _WITNESS_PRECISION else pt
             pt2 = normalize_residue_tuple(s.p, pt.k, _flip_point(pt, flip_y, flip_z))
             return "B", pt.coords, pt2.coords, pt.k
     raise _ConstructionDegenerate("sign flip did not separate on any sampled point")
@@ -646,7 +617,7 @@ def _flip_pair(s, ctx, flip_y: bool, flip_z: bool):
 
 def _case1(s: SubfamilySurface, ctx: _WitnessContext):
     p, A, B, C, D, M = s.p, s.A, s.B, s.C, s.D, s.M
-    K = ctx.precision
+    K = _WITNESS_PRECISION
     mod = p ** K
     _require(B % p != 0 and C % p != 0, "case 1 needs B, C units")
     if D % p != 0:
@@ -692,7 +663,7 @@ def _case1(s: SubfamilySurface, ctx: _WitnessContext):
 
 def _case2(s: SubfamilySurface, ctx: _WitnessContext):
     p, A, B, C, D, M = s.p, s.A, s.B, s.C, s.D, s.M
-    K = ctx.precision
+    K = _WITNESS_PRECISION
     mod = p ** K
     _require(A % p == 0 and B % p == 0 and C % p and D % p, "case 2 valuation pattern")
     A1, B1, M1 = A // p, B // p, M // p
@@ -726,7 +697,7 @@ def _case3(s: SubfamilySurface, ctx: _WitnessContext):
     so M = AD + BC -+ 2st and ABM = A^2 t^2 + B^2 s^2 -+ 2ABst = (At -+ Bs)^2,
     and construction 3b always applies."""
     p, A, B, C, D, M = s.p, s.A, s.B, s.C, s.D, s.M
-    K = ctx.precision
+    K = _WITNESS_PRECISION
     mod = p ** K
     _require(legendre(A * C, p) == 1 and legendre(B * D, p) == 1, "case 3 needs AC, BD squares")
     _require(legendre(A * B * M, p) == 1, "case 3 has ABM a square")
@@ -755,7 +726,7 @@ def _case3(s: SubfamilySurface, ctx: _WitnessContext):
 
 def _case4(s: SubfamilySurface, ctx: _WitnessContext):
     p, A, B, C, D, M = s.p, s.A, s.B, s.C, s.D, s.M
-    K = ctx.precision
+    K = _WITNESS_PRECISION
     mod = p ** K
     vM = valuation(M, p)
     k = (vM - 1) // 2

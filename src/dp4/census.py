@@ -3,15 +3,17 @@
 A row builds the surface, predicts its verdict in closed form, computes it
 with ``bm_verdict``, and checks every point that ``point_search`` finds for
 global reciprocity; a failing row reports its error and the census goes on.
+A row that runs out of a budget has no agreement either way (``None``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import is_prime
+from .arith import FactorBudgetExceeded, is_prime
 from .brauer import bm_verdict, reciprocity_check
 from .families import make_S, make_Y, point_search, predict_S, predict_Y, s_from_t
+from .localsolve import EnumerationBudgetError, SamplingBudgetError
 from .quadform import Point
 
 
@@ -25,7 +27,7 @@ class CensusRow:
     wa_failure: bool | None
     unknown_classes: tuple[str, ...]
     points: tuple[Point, ...]
-    agreement: bool
+    agreement: bool | None  # None: a budget ran out
     error: str | None = None
 
     def to_json(self):
@@ -79,8 +81,9 @@ def _census_row(task) -> CensusRow:
         return CensusRow(family, params, s.label(), predicted, report.hp_obstructed_by,
                          report.wa_failure, report.unknown_classes, points, agreement)
     except Exception as exc:  # a census survives per-row failures and reports them
-        return CensusRow(family, params, label, predicted,
-                         None, None, (), (), False, error=f"{type(exc).__name__}: {exc}")
+        budget = isinstance(exc, (SamplingBudgetError, EnumerationBudgetError, FactorBudgetExceeded))
+        return CensusRow(family, params, label, predicted, None, None, (), (),
+                         None if budget else False, error=f"{type(exc).__name__}: {exc}")
 
 
 def census_Y(p_max: int, height_bound: int = 0, sample_budget: int = 32,

@@ -282,8 +282,8 @@ def cmd_census(args) -> int:
             print(json.dumps(row.to_json(), sort_keys=True))
     else:
         _print_table(result.to_json())
-    disagreements = [r for r in result.rows if not r.agreement]
-    return EXIT_MISMATCH if disagreements else EXIT_OK
+    agreements = {r.agreement for r in result.rows}
+    return EXIT_MISMATCH if False in agreements else EXIT_INCONCLUSIVE if None in agreements else EXIT_OK
 
 
 BSD_MATRICES = (

@@ -242,7 +242,6 @@ class SubfamilyReport:
     c1_holds: bool
     c2_holds: bool
     c1_value: int
-    c1_quotient_by_p: int | None
     derived_N: int | None
     p_prime: bool
 
@@ -254,7 +253,6 @@ class SubfamilyReport:
 def check_subfamily(s: SubfamilySurface) -> SubfamilyReport:
     """Evaluate (C1) and (C2), reporting the witness value and derived N."""
     val = s.c1_value()
-    quot = val // s.p if val % s.p == 0 else None
     n = s.derived_N()
     c1 = n is not None
     c2 = c1 and n != 0 and s.M != 0 and (s.A * s.D - s.B * s.C) != 0
@@ -262,7 +260,6 @@ def check_subfamily(s: SubfamilySurface) -> SubfamilyReport:
         c1_holds=c1,
         c2_holds=c2,
         c1_value=val,
-        c1_quotient_by_p=quot,
         derived_N=n,
         p_prime=s.p % 2 == 1 and is_prime(s.p),
     )

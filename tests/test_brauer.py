@@ -529,7 +529,7 @@ def test_witness_pair_and_repairing_point_are_read_once(monkeypatch):
     w = surjectivity_witness(Y_13_2_6)
     for hint in CLASS_TAGS:
         reads.clear()
-        assert brauer._validated_result(Y_13_2_6, hint, w.point1, w.point2, brauer._WitnessContext(26))
+        assert brauer._validated_result(Y_13_2_6, hint, w.point1, w.point2, brauer._WitnessContext())
         assert reads == [w.point1.coords, w.point2.coords], hint
 
     def undersampled(surface, q, **kwargs):  # as in the repair test above
@@ -759,7 +759,7 @@ def test_case3_has_abm_a_square_on_a_box():
     # a surface that breaks the lemma (it fails (C1)) is a degenerate
     # construction, which surjectivity_witness reports as WitnessSearchError
     with pytest.raises(brauer._ConstructionDegenerate, match="ABM a square"):
-        brauer._case3(SubfamilySurface(5, 1, 1, 1, 1, 2), brauer._WitnessContext(precision=26))
+        brauer._case3(SubfamilySurface(5, 1, 1, 1, 1, 2), brauer._WitnessContext())
 
 
 def test_witness_construction_is_total_on_a_box_slice():

@@ -292,6 +292,19 @@ def test_census_point_checks_survive_optimized_mode():
     assert all(not r["points"] for r in rows)  # every row with a point failed
 
 
+def test_cli_census_out_of_budget_is_inconclusive(capsys, monkeypatch):
+    # a row whose sampler runs out of budget agrees or disagrees with nothing:
+    # agreement null, and the census exits 3 as analyze does on that surface
+    monkeypatch.setattr(localsolve, "SAMPLING_BUDGET", 5)
+    code, out, _ = run_cli(capsys, "census", "--family", "Y", "--pmax", "13")
+    rows = [json.loads(line) for line in out.strip().splitlines()[1:]]
+    assert code == 3
+    assert any(r["agreement"] is None and r["error"].startswith("SamplingBudgetError: ") for r in rows)
+    assert all(r["agreement"] is not False for r in rows)
+    code, _, _ = run_cli(capsys, "analyze", '{"family": "Y", "p": 13, "a": 2, "b": 6}')
+    assert code == 3
+
+
 def test_representation_check_survives_optimized_mode():
     # with B's (z-y)/u added to A's table, A's representatives disagree at
     # some sampled point; python -O strips assert statements, not this check

@@ -47,7 +47,7 @@ BSD = GeneralSurface(BSD_M1, BSD_M2)
 def test_check_subfamily_examples():
     rep = check_subfamily(Y_13_2_6)
     assert rep.valid
-    assert rep.c1_value == 52 and rep.c1_quotient_by_p == 4 and rep.derived_N == 2
+    assert rep.c1_value == 52 and rep.derived_N == 2
     rep_s = check_subfamily(S_13)
     assert rep_s.valid and rep_s.derived_N == 1 and rep_s.c1_value == 13
     bad = check_subfamily(SubfamilySurface(5, 1, 1, 1, 1, 1))
