@@ -88,7 +88,9 @@ FACTORS = ("u", "Mv", "Au+Bv", "Cu+Dv", "z-y", "z+y", "AC")
 def _factor_values(s: SubfamilySurface, coords) -> dict[str, int]:
     """The seven integers every class representative is a product of, by name in FACTORS order."""
     u, v, _, y, z = coords
-    return dict(zip(FACTORS, (u, s.M * v, s.A * u + s.B * v, s.C * u + s.D * v, z - y, z + y, s.A * s.C)))
+    A, C = s.A, s.C
+    return {"u": u, "Mv": s.M * v, "Au+Bv": A * u + s.B * v, "Cu+Dv": C * u + s.D * v,
+            "z-y": z - y, "z+y": z + y, "AC": A * C}
 
 
 # the defining fractions, and variants multiplied by the norm forms
@@ -125,16 +127,19 @@ def class_representations(s: SubfamilySurface, tag: str) -> tuple[SymbolRep, ...
 class _Reading:
     """One reading of the seven factors at a point and place.
 
-    Each factor f is read once, mod q^k first at a PadicApproxPoint: vals[i]
-    is v_q(f) for f the i-th of FACTORS, or room + 1 where f is zero (0 mod
-    q^k, or exactly 0).  A representative n/d counts when max(v_q(n), v_q(d))
-    <= room, v_q(n) being the sum over n's factors: at a p-adic point room =
-    k - 3 at q = 2, else k - 1, so n keeps the unit digits that fix its square
-    class (its unit mod q^(k - v_q(n)) is the product of its factors' units);
-    at an exact point there is no bound.  Every factor of a counting
-    representative then has v_q(f) <= room, and only those factors get
-    signs[i] = (p, f)_q, from f's unit (mod 8 at 2), the others 0.  By
-    bimultiplicativity (p, n/d)_q is the product of its factors' signs.
+    One pass over ``_factor_values`` reads each factor f once, mod q^k first
+    at a PadicApproxPoint: vals[i] is v_q(f) for f the i-th of FACTORS, or
+    room + 1 where f is zero (0 mod q^k, or exactly 0); f mod q is tested
+    first, most factors being units.  A representative n/d counts when
+    max(v_q(n), v_q(d)) <= room, v_q(n) being the sum over n's factors: at a
+    p-adic point room = k - 3 at q = 2, else k - 1, so n keeps the unit digits
+    that fix its square class (its unit mod q^(k - v_q(n)) is the product of
+    its factors' units); at an exact point there is no bound.  Every factor of
+    a counting representative then has v_q(f) <= room, and only those factors
+    get signs[i] = (p, f)_q, the others 0: from f's unit at q = p and at 2
+    (mod 8), while at an odd q != p it is 1 for even v_q(f) and (p, q)_q,
+    read once per reading, for odd.  By bimultiplicativity (p, n/d)_q is the
+    product of its factors' signs.
 
     A certified pt below the target ``precision`` is read mod q^m, m = k - e:
     if every factor has v_q(f) <= m - 1 there (m - 3 at 2), with the target's
@@ -151,20 +156,29 @@ class _Reading:
         local = isinstance(point, PadicApproxPoint)
         coords, q = (point.coords, point.q) if local else (point, v.q)
         mod, slack = (8, 3) if q == 2 else (q, 1)
-        val_p = valuation(s.p, q)
-        unit_p = s.p // q ** val_p % mod
+        val_p = q == s.p  # v_q(p), p being a validated prime
+        unit_p = 1 if val_p else s.p % mod
+        odd_sign = None if val_p or q == 2 else hilbert_valunit(q, 0, unit_p, 1, 1)
         short = local and point.k < precision
         k = point.k - point.cert.e if short else point.k if local else 0
+        qk = q ** k
         self.point, self.q = point, q
         self.room = room = k - slack if local else sys.maxsize
         self.vals, self.signs = vals, signs = [room + 1] * 7, [0] * 7
         for i, f in enumerate(_factor_values(s, coords).values()):
             if local:
-                f %= q ** k
-            if f:
-                vals[i] = val = valuation(f, q)
-                if val <= room:
-                    signs[i] = hilbert_valunit(q, val_p, unit_p, val, f // q ** val % mod)
+                f %= qk
+            if f % q:
+                val, unit = 0, f
+            elif f:
+                val = valuation(f, q)
+                unit = f // q ** val
+            else:
+                continue
+            vals[i] = val
+            if val <= room:
+                signs[i] = (hilbert_valunit(q, val_p, unit_p, val, unit % mod) if odd_sign is None
+                            else odd_sign if val % 2 else 1)
         if short and max(vals) > room:  # a factor needs more digits than pt carries
             self.__init__(s, newton_refine(s, point, precision), v)
         elif short:
@@ -230,6 +244,8 @@ def _point_values(s, point, v, precision: int = 0) -> tuple:
     (``_prime_is_square_at``) is 0, every symbol (p, f)_q being 1 there.  C = A + B wherever A and B are
     determinate, checked against C's own determinate representatives (the
     Klein-four identity); elsewhere C is read from its own representatives.
+    Only the reading's vals, signs, room and q enter the values, the point
+    only the messages of the two checks (the lemma of ``invariant_image``).
     """
     reading = point if isinstance(point, _Reading) else _Reading(s, point, v, precision)
     a = _eval_reps(s, "A", reading, v)
@@ -269,9 +285,8 @@ class PlaceImage:
 REAL_PLACE_IMAGE = PlaceImage(frozenset({ZERO}), "theorem", "p > 0: trivial at the real place")
 
 
-def _theorem_image(s: SubfamilySurface, tag: str, q: int) -> PlaceImage | None:
-    """Family results that pin an invariant image without sampling."""
-    family = family_of(s)
+def _theorem_image(family, tag: str, q: int) -> PlaceImage | None:
+    """Family results, from the surface's ``family_of``, that pin an invariant image without sampling."""
     if family is None:
         return None
     name, (p, a, _) = family
@@ -293,12 +308,22 @@ def invariant_image(s: SubfamilySurface, q: int, sample_budget: int = 64,
 
     The sampler runs once; a short sample stands if it holds min(4,
     sample_budget) points, and a place with none runs ``decide_Qq`` once (an
-    empty X(Q_q) is a ValueError naming q).  At each point A and B are read
-    once and C = A + B, checked against C's own representatives (the
-    Klein-four identity).  Each class counts its determinate points until it
-    has seen both values.  A family theorem's image replaces the sampled one
-    once the sample is checked nonempty and inside it (else an
-    AssertionError); every other image is sampled evidence, not a proof.
+    empty X(Q_q) is a ValueError naming q).  Each point is read once
+    (``_Reading``); A and B come from the reading and C = A + B, checked
+    against C's own representatives (the Klein-four identity).  Each class
+    counts its determinate points until it has seen both values.  A family
+    theorem's image (``family_of`` read once) replaces the sampled one once
+    the sample is checked nonempty and inside it (else an AssertionError);
+    every other image is sampled evidence, not a proof.
+
+    Lemma: at a fixed surface and place, ``_point_values`` of a reading
+    depends only on its pattern (vals, signs, room): the representatives'
+    valuations and signs are sums and products over vals and signs, cut off
+    at room, and the square-class test reads only p and q; the point enters
+    only an error's message.  So the values are looked up by pattern in a
+    table that lives for this call, and the representatives-agree and
+    Klein-four checks run once per distinct pattern, raising, if at all, at
+    the first point that has it, as they would at every point.
     """
     validate_subfamily(s)
     precision = 14 if q == 2 else 8
@@ -310,19 +335,26 @@ def invariant_image(s: SubfamilySurface, q: int, sample_budget: int = 64,
         if len(exc.points) < min(4, sample_budget):
             raise
         points = exc.points
-    values = {tag: set() for tag in CLASS_TAGS}
-    evaluated = dict.fromkeys(CLASS_TAGS, 0)
+    halves = (set(), set(), set())  # per class, the values seen so far as "is 1/2", at most two
+    evaluated = [0, 0, 0]
+    by_pattern = {}  # (vals, signs, room) -> (A, B, C) as "is 1/2", None where indeterminate
     for pt in points:
-        for tag, value in zip(CLASS_TAGS, _point_values(s, pt, None, precision)):
-            if value is not None and len(values[tag]) < 2:
-                values[tag].add(value)
-                evaluated[tag] += 1
+        reading = _Reading(s, pt, None, precision)
+        key = (tuple(reading.vals), tuple(reading.signs), reading.room)
+        if (flags := by_pattern.get(key)) is None:
+            flags = by_pattern[key] = tuple(None if value is None else value == HALF
+                                            for value in _point_values(s, reading, None))
+        for i, flag in enumerate(flags):
+            if flag is not None and len(halves[i]) < 2:
+                halves[i].add(flag)
+                evaluated[i] += 1
+    family = family_of(s)
     images = {}
-    for tag in CLASS_TAGS:
-        if evaluated[tag] == 0:
+    for tag, seen, n in zip(CLASS_TAGS, halves, evaluated):
+        if n == 0:
             raise SamplingBudgetError(f"no sampled point allowed evaluating class {tag} at {q}", points)
-        images[tag] = PlaceImage(frozenset(values[tag]), "sampled", n=evaluated[tag])
-        thm = _theorem_image(s, tag, q)
+        images[tag] = PlaceImage(frozenset(HALF if flag else ZERO for flag in seen), "sampled", n=n)
+        thm = _theorem_image(family, tag, q)
         if thm is not None:
             if not images[tag].values <= thm.values:
                 raise AssertionError(

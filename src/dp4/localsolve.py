@@ -576,11 +576,21 @@ def _shuffled_indices(n: int, rng: random.Random):
 
     A sparse Fisher-Yates shuffle: only the displaced values of positions not
     yet drawn are stored, so memory grows with the indices drawn, not with n,
-    and shrinks again as the last positions are drawn.
+    and shrinks again as the last positions are drawn.  Position i swaps with
+    j = i + r, r drawn below n - i as CPython's ``rng.randrange(i, n)`` draws
+    it: ``getrandbits`` of the width's bit length until one falls below the
+    width.  So the rng stream, and every index, is ``randrange``'s, without
+    its per-call argument checks.
     """
+    getrandbits = rng.getrandbits
     swapped: dict[int, int] = {}
     for i in range(n):
-        j = rng.randrange(i, n)
+        width = n - i
+        bits = width.bit_length()
+        r = getrandbits(bits)
+        while r >= width:
+            r = getrandbits(bits)
+        j = i + r
         yield swapped.get(j, j)
         swapped[j] = swapped.pop(i, i)
 

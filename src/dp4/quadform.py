@@ -208,15 +208,16 @@ class SubfamilySurface:
         return n
 
     def eq1(self, pt) -> int:
-        u, v, x, y, z = pt
-        return y * y - self.p * x * x - self.M * u * v
+        return self.equations(pt)[0]
 
     def eq2(self, pt) -> int:
-        u, v, x, y, z = pt
-        return z * z - self.p * x * x - (self.A * u + self.B * v) * (self.C * u + self.D * v)
+        return self.equations(pt)[1]
 
     def equations(self, pt) -> tuple[int, int]:
-        return (self.eq1(pt), self.eq2(pt))
+        """(eq1, eq2) at pt, with p x^2 computed once."""
+        u, v, x, y, z = pt
+        px2 = self.p * x * x
+        return y * y - px2 - self.M * u * v, z * z - px2 - (self.A * u + self.B * v) * (self.C * u + self.D * v)
 
     def jacobian(self, pt) -> tuple[tuple[int, ...], tuple[int, ...]]:
         u, v, x, y, z = pt
@@ -231,7 +232,7 @@ class SubfamilySurface:
         return self.equations(pt), self.jacobian(pt)
 
     def contains(self, pt) -> bool:
-        return self.eq1(pt) == 0 and self.eq2(pt) == 0
+        return self.equations(pt) == (0, 0)
 
     def label(self) -> str:
         return f"X_{self.p}_{self.A}_{self.B}_{self.C}_{self.D}_{self.M}"

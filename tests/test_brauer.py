@@ -347,6 +347,125 @@ def test_bm_verdict_checks_the_klein_four_identity(monkeypatch):
         bm_verdict(Y_13_2_6)
 
 
+def test_invariant_image_checks_that_representatives_agree(monkeypatch):
+    # with A's second representative multiplied by z - y, a factor of B, it
+    # disagrees with u/(Au+Bv) wherever B is 1/2 and both are determinate;
+    # a reading pattern's values are computed, and checked, once
+    first, second, *rest = brauer.REPRESENTATIONS["A"]
+    broken = brauer.SymbolRep(second.label, second.num + ("z-y",), second.den)
+    monkeypatch.setitem(brauer.REPRESENTATIONS, "A", (first, broken, *rest))
+    with pytest.raises(AssertionError, match="representations disagree for A"):
+        invariant_image(Y_13_2_6, 13)
+
+
+def test_factor_values_come_in_factors_order():
+    # _Reading and the representatives' positions index the seven factors by
+    # their place in FACTORS
+    for s, coords in ((Y_13_12_1, (1, -3, 2, 7, 16)), (S_13, (2, 3, 5, 7, 11))):
+        u, v, _, y, z = coords
+        values = brauer._factor_values(s, coords)
+        assert tuple(values) == brauer.FACTORS
+        assert tuple(values.values()) == (u, s.M * v, s.A * u + s.B * v, s.C * u + s.D * v,
+                                          z - y, z + y, s.A * s.C)
+
+
+def _sampled_points_and_images(monkeypatch, s, q):
+    """invariant_image(s, q) with no family theorem, its sampled points, and
+    each table entry as _point_values computed it, by reading pattern."""
+    points, table = [], {}
+    real_sampler, real_values = brauer._sample_points, brauer._point_values
+
+    def sampler(*args, **kwargs):
+        try:
+            points.extend(real_sampler(*args, **kwargs))
+        except SamplingBudgetError as exc:  # a short sample stands
+            points.extend(exc.points)
+            raise
+        return points
+
+    def point_values(s, reading, v, *precision):
+        key = (tuple(reading.vals), tuple(reading.signs), reading.room)
+        assert key not in table and not precision
+        table[key] = real_values(s, reading, v)
+        return table[key]
+
+    with monkeypatch.context() as m:
+        m.setattr(brauer, "_sample_points", sampler)
+        m.setattr(brauer, "_point_values", point_values)
+        m.setattr(brauer, "_theorem_image", lambda family, tag, q: None)
+        images = invariant_image(s, q)
+    return points, table, images
+
+
+def test_values_looked_up_by_reading_pattern_are_each_points_own(monkeypatch):
+    # the lemma of invariant_image: the triple looked up for a sampled point
+    # is _point_values on that point, and the images and counts are those of
+    # reading every point on its own
+    patterns = total = 0
+    paper = [Y_13_2_6, Y_13_1_12, Y_13_12_1, S_13, make_Y(229, 2, 114)]
+    for s in paper + [*CASE_PATTERN_SURFACES.values(), *box_slice(3, 30)]:
+        for q in relevant_places(s):
+            try:
+                points, table, images = _sampled_points_and_images(monkeypatch, s, q)
+            except ValueError:  # insoluble at q
+                continue
+            precision = 14 if q == 2 else 8
+            seen, counts = [set(), set(), set()], [0, 0, 0]
+            for pt in points:
+                reading = brauer._Reading(s, pt, None, precision)
+                own = brauer._point_values(s, pt, None, precision)
+                assert table[(tuple(reading.vals), tuple(reading.signs), reading.room)] == own, (s, q, pt)
+                for i, value in enumerate(own):
+                    if value is not None and len(seen[i]) < 2:
+                        seen[i].add(value)
+                        counts[i] += 1
+            assert [(img.values, img.n) for img in images.values()] == list(zip(seen, counts)), (s, q)
+            patterns, total = patterns + len(table), total + len(points)
+    assert 0 < patterns < total / 4, (patterns, total)
+
+
+def test_each_reading_pattern_is_evaluated_once_per_image(monkeypatch):
+    # _eval_reps runs for A, B and C once per distinct reading pattern of a
+    # place's sample, not once per point
+    calls = []
+    real = brauer._eval_reps
+
+    def counting(s, tag, point, v):
+        calls.append(tag)
+        return real(s, tag, point, v)
+
+    for s in (Y_13_2_6, S_13, CASE_PATTERN_SURFACES["case2"]):
+        for q in relevant_places(s):
+            points, table, _ = _sampled_points_and_images(monkeypatch, s, q)
+            calls.clear()
+            with monkeypatch.context() as m:
+                m.setattr(brauer, "_eval_reps", counting)
+                invariant_image(s, q)
+            assert sorted(calls) == sorted(CLASS_TAGS * len(table)), (s, q)
+            assert len(table) < len(points), (s, q)
+
+
+def test_invariant_image_reads_the_family_once(monkeypatch):
+    # family_of is read once per image and once more by bm_verdict, not once
+    # per class and place
+    calls = []
+    real = brauer.family_of
+
+    def counting(s):
+        calls.append(s)
+        return real(s)
+
+    monkeypatch.setattr(brauer, "family_of", counting)
+    for s in (Y_13_2_6, S_13, CASE_PATTERN_SURFACES["case1"]):
+        calls.clear()
+        invariant_image(s, s.p)
+        assert calls == [s]
+    for s in (Y_13_2_6, S_13):
+        calls.clear()
+        bm_verdict(s)
+        assert len(calls) == len(relevant_places(s)) + 1 == 3, s
+
+
 def test_bm_verdict_checks_family_theorems_against_the_sample(monkeypatch):
     real = brauer._theorem_image
 

@@ -388,6 +388,31 @@ def test_sampler_walk_order_is_pinned(s, q, count, precision, digest):
     assert hashlib.sha256(listed.encode()).hexdigest()[:16] == digest
 
 
+def _randrange_shuffled_indices(n: int, rng: random.Random):
+    """_shuffled_indices as it drew with rng.randrange, kept to pin its draws."""
+    swapped: dict[int, int] = {}
+    for i in range(n):
+        j = rng.randrange(i, n)
+        yield swapped.get(j, j)
+        swapped[j] = swapped.pop(i, i)
+
+
+def test_shuffled_indices_draw_as_randrange_does():
+    # the same indices from the same rng stream, leaving the rng in the same
+    # state, whole shuffles of small n and the first draws at a large q
+    for seed in range(50):
+        for n in (1, 2, 3, 7, 16, 1000):
+            mine, theirs = random.Random(seed), random.Random(seed)
+            assert list(_shuffled_indices(n, mine)) == list(_randrange_shuffled_indices(n, theirs)), (seed, n)
+            assert mine.getrandbits(64) == theirs.getrandbits(64), (seed, n)
+    n = 4 * (229 ** 2 + 229 + 1)
+    mine, theirs = random.Random(0), random.Random(0)
+    first = list(itertools.islice(_shuffled_indices(n, mine), 500))
+    assert first == list(itertools.islice(_randrange_shuffled_indices(n, theirs), 500))
+    assert mine.getrandbits(64) == theirs.getrandbits(64)
+    assert len(set(first)) == 500
+
+
 def test_lift_certificate_unit_minor():
     pts = list(iter_residue_points(Y_13_2_6, 3))
     certified = [lift_certificate(Y_13_2_6, pt) for pt in pts]

@@ -34,6 +34,8 @@ from dp4.quadform import (
     order4_test,
 )
 
+from helpers import box_slice
+
 Y_13_2_6 = SubfamilySurface(13, 2, -13, 1, -6, 1)
 Y_13_1_12 = SubfamilySurface(13, 1, -13, 1, -12, 1)
 Y_13_12_1 = SubfamilySurface(13, 12, -13, 1, -1, 1)
@@ -71,6 +73,31 @@ def test_subfamily_equations_and_paper_points():
     assert Y_13_1_12.contains((1, 0, 0, 0, 1))
     assert Y_13_12_1.contains((1, -3, 2, 7, 16))
     assert not Y_13_2_6.contains((1, 0, 0, 0, 1))
+
+
+def test_subfamily_equations_and_jacobian_are_the_written_out_forms():
+    # equations computes p x^2 once and eq1, eq2 read it; they, jacobian and
+    # equations_and_jacobian are the two quadrics and their partials written
+    # out here, at 2000 seeded integer tuples with negative and zero
+    # coordinates on seeded valid surfaces
+    rng = random.Random(7)
+    surfaces = box_slice(11, 16) + [Y_13_2_6, S_13, SubfamilySurface(229, 5, 6, 8, 5, -19),
+                                    SubfamilySurface(229, 2, -229, 1, -114, 1)]
+    for s in surfaces:
+        p, A, B, C, D, M = s.p, s.A, s.B, s.C, s.D, s.M
+        for _ in range(100):
+            pt = tuple(0 if rng.random() < 0.2 else rng.randint(-10 ** rng.randint(1, 12), 10 ** 12)
+                       for _ in range(5))
+            u, v, x, y, z = pt
+            eqs = (y * y - p * x * x - M * u * v, z * z - p * x * x - (A * u + B * v) * (C * u + D * v))
+            jac = ((-M * v, -M * u, -2 * p * x, 2 * y, 0),
+                   (-(2 * A * C * u + (A * D + B * C) * v), -((A * D + B * C) * u + 2 * B * D * v),
+                    -2 * p * x, 0, 2 * z))
+            assert s.equations(pt) == (s.eq1(pt), s.eq2(pt)) == eqs, (s, pt)
+            assert s.jacobian(pt) == jac, (s, pt)
+            assert s.equations_and_jacobian(pt) == (eqs, jac), (s, pt)
+            assert s.contains(pt) == (eqs == (0, 0))
+    assert all(check_subfamily(s).valid for s in surfaces)
 
 
 def test_content_free_forms_stay_out_of_repr_eq_and_hash():
