@@ -255,8 +255,8 @@ def _point_values(s, point, v, precision: int = 0) -> tuple:
         if not _prime_is_square_at(s.p, reading.q):  # q is proved prime by the walk or by v
             return a, b, own
         a, b = a or ZERO, b or ZERO
-    c = ZERO if a == b else HALF
-    if own is not None and own != c:
+    c = ZERO if a is b else HALF  # every value is the singleton ZERO or HALF: compared by identity
+    if own is not None and own is not c:
         raise AssertionError(f"Klein-four identity fails at {reading.point}, place {v or reading.q}")
     return a, b, c
 
@@ -918,12 +918,11 @@ def reciprocity_check(s: SubfamilySurface, point) -> bool:
     if not s.contains(point):
         raise ValueError(f"{point} is not on {s.label()}")
     places = {2, s.p}
-    for value in _factor_values(s, point).values():
-        if value:
-            places.update(factor(abs(value)))
+    for value in {abs(value) for value in _factor_values(s, point).values() if value}:
+        places.update(factor(value))
     parities = [False, False, False]
     for q in sorted(q for q in places if not _prime_is_square_at(s.p, q)):
-        parities = [par ^ (value == HALF) for par, value in zip(parities, _exact_values(s, point, q))]
+        parities = [par ^ (value.denominator == 2) for par, value in zip(parities, _exact_values(s, point, q))]
     return not any(parities)
 
 
@@ -938,7 +937,7 @@ def _exact_values(s: SubfamilySurface, point, q: int) -> tuple:
     with uv != 0, so v/u is a rational root of BD t^2 + (AD+BC-M) t + AC,
     whose discriminant p N^2 is not a square."""
     values = _point_values(s, point, Place.proved(q))  # q is 2, the validated p or from factor
-    if None in values:
-        tag = CLASS_TAGS[values.index(None)]
-        raise IndeterminateEvaluationError(f"class {tag} indeterminate at {point}, place {q}")
+    for tag, value in zip(CLASS_TAGS, values):
+        if value is None:
+            raise IndeterminateEvaluationError(f"class {tag} indeterminate at {point}, place {q}")
     return values

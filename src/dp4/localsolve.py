@@ -21,7 +21,8 @@ import math
 import random
 from dataclasses import dataclass, replace
 
-from .arith import _prime_is_square_at, _sqrt_mod_unchecked, factor, find_nonresidue, is_prime, valuation
+from .arith import (_legendre_unchecked, _prime_is_square_at, _sqrt_mod_unchecked, factor, find_nonresidue, is_prime,
+                    valuation)
 from .quadform import (
     GeneralSurface,
     SubfamilySurface,
@@ -862,43 +863,128 @@ def everywhere_locally_soluble(s: SubfamilySurface) -> LocalSolubilityReport:
     return LocalSolubilityReport(tuple(rows), tuple(explicit), s)
 
 
-def _nodal_reduction(quintic, q: int) -> str | None:
-    """The reduction type of a pencil at a prime q > 5 when the theorem of
-    ``everywhere_locally_soluble_general`` applies, else None.
+def _kernel_mod(rows, q: int) -> list[list[int]]:
+    """A basis of the x over F_q with r . x = 0 mod q for every row r, by elimination."""
+    pivots: dict[int, list[int]] = {}  # pivot column: a row, 1 there and 0 mod q at the earlier pivots
+    for row in rows:
+        for pc, piv in pivots.items():
+            if f := row[pc] % q:
+                row = [a - f * b for a, b in zip(row, piv)]
+        for pc, a in enumerate(row):
+            if a % q:
+                inv = pow(a, -1, q)
+                pivots[pc] = [b * inv % q for b in row]
+                break
+    basis = []
+    for free in range(len(rows[0])):
+        if free not in pivots:
+            x = [0] * len(rows[0])
+            x[free] = 1
+            for pc, piv in reversed(pivots.items()):  # later pivots first: a row is 0 at the earlier ones
+                x[pc] = -sum(a * b for a, b in zip(piv, x)) % q
+            basis.append(x)
+    return basis
 
-    f(k) = quintic(k, 1), lowest coefficient first, is ``reversed(quintic)``;
-    the root (1 : 0) has multiplicity 5 - deg f.  As q > 5, a root of f has
-    multiplicity at least 3 exactly when it is a root of f, f' and f''.  The
-    double roots, at most two, are those of gcd(f, f') and a (1 : 0) of
-    multiplicity 2.
+
+def _double_roots(form, q: int) -> tuple[list[int], bool] | None:
+    """(d, at_inf) for a binary form mod an odd prime q: d the monic product of k - r
+    over its affine double roots r, at_inf whether (1 : 0) is a double root; None if
+    the form is 0 mod q or has a root of multiplicity >= 3 over the algebraic closure.
+
+    f(k) = form(k, 1), lowest coefficient first, is ``reversed(form)``; the root
+    (1 : 0) has multiplicity deg form - deg f.  In every odd characteristic a
+    root r of multiplicity m, f = (k - r)^m h with h(r) != 0, is a root of f'
+    iff m >= 2 and of f'' iff m >= 3 (f''(r) = 2 h(r) when m = 2), so a root
+    of multiplicity >= 3 is one of gcd(f, f', f''), and without one
+    gcd(f, f') is the product of k - r over the double roots
+    (f' = (k - r)(2 h + (k - r) h') there).
     """
-    f = _poly_trim([c % q for c in reversed(quintic)])
-    if len(f) < 4:  # f = 0, or (1 : 0) a root of multiplicity 5 - deg f >= 3
+    f = _poly_trim([c % q for c in reversed(form)])
+    at_inf = len(form) - len(f)
+    if not f or at_inf > 2:
         return None
-    df = [i * c % q for i, c in enumerate(f)][1:]
-    ddf = [i * c % q for i, c in enumerate(df)][1:]
-    repeated = _poly_gcd(f, df, q)
-    if len(_poly_gcd(repeated, ddf, q)) > 1:
+    df = _poly_trim([i * c % q for i, c in enumerate(f)][1:])
+    d = _poly_gcd(f, df, q)
+    if len(d) > 1 and len(_poly_gcd(d, _poly_trim([i * c % q for i, c in enumerate(df)][1:]), q)) > 1:
         return None
-    doubles = len(repeated) - 1 + (len(f) == 4)
-    plural = "s" if doubles > 1 else ""
-    return f"theorem: nodal reduction, the quintic mod q has {doubles} double root{plural} and no triple root"
+    return d, at_inf == 2
+
+
+def _nodal_reduction(quintic, q: int) -> str | None:
+    """The reduction type at a prime q >= 11 where the quintic mod q is nonzero
+    with no triple root (the theorem of ``everywhere_locally_soluble_general``), else None."""
+    doubles = _double_roots(quintic, q) if q >= 11 else None
+    if doubles is None:
+        return None
+    n = len(doubles[0]) - 1 + doubles[1]
+    return f"theorem: nodal reduction, the quintic mod q has {n} double root{'s' if n > 1 else ''} and no triple root"
+
+
+def _cone_reduction(hessians, f_cf, q: int) -> str | None:
+    """The reduction type at an odd prime q where f_cf = 0 mod q and the
+    reduction is a cone over a curve with a smooth F_q point (the theorem of
+    ``everywhere_locally_soluble_general``), else None."""
+    kernel = _kernel_mod([row for h in hessians for row in h], q)
+    if len(kernel) != 1:
+        return None
+    w = [(i, x) for i, x in enumerate(kernel[0]) if x]
+    wgw = [sum(x * y * h[i][j] for i, x in w for j, y in w) for h in hessians]
+    if any(v % q for v in wgw):
+        raise AssertionError(f"{kernel[0]} is no common kernel vector mod {q}")
+    lin = _poly_trim([wgw[1] // q % q, wgw[0] // q % q])  # L(k, 1), L = w.(k G1 + l G2) w / q mod q
+    if not lin:
+        return None
+    quo, rest = _poly_divmod([c // q for c in reversed(f_cf)], lin, q)
+    if rest or any(quo[5:]):
+        raise AssertionError(f"f_cf / q is not L times a binary quartic mod {q}")
+    doubles = _double_roots(quo[4::-1], q)  # g up to a unit, k^4 first
+    if doubles is None or len(doubles[0]) - 1 + doubles[1] > 1:  # a triple root, or two double roots
+        return None
+    d, at_inf = doubles
+    if len(d) == 1 and not at_inf:
+        return "theorem: cone over a smooth genus-one curve (Hasse-Weil)"
+    r, t = (1, 0) if at_inf else (-d[0], 1)
+    member = [[(r * a + t * b) % q for a, b in zip(ra, rb)] for ra, rb in zip(*hessians)]
+    corank = len(_kernel_mod(member, q)) - 1  # on {x_i = 0}: w is in the member's kernel
+    if corank == 1:
+        return "theorem: cone over a one-node quartic curve, Segre type [211]"
+    minor = next((m for a, b in itertools.combinations(range(5), 2)
+                  if (m := member[a][a] * member[b][b] - member[a][b] ** 2) % q), 0)
+    if corank == 2 and _legendre_unchecked(-minor, q) == 1:
+        return "theorem: cone over two F_q-conics, Segre type [(11)11]"
+    return None
 
 
 def everywhere_locally_soluble_general(g: GeneralSurface) -> LocalSolubilityReport:
     """Local solubility of a general pencil at every place.
 
-    At an odd prime of good reduction (the pencil quintic stays squarefree of
-    degree 5 mod q) the surface has a smooth residue point, so it is soluble.
-    The candidate primes left are 2, 3, 5 and the primes of bad reduction.
-    A candidate q >= 11 whose quintic mod q is nonzero with no root of
-    multiplicity >= 3 over the algebraic closure (``_nodal_reduction``) is
-    soluble by theorem; every other candidate goes to ``decide_Qq``.
+    The walks read the content-free forms F_j = x.G_j x / 2, G_j =
+    ``g.hessians[j]`` = 2 M_j / c_j, whose quintic is
+    f_cf(k, l) = det(k G1 + l G2) = f(2k/c1, 2l/c2); so
+    Disc(f_cf) = (4/(c1 c2))^20 Disc(f), Disc(f) = +-res/5^3, with no new
+    determinant.  The candidates are 2, 3, 5 and the primes of Disc(f_cf),
+    and every test below reads G_j and f_cf: no row depends on a quadric's
+    content.  At an odd candidate q whose reduction type is one below, X, the
+    reduction of the F_j mod q, has a smooth F_q point; Hensel lifts it (a
+    2x2 Jacobian minor is a unit, e = 0), and the row is "soluble" by
+    theorem, naming the type.  Every other candidate, and q = 2 always, goes
+    to ``decide_Qq``.
 
-    The theorem.  Let X be the reduction mod q of the content-free quadrics
-    read by the walks; for odd q prime to a quadric's content it is cut out by
-    the reductions of mat1 and mat2, and if q divides a content, that matrix
-    vanishes mod q and (1 : 0) or (0 : 1) is a root of multiplicity 5.
+    Singular points.  At a singular point y of the base locus of a pencil of
+    quadrics (q odd), l1 G1 y + l2 G2 y = 0 for a root (l1 : l2) of its
+    determinant, and the root is repeated: with M = l1 G1 + l2 G2 and N
+    another member, d/dt det(M + t N) at t = 0 is tr(adj(M) N), that is
+    c y.N y = 2 c N(y) = 0 if M has corank 1 (adj(M) = c y y^T), and 0 if
+    more (adj(M) = 0).
+
+    Good reduction: Disc(f_cf) != 0 mod q, at every odd prime that is no
+    candidate and maybe at 3 and 5.  f_cf mod q is squarefree of degree 5, so
+    X is smooth, and two forms of degree 2 in 5 > 2 + 2 variables have a
+    common nonzero zero over F_q (Chevalley-Warning; J.-P. Serre, A Course in
+    Arithmetic, I.2).
+
+    Nodal reduction, q >= 11 (``_nodal_reduction``): f_cf mod q nonzero with
+    no root of multiplicity >= 3 over the algebraic closure.
     - X is geometrically integral.  A quintic nonzero mod q makes X a surface
       of degree 4; if it is reducible or non-reduced (q odd), a component of
       degree <= 2 is a plane, or an irreducible quadric surface S spanning a
@@ -921,23 +1007,60 @@ def everywhere_locally_soluble_general(g: GeneralSurface) -> LocalSolubilityRepo
       exceptional curves, one conic over each node; only a node defined over
       F_q has a curve with F_q points, at most q + 1 of them.  So X has at
       least q^2 - 6q + 1 - 4(q + 1) = q^2 - 10q - 3 smooth F_q points, and
-      q^2 - 10q - 3 > 0 once q >= 11.  Hensel lifts one to a Q_q point.
+      q^2 - 10q - 3 > 0 once q >= 11.
+
+    Cone (``_cone_reduction``): f_cf = 0 mod q, and ker G1 and ker G2 meet in
+    one line <w> mod q.  Then F_j(x + s w) = F_j(x), so with w_i != 0, X is
+    the cone with vertex w over the curve C in P^3 = {x_i = 0} of the forms
+    with Hessians H_j, the blocks of G_j off row and column i.  At x in X off
+    the vertex, y = x - (x_i / w_i) w has G_j x = G_j y, and w.G_j y = 0 makes
+    entry i of G_j y a combination of the others: X's 2x5 Jacobian at x has
+    the rank of C's 2x4 Jacobian at y, so a smooth F_q point of C gives one
+    of X.  The quartic g = det(k H1 + l H2) comes from f_cf: with w an
+    integer lift, G = k G1 + l G2 and P = I + (w - e_i) e_i^T, of determinant
+    w_i, P^T G P has the block k H1 + l H2 off row and column i, those two
+    divisible by q, and w.G w at (i, i); expanding the determinant,
+    w_i^2 f_cf = (w.G w) g mod q^2.  So f_cf / q = L g / w_i^2 mod q, with
+    L = w.G w / q mod q a linear form that no lift of w changes.  A member's
+    rank on {x_i = 0} is its rank, w being in its kernel, and by the lemma
+    above a singular point of C lies in the kernel of the member at a
+    repeated root of g.  C has a smooth F_q point in three cases
+    (``_double_roots``; Segre types as in W. V. D. Hodge and D. Pedoe,
+    Methods of Algebraic Geometry II, ch. XIII, char != 2):
+    1. g squarefree of degree 4: C is a smooth complete intersection, a
+       connected smooth curve of genus 1 with at least
+       q + 1 - 2 sqrt(q) > 0 F_q points (Hasse-Weil).
+    2. one double root, its member of rank 3, the other roots simple: Segre
+       type [211], C a quartic curve with one node, over F_q as the double
+       root is.  Its normalization, a smooth curve of genus 0, has an F_q
+       point (Chevalley-Warning), so q + 1, at most 2 of them over the node.
+    3. one double root, its member M of rank 2 and split over F_q (minus a
+       nonzero principal 2x2 minor of M is a square mod q), the other roots
+       simple: Segre type [(11)11], C two smooth conics, one in each plane of
+       M, meeting in two points.  The planes, so the conics, are over F_q,
+       and each conic has q + 1 F_q points, at most 2 of them on the other.
+    Every other cone is walked: a common kernel of dimension >= 2, L = 0, a
+    root of g of multiplicity >= 3, two double roots, or a rank-2 member that
+    does not split (insoluble cones of such types exist).
     """
     quintic, res = validate_pencil(g)
-    candidates = {2, 3, 5}
-    # the quintic's content c divides every row of the Sylvester matrix of its
-    # partials, so c^8 divides res != 0: its primes are among res's
-    candidates.update(factor(abs(res)))
+    c1, c2 = (next(2 * a // b for ra, rb in zip(m, h) for a, b in zip(ra, rb) if b)
+              for m, h in zip((g.mat1, g.mat2), g.hessians))
+    f_cf, rests = zip(*(divmod(32 * a, c1 ** (5 - i) * c2 ** i) for i, a in enumerate(quintic)))
+    disc, rest = divmod(4 ** 20 * res, 125 * (c1 * c2) ** 20)
+    if rest or any(rests):
+        raise AssertionError(f"the content-free quintic of {g!r} is not integral")
+    candidates = sorted({2, 3, 5, *factor(abs(disc))})
     rows: list[tuple[str, SolubilityVerdict | None, str]] = []
     rows.append(("oo", decide_R(g), ""))
     rows.append(("other odd primes", None,
                  "theorem: good reduction, a residue point exists and is smooth"))
-    for q in sorted(candidates):
-        # at least q^2 - 10q - 3 smooth F_q points on a nodal reduction, > 0 from q = 11
-        nodal = _nodal_reduction(quintic, q) if q * q - 10 * q - 3 > 0 else None
-        verdict = decide_Qq(g, q) if nodal is None else SolubilityVerdict(q, "soluble", method=nodal)
+    for q in candidates:
+        method = (None if q == 2 else "theorem: good reduction, a smooth F_q point (Chevalley-Warning)" if disc % q
+                  else _nodal_reduction(f_cf, q) if any(c % q for c in f_cf) else _cone_reduction(g.hessians, f_cf, q))
+        verdict = decide_Qq(g, q) if method is None else SolubilityVerdict(q, "soluble", method=method)
         rows.append((str(q), verdict, ""))
-    return LocalSolubilityReport(tuple(rows), tuple(sorted(candidates)))
+    return LocalSolubilityReport(tuple(rows), tuple(candidates))
 
 
 # ---------------------------------------------------------------------------

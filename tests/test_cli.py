@@ -13,7 +13,8 @@ import pytest
 
 from dp4 import brauer, localsolve
 from dp4.cli import build_parser, main, parse_surface_spec, InputError
-from dp4.quadform import GeneralSurface, SubfamilySurface
+from dp4.families import make_Y
+from dp4.quadform import GeneralSurface, SubfamilySurface, to_matrices
 
 
 def run_cli(capsys, *argv):
@@ -162,6 +163,20 @@ def test_cli_byte_identical_reruns(capsys):
     _, out1, _ = run_cli(capsys, *args)
     _, out2, _ = run_cli(capsys, *args)
     assert out1 == out2
+
+
+def test_cli_solubility_at_a_cone_prime_still_walks(capsys):
+    # the report decides Y_17_16_1's pencil at 17 by theorem; --place 17 walks and prints a witness
+    g = to_matrices(make_Y(17, 16, 1))
+    spec = json.dumps({"matrices": [g.mat1, g.mat2]})
+    code, out, _ = run_cli(capsys, "solubility", spec)
+    row = {r["place"]: r for r in json.loads(out)["rows"]}["17"]
+    assert code == 0 and "witness" not in row
+    assert row["method"] == "theorem: cone over a one-node quartic curve, Segre type [211]"
+    code, out, _ = run_cli(capsys, "solubility", spec, "--place", "17")
+    verdict = json.loads(out)
+    assert code == 0 and (verdict["status"], verdict["method"]) == ("soluble", "hensel")
+    assert verdict["witness"]["q"] == 17 and verdict["certificate"]["e"] == 0
 
 
 def test_cli_invariants_place(capsys):

@@ -876,7 +876,7 @@ def test_a_pencils_content_moves_no_finite_place(g):
         return [row for row in everywhere_locally_soluble_general(h).rows if row[0] != "oo"]
 
     rows = finite_rows(g)
-    for r, t in ((3, 5), (5, 3)):
+    for r, t in ((3, 5), (5, 3), (11, 13)):
         assert finite_rows(scaled(g, r, t)) == rows
 
 
@@ -1165,6 +1165,184 @@ def test_pencils_of_the_second_family_are_decided_at_every_bad_prime():
         assert rep.everywhere_soluble is everywhere_locally_soluble(s).everywhere_soluble is True, s
         large.update((s, q) for q in rep.decided_places if q > localsolve.GENERAL_ENUM_BUDGET)
     assert (surfaces[0], 179) in large and len(large) > 20
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_kernel_mod_against_brute_force(q):
+    # seeded 10x5 and 5x5 matrices: the basis lies in the kernel, is
+    # independent, and spans q^dim vectors, the kernel's size by enumeration
+    rng = random.Random(q)
+    for rows in (10, 5, 5, 5):
+        m = [[rng.choice((0, 0, rng.randrange(-9, 10))) for _ in range(5)] for _ in range(rows)]
+        basis = localsolve._kernel_mod(m, q)
+        size = sum(all(sum(a * b for a, b in zip(row, x)) % q == 0 for row in m)
+                   for x in itertools.product(range(q), repeat=5))
+        assert size == q ** len(basis)
+        span = {tuple(sum(c * v[i] for c, v in zip(cs, basis)) % q for i in range(5))
+                for cs in itertools.product(range(q), repeat=len(basis))}
+        assert len(span) == size and all(sum(a * b for a, b in zip(row, x)) % q == 0 for row in m for x in span)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 11])
+def test_double_roots_of_products_of_linear_forms(q):
+    # a form with known roots in P^1(F_q), maybe times an irreducible
+    # quadratic: None exactly when a root has multiplicity >= 3, else the
+    # double roots, (1 : 0) apart; every odd q, 3 included
+    rng = random.Random(q)
+    nonsquare = next(a for a in range(2, q) if legendre(a, q) == -1)
+    for _ in range(300):
+        degree = rng.choice((4, 5))
+        roots = [rng.choice([(1, 0)] + [(r, 1) for r in range(q)]) for _ in range(degree - 2)]
+        tail = [] if rng.random() < 0.5 else [[1, 0, -nonsquare]]  # k^2 - n l^2, no root in F_q
+        if not tail:
+            roots += [rng.choice([(1, 0)] + [(r, 1) for r in range(q)]) for _ in range(2)]
+        form = [1]
+        for factor in [[t, -r] for r, t in roots] + tail:  # t k - r l, coefficients from k first
+            form = [sum(form[i] * factor[n - i] for i in range(len(form)) if 0 <= n - i < len(factor))
+                    for n in range(len(form) + len(factor) - 1)]
+        mult = {root: roots.count(root) for root in roots}
+        unit = rng.randrange(1, q)
+        got = localsolve._double_roots([unit * c for c in form], q)
+        if max(mult.values()) >= 3:
+            assert got is None, (form, roots)
+        else:
+            d, at_inf = got
+            doubles = sorted(r for (r, t), m in mult.items() if m == 2 and t)
+            assert at_inf == (mult.get((1, 0)) == 2) and len(d) - 1 == len(doubles), (form, roots)
+            assert all(localsolve._poly_divmod(d, [-r % q, 1], q)[1] == [] for r in doubles)
+
+
+def report_rows(monkeypatch, g):
+    """{q: method} for the report's theorem rows at primes, and the primes it sends to decide_Qq (stubbed)."""
+    walked = []
+
+    def stub(surface, q, budget=localsolve.DEFAULT_EXPANSION_BUDGET):
+        walked.append(q)
+        return SolubilityVerdict(q, "inconclusive")
+
+    monkeypatch.setattr(localsolve, "decide_Qq", stub)
+    rows = everywhere_locally_soluble_general(g).rows
+    monkeypatch.undo()
+    theorems = {int(label): v.method for label, v, _ in rows if label.isdigit() and v.witness is None
+                and v.method.startswith("theorem")}
+    assert not set(theorems) & set(walked) and 2 in walked
+    return theorems, walked
+
+
+def content_free_disc(g):
+    """Disc(f_cf) up to sign, f_cf = det(k G1 + l G2) worked out from the content-free forms themselves."""
+    return quadform.quintic_partials_resultant(discriminant_quintic(GeneralSurface(*g.hessians))) // 125
+
+
+def seeded_cones(seed, n):
+    """n smooth pencils, each with a prime q in {3, 5, 7, 11, 13} dividing row and column 2 of both
+    forms: x2 spans a common kernel mod q, so the reduction is a cone (or worse)."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < n:
+        q = rng.choice((3, 5, 7, 11, 13))
+        mats = [[[0] * 5 for _ in range(5)] for _ in range(2)]
+        for m in mats:
+            for i, j in itertools.combinations_with_replacement(range(5), 2):
+                m[i][j] = m[j][i] = rng.randint(-2, 2) * (q if 2 in (i, j) else 1)
+        g = GeneralSurface(*(tuple(map(tuple, m)) for m in mats))
+        if any(g.quintic) and g.partials_resultant:
+            out.append((g, q))
+    return out
+
+
+CONE_TYPES = {
+    "genus one": "theorem: cone over a smooth genus-one curve (Hasse-Weil)",
+    "[211]": "theorem: cone over a one-node quartic curve, Segre type [211]",
+    "[(11)11]": "theorem: cone over two F_q-conics, Segre type [(11)11]",
+}
+
+
+def test_cone_rows_agree_with_the_walk():
+    # Random(7): 1500 seeded cones, each read by _cone_reduction at its q with
+    # f_cf = det(k G1 + l G2) worked out from the forms.  Every theorem row
+    # is soluble by the exhaustive walk, and every insoluble cone is walked.
+    # The counts are this seed's.
+    counts = {kind: 0 for kind in (*CONE_TYPES, "walked", "insoluble")}
+    for g, q in seeded_cones(7, 1500):
+        method = localsolve._cone_reduction(g.hessians, discriminant_quintic(GeneralSurface(*g.hessians)), q)
+        verdict = decide_Qq(g, q)
+        if method is None:
+            counts["walked"] += 1
+            counts["insoluble"] += verdict.status == "insoluble"
+        else:
+            assert verdict.soluble, (g, q, method)
+            counts[next(kind for kind, text in CONE_TYPES.items() if text == method)] += 1
+    assert counts == {"genus one": 1087, "[211]": 174, "[(11)11]": 25, "walked": 214, "insoluble": 15}, counts
+
+
+def test_good_reduction_rows_agree_with_the_walk(monkeypatch):
+    # the 530 smooth pencils among Random(11)'s 600 with entries in [-1, 1]:
+    # at q = 3, 5 and 7 prime to Disc(f_cf) (1182 primes) the walk finds a
+    # point, and the report's rows at 3 and 5 are good-reduction theorem
+    # rows exactly there
+    pencils = theorem_test_pencils()[60:]
+    assert len(pencils) == 530
+    good = 0
+    for g in pencils:
+        disc = content_free_disc(g)
+        theorems, walked = report_rows(monkeypatch, g)
+        for q in (3, 5, 7):
+            if disc % q:
+                good += 1
+                assert decide_Qq(g, q).soluble, (g, q)
+            if q < 7:
+                is_good = theorems.get(q) == "theorem: good reduction, a smooth F_q point (Chevalley-Warning)"
+                assert is_good == (disc % q != 0), (g, q)
+    assert good == 1182, good
+
+
+def test_family_pencils_are_theorem_rows_at_p(monkeypatch):
+    # both families for p <= 101: the cone at q = p is a theorem row, [211]
+    # on the first family and [(11)11] on the second, and every theorem row
+    # agrees with decide_Qq: the exhaustive walk up to GENERAL_ENUM_BUDGET,
+    # its certificate draws beyond (where q = p was decided before).  110
+    # pencils, 288 theorem rows, 57 of them at q = p > 60
+    surfaces = first_family(range(5, 102))
+    for p in range(5, 102, 8):  # the second family needs p = 5 mod 8
+        if is_prime(p):
+            t0 = 3 * (p - 1) // 4 % 8 or 8
+            surfaces += [make_S(*s_from_t(p, t0 + 8 * k)) for k in range(2)]
+    rows = beyond = 0
+    for s in surfaces:
+        g = to_matrices(s)
+        theorems, _ = report_rows(monkeypatch, g)
+        assert theorems[s.p] == CONE_TYPES["[211]" if s.C == 1 else "[(11)11]"], s
+        for q in theorems:
+            rows += 1
+            beyond += q == s.p > localsolve.GENERAL_ENUM_BUDGET
+            assert decide_Qq(g, q).soluble, (s, q)
+    assert (len(surfaces), rows, beyond) == (110, 288, 57)
+
+
+# mod 5 each is a cone with vertex x2 over a curve in (x0 : x1 : x3 : x4) of
+# the named kind; the other roots of its quartic g are simple
+CONSTRUCTED_CONES = [
+    ("genus one", diag(1, 1, 5, 1, 1), diag(1, 2, 30, 3, 4)),  # g = (k + l)(k + 2l)(k + 3l)(k + 4l)
+    ("[211]", ((0, 1, 0, 0, 0), (1, 0, 0, 0, 0), (0, 0, 5, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1)),
+     diag(1, 5, 10, 3, 4)),  # -k^2 (k + 3l)(k + 4l), the member at (0 : 1) of rank 3
+    ("[(11)11]", diag(1, -1, 5, 5, 5), diag(1, 1, 10, 1, 2)),  # l^2 at x0^2 - x1^2, split
+    ("walked", diag(1, -2, 5, 5, 5), diag(1, 1, 10, 1, 2)),  # l^2 at x0^2 - 2 x1^2, 2 no square mod 5
+    ("walked", diag(1, 1, 5, 1, 1), diag(1, 6, 10, 11, 3)),  # (k + l)^3 (k + 3l)
+    ("walked", diag(1, 5, 10, 1, 2), diag(3, 10, 15, 4, 1)),  # x1 and x2 span the common kernel
+]
+
+
+@pytest.mark.parametrize("kind, m1, m2", CONSTRUCTED_CONES)
+def test_constructed_cones_at_5(monkeypatch, kind, m1, m2):
+    g = GeneralSurface(m1, m2)
+    theorems, walked = report_rows(monkeypatch, g)
+    if kind == "walked":
+        assert 5 in walked
+        rows = {label: v for label, v, _ in everywhere_locally_soluble_general(g).rows}
+        assert rows["5"] == decide_Qq(g, 5)
+    else:
+        assert theorems[5] == CONE_TYPES[kind] and decide_Qq(g, 5).soluble
 
 
 def reference_general_level1(g, q):
