@@ -1044,7 +1044,7 @@ def everywhere_locally_soluble_general(g: GeneralSurface) -> LocalSolubilityRepo
     does not split (insoluble cones of such types exist).
     """
     quintic, res = validate_pencil(g)
-    c1, c2 = (next(2 * a // b for ra, rb in zip(m, h) for a, b in zip(ra, rb) if b)
+    c1, c2 = (next(2 * a // b for ra, rb in zip(m, h) for a, b in zip(ra, rb) if b)  # c_j = 2 M_j / G_j
               for m, h in zip((g.mat1, g.mat2), g.hessians))
     f_cf, rests = zip(*(divmod(32 * a, c1 ** (5 - i) * c2 ** i) for i, a in enumerate(quintic)))
     disc, rest = divmod(4 ** 20 * res, 125 * (c1 * c2) ** 20)
