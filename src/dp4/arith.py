@@ -36,7 +36,7 @@ def is_prime(n: int) -> bool:
     """Deterministic primality test for n < 3.3e24 (in particular all of 2^64)."""
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_BASES:
         if n % q == 0:
             return n == q
     if n >= _MR_DETERMINISTIC_BOUND:

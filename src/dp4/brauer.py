@@ -450,12 +450,14 @@ def _project_tuple(q: int, prec: int, coords) -> PadicApproxPoint:
     return pt
 
 
-def _unit_sqrt(p: int, a: int, prec: int) -> int:
-    """Square root mod p^prec of the unit square a; anything else blocks the recipe."""
+def _unit_sqrt(p: int, a: int, root: int | None) -> int:
+    """Square root mod p^_WITNESS_PRECISION of the unit square a, the one that is
+    ``root`` mod p unless root is None; anything else blocks the recipe."""
     try:
-        return hensel_sqrt(PadicScalar.from_residue(p, a, prec), prec).u
+        r = hensel_sqrt(PadicScalar.from_residue(p, a, _WITNESS_PRECISION), _WITNESS_PRECISION).u
     except (NotASquareError, InsufficientPrecisionError) as exc:
-        raise _ConstructionDegenerate(f"{a} mod {p}^{prec}: {exc}") from exc
+        raise _ConstructionDegenerate(f"{a} mod {p}^{_WITNESS_PRECISION}: {exc}") from exc
+    return -r % p ** _WITNESS_PRECISION if root is not None and (r - root) % p else r
 
 
 def surjectivity_witness(s: SubfamilySurface, seed: int = 0) -> WitnessResult:
@@ -473,12 +475,10 @@ def surjectivity_witness(s: SubfamilySurface, seed: int = 0) -> WitnessResult:
     WitnessSearchError.
     """
     validate_subfamily(s)
-    p = s.p
     ctx = _WitnessContext(rng=random.Random(f"witness:{seed}:{s!r}"))
     try:
-        hint, c1, c2, prec = _witness_recursive(s, ctx, depth=0)
-        pt1 = _attach_certificate(s, _project_tuple(p, prec, c1))
-        pt2 = _attach_certificate(s, _project_tuple(p, prec, c2))
+        hint, c1, c2 = _witness_recursive(s, ctx, depth=0)
+        pt1, pt2 = (_attach_certificate(s, _project_tuple(s.p, _WITNESS_PRECISION, c)) for c in (c1, c2))
     except _InsolubleAtP as exc:
         ctx.trace.append(str(exc))
         return WitnessResult(None, None, None, True, tuple(ctx.trace))
@@ -535,7 +535,7 @@ _FACTOR_SWAPS = {"B": ("BADC", True, "swap u and v"), "C": ("CDAB", False, "swap
 
 
 def _witness_recursive(s: SubfamilySurface, ctx: _WitnessContext, depth: int):
-    """Returns (class hint, tuple1, tuple2, precision); tuples are residues mod p^prec."""
+    """Returns (class hint, tuple1, tuple2); tuples are residues mod p^_WITNESS_PRECISION."""
     if depth > 8:
         raise _ConstructionDegenerate("recursion depth exceeded")
     p = s.p
@@ -548,8 +548,8 @@ def _witness_recursive(s: SubfamilySurface, ctx: _WitnessContext, depth: int):
         except ValueError as exc:
             raise _ConstructionDegenerate(f"transformed surface invalid: {exc}") from exc
         ctx.trace.append(label)
-        hint, c1, c2, prec = _witness_recursive(s_next, ctx, depth + 1)
-        return hint, map_back(c1), map_back(c2), prec
+        hint, c1, c2 = _witness_recursive(s_next, ctx, depth + 1)
+        return hint, map_back(c1), map_back(c2)
 
     def scaled(coords):
         return lambda c: tuple(p * ci if i in coords else ci for i, ci in enumerate(c))
@@ -639,24 +639,31 @@ def _flip_pair(s, ctx, flip_y: bool, flip_z: bool):
         v2 = _point_values(s, replace(pt, coords=_flip_point(pt, flip_y, flip_z)), None, _WITNESS_PRECISION)[1]
         if v2 is not None and v1 != v2:
             pt = newton_refine(s, pt, _WITNESS_PRECISION) if pt.k < _WITNESS_PRECISION else pt
-            pt2 = normalize_residue_tuple(s.p, pt.k, _flip_point(pt, flip_y, flip_z))
-            return "B", pt.coords, pt2.coords, pt.k
+            return "B", pt.coords, _flip_point(pt, flip_y, flip_z)
     raise _ConstructionDegenerate("sign flip did not separate on any sampled point")
 
 
 # --- cases 1-4: explicit point constructions ---
 
 
+def _complete(s: SubfamilySurface, u: int, v: int, x: int, y: int, root: int | None) -> tuple:
+    """(u, v, x, y, z) mod p^_WITNESS_PRECISION, z the unit square root of
+    (Au+Bv)(Cu+Dv) + p x^2 (``_unit_sqrt``, ``root`` picking it mod p)."""
+    mod = s.p ** _WITNESS_PRECISION
+    z = _unit_sqrt(s.p, (s.A * u + s.B * v) * (s.C * u + s.D * v) + s.p * x * x, root)
+    return u % mod, v % mod, x % mod, y % mod, z
+
+
 def _case1(s: SubfamilySurface, ctx: _WitnessContext):
     p, A, B, C, D, M = s.p, s.A, s.B, s.C, s.D, s.M
-    K = _WITNESS_PRECISION
-    mod = p ** K
+    mod = p ** _WITNESS_PRECISION
     _require(B % p != 0 and C % p != 0, "case 1 needs B, C units")
+    minv = pow(M, -1, mod)
     if D % p != 0:
         # -BD is a unit square; points built from a unit r with r*sqrt(-BD) non-square
         mbd = (-B * D) % mod
         _require(legendre(mbd, p) == 1, "case 1a needs -BD a square")
-        sq = _unit_sqrt(p, mbd, 1)
+        sq = _unit_sqrt(p, mbd, None)
         want = -legendre(sq, p)  # required Legendre class of r
         r = next((r0 for r0 in range(1, p)
                   if _legendre_unchecked(r0, p) == want and (r0 * r0 + B * D) % p != 0), None)
@@ -669,34 +676,19 @@ def _case1(s: SubfamilySurface, ctx: _WitnessContext):
         cinv = pow(C, -1, mod)
         u1 = (-D * cinv) % mod
         y1sq = (-D * M * cinv) % mod
-        y1 = _unit_sqrt(p, y1sq, K)
+        y1 = _unit_sqrt(p, y1sq, None)
         pt1 = (u1, 1, 0, y1, 0)
-        minv = pow(M, -1, mod)
         u2 = y2 * y2 * minv % mod
-        val = (A * u2 + B) * (C * u2 + D) % mod
-        z2 = _unit_sqrt(p, val, K)
-        pt2 = (u2, 1, 0, y2, z2)
-        return "B", pt1, pt2, K
-    # case 1b: v_p(D) >= 1; unit y1 square, y2 non-square
+        return "B", pt1, _complete(s, u2, 1, 0, y2, None)
+    # case 1b: v_p(D) >= 1; y = 1, a square, and y = g, a non-square, with v = y^2/M and z = -y mod p
     ctx.trace.append("case 1b")
     g = find_nonresidue(p)
-    mod = p ** K
-    minv = pow(M, -1, mod)
-    pts = []
-    for yi in (1, g):
-        vi = yi * yi * minv % mod
-        val = (A + B * vi) * (C + D * vi) % mod
-        zi = _unit_sqrt(p, val, K)
-        if (zi + yi) % p:  # take the root that is -yi mod p
-            zi = -zi % mod
-        pts.append((1, vi, 0, yi % mod, zi))
-    return "B", pts[0], pts[1], K
+    return "B", _complete(s, 1, minv, 0, 1, -1), _complete(s, 1, g * g * minv, 0, g, -g)
 
 
 def _case2(s: SubfamilySurface, ctx: _WitnessContext):
     p, A, B, C, D, M = s.p, s.A, s.B, s.C, s.D, s.M
-    K = _WITNESS_PRECISION
-    mod = p ** K
+    mod = p ** _WITNESS_PRECISION
     _require(A % p == 0 and B % p == 0 and C % p and D % p, "case 2 valuation pattern")
     A1, B1, M1 = A // p, B // p, M // p
     N1, rem = divmod(s.N, p)
@@ -718,9 +710,9 @@ def _case2(s: SubfamilySurface, ctx: _WitnessContext):
         yi = (A1 * C * rinv + r) * inv2 % mod * N1 % mod
         zi = (A1 * C * rinv - r) * inv2 % mod * N1 % mod
         arg = (2 * A1 * C * M1 * W + p * yi * yi) % mod
-        xi = _unit_sqrt(p, arg, K)
+        xi = _unit_sqrt(p, arg, None)
         pts.append(((-W) % mod, 2 * A1 * C % mod, xi, p * yi % mod, p * zi % mod))
-    return "B", pts[0], pts[1], K
+    return "B", pts[0], pts[1]
 
 
 def _case3(s: SubfamilySurface, ctx: _WitnessContext):
@@ -729,12 +721,10 @@ def _case3(s: SubfamilySurface, ctx: _WitnessContext):
     so M = AD + BC -+ 2st and ABM = A^2 t^2 + B^2 s^2 -+ 2ABst = (At -+ Bs)^2,
     and construction 3b always applies."""
     p, A, B, C, D, M = s.p, s.A, s.B, s.C, s.D, s.M
-    K = _WITNESS_PRECISION
-    mod = p ** K
+    mod = p ** _WITNESS_PRECISION
     _require(legendre(A * C, p) == 1 and legendre(B * D, p) == 1, "case 3 needs AC, BD squares")
     _require(legendre(A * B * M, p) == 1, "case 3 has ABM a square")
-    s1 = _unit_sqrt(p, A * C % mod, K)
-    pt1 = (1, 0, 0, 0, s1)
+    pt1 = _complete(s, 1, 0, 0, 0, None)
     ctx.trace.append("case 3b")
     inv_ma = pow(M * A % p, -1, p)
     bb = B * inv_ma % p
@@ -743,23 +733,16 @@ def _case3(s: SubfamilySurface, ctx: _WitnessContext):
     y0 = quadres_witness(p, 1, bb, cc, dd)
     minv = pow(M, -1, mod)
     if (cc + dd * y0 * y0) % p != 0:
-        v2 = y0 * y0 * minv % mod
-        val = (A + B * v2) * (C + D * v2) % mod
-        z2 = _unit_sqrt(p, val, K)
-        return "A", pt1, (1, v2, 0, y0, z2), K
+        return "A", pt1, _complete(s, 1, y0 * y0 * minv, 0, y0, None)
     # alternative (ii): adjust y0 so the second factor vanishes exactly
     y1sq = (-C * M * pow(D, -1, mod)) % mod
-    y1 = _unit_sqrt(p, y1sq, K)
-    if (y1 - y0) % p:  # take the root that is y0 mod p
-        y1 = -y1 % mod
+    y1 = _unit_sqrt(p, y1sq, y0)  # the root that is y0 mod p
     v2 = y1 * y1 * minv % mod
-    return "A", pt1, (1, v2, 0, y1, 0), K
+    return "A", pt1, (1, v2, 0, y1, 0)
 
 
 def _case4(s: SubfamilySurface, ctx: _WitnessContext):
-    p, A, B, C, D, M = s.p, s.A, s.B, s.C, s.D, s.M
-    K = _WITNESS_PRECISION
-    mod = p ** K
+    p, A, B, C, M = s.p, s.A, s.B, s.C, s.M
     vM = valuation(M, p)
     k = (vM - 1) // 2
     M1 = M // p ** vM
@@ -770,16 +753,8 @@ def _case4(s: SubfamilySurface, ctx: _WitnessContext):
     if x0 is None:
         raise _ConstructionDegenerate("case 4: no x0 with 1 - (B/M'A) x0^2 a non-square")
     ctx.trace.append(f"case 4 (v_p(M) = {vM})")
-    s1 = _unit_sqrt(p, A * C % mod, K)
-    pt1 = (1, 0, 0, 0, s1)
-    m1inv = pow(M1, -1, mod)
-    v2 = (-x0 * x0 * m1inv) % mod
-    val = (A * C % mod) * (1 - B * x0 * x0 * m1inv * pow(A, -1, mod)) % mod \
-        * (1 - D * x0 * x0 * m1inv * pow(C, -1, mod)) % mod
-    val = (val + p ** (2 * k + 1) * x0 * x0) % mod
-    z2 = _unit_sqrt(p, val, K)
-    pt2 = (1, v2, p ** k * x0 % mod, 0, z2)
-    return "A", pt1, pt2, K
+    v2 = -x0 * x0 * pow(M1, -1, p ** _WITNESS_PRECISION)
+    return "A", _complete(s, 1, 0, 0, 0, None), _complete(s, 1, v2, p ** k * x0, 0, None)
 
 
 # ---------------------------------------------------------------------------

@@ -402,32 +402,26 @@ def newton_refine(surface, pt: PadicApproxPoint, target_k: int) -> PadicApproxPo
 # node readings: Hensel certificates and digit-by-digit lifts
 
 
-def _reduce_digit_system(rows, rhs, q: int):
-    """Row-reduce the 2x4 digit system: (mat, pivots, kernel), or None if inconsistent.
-    Columns 5 and 6 carry each row's combination (l1, l2) of the two equations,
-    so the rows left zero give kernel, a basis of the matrix's left kernel mod q."""
-    mat = [list(rows[0]) + [rhs[0], 1, 0], list(rows[1]) + [rhs[1], 0, 1]]
+def _rref_mod(rows, q: int, ncols: int):
+    """Gauss-Jordan elimination mod q, pivoting only in the first ncols columns:
+    (mat, pivots), mat the rows mod q, one per pivot first (1 at its pivot, 0 at
+    the other pivots), then the rows past the pivots, 0 in the first ncols columns."""
+    mat = [[a % q for a in row] for row in rows]
     pivots = []
-    r = 0
-    for c in range(4):
-        piv = next((rr for rr in range(r, 2) if mat[rr][c] % q), None)
-        if piv is None:
+    for c in range(ncols):
+        r = piv = len(pivots)
+        while piv < len(mat) and not mat[piv][c]:
+            piv += 1
+        if piv == len(mat):
             continue
         mat[r], mat[piv] = mat[piv], mat[r]
         inv = pow(mat[r][c], -1, q)
-        mat[r] = [x * inv % q for x in mat[r]]
-        for rr in range(2):
-            if rr != r and mat[rr][c] % q:
-                f = mat[rr][c]
-                mat[rr] = [(x - f * y) % q for x, y in zip(mat[rr], mat[r])]
+        mat[r] = prow = [a * inv % q for a in mat[r]]
+        for rr, row in enumerate(mat):
+            if rr != r and (f := row[c]):
+                mat[rr] = [(a - f * b) % q for a, b in zip(row, prow)]
         pivots.append(c)
-        r += 1
-        if r == 2:
-            break
-    for rr in range(r, 2):
-        if mat[rr][4] % q:
-            return None
-    return mat, pivots, [row[5:] for row in mat[r:]]
+    return mat, pivots
 
 
 def _node(surface, pt: PadicApproxPoint):
@@ -499,11 +493,13 @@ def _node(surface, pt: PadicApproxPoint):
 
     def lifts():
         free_idx = [idx for idx in range(5) if idx != pt.pinned]
-        rows = ([j1[idx] % q for idx in free_idx], [j2[idx] % q for idx in free_idx])
-        reduced = _reduce_digit_system(rows, ((-(f1 // qk)) % q, (-(f2 // qk)) % q), q)
-        if reduced is None:
+        # the 2x4 digit system; columns 5 and 6 carry each row's combination of
+        # the two equations, so the rows past the pivots give the left kernel
+        mat, pivots = _rref_mod([[j1[idx] for idx in free_idx] + [-(f1 // qk), 1, 0],
+                                 [j2[idx] for idx in free_idx] + [-(f2 // qk), 0, 1]], q, 4)
+        if any(row[4] for row in mat[len(pivots):]):  # inconsistent: pt is dead
             return 0, None, None
-        mat, pivots, kernel = reduced
+        kernel = [row[5:] for row in mat[len(pivots):]]
         free = [c for c in range(4) if c not in pivots]
 
         def digits(i: int) -> list[int]:
@@ -864,25 +860,17 @@ def everywhere_locally_soluble(s: SubfamilySurface) -> LocalSolubilityReport:
 
 
 def _kernel_mod(rows, q: int) -> list[list[int]]:
-    """A basis of the x over F_q with r . x = 0 mod q for every row r, by elimination."""
-    pivots: dict[int, list[int]] = {}  # pivot column: a row, 1 there and 0 mod q at the earlier pivots
-    for row in rows:
-        for pc, piv in pivots.items():
-            if f := row[pc] % q:
-                row = [a - f * b for a, b in zip(row, piv)]
-        for pc, a in enumerate(row):
-            if a % q:
-                inv = pow(a, -1, q)
-                pivots[pc] = [b * inv % q for b in row]
-                break
+    """A basis of the x over F_q with r . x = 0 mod q for every row r, one
+    vector per free column of ``_rref_mod``: 1 there, 0 at the other free columns."""
+    n = len(rows[0])
+    mat, pivots = _rref_mod(rows, q, n)
     basis = []
-    for free in range(len(rows[0])):
-        if free not in pivots:
-            x = [0] * len(rows[0])
-            x[free] = 1
-            for pc, piv in reversed(pivots.items()):  # later pivots first: a row is 0 at the earlier ones
-                x[pc] = -sum(a * b for a, b in zip(piv, x)) % q
-            basis.append(x)
+    for free in (c for c in range(n) if c not in pivots):
+        x = [0] * n
+        x[free] = 1
+        for row, pc in zip(mat, pivots):
+            x[pc] = -row[free] % q
+        basis.append(x)
     return basis
 
 
@@ -1044,8 +1032,7 @@ def everywhere_locally_soluble_general(g: GeneralSurface) -> LocalSolubilityRepo
     does not split (insoluble cones of such types exist).
     """
     quintic, res = validate_pencil(g)
-    c1, c2 = (next(2 * a // b for ra, rb in zip(m, h) for a, b in zip(ra, rb) if b)  # c_j = 2 M_j / G_j
-              for m, h in zip((g.mat1, g.mat2), g.hessians))
+    c1, c2 = g.contents
     f_cf, rests = zip(*(divmod(32 * a, c1 ** (5 - i) * c2 ** i) for i, a in enumerate(quintic)))
     disc, rest = divmod(4 ** 20 * res, 125 * (c1 * c2) ** 20)
     if rest or any(rests):

@@ -421,8 +421,8 @@ class GeneralSurface:
     The matrices M_j are the fields (``repr``, ``==``, ``hash``) and the view
     that ``member``, the quintic, ``decide_R`` and ``order4_test`` read.
     Points are evaluated on the content-free forms F_j = x.M_j x / c_j, c_j
-    the gcd of the M_ii and the 2 M_ij (1 for a zero matrix), through
-    ``hessians``: G_j = 2 M_j / c_j, with F_j = x.G_j x / 2 and gradient G_j x.
+    the gcd of the M_ii and the 2 M_ij (1 for a zero matrix, ``contents``),
+    through ``hessians``: G_j = 2 M_j / c_j, with F_j = x.G_j x / 2 and gradient G_j x.
     At a prime q not dividing c_j this scales the system by a unit.
     """
 
@@ -437,13 +437,16 @@ class GeneralSurface:
                 raise ValueError("matrices must be symmetric")
 
     @cached_property
+    def contents(self) -> tuple[int, int]:
+        """(c_1, c_2), worked out on first use, once per surface; not a field."""
+        return tuple(gcd(*(a if i == j else 2 * a for i, row in enumerate(m) for j, a in enumerate(row))) or 1
+                     for m in (self.mat1, self.mat2))
+
+    @cached_property
     def hessians(self) -> tuple[Matrix, Matrix]:
         """(G_1, G_2), worked out on first use, once per surface; not a field."""
-        out = []
-        for m in (self.mat1, self.mat2):
-            content = gcd(*(a if i == j else 2 * a for i, row in enumerate(m) for j, a in enumerate(row))) or 1
-            out.append(tuple(tuple(2 * a // content for a in row) for row in m))
-        return tuple(out)
+        return tuple(tuple(tuple(2 * a // c for a in row) for row in m)
+                     for m, c in zip((self.mat1, self.mat2), self.contents))
 
     @cached_property
     def quintic(self) -> tuple[int, ...]:

@@ -1167,7 +1167,7 @@ def test_pencils_of_the_second_family_are_decided_at_every_bad_prime():
     assert (surfaces[0], 179) in large and len(large) > 20
 
 
-@pytest.mark.parametrize("q", [3, 5, 7])
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
 def test_kernel_mod_against_brute_force(q):
     # seeded 10x5 and 5x5 matrices: the basis lies in the kernel, is
     # independent, and spans q^dim vectors, the kernel's size by enumeration
@@ -1181,6 +1181,23 @@ def test_kernel_mod_against_brute_force(q):
         span = {tuple(sum(c * v[i] for c, v in zip(cs, basis)) % q for i in range(5))
                 for cs in itertools.product(range(q), repeat=len(basis))}
         assert len(span) == size and all(sum(a * b for a, b in zip(row, x)) % q == 0 for row in m for x in span)
+    # seeded 2x4 digit systems, built as _node builds them (J | rhs | identity)
+    # and reduced with pivots in the first four columns only: the rows past
+    # the pivots flag exactly the systems with no solution in F_q^4, and their
+    # last two entries annihilate the matrix and span its left kernel mod q
+    for _ in range(60):
+        j1 = [rng.choice((0, rng.randrange(-9, 10))) for _ in range(4)]
+        j2 = [rng.choice((0, rng.randrange(-9, 10))) if rng.random() < 0.6 else rng.randrange(4) * a for a in j1]
+        rhs = [rng.randrange(-9, 10), rng.randrange(-9, 10)]
+        mat, pivots = localsolve._rref_mod([j1 + [rhs[0], 1, 0], j2 + [rhs[1], 0, 1]], q, 4)
+        rest = mat[len(pivots):]
+        soluble = any(all((sum(a * b for a, b in zip(j, t)) - r) % q == 0 for j, r in zip((j1, j2), rhs))
+                      for t in itertools.product(range(q), repeat=4))
+        assert soluble is not any(row[4] for row in rest)
+        assert all((row[5] * a + row[6] * b) % q == 0 for row in rest for a, b in zip(j1, j2))
+        left = sum(all((l1 * a + l2 * b) % q == 0 for a, b in zip(j1, j2))
+                   for l1, l2 in itertools.product(range(q), repeat=2))
+        assert left == q ** len(rest)
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 11])
