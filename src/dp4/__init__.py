@@ -7,6 +7,7 @@ pencils of quadrics in five variables.
 """
 
 from .arith import (
+    BudgetExceeded,
     FactorBudgetExceeded,
     InsufficientPrecisionError,
     NotASquareError,

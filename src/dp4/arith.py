@@ -11,7 +11,11 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 
-class FactorBudgetExceeded(Exception):
+class BudgetExceeded(Exception):
+    """A search ran out of its budget: the answer is "inconclusive", never a wrong one."""
+
+
+class FactorBudgetExceeded(BudgetExceeded):
     """Factorization gave up within its budget; never a wrong answer."""
 
 

@@ -423,7 +423,12 @@ class WitnessResult:
     point2: PadicApproxPoint | None
     insoluble_at_p: bool
     case_trace: tuple[str, ...]
-    values: tuple | None = None
+    readings: tuple | None = None  # the (A, B, C) values read at point1 and at point2
+
+    @property
+    def values(self) -> tuple | None:
+        """The separating class's values at point1 and point2."""
+        return self.readings and tuple(reading[CLASS_TAGS.index(self.tag)] for reading in self.readings)
 
     def to_json(self):
         if self.insoluble_at_p:
@@ -509,12 +514,13 @@ def _attach_certificate(s: SubfamilySurface, pt: PadicApproxPoint) -> PadicAppro
 def _validated_result(s, hint, pt1, pt2, ctx) -> WitnessResult | None:
     """The first class, the hinted one first, that takes two determinate
     values on the pair; each point is read once for all three classes."""
-    values = dict(zip(CLASS_TAGS, zip(_point_values(s, pt1, None), _point_values(s, pt2, None))))
+    readings = (_point_values(s, pt1, None), _point_values(s, pt2, None))
+    values = dict(zip(CLASS_TAGS, zip(*readings)))
     for tag in [hint] + [t for t in CLASS_TAGS if t != hint]:
         v1, v2 = values[tag]
         if None not in (v1, v2) and v1 != v2:
             ctx.trace.append(f"validated: class {tag} separates the pair")
-            return WitnessResult(tag, pt1, pt2, False, tuple(ctx.trace), (v1, v2))
+            return WitnessResult(tag, pt1, pt2, False, tuple(ctx.trace), readings)
     return None
 
 
@@ -827,10 +833,17 @@ def bm_verdict(s: SubfamilySurface, sample_budget: int = 64, seed: int = 0) -> O
     witness = surjectivity_witness(s, seed=seed)
     if witness.insoluble_at_p:
         raise AssertionError(f"witness machinery finds {s.label()} insoluble at p")
-    # fold in the surjectivity witness at p
-    prev = images[witness.tag][str(s.p)]
-    images[witness.tag][str(s.p)] = PlaceImage(prev.values | {ZERO, HALF}, "witness-pair",
+    # fold in the surjectivity witness at p: the separating class takes both
+    # values, and each other class gains the determinate values read at the pair
+    for tag, read in zip(CLASS_TAGS, zip(*witness.readings)):
+        prev = images[tag][str(s.p)]
+        if tag == witness.tag:
+            images[tag][str(s.p)] = PlaceImage(prev.values | {ZERO, HALF}, "witness-pair",
                                                "separating pair from the case construction", prev.n)
+        elif gained := set(read) - {None} - prev.values:
+            if prev.kind == "theorem":
+                raise AssertionError(f"family theorem image of {tag} at {s.p} lacks witness values {sorted(gained)}")
+            images[tag][str(s.p)] = PlaceImage(prev.values | gained, "sampled", "value at the witness pair", prev.n + 1)
     obstructing = _obstructing(images)
     rational_point = None
     family = family_of(s)

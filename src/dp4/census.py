@@ -10,10 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import FactorBudgetExceeded, is_prime
+from .arith import BudgetExceeded, is_prime
 from .brauer import bm_verdict, reciprocity_check
 from .families import make_S, make_Y, point_search, predict_S, predict_Y, s_from_t
-from .localsolve import EnumerationBudgetError, SamplingBudgetError
 from .quadform import Point
 
 
@@ -81,9 +80,8 @@ def _census_row(task) -> CensusRow:
         return CensusRow(family, params, s.label(), predicted, report.hp_obstructed_by,
                          report.wa_failure, report.unknown_classes, points, agreement)
     except Exception as exc:  # a census survives per-row failures and reports them
-        budget = isinstance(exc, (SamplingBudgetError, EnumerationBudgetError, FactorBudgetExceeded))
         return CensusRow(family, params, label, predicted, None, None, (), (),
-                         None if budget else False, error=f"{type(exc).__name__}: {exc}")
+                         None if isinstance(exc, BudgetExceeded) else False, error=f"{type(exc).__name__}: {exc}")
 
 
 def census_Y(p_max: int, height_bound: int = 0, sample_budget: int = 32,

@@ -19,7 +19,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .arith import FactorBudgetExceeded
+from .arith import BudgetExceeded
 from .brauer import (
     CLASS_TAGS,
     REAL_PLACE_IMAGE,
@@ -30,8 +30,6 @@ from .brauer import (
     surjectivity_witness,
 )
 from .localsolve import (
-    EnumerationBudgetError,
-    SamplingBudgetError,
     decide_Qq,
     decide_R,
     everywhere_locally_soluble,
@@ -314,8 +312,7 @@ def cmd_verify_paper(args) -> int:
         try:
             fn()
             record(name, True)
-        except (SamplingBudgetError, EnumerationBudgetError, FactorBudgetExceeded,
-                IndeterminateEvaluationError) as exc:
+        except (BudgetExceeded, IndeterminateEvaluationError) as exc:
             record(name, None, f"budget: {exc}")
         except AssertionError as exc:
             record(name, False, str(exc))
@@ -440,7 +437,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (SamplingBudgetError, EnumerationBudgetError, FactorBudgetExceeded) as exc:
+    except BudgetExceeded as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
 

@@ -21,8 +21,8 @@ import math
 import random
 from dataclasses import dataclass, replace
 
-from .arith import (_legendre_unchecked, _prime_is_square_at, _sqrt_mod_unchecked, factor, find_nonresidue, is_prime,
-                    valuation)
+from .arith import (BudgetExceeded, _legendre_unchecked, _prime_is_square_at, _sqrt_mod_unchecked, factor,
+                    find_nonresidue, is_prime, valuation)
 from .quadform import (
     GeneralSurface,
     SubfamilySurface,
@@ -42,11 +42,11 @@ ROOT_SCAN_BOUND = 64  # up to this q, polynomial roots are found by evaluating a
 _MINOR_PAIRS = tuple(itertools.combinations(range(5), 2))  # the 2x2 minors of a 2x5 Jacobian, in reading order
 
 
-class EnumerationBudgetError(Exception):
+class EnumerationBudgetError(BudgetExceeded):
     """The requested exhaustive residue enumeration is beyond the budget."""
 
 
-class SamplingBudgetError(Exception):
+class SamplingBudgetError(BudgetExceeded):
     """Could not produce the requested number of certified local points;
     ``points`` holds the distinct certified points found, maybe none."""
 

@@ -9,7 +9,7 @@ Three shapes of input are supported:
 * ``GeneralSurface``: an arbitrary pencil given by two symmetric 5x5 integer
   matrices on coordinates (u, v, x, y, z).
 
-All linear algebra is fraction-free or exact over Fraction.
+All linear algebra is fraction-free.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 from math import factorial, gcd
 
 from .arith import SquareClass, divisors, is_perfect_square, is_prime, isqrt, square_class
@@ -62,25 +61,6 @@ def points_sign_equivalent(a, b) -> bool:
 
 # ---------------------------------------------------------------------------
 # exact linear algebra on small integer matrices
-
-
-def _row_reduce(m) -> tuple[list[list[Fraction]], list[int]]:
-    """Gauss-Jordan elimination over Fraction: the reduced rows and the pivot columns."""
-    rows = [[Fraction(x) for x in row] for row in m]
-    pivots: list[int] = []
-    for col in range(len(rows[0])):
-        rank = len(pivots)
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pr = rows[rank]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col] / pr[col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], pr)]
-        pivots.append(col)
-    return rows, pivots
 
 
 def _bareiss(m: Matrix) -> tuple[int, int]:
@@ -143,30 +123,6 @@ def mat_det(m: Matrix) -> int:
     """The determinant of a square integer matrix, by ``_bareiss``."""
     rank, last = _bareiss(m)
     return last if rank == len(m) else 0
-
-
-def left_kernel_basis(rows: list[list[int]]) -> list[list[Fraction]]:
-    """Basis of {w : w^T rows = 0} for a list of integer row vectors."""
-    nrows = len(rows)
-    # w^T rows = 0 is rows^T w = 0: eliminate on the transposed system.
-    mat, pivots = _row_reduce([[rows[r][c] for r in range(nrows)] for c in range(len(rows[0]))])
-    basis = []
-    for fc in (c for c in range(nrows) if c not in pivots):
-        w = [Fraction(0)] * nrows
-        w[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            w[pc] = -mat[r][fc] / mat[r][pc]
-        basis.append(w)
-    return basis
-
-
-def clear_denominators(vec: list[Fraction]) -> list[int]:
-    lcm = 1
-    for f in vec:
-        lcm = lcm * f.denominator // gcd(lcm, f.denominator)
-    out = [int(f * lcm) for f in vec]
-    g = gcd(*out)
-    return [c // g for c in out] if g else out
 
 
 # ---------------------------------------------------------------------------
@@ -375,11 +331,11 @@ class NormalFormReport:
 
 
 def check_normal_form(nf: NormalFormSurface) -> NormalFormReport:
-    cond1 = nf.eps != 0 and not square_class(nf.eps).is_square
+    cond1 = not is_perfect_square(nf.eps)
     cond2 = (nf.d0 == nf.b0 ** 2 - nf.a0 * nf.c0) and (nf.d1 == nf.b1 ** 2 - nf.a1 * nf.c1)
     d2 = nf.d2()
     prod = nf.eps * nf.d0 * nf.d1 * d2
-    cond3 = prod != 0 and square_class(prod).is_square
+    cond3 = prod != 0 and is_perfect_square(prod)
     res = binary_resultant([nf.a0, 2 * nf.b0, nf.c0], [nf.a1, 2 * nf.b1, nf.c1])
     cond4 = res != 0
     return NormalFormReport(cond1, cond2, cond3, cond4, res)
@@ -643,21 +599,25 @@ def collapse_triple(nf: NormalFormSurface, p0, p1, p2) -> Point:
     """Recover the common surface point behind a triple on the three members.
 
     Each pi must lie on the i-th distinguished member and the 3x5 gradient
-    matrix must have rank 2; each point is rescaled by the kernel vector and
-    the shared coordinates are read off.  The result satisfies both surface
-    equations, with signs normalized (first nonzero of (x, y, z) positive).
+    matrix must have rank 2; each point is rescaled by the left kernel vector,
+    a cross product of two columns, and the shared coordinates are read off.
+    The result satisfies both surface equations, with signs normalized (first
+    nonzero of (x, y, z) positive).
     """
     pts = [tuple(int(c) for c in p) for p in (p0, p1, p2)]
     for i, pt in enumerate(pts):
         if nf.member_value(i, pt) != 0:
             raise ValueError(f"point {pt} does not lie on member {i}")
-    rows = [list(nf.member_gradient(i, pts[i])) for i in range(3)]
-    if mat_rank(tuple(tuple(r) for r in rows)) != 2:
+    rows = tuple(nf.member_gradient(i, pts[i]) for i in range(3))
+    if mat_rank(rows) != 2:
         raise ValueError("gradient matrix does not have rank 2")
-    basis = left_kernel_basis(rows)
-    if len(basis) != 1:
-        raise AssertionError("rank-2 gradient matrix has a left kernel of dimension != 1")
-    kappa, lam, mu = clear_denominators(basis[0])
+    for (a0, a1, a2), (b0, b1, b2) in itertools.combinations(zip(*rows), 2):
+        w = (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+        if any(w):
+            break
+    else:
+        raise AssertionError("a rank-2 matrix has two independent columns")
+    kappa, lam, mu = (c // gcd(*w) for c in w)
     if kappa == 0 or lam == 0 or mu == 0:
         raise ValueError("degenerate triple: kernel vector has a zero coordinate")
     scaled = [tuple(kappa * c for c in pts[0]),

@@ -242,6 +242,14 @@ def test_factor_budget_failure_is_loud(monkeypatch):
         factor(p1 * p1)
 
 
+def test_every_budget_error_is_a_budget_exceeded():
+    from dp4 import BudgetExceeded
+    from dp4.localsolve import EnumerationBudgetError, SamplingBudgetError
+
+    for exc in (FactorBudgetExceeded, EnumerationBudgetError, SamplingBudgetError):
+        assert issubclass(exc, BudgetExceeded), exc
+
+
 def test_divisors():
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
     assert divisors(1) == [1]

@@ -611,9 +611,10 @@ def test_evaluate_invariant_rejects_an_unknown_class_tag():
 
 
 def test_rational_point_repairs_an_undersampled_image(monkeypatch):
-    # case1 is off-family; make A read {0} at 2 and {1/2} at 13, as an
-    # undersampled image would: the search finds (0, 1, 0, 0, -1), whose
-    # exact value 0 at 13 joins the image and refutes the obstruction
+    # case1 is off-family; make A read {1/2} at 2, as an undersampled image
+    # would, where the witness pair at 13 cannot repair it: the search finds
+    # (0, 1, 0, 0, -1), whose exact value 0 at 2 joins the image and refutes
+    # the obstruction
     s = CASE_PATTERN_SURFACES["case1"]
     real = brauer.invariant_image
     sampled_n = {}
@@ -621,17 +622,18 @@ def test_rational_point_repairs_an_undersampled_image(monkeypatch):
     def undersampled(surface, q, **kwargs):
         images = real(surface, q, **kwargs)
         sampled_n[q] = images["A"].n
-        images["A"] = brauer.PlaceImage(frozenset({HALF if q == 13 else ZERO}), "sampled", n=sampled_n[q])
+        if q == 2:
+            images["A"] = brauer.PlaceImage(frozenset({HALF}), "sampled", n=sampled_n[q])
         return images
 
     monkeypatch.setattr(brauer, "invariant_image", undersampled)
     rep = bm_verdict(s)
     assert rep.rational_point == (0, 1, 0, 0, -1)
     assert rep.hp_obstructed_by == ()
-    img = rep.images["A"]["13"]
-    assert img.values == {ZERO, HALF} and img.n == sampled_n[13] + 1
+    img = rep.images["A"]["2"]
+    assert img.values == {ZERO, HALF} and img.n == sampled_n[2] + 1
     assert img.detail == "exact value at (0, 1, 0, 0, -1)"
-    assert rep.images["A"]["2"].values == {ZERO} and rep.images["A"]["2"].n == sampled_n[2]
+    assert rep.images["A"]["13"].values == {ZERO} and rep.images["A"]["13"].n == sampled_n[13]
 
 
 def test_witness_pair_and_repairing_point_are_read_once(monkeypatch):
@@ -653,7 +655,8 @@ def test_witness_pair_and_repairing_point_are_read_once(monkeypatch):
 
     def undersampled(surface, q, **kwargs):  # as in the repair test above
         images = real_image(surface, q, **kwargs)
-        images["A"] = brauer.PlaceImage(frozenset({HALF if q == 13 else ZERO}), "sampled", n=1)
+        if q == 2:
+            images["A"] = brauer.PlaceImage(frozenset({HALF}), "sampled", n=1)
         return images
 
     monkeypatch.setattr(brauer, "invariant_image", undersampled)
@@ -975,6 +978,26 @@ def test_bm_verdict_paper_surfaces():
     rep_s = bm_verdict(S_13)
     assert rep_s.hp_obstructed_by == ("B",) and rep_s.wa_failure
     assert not rep_s.unknown_classes
+
+
+def test_bm_verdict_does_not_depend_on_the_seed():
+    # the witness pair's readings of every class join the images at p, so
+    # a sampled singleton at p that the pair refutes no longer obstructs
+    for coeffs in [(5, -5, 5, 1, -5, -20), (5, -3, 4, -5, -3, 19), (5, -5, -2, 1, 2, 8)]:
+        s = SubfamilySurface(*coeffs)
+        for seed in range(25):
+            for budget in (16, 64):
+                assert bm_verdict(s, sample_budget=budget, seed=seed).hp_obstructed_by == ("A",), (s, seed, budget)
+
+
+def test_witness_values_outside_a_theorem_image_are_a_hard_error(monkeypatch):
+    # class A at 13 on Y_13_2_6 is {1/2} by theorem; a pair reading 0 contradicts it
+    w = surjectivity_witness(Y_13_2_6)
+    fake = brauer.WitnessResult("B", w.point1, w.point2, False, w.case_trace,
+                                ((ZERO, ZERO, ZERO), (ZERO, HALF, HALF)))
+    monkeypatch.setattr(brauer, "surjectivity_witness", lambda s, seed=0: fake)
+    with pytest.raises(AssertionError, match="family theorem image of A at 13 lacks"):
+        bm_verdict(Y_13_2_6)
 
 
 def test_bm_verdict_requires_local_solubility():

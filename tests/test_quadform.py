@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from dp4 import arith
 from dp4.arith import SquareClass, square_class
 from dp4.localsolve import validate_pencil
 from dp4.quadform import (
     GeneralSurface,
-    _row_reduce,
     NormalFormSurface,
     SubfamilySurface,
     binary_form_eval,
@@ -275,6 +275,25 @@ def test_rational_roots_irrational_only():
     assert rational_roots_binary_form(form) == [(1, 0)]
 
 
+def _row_reduce(m) -> tuple[list[list[Fraction]], list[int]]:
+    """Gauss-Jordan elimination over Fraction: the reduced rows and the pivot columns."""
+    rows = [[Fraction(x) for x in row] for row in m]
+    pivots: list[int] = []
+    for col in range(len(rows[0])):
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        pr = rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col] != 0:
+                f = rows[r][col] / pr[col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], pr)]
+        pivots.append(col)
+    return rows, pivots
+
+
 def minor_rank_oracle(m):
     # largest k with a nonvanishing k x k minor
     n = len(m)
@@ -474,6 +493,20 @@ def test_normal_form_checks():
     degenerate = NormalFormSurface(13, 1, 2, 3, 1, 2, 3, 1, 1)
     rep = check_normal_form(degenerate)
     assert not rep.cond3_product_square and not rep.valid
+
+
+def test_check_normal_form_factors_nothing(monkeypatch):
+    # conditions (1) and (3) are perfect-square tests, so a large eps answers at once
+    def no_factor(n):
+        raise AssertionError(f"factor({n}) called")
+
+    monkeypatch.setattr(arith, "factor", no_factor)
+    for surf in (Y_13_2_6, Y_13_1_12, Y_13_12_1, S_13):
+        assert check_normal_form(subfamily_to_normal_form(surf)).valid
+    nf = subfamily_to_normal_form(Y_13_2_6)
+    eps = 1000000000000000003 * 1000000000000000009
+    rep = check_normal_form(NormalFormSurface(eps, nf.a0, nf.b0, nf.c0, nf.a1, nf.b1, nf.c1, nf.d0, nf.d1))
+    assert rep.cond1_eps_nonsquare and not rep.cond3_product_square
 
 
 def test_normal_form_point_round_trip():
