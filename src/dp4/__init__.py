@@ -10,13 +10,11 @@ from .arith import (
     BudgetExceeded,
     FactorBudgetExceeded,
     InsufficientPrecisionError,
-    NotASquareError,
     PadicScalar,
     Place,
     PLACE_INF,
     SquareClass,
     factor,
-    hensel_sqrt,
     hilbert_symbol,
     is_prime,
     legendre,

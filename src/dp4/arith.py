@@ -19,10 +19,6 @@ class FactorBudgetExceeded(BudgetExceeded):
     """Factorization gave up within its budget; never a wrong answer."""
 
 
-class NotASquareError(Exception):
-    """Requested a square root of a non-square."""
-
-
 class InsufficientPrecisionError(Exception):
     """A p-adic value is too imprecise to answer the question asked."""
 
@@ -254,55 +250,6 @@ class PadicScalar:
         return self.u % self.q ** m
 
 
-def hensel_sqrt(a: PadicScalar, target_precision: int) -> PadicScalar:
-    """Square root of a p-adic scalar by Newton iteration.
-
-    Odd q needs the valuation even and the unit a residue mod q; q = 2 needs
-    the valuation even and the unit 1 mod 8.  The result carries relative
-    precision ``target_precision``; at q = 2 the input must carry one digit
-    more, since a 2-adic root is determined one digit less sharply.
-    """
-    a.require_determinate()
-    q, e = a.q, a.e
-    if e % 2 != 0:
-        raise NotASquareError(f"odd valuation {e} at q={q}")
-    if q == 2:
-        if a.k < 3:
-            raise InsufficientPrecisionError("need the unit mod 8 to decide 2-adic squareness")
-        if a.u % 8 != 1:
-            raise NotASquareError(f"2-adic unit {a.u % 8} mod 8 is not a square")
-        k = max(target_precision + 1, 4)
-        if a.k < k:
-            raise InsufficientPrecisionError(f"need input precision {k}, have {a.k}")
-        modbig = 1 << (k + 1)
-        u = a.u % modbig
-        r, known = 1, 3  # invariant: r odd, r^2 = u mod 2^known
-        while known < k:
-            # (r + u/r) is even; the exact halving loses one digit per step
-            r = ((r + u * pow(r, -1, modbig)) % modbig) // 2
-            known = 2 * known - 2
-        prec = target_precision
-        r %= 1 << prec
-        if r % 2 != 1:
-            raise AssertionError("2-adic square root is not a unit")
-        return PadicScalar(2, e // 2, r, prec)
-    k = target_precision
-    if a.k < k:
-        raise InsufficientPrecisionError(f"need input precision {k}, have {a.k}")
-    r0 = sqrt_mod(a.u % q, q)
-    if r0 is None:
-        raise NotASquareError(f"unit {a.u % q} is a non-residue mod {q}")
-    mod = q ** k
-    u = a.u % mod
-    r, known = r0, 1
-    inv2 = pow(2, -1, mod)
-    while known < k:
-        r = (r + u * pow(r, -1, mod)) * inv2 % mod
-        known *= 2
-    r %= mod
-    return PadicScalar(q, e // 2, r, k)
-
-
 # ---------------------------------------------------------------------------
 # Hilbert symbol
 
@@ -422,13 +369,11 @@ def factor(n: int) -> list[int]:
         raise ValueError(f"factor needs n >= 1, got {n}")
     out: list[int] = []
     for q in _sieve_primes():
-        if q * q > n:
-            break
+        if q * q > n:  # n has no prime factor up to its square root: 1 or prime
+            return out + [n] if n > 1 else out
         while n % q == 0:
             out.append(q)
             n //= q
-    if n == 1:
-        return out
     stack = [n]
     while stack:
         m = stack.pop()

@@ -21,16 +21,13 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .arith import (
-    InsufficientPrecisionError,
-    NotASquareError,
-    PadicScalar,
     Place,
     PLACE_INF,
     _legendre_unchecked,
     _prime_is_square_at,
+    _sqrt_mod_unchecked,
     factor,
     find_nonresidue,
-    hensel_sqrt,
     hilbert_symbol,
     hilbert_valunit,
     is_prime,
@@ -61,6 +58,11 @@ class IndeterminateEvaluationError(Exception):
 
 class WitnessSearchError(AssertionError):
     """No invariant-separating pair was found; contradicts the surjectivity result."""
+
+
+class SampledContradictionError(SamplingBudgetError):
+    """Two classes obstruct on a surface off the families: some sampled
+    singleton image is wrong, so the verdict is inconclusive."""
 
 
 # ---------------------------------------------------------------------------
@@ -457,12 +459,17 @@ def _project_tuple(q: int, prec: int, coords) -> PadicApproxPoint:
 
 def _unit_sqrt(p: int, a: int, root: int | None) -> int:
     """Square root mod p^_WITNESS_PRECISION of the unit square a, the one that is
-    ``root`` mod p unless root is None; anything else blocks the recipe."""
-    try:
-        r = hensel_sqrt(PadicScalar.from_residue(p, a, _WITNESS_PRECISION), _WITNESS_PRECISION).u
-    except (NotASquareError, InsufficientPrecisionError) as exc:
-        raise _ConstructionDegenerate(f"{a} mod {p}^{_WITNESS_PRECISION}: {exc}") from exc
-    return -r % p ** _WITNESS_PRECISION if root is not None and (r - root) % p else r
+    ``root`` mod p, or the lift of the smaller Tonelli-Shanks root if root is
+    None; anything else blocks the recipe.  Newton's r <- (r + a/r)/2 doubles
+    the known digits; p is the validated surface prime."""
+    r = _sqrt_mod_unchecked(a, p)
+    if not r:  # 0 for a non-unit, None for a non-residue
+        raise _ConstructionDegenerate(f"{a} is not a unit square mod {p}")
+    mod, known = p ** _WITNESS_PRECISION, 1
+    while known < _WITNESS_PRECISION:
+        r = (r + a * pow(r, -1, mod)) * (mod + 1) // 2 % mod  # (mod + 1) / 2 inverts 2
+        known *= 2
+    return -r % mod if root is not None and (r - root) % p else r
 
 
 def surjectivity_witness(s: SubfamilySurface, seed: int = 0) -> WitnessResult:
@@ -820,7 +827,9 @@ def bm_verdict(s: SubfamilySurface, sample_budget: int = 64, seed: int = 0) -> O
     values sum to 1/2.  Each relevant place is sampled once for all three
     classes; family theorems and the Klein-four identity are checked on that
     sample, and the verdict on a family member against its closed-form
-    prediction; a mismatch is a hard error.  The samples also prove local
+    prediction; a mismatch is a hard error.  Off the families, two obstructing
+    classes mean a sampled singleton is wrong: SampledContradictionError, a
+    budget error, reports that as inconclusive.  The samples also prove local
     solubility: X(R) holds (0:0:1:sqrt(p):sqrt(p)), every place that
     ``everywhere_locally_soluble`` decides is relevant (both leave out those
     where p is a square in Q_q), and each has a certified point or raises.
@@ -869,7 +878,11 @@ def bm_verdict(s: SubfamilySurface, sample_budget: int = 64, seed: int = 0) -> O
                     f"{s.label()} has the rational point {rational_point} but the invariant "
                     f"images still sum to 1/2 for {obstructing}; evaluation is inconsistent")
     if len(obstructing) > 1:
-        raise AssertionError(f"two classes obstruct on {s.label()}: {obstructing}")
+        message = f"two classes obstruct on {s.label()}: {obstructing}"
+        if family is None:  # every image of an obstructing class is a singleton
+            pairs = [f"{tag} at {q}" for tag in obstructing for q, img in images[tag].items() if img.kind == "sampled"]
+            raise SampledContradictionError(f"{message}; sampled singletons {', '.join(pairs)}", [])
+        raise AssertionError(message)
     if family is not None:
         name, params = family
         expected = (predict_Y if name == "Y" else predict_S)(*params).obstructed_by

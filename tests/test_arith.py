@@ -9,13 +9,11 @@ from dp4 import arith
 from dp4.arith import (
     FactorBudgetExceeded,
     InsufficientPrecisionError,
-    NotASquareError,
     PadicScalar,
     Place,
     PLACE_INF,
     divisors,
     factor,
-    hensel_sqrt,
     hilbert_symbol,
     hilbert_symbol_padic,
     is_prime,
@@ -73,41 +71,11 @@ def test_sqrt_mod_spec_values():
     assert sqrt_mod(2, 13) is None
 
 
-def test_hensel_sqrt_2adic_17():
-    a = PadicScalar.from_rational(2, 17, 8)
-    r = hensel_sqrt(a, 5)
-    # oracle: search residues mod 2^5
-    want = {s for s in range(32) if (s * s - 17) % 32 == 0}
-    assert r.e == 0 and r.u % 32 in want
-
-
-def test_hensel_sqrt_identity():
-    for q in (2, 3, 13):
-        one = PadicScalar.from_rational(q, 1, 8)
-        assert hensel_sqrt(one, 4).u == 1
-
-
-def test_hensel_sqrt_13adic():
-    a = PadicScalar.from_rational(13, 3, 6)
-    r = hensel_sqrt(a, 3)
-    assert r.u % 13 in (4, 9)
-    assert (r.u * r.u - 3) % 13 ** 3 == 0
-
-
-def test_hensel_sqrt_rejects_nonsquares():
-    with pytest.raises(NotASquareError):
-        hensel_sqrt(PadicScalar.from_rational(13, 2, 6), 3)
-    with pytest.raises(NotASquareError):
-        hensel_sqrt(PadicScalar.from_rational(2, 3, 6), 3)
-    with pytest.raises(NotASquareError):
-        hensel_sqrt(PadicScalar.from_rational(5, 5, 6), 3)  # odd valuation
-
-
 def test_indeterminate_zero_raises():
     z = PadicScalar.from_residue(13, 0, 4)
     assert z.is_indeterminate
     with pytest.raises(InsufficientPrecisionError):
-        hensel_sqrt(z, 2)
+        z.require_determinate()
 
 
 def test_hilbert_spec_values():
@@ -233,6 +201,31 @@ def test_factor_roundtrip(n):
     assert prod == n
 
 
+def test_factor_needs_no_primality_test_once_trial_division_passes_the_root(monkeypatch):
+    # once trial division passes the square root of the cofactor, the
+    # cofactor is 1 or prime, and no primality test runs
+    def no_test(n):
+        raise AssertionError(f"is_prime({n}) called")
+
+    spf = list(range(10 ** 5))  # smallest prime factor, by a sieve
+    for q in range(2, 317):
+        if spf[q] == q:
+            spf[q * q::q] = [min(m, q) for m in spf[q * q::q]]
+    monkeypatch.setattr(arith, "is_prime", no_test)
+    for n in range(1, 10 ** 5):
+        want, m = [], n
+        while m > 1:
+            want.append(spf[m])
+            m //= spf[m]
+        assert factor(n) == want, n
+    rng = random.Random(0)
+    primes = [q for q in range(2, 1 << 16) if spf[q] == q]
+    for _ in range(300):
+        p1, p2 = rng.choice(primes), rng.choice(primes)
+        assert factor(p1 * p2) == sorted([p1, p2]), (p1, p2)
+    assert factor(65519 * 65521) == [65519, 65521] and factor(65521 ** 2) == [65521, 65521]
+
+
 def test_factor_budget_failure_is_loud(monkeypatch):
     # product of two 40-digit primes is far beyond any rho budget this small
     p1 = 2 ** 127 - 1
@@ -265,13 +258,6 @@ def test_place_validation():
 def test_unit_part_mod():
     assert unit_part_mod(Fraction(13, 4), 2, 8) == unit_part_mod(13, 2, 8)
     assert valuation(48, 2) == 4
-
-
-def test_hensel_sqrt_branch_follows_mod_p_root():
-    # the canonical branch starts from the smaller mod-p root and stays on it
-    a = PadicScalar.from_rational(13, 3, 6)
-    r = hensel_sqrt(a, 3)
-    assert r.u % 13 == 4
 
 
 def test_prime_is_square_at_is_the_trivial_hilbert_symbol():

@@ -1,11 +1,13 @@
+import dataclasses
 import itertools
 import math
+import random
 import sys
 from fractions import Fraction
 
 import pytest
 
-from dp4 import brauer, localsolve
+from dp4 import brauer, cli, localsolve
 from dp4.arith import PLACE_INF, PadicScalar, Place, factor, hilbert_symbol, is_prime, legendre
 from dp4.brauer import (
     CLASS_TAGS,
@@ -790,13 +792,29 @@ def test_quadres_witness():
 
 
 def test_witness_roots_that_do_not_exist_block_the_recipe():
-    # the witness search then raises WitnessSearchError instead of crashing
-    from dp4.brauer import _ConstructionDegenerate, _unit_sqrt
+    # the witness search then raises WitnessSearchError instead of crashing;
+    # a unit square's root mod p^26 lifts Tonelli's smaller root, or the
+    # given one
+    from dp4.arith import sqrt_mod
+    from dp4.brauer import _WITNESS_PRECISION, _ConstructionDegenerate, _unit_sqrt
 
     assert _unit_sqrt(13, 10, 4) ** 2 % 13 ** 4 == 10
-    for bad in (2, 13, 0):  # a non-residue, a non-unit, zero
-        with pytest.raises(_ConstructionDegenerate):
-            _unit_sqrt(13, bad, 4)
+    rng = random.Random(0)
+    for p in (p for p in range(3, 100) if is_prime(p)):
+        mod = p ** _WITNESS_PRECISION
+        squares = {r * r % p for r in range(1, p)}
+        for a0 in range(p):
+            a = a0 + p * rng.randrange(mod)
+            if a0 not in squares:  # a non-unit or a non-residue
+                for root in (None, 1):
+                    with pytest.raises(_ConstructionDegenerate):
+                        _unit_sqrt(p, a, root)
+                continue
+            r = _unit_sqrt(p, a, None)
+            assert (r * r - a) % mod == 0 and r % p == sqrt_mod(a, p), (p, a)
+            for root in (sqrt_mod(a, p), p - sqrt_mod(a, p)):
+                r = _unit_sqrt(p, a, root)
+                assert (r * r - a) % mod == 0 and (r - root) % p == 0, (p, a, root)
 
 
 def test_witness_paper_surfaces():
@@ -988,6 +1006,36 @@ def test_bm_verdict_does_not_depend_on_the_seed():
         for seed in range(25):
             for budget in (16, 64):
                 assert bm_verdict(s, sample_budget=budget, seed=seed).hp_obstructed_by == ("A",), (s, seed, budget)
+
+
+def test_two_obstructing_classes_off_the_families_are_inconclusive(monkeypatch, capsys):
+    # C reads sampled singletons summing to 1/2 (1/2 at 2, 0 at p), and is
+    # indeterminate at the witness pair, so A and C both obstruct
+    real_image, real_witness = brauer.invariant_image, brauer.surjectivity_witness
+
+    def images(s, q, **kwargs):
+        found = real_image(s, q, **kwargs)
+        found["C"] = brauer.PlaceImage(frozenset({HALF if q == 2 else ZERO}), "sampled", n=found["C"].n)
+        return found
+
+    def witness(s, seed=0):
+        w = real_witness(s, seed=seed)
+        return dataclasses.replace(w, readings=tuple((a, b, None) for a, b, _ in w.readings))
+
+    monkeypatch.setattr(brauer, "invariant_image", images)
+    monkeypatch.setattr(brauer, "surjectivity_witness", witness)
+    with pytest.raises(brauer.SampledContradictionError) as caught:
+        bm_verdict(SubfamilySurface(5, -5, 5, 1, -5, -20))
+    assert isinstance(caught.value, SamplingBudgetError)
+    assert str(caught.value) == ("two classes obstruct on X_5_-5_5_1_-5_-20: ('A', 'C'); "
+                                 "sampled singletons A at 2, A at 5, C at 2, C at 5")
+    spec = '{"family": "subfamily", "p": 5, "A": -5, "B": 5, "C": 1, "D": -5, "M": -20}'
+    assert cli.main(["analyze", spec]) == 3
+    assert "budget exhausted: two classes obstruct" in capsys.readouterr().err
+    # on a family member, the family theorem makes the same state a hard error
+    with pytest.raises(AssertionError, match="two classes obstruct on X_13_2_-13_1_-6_1") as caught:
+        bm_verdict(Y_13_2_6)
+    assert not isinstance(caught.value, SamplingBudgetError)
 
 
 def test_witness_values_outside_a_theorem_image_are_a_hard_error(monkeypatch):

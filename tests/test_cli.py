@@ -387,6 +387,20 @@ def test_relative_imports_follow_the_layers():
     assert upward == [] and nested == []
 
 
+def test_padic_scalars_stay_off_the_verdict_path():
+    # PadicScalar and what rests on it serve only arith's own Hilbert symbol
+    # of a p-adic scalar: no other library module names them
+    banned = {"PadicScalar", "InsufficientPrecisionError", "hilbert_symbol_padic"}
+    src = Path(__file__).resolve().parents[1] / "src" / "dp4"
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(src.glob("*.py")) if path.stem not in ("arith", "__init__")
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if (isinstance(node, ast.Name) and node.id in banned)
+             or (isinstance(node, ast.Attribute) and node.attr in banned)
+             or (isinstance(node, ast.alias) and {node.name, node.asname} & banned)]
+    assert found == []
+
+
 def test_only_localsolve_reads_residue_nodes():
     # the residue-tree walk stays inside localsolve: no other module imports,
     # calls or otherwise names its node reader ``_node``
