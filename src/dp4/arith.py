@@ -72,13 +72,6 @@ class Place:
         if self.q != 0 and not is_prime(self.q):
             raise ValueError(f"{self.q} is not prime")
 
-    @classmethod
-    def proved(cls, q: int) -> "Place":
-        """The place of a q that the caller has already proved prime: no second proof."""
-        place = object.__new__(cls)
-        object.__setattr__(place, "q", q)
-        return place
-
     @property
     def is_infinite(self) -> bool:
         return self.q == 0

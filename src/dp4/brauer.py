@@ -112,11 +112,8 @@ REPRESENTATIONS = {
 
 
 def class_representations(s: SubfamilySurface, tag: str) -> tuple[SymbolRep, ...]:
-    """Function representatives of the class, most convenient first.
-
-    The same fixed table for every surface: the coefficients enter only
-    through ``_factor_values``, so nothing is built or kept per surface.
-    """
+    """Function representatives of the class, most convenient first: the public
+    view of REPRESENTATIONS, one table for every surface (see ``_factor_values``)."""
     if tag not in REPRESENTATIONS:
         raise ValueError(f"unknown class tag {tag!r}")
     return REPRESENTATIONS[tag]
@@ -127,47 +124,46 @@ def class_representations(s: SubfamilySurface, tag: str) -> tuple[SymbolRep, ...
 
 
 class _Reading:
-    """One reading of the seven factors at a point and place.
+    """One reading of the seven factors at a point, at the prime q of its place.
 
-    One pass over ``_factor_values`` reads each factor f once, mod q^k first
-    at a PadicApproxPoint: vals[i] is v_q(f) for f the i-th of FACTORS, or
-    room + 1 where f is zero (0 mod q^k, or exactly 0); f mod q is tested
-    first, most factors being units.  A representative n/d counts when
-    max(v_q(n), v_q(d)) <= room, v_q(n) being the sum over n's factors: at a
-    p-adic point room = k - 3 at q = 2, else k - 1, so n keeps the unit digits
-    that fix its square class (its unit mod q^(k - v_q(n)) is the product of
-    its factors' units); at an exact point there is no bound.  Every factor of
-    a counting representative then has v_q(f) <= room, and only those factors
-    get signs[i] = (p, f)_q, the others 0: from f's unit at q = p and at 2
-    (mod 8), while at an odd q != p it is 1 for even v_q(f) and (p, q)_q,
-    read once per reading, for odd.  By bimultiplicativity (p, n/d)_q is the
-    product of its factors' signs.
+    ``point`` is an exact integer 5-tuple, at a q the caller proved prime, or
+    a PadicApproxPoint, at its own q.  A p-adic point mod q^k whose
+    certificate has minor valuation e proves m = k - e digits (m = k with no
+    certificate), and only those are read.  One pass over ``_factor_values``
+    reads each factor f once, mod q^m first at a p-adic point: vals[i] is
+    v_q(f) for f the i-th of FACTORS, or room + 1 where f is zero (0 mod q^m,
+    or exactly 0).  A representative n/d counts when max(v_q(n), v_q(d)) <=
+    room, v_q(n) being the sum over n's factors: at a p-adic point room = m -
+    3 at q = 2, else m - 1, so n keeps the unit digits that fix its square
+    class (its unit mod q^(m - v_q(n)) is the product of its factors' units);
+    an exact point has no bound.  Only factors with v_q(f) <= room, which
+    include those of every counting representative, get signs[i] = (p, f)_q,
+    the others 0: from f's unit at q = p and at 2 (mod 8), while at an odd q
+    != p it is 1 for even v_q(f) and (p, q)_q, read once, for odd.  By
+    bimultiplicativity (p, n/d)_q is the product of its factors' signs.
 
-    A certified pt below the target ``precision`` is read mod q^m, m = k - e:
-    if every factor has v_q(f) <= m - 1 there (m - 3 at 2), with the target's
-    room, else as P = newton_refine(pt, precision).  Either way it is P's
-    reading.  Newton moves only the certificate's two coordinates, each step
-    by a multiple of q^(k - e), and normalisation divides by a unit that is 1
-    mod q^(k - e), so P = pt mod q^m.  Each factor, a linear form in the
-    coordinates or a constant, then agrees mod q^m at P and at pt, and one of
-    valuation w <= m - 1 keeps its valuation and its unit mod q (mod 8 when
-    w <= m - 3 at 2).
+    A certified pt below the target ``precision`` is read so too, with the
+    target's room, precision - e - slack, if every v_q(f) <= room, else as P
+    = newton_refine(pt, precision).  Either way it is P's reading: Newton
+    moves only the certificate's two coordinates, each step by a multiple of
+    q^m, normalisation divides by a unit that is 1 mod q^m, and P keeps pt's
+    certificate.  So each factor, a linear form in the coordinates or a
+    constant, agrees mod q^m at P and at pt, and one of valuation w <= m - 1
+    keeps its valuation and its unit mod q (mod 8 when w <= m - 3 at 2).
     """
 
-    def __init__(self, s: SubfamilySurface, point, v: Place | None, precision: int = 0):
+    def __init__(self, s: SubfamilySurface, point, q: int, precision: int = 0):
         local = isinstance(point, PadicApproxPoint)
-        coords, q = (point.coords, point.q) if local else (point, v.q)
         mod, slack = (8, 3) if q == 2 else (q, 1)
         val_p = q == s.p  # v_q(p), p being a validated prime
         unit_p = 1 if val_p else s.p % mod
         odd_sign = None if val_p or q == 2 else hilbert_valunit(q, 0, unit_p, 1, 1)
-        short = local and point.k < precision
-        k = point.k - point.cert.e if short else point.k if local else 0
-        qk = q ** k
+        e = point.cert.e if local and point.cert else 0
+        qk = q ** (point.k - e) if local else 1
         self.point, self.q = point, q
-        self.room = room = k - slack if local else sys.maxsize
+        self.room = room = point.k - e - slack if local else sys.maxsize
         self.vals, self.signs = vals, signs = [room + 1] * 7, [0] * 7
-        for i, f in enumerate(_factor_values(s, coords).values()):
+        for i, f in enumerate(_factor_values(s, point.coords if local else point).values()):
             if local:
                 f %= qk
             if f % q:
@@ -181,19 +177,18 @@ class _Reading:
             if val <= room:
                 signs[i] = (hilbert_valunit(q, val_p, unit_p, val, unit % mod) if odd_sign is None
                             else odd_sign if val % 2 else 1)
-        if short and max(vals) > room:  # a factor needs more digits than pt carries
-            self.__init__(s, newton_refine(s, point, precision), v)
-        elif short:
-            self.room = precision - slack
+        if local and point.k < precision:
+            if max(vals) > room:  # a factor needs more digits than pt carries
+                self.__init__(s, newton_refine(s, point, precision), q)
+            else:
+                self.room = precision - e - slack
 
 
-def _eval_reps(s: SubfamilySurface, tag: str, point, v: Place | None) -> Fraction | None:
-    """Common value of the representatives determinate at the point, or None:
-    the one-class view of the point's reading, which ``point`` may already be."""
-    reading = point if isinstance(point, _Reading) else _Reading(s, point, v)
+def _eval_reps(reading: _Reading, tag: str) -> Fraction | None:
+    """Common value of the class's representatives that count at the reading, or None."""
     vals, signs, room = reading.vals, reading.signs, reading.room
     found = 0  # the common sign (p, n/d)_q, 0 while no representative counts
-    for rep in class_representations(s, tag):
+    for rep in REPRESENTATIONS[tag]:
         n = d = 0
         for i in rep.num_at:
             n += vals[i]
@@ -220,7 +215,9 @@ def evaluate_invariant(s: SubfamilySurface, tag: str, point, v=None) -> Fraction
     three classes.  The caller validates s: this runs once per point.
     """
     class_representations(s, tag)  # an unknown tag is a ValueError
-    if not isinstance(point, PadicApproxPoint):
+    if isinstance(point, PadicApproxPoint):
+        q = point.q
+    else:
         point = normalize_point(point)
         if not s.contains(point):
             raise ValueError(f"{point} is not on {s.label()}")
@@ -230,36 +227,33 @@ def evaluate_invariant(s: SubfamilySurface, tag: str, point, v=None) -> Fraction
             v = PLACE_INF if v in (0, "oo") else Place(int(v))
         if v.is_infinite:
             return ZERO  # all class symbols are (p, *) with p > 0
-    value = _point_values(s, point, v)[CLASS_TAGS.index(tag)]
+        q = v.q
+    value = _point_values(s, _Reading(s, point, q))[CLASS_TAGS.index(tag)]
     if value is None:
-        raise IndeterminateEvaluationError(
-            f"class {tag} indeterminate at {point}, place {v or point.q}")
+        raise IndeterminateEvaluationError(f"class {tag} indeterminate at {point}, place {q}")
     return value
 
 
-def _point_values(s, point, v, precision: int = 0) -> tuple:
-    """Values of A, B and C at the point, None where a class is indeterminate.
+def _point_values(s: SubfamilySurface, reading: _Reading) -> tuple:
+    """Values of A, B and C at the reading's point, None where a class is indeterminate.
 
-    All three come from one reading of the point (``_Reading``, with the
-    target ``precision`` of a sample), or ``point`` is one.  A class that the
-    reading leaves undecided where p is a square in Q_q
-    (``_prime_is_square_at``) is 0, every symbol (p, f)_q being 1 there.  C = A + B wherever A and B are
-    determinate, checked against C's own determinate representatives (the
-    Klein-four identity); elsewhere C is read from its own representatives.
-    Only the reading's vals, signs, room and q enter the values, the point
-    only the messages of the two checks (the lemma of ``invariant_image``).
+    A class that the reading leaves undecided where p is a square in Q_q
+    (``_prime_is_square_at``) is 0, every symbol (p, f)_q being 1 there.
+    C = A + B wherever A and B are determinate, checked against C's own
+    determinate representatives (the Klein-four identity); elsewhere C is
+    read from its own representatives.  Only the reading's vals, signs, room
+    and q enter the values, the point only the messages of the two checks (the lemma of ``invariant_image``).
     """
-    reading = point if isinstance(point, _Reading) else _Reading(s, point, v, precision)
-    a = _eval_reps(s, "A", reading, v)
-    b = _eval_reps(s, "B", reading, v)
-    own = _eval_reps(s, "C", reading, v)
+    a = _eval_reps(reading, "A")
+    b = _eval_reps(reading, "B")
+    own = _eval_reps(reading, "C")
     if a is None or b is None:
-        if not _prime_is_square_at(s.p, reading.q):  # q is proved prime by the walk or by v
+        if not _prime_is_square_at(s.p, reading.q):  # q is proved prime by the walk or by the caller
             return a, b, own
         a, b = a or ZERO, b or ZERO
     c = ZERO if a is b else HALF  # every value is the singleton ZERO or HALF: compared by identity
     if own is not None and own is not c:
-        raise AssertionError(f"Klein-four identity fails at {reading.point}, place {v or reading.q}")
+        raise AssertionError(f"Klein-four identity fails at {reading.point}, place {reading.q}")
     return a, b, c
 
 
@@ -341,11 +335,11 @@ def invariant_image(s: SubfamilySurface, q: int, sample_budget: int = 64,
     evaluated = [0, 0, 0]
     by_pattern = {}  # (vals, signs, room) -> (A, B, C) as "is 1/2", None where indeterminate
     for pt in points:
-        reading = _Reading(s, pt, None, precision)
+        reading = _Reading(s, pt, q, precision)
         key = (tuple(reading.vals), tuple(reading.signs), reading.room)
         if (flags := by_pattern.get(key)) is None:
             flags = by_pattern[key] = tuple(None if value is None else value == HALF
-                                            for value in _point_values(s, reading, None))
+                                            for value in _point_values(s, reading))
         for i, flag in enumerate(flags):
             if flag is not None and len(halves[i]) < 2:
                 halves[i].add(flag)
@@ -521,7 +515,7 @@ def _attach_certificate(s: SubfamilySurface, pt: PadicApproxPoint) -> PadicAppro
 def _validated_result(s, hint, pt1, pt2, ctx) -> WitnessResult | None:
     """The first class, the hinted one first, that takes two determinate
     values on the pair; each point is read once for all three classes."""
-    readings = (_point_values(s, pt1, None), _point_values(s, pt2, None))
+    readings = tuple(_point_values(s, _Reading(s, pt, s.p)) for pt in (pt1, pt2))
     values = dict(zip(CLASS_TAGS, zip(*readings)))
     for tag in [hint] + [t for t in CLASS_TAGS if t != hint]:
         v1, v2 = values[tag]
@@ -531,10 +525,10 @@ def _validated_result(s, hint, pt1, pt2, ctx) -> WitnessResult | None:
     return None
 
 
-def _flip_point(pt: PadicApproxPoint, flip_y: bool, flip_z: bool) -> tuple:
+def _flip_point(pt: PadicApproxPoint, flip_y: bool, flip_z: bool) -> PadicApproxPoint:
     u, v, x, y, z = pt.coords
     mod = pt.q ** pt.k
-    return (u, v, x, (-y) % mod if flip_y else y, (-z) % mod if flip_z else z)
+    return replace(pt, coords=(u, v, x, (-y) % mod if flip_y else y, (-z) % mod if flip_z else z))
 
 
 # gcd normalizations: the coefficients divided with M, the power p^e, and
@@ -644,15 +638,15 @@ def _flip_pair(s, ctx, flip_y: bool, flip_z: bool):
             raise _InsolubleAtP(f"X(Q_{s.p}) empty: no primitive solutions mod {s.p}^{verdict.level}") from exc
         raise
     for pt in pts:
-        reading = _Reading(s, pt, None, _WITNESS_PRECISION)
-        v1 = _point_values(s, reading, None)[1]
+        reading = _Reading(s, pt, s.p, _WITNESS_PRECISION)
+        v1 = _point_values(s, reading)[1]
         if v1 is None:
             continue
         pt = reading.point  # refined if a factor needed more digits
-        v2 = _point_values(s, replace(pt, coords=_flip_point(pt, flip_y, flip_z)), None, _WITNESS_PRECISION)[1]
+        v2 = _point_values(s, _Reading(s, _flip_point(pt, flip_y, flip_z), s.p, _WITNESS_PRECISION))[1]
         if v2 is not None and v1 != v2:
             pt = newton_refine(s, pt, _WITNESS_PRECISION) if pt.k < _WITNESS_PRECISION else pt
-            return "B", pt.coords, _flip_point(pt, flip_y, flip_z)
+            return "B", pt.coords, _flip_point(pt, flip_y, flip_z).coords
     raise _ConstructionDegenerate("sign flip did not separate on any sampled point")
 
 
@@ -833,6 +827,12 @@ def bm_verdict(s: SubfamilySurface, sample_budget: int = 64, seed: int = 0) -> O
     solubility: X(R) holds (0:0:1:sqrt(p):sqrt(p)), every place that
     ``everywhere_locally_soluble`` decides is relevant (both leave out those
     where p is a square in Q_q), and each has a certified point or raises.
+
+    Off the families a rational point found by the search adds its exact
+    values at every relevant place to the images.  A class that still
+    obstructs would then have exact values summing to 1/2 over all places
+    (0 off them, ``relevant_places``), which global reciprocity forbids: only
+    a faulty evaluator gets there, so it is an AssertionError, not exit 3.
     """
     images: dict[str, dict[str, PlaceImage]] = {tag: {"oo": REAL_PLACE_IMAGE} for tag in CLASS_TAGS}
     places = relevant_places(s)  # validates s
@@ -937,7 +937,7 @@ def _exact_values(s: SubfamilySurface, point, q: int) -> tuple:
     B's vanish together only where y = z = 0; there Muv = (Au+Bv)(Cu+Dv)
     with uv != 0, so v/u is a rational root of BD t^2 + (AD+BC-M) t + AC,
     whose discriminant p N^2 is not a square."""
-    values = _point_values(s, point, Place.proved(q))  # q is 2, the validated p or from factor
+    values = _point_values(s, _Reading(s, point, q))  # q is 2, the validated p or from factor
     for tag, value in zip(CLASS_TAGS, values):
         if value is None:
             raise IndeterminateEvaluationError(f"class {tag} indeterminate at {point}, place {q}")

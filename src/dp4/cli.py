@@ -428,8 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    budgets = vars(args)  # a command has only the budgets it reads
-    if budgets.get("height", 0) < 0 or min(budgets.get("samples", 1), budgets.get("jobs", 1)) < 1:
+    budgets = {name: n for name, n in vars(args).items() if n is not None}  # less unset census flags
+    if budgets.get("height", 0) < 0 or min(budgets.get(name, 1) for name in ("samples", "jobs", "tcount", "pmax")) < 1:
         print("input error: budgets must be positive", file=sys.stderr)
         return EXIT_INPUT
     try:

@@ -81,10 +81,12 @@ class PadicApproxPoint:
     cert: LiftCertificate | None = None
 
     def reduce(self, k: int) -> "PadicApproxPoint":
+        """The point mod q^k, with its certificate only while that still applies (2e < k)."""
         if k > self.k:
             raise AssertionError(f"cannot reduce precision {self.k} to {k}")
         mod = self.q ** k
-        return PadicApproxPoint(self.q, k, tuple(c % mod for c in self.coords), self.pinned, self.cert)
+        cert = self.cert if self.cert and 2 * self.cert.e < k else None
+        return PadicApproxPoint(self.q, k, tuple(c % mod for c in self.coords), self.pinned, cert)
 
     def to_json(self):
         return {"q": self.q, "precision": self.k, "coords": list(self.coords)}

@@ -12,6 +12,7 @@ from dp4.arith import PLACE_INF, Place, factor, hilbert_symbol, is_prime, legend
 from dp4.brauer import (
     IndeterminateEvaluationError,
     _eval_reps,
+    _Reading,
     bm_verdict,
     evaluate_invariant,
     invariant_image,
@@ -190,7 +191,7 @@ def test_criterion_5_witness_pair_property_suite():
                 b = evaluate_invariant(s, "B", pt)
             except IndeterminateEvaluationError:
                 continue
-            c = _eval_reps(s, "C", pt, None)
+            c = _eval_reps(_Reading(s, pt, pt.q), "C")
             if c is None:
                 continue
             assert (a + b) % 1 == c, (s, pt)

@@ -96,18 +96,19 @@ def test_eval_reps_agrees_with_hilbert_symbol_per_representative(monkeypatch):
             sampled = sample_local_points(s, q, 12, 14 if q == 2 else 8, seed=3)
             # low precisions too, where some representatives are indeterminate
             for pt in (full.reduce(k) for full in sampled for k in (1, 2, 3, full.k)):
+                digits = pt.k - (pt.cert.e if pt.cert else 0)
                 for tag in CLASS_TAGS:
                     for rep in class_representations(s, tag):
-                        monkeypatch.setattr(brauer, "class_representations", lambda *_: (rep,))
+                        monkeypatch.setitem(brauer.REPRESENTATIONS, tag, (rep,))
                         n, d = written_out(s, rep.label, pt.coords)
-                        got_exact = brauer._eval_reps(s, tag, pt.coords, Place(q))
-                        got_local = brauer._eval_reps(s, tag, pt, None)
+                        got_exact = brauer._eval_reps(brauer._Reading(s, pt.coords, q), tag)
+                        got_local = brauer._eval_reps(brauer._Reading(s, pt, q), tag)
                         monkeypatch.undo()
                         if n == 0 or d == 0:
                             assert got_exact is None
                         else:
                             assert got_exact == symbol_value(s, n, d, q)
-                        if determinate(n, q, pt.k) and determinate(d, q, pt.k):
+                        if determinate(n, q, digits) and determinate(d, q, digits):
                             assert got_local == symbol_value(s, n, d, q)
                             checked += 1
                         else:
@@ -122,12 +123,13 @@ def written_point_values(s, point, q):
     it must raise one."""
     local = isinstance(point, localsolve.PadicApproxPoint)
     coords = point.coords if local else point
+    digits = point.k - (point.cert.e if point.cert else 0) if local else 0
 
     def value(tag):
         found = set()
         for rep in class_representations(s, tag):
             n, d = written_out(s, rep.label, coords)
-            if (determinate(n, q, point.k) and determinate(d, q, point.k)) if local else n and d:
+            if (determinate(n, q, digits) and determinate(d, q, digits)) if local else n and d:
                 found.add(symbol_value(s, n, d, q))
         if len(found) > 1:
             raise AssertionError(f"representations disagree for {tag}")
@@ -158,18 +160,30 @@ def test_point_values_agree_with_hilbert_symbol_on_written_out_representatives(m
             sampled = sample_local_points(s, q, 12, 14 if q == 2 else 8, seed=3)
             points = [full.reduce(k) for full in sampled for k in (1, 2, 3, full.k)] + box
             for point in points:
-                v = None if isinstance(point, localsolve.PadicApproxPoint) else Place(q)
                 try:
                     expected = written_point_values(s, point, q)
                 except AssertionError as exc:
                     with pytest.raises(AssertionError, match=str(exc)):
-                        brauer._point_values(s, point, v)
+                        brauer._point_values(s, brauer._Reading(s, point, q))
                     counts["raises"] += 1
                     continue
-                assert brauer._point_values(s, point, v) == expected, (s, point, q)
+                assert brauer._point_values(s, brauer._Reading(s, point, q)) == expected, (s, point, q)
                 for value in expected:
                     counts["None" if value is None else "value"] += 1
     assert min(counts.values()) > 1000, counts
+
+
+def test_a_certified_point_is_read_at_the_digits_its_certificate_proves():
+    # the seed-0 witness point1 here has k = 25 and e = 3, so it fixes its
+    # Q_5 point mod 5^22; refined to 26 it proves 23 digits, at which
+    # Cu + Dv is 0, and the reading must not take a valuation from the three
+    # digits beyond them (read there, Cu + Dv made A's representatives disagree)
+    s = SubfamilySurface(5, 5, 5, 4, 9, -475)
+    pt = surjectivity_witness(s, seed=0).point1
+    assert (pt.k, pt.cert.e) == (25, 3)
+    reading = brauer._Reading(s, pt, 5, 26)
+    assert reading.point.k == 26 and reading.vals[brauer.FACTORS.index("Cu+Dv")] == reading.room + 1 == 23
+    assert brauer._point_values(s, reading) == (ZERO, HALF, HALF)
 
 
 def test_one_factor_reading_per_point_and_place(monkeypatch):
@@ -195,9 +209,9 @@ def test_one_factor_reading_per_point_and_place(monkeypatch):
         refined[0] += 1
         return real_refine(*args)
 
-    def point_values(s, point, v, *precision):
-        places.append(v)
-        return real_values(s, point, v, *precision)
+    def point_values(s, reading):
+        places.append(reading.q)
+        return real_values(s, reading)
 
     monkeypatch.setattr(brauer, "_factor_values", factors)
     monkeypatch.setattr(brauer, "_sample_points", sampler)
@@ -233,9 +247,9 @@ def test_a_sample_is_read_as_its_refinement_is():
             precision = 14 if q == 2 else 8
             for pt in localsolve._sample_points(s, q, 16, precision, seed=1):
                 refined = localsolve.newton_refine(s, pt, precision)
-                reading, full = brauer._Reading(s, pt, None, precision), brauer._Reading(s, refined, None)
+                reading, full = brauer._Reading(s, pt, q, precision), brauer._Reading(s, refined, q)
                 assert (reading.vals, reading.signs, reading.room) == (full.vals, full.signs, full.room)
-                assert brauer._point_values(s, pt, None, precision) == brauer._point_values(s, refined, None)
+                assert brauer._point_values(s, reading) == brauer._point_values(s, full)
                 m = pt.k - pt.cert.e
                 vanishes = any(f % q ** m == 0 for f in brauer._factor_values(s, pt.coords).values())
                 if pt.k == precision:  # a pass-2 point, refined by the sampler
@@ -320,7 +334,7 @@ def test_klein_four_identity():
                     b = evaluate_invariant(s, "B", pt)
                 except IndeterminateEvaluationError:
                     continue
-                c = _eval_reps(s, "C", pt, None)
+                c = _eval_reps(brauer._Reading(s, pt, q), "C")
                 if c is None:
                     continue
                 assert (a + b) % 1 == c
@@ -342,9 +356,7 @@ def test_invariant_images_paper_values():
 
 def test_bm_verdict_checks_the_klein_four_identity(monkeypatch):
     # with C's representatives swapped for A's, C = A + B fails wherever B is 1/2
-    real = brauer.class_representations
-    monkeypatch.setattr(brauer, "class_representations",
-                        lambda s, tag: real(s, "A" if tag == "C" else tag))
+    monkeypatch.setitem(brauer.REPRESENTATIONS, "C", brauer.REPRESENTATIONS["A"])
     with pytest.raises(AssertionError, match="Klein-four identity fails"):
         bm_verdict(Y_13_2_6)
 
@@ -385,10 +397,10 @@ def _sampled_points_and_images(monkeypatch, s, q):
             raise
         return points
 
-    def point_values(s, reading, v, *precision):
+    def point_values(s, reading):
         key = (tuple(reading.vals), tuple(reading.signs), reading.room)
-        assert key not in table and not precision
-        table[key] = real_values(s, reading, v)
+        assert key not in table
+        table[key] = real_values(s, reading)
         return table[key]
 
     with monkeypatch.context() as m:
@@ -414,8 +426,8 @@ def test_values_looked_up_by_reading_pattern_are_each_points_own(monkeypatch):
             precision = 14 if q == 2 else 8
             seen, counts = [set(), set(), set()], [0, 0, 0]
             for pt in points:
-                reading = brauer._Reading(s, pt, None, precision)
-                own = brauer._point_values(s, pt, None, precision)
+                reading = brauer._Reading(s, pt, q, precision)
+                own = brauer._point_values(s, reading)
                 assert table[(tuple(reading.vals), tuple(reading.signs), reading.room)] == own, (s, q, pt)
                 for i, value in enumerate(own):
                     if value is not None and len(seen[i]) < 2:
@@ -432,9 +444,9 @@ def test_each_reading_pattern_is_evaluated_once_per_image(monkeypatch):
     calls = []
     real = brauer._eval_reps
 
-    def counting(s, tag, point, v):
+    def counting(reading, tag):
         calls.append(tag)
-        return real(s, tag, point, v)
+        return real(reading, tag)
 
     for s in (Y_13_2_6, S_13, CASE_PATTERN_SURFACES["case2"]):
         for q in relevant_places(s):
@@ -583,7 +595,7 @@ def test_an_undecided_class_is_zero_where_p_is_a_square(monkeypatch):
     # 0 there by theorem, with no residue node read and no Newton step
     s = make_Y(89, 2, 44)
     pt = localsolve.PadicApproxPoint(2, 14, (0, 0, 1, 12379, 4005), 2)
-    assert all(_eval_reps(s, tag, pt, None) is None for tag in CLASS_TAGS)
+    assert all(_eval_reps(brauer._Reading(s, pt, 2), tag) is None for tag in CLASS_TAGS)
     walk = {localsolve._node.__code__, localsolve.newton_refine.__code__}
     calls = []
 
@@ -593,14 +605,14 @@ def test_an_undecided_class_is_zero_where_p_is_a_square(monkeypatch):
 
     sys.setprofile(profile)
     try:
-        values = brauer._point_values(s, pt, None)
+        values = brauer._point_values(s, brauer._Reading(s, pt, 2))
     finally:
         sys.setprofile(None)
     assert values == (ZERO, ZERO, ZERO) and calls == []
     assert [evaluate_invariant(s, tag, pt) for tag in CLASS_TAGS] == [ZERO, ZERO, ZERO]
     # without the theorem nothing decides the classes there
     monkeypatch.setattr(brauer, "_prime_is_square_at", lambda p, q: False)
-    assert brauer._point_values(s, pt, None) == (None, None, None)
+    assert brauer._point_values(s, brauer._Reading(s, pt, 2)) == (None, None, None)
     with pytest.raises(IndeterminateEvaluationError, match="class A indeterminate"):
         evaluate_invariant(s, "A", pt)
 
@@ -636,6 +648,30 @@ def test_rational_point_repairs_an_undersampled_image(monkeypatch):
     assert img.values == {ZERO, HALF} and img.n == sampled_n[2] + 1
     assert img.detail == "exact value at (0, 1, 0, 0, -1)"
     assert rep.images["A"]["13"].values == {ZERO} and rep.images["A"]["13"].n == sampled_n[13]
+
+
+def test_a_rational_point_that_leaves_an_obstruction_is_an_evaluator_fault(monkeypatch):
+    # the undersampled image of the test above, with the exact value at 2
+    # read as 1/2 too: the repaired images still sum to 1/2 for A, which
+    # reciprocity forbids at a rational point, so bm_verdict fails hard
+    # rather than call the verdict inconclusive
+    s = CASE_PATTERN_SURFACES["case1"]
+    real_image, real_exact = brauer.invariant_image, brauer._exact_values
+
+    def undersampled(surface, q, **kwargs):
+        images = real_image(surface, q, **kwargs)
+        if q == 2:
+            images["A"] = brauer.PlaceImage(frozenset({HALF}), "sampled", n=images["A"].n)
+        return images
+
+    def misread(surface, point, q):
+        values = real_exact(surface, point, q)
+        return (HALF, *values[1:]) if q == 2 else values
+
+    monkeypatch.setattr(brauer, "invariant_image", undersampled)
+    monkeypatch.setattr(brauer, "_exact_values", misread)
+    with pytest.raises(AssertionError, match="evaluation is inconsistent"):  # not a SamplingBudgetError
+        bm_verdict(s)
 
 
 def test_witness_pair_and_repairing_point_are_read_once(monkeypatch):
@@ -920,7 +956,7 @@ def test_a_and_b_are_determinate_at_every_rational_point():
     for s in box_slice(4, 300) + [Y_13_2_6, Y_13_1_12, Y_13_12_1, S_13]:
         for pt in point_search(s, 6):
             for tag in ("A", "B"):
-                assert _eval_reps(s, tag, pt, Place(2)) is not None, (s, tag, pt)
+                assert _eval_reps(brauer._Reading(s, pt, 2), tag) is not None, (s, tag, pt)
             checked += 1
     assert checked > 500
 
@@ -1110,9 +1146,9 @@ def test_reciprocity_evaluates_each_class_once_per_finite_place(monkeypatch):
     calls = []
     real = brauer._eval_reps
 
-    def counting(s, tag, point, v):
-        calls.append((tag, v))
-        return real(s, tag, point, v)
+    def counting(reading, tag):
+        calls.append((tag, reading.q))
+        return real(reading, tag)
 
     monkeypatch.setattr(brauer, "_eval_reps", counting)
     for surface, point in [(Y_13_1_12, (1, 0, 0, 0, 1)), (Y_13_12_1, (1, -3, 2, 7, 16)),
@@ -1120,7 +1156,7 @@ def test_reciprocity_evaluates_each_class_once_per_finite_place(monkeypatch):
         calls.clear()
         assert reciprocity_check(surface, point)
         places = {v for _, v in calls}
-        assert {Place(2), Place(surface.p)} <= places and PLACE_INF not in places
+        assert {2, surface.p} <= places and 0 not in places
         assert sorted(calls, key=str) == sorted(((tag, v) for tag in "ABC" for v in places), key=str)
 
 
@@ -1179,7 +1215,7 @@ def test_reciprocity_skips_only_places_where_every_class_is_zero():
                       for q in factor(abs(value))}
             for q in primes - {2, s.p}:
                 if legendre(s.p, q) == 1:
-                    assert brauer._point_values(s, point, Place(q)) == (ZERO, ZERO, ZERO), (s, point, q)
+                    assert brauer._point_values(s, brauer._Reading(s, point, q)) == (ZERO, ZERO, ZERO), (s, point, q)
                     skipped += 1
     assert skipped > 0
 

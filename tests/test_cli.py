@@ -157,6 +157,13 @@ def test_cli_census_small(capsys):
     assert all(r["agreement"] for r in rows)
 
 
+def test_cli_census_prints_a_table(capsys):
+    code, out, _ = run_cli(capsys, "census", "--family", "Y", "--pmax", "13",
+                           "--samples", "16", "--height", "2", "--format", "table")
+    assert code == 0
+    assert "rows:" in out.splitlines() and "surface: X_13_1_-13_1_-12_1" in out
+
+
 def test_cli_byte_identical_reruns(capsys):
     args = ("analyze", '{"family": "S", "p": 13, "a": 153, "b": 179}', "--samples", "12",
             "--seed", "3")
@@ -325,9 +332,8 @@ def test_representation_check_survives_optimized_mode():
     # some sampled point; python -O strips assert statements, not this check
     script = ("import dp4.brauer as br\n"
               "from dp4.families import make_Y\n"
-              "real = br.class_representations\n"
-              "extra = tuple(r for r in real(None, 'B') if r.label == '(z-y)/u')\n"
-              "br.class_representations = lambda s, tag: real(s, tag) + (extra if tag == 'A' else ())\n"
+              "extra = tuple(r for r in br.REPRESENTATIONS['B'] if r.label == '(z-y)/u')\n"
+              "br.REPRESENTATIONS['A'] += extra\n"
               "try:\n"
               "    br.invariant_image(make_Y(13, 2, 6), 13)\n"
               "except AssertionError as exc:\n"
@@ -348,6 +354,25 @@ def test_library_has_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_settable_values_do_not_grow():
+    # a settable value is a defaulted parameter, a dataclass field with a
+    # default, or a command-line option; each one is a knob to document and test
+    src = Path(__file__).resolve().parents[1] / "src" / "dp4"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                defaults = len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
+                found += [f"{where} {getattr(node, 'name', 'lambda')}"] * defaults
+            elif isinstance(node, ast.ClassDef) and any("dataclass" in ast.unparse(d) for d in node.decorator_list):
+                found += [f"{path.name}:{field.lineno} {node.name}.{field.target.id}" for field in node.body
+                          if isinstance(field, ast.AnnAssign) and field.value is not None]
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument":
+                found.append(f"{where} {ast.unparse(node.args[0])}")
+    assert len(found) <= 56, "\n".join(found)
 
 
 def test_import_leaves_multiprocessing_out():
@@ -482,6 +507,16 @@ def test_cli_inconclusive_exit_3(capsys, monkeypatch):
     assert json.loads(out)["status"] == "inconclusive"
 
 
+def test_cli_analyze_stops_at_an_inconclusive_local_report(capsys, monkeypatch):
+    # the same level cap leaves 2 undecided: analyze prints the local report,
+    # gives no obstruction verdict and exits 3
+    monkeypatch.setattr(localsolve, "LEVEL_CAP", 1)
+    code, out, _ = run_cli(capsys, "analyze", '{"family": "Y", "p": 13, "a": 2, "b": 6}')
+    payload = json.loads(out)
+    assert code == 3 and "obstruction" not in payload
+    assert payload["local_solubility"]["everywhere_locally_soluble"] is None
+
+
 def test_cli_analyze_decides_a_place_that_needs_level_11(capsys):
     # the 2-adic walk finds its first certificate at level 11
     spec = '{"family": "subfamily", "p": 13, "A": -1, "B": -6, "C": 1, "D": -6, "M": 8}'
@@ -500,6 +535,13 @@ def test_cli_rejects_bad_budgets(capsys):
     code, _, _ = run_cli(capsys, "search", '{"family": "Y", "p": 13, "a": 1, "b": 12}',
                          "--height", "0")
     assert code == 0
+    # a census needs at least one row per prime and a prime bound of at least 1
+    for argv in (("--family", "S", "--plist", "13", "--tcount", "-1"), ("--family", "S", "--tcount", "0"),
+                 ("--family", "Y", "--pmax", "-5"), ("--family", "Y", "--pmax", "0")):
+        code, out, err = run_cli(capsys, "census", *argv)
+        assert (code, out) == (2, "") and "budgets must be positive" in err, argv
+    code, out, _ = run_cli(capsys, "census", "--family", "Y", "--pmax", "4")  # no prime p = 1 mod 4 up to 4
+    assert code == 0 and json.loads(out)["header"]["rows"] == 0
 
 
 def test_cli_options_are_the_ones_each_handler_reads():

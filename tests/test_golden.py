@@ -54,6 +54,8 @@ CASES = {
     # a general pencil: the classical Birch/Swinnerton-Dyer quartic
     "analyze_bsd": ["analyze", BSD_SPEC],
     "solubility_bsd": ["solubility", BSD_SPEC],
+    # a subfamily spec without --place: the local report at every relevant place
+    "solubility_Y_13_2_6": ["solubility", '{"family": "Y", "p": 13, "a": 2, "b": 6}'],
     # every member r*diag(1,1,1,-1000,-1000) + t*diag(0,0,0,1,1) with
     # 0 < r/t < 1/1000 is positive definite, and no other member is definite
     "solubility_narrow_oo": ["solubility", NARROW_SPEC, "--place", "oo"],

@@ -1004,6 +1004,17 @@ def test_newton_refine_checks_the_certificate_minor():
             newton_refine(Y_13_2_6, wrong, 14)
 
 
+def test_a_reduced_point_keeps_its_certificate_only_while_it_applies():
+    # a minor of valuation e proves a Q_q point only from k = 2e + 1 on
+    checked = 0
+    for full in sample_local_points(Y_13_2_6, 2, 8, 14, seed=3):
+        e = full.cert.e
+        if e:
+            assert [full.reduce(k).cert for k in range(1, full.k + 1)] == [None] * 2 * e + [full.cert] * (full.k - 2 * e)
+            checked += 1
+    assert checked > 0
+
+
 def test_newton_refine_needs_a_certificate_and_reduces_below_its_precision():
     uncertified = next(pt for pt in iter_residue_points(Y_13_2_6, 2) if lift_certificate(Y_13_2_6, pt) is None)
     with pytest.raises(ValueError, match="point carries no lift certificate"):
