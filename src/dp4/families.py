@@ -143,6 +143,13 @@ def point_search(s: SubfamilySurface, height_bound: int, jobs: int = 1) -> list[
     v is exact and only z takes an integer square root.  On u = 0 a non-square
     p forces x = y = 0 and primitivity v = 1.
 
+    Orientation: exchanging u and v maps s to (p, B, A, D, C, M).  When
+    BD > AC the walk runs on that mirror, whose u is the v of s, and maps each
+    point back by (u, v) -> (v, u), negated when u < 0; the mirror's u = 0
+    line is (1, 0, 0, 0, +-sqrt(AC)) on s.  On the first family BD = pb > AC
+    = a: both linear forms vanish near u = bv, so the window of v meets
+    [-h, h] at every u, while that of u leaves it once v passes about h / b.
+
     x and y step by g(m), the product of l^ceil(k/2) over the odd primes
     l <= h with (p/l) = -1 and l^k || m: if y^2 = p x^2 mod l^k and l did not
     divide x, p would be the square (y/x)^2 mod l; so l | x, l | y and
@@ -150,37 +157,50 @@ def point_search(s: SubfamilySurface, height_bound: int, jobs: int = 1) -> list[
 
     v lies in a window: z^2 = BD v^2 + (AD+BC) u v + AC u^2 + p x^2 must lie
     in [0, h^2], and BD != 0 on a valid surface ((C1) with BD = 0 forces
-    N = 0).  With sigma = sign(BD) and T = h^2 if BD > 0 else 0, the quadratic
-    sigma (z^2 - T) <= 0 in v has discriminant K_u - 4 BD p x^2; the integers
-    between its roots, clamped to |v| <= h, give the window of y through
-    y^2 = p x^2 + M u v, and for BD > 0 a bound on x.  Both cuts drop only
-    candidates that the z checks reject.  The multiples y0 of g in
+    N = 0).  With t = sign(M) v, sigma = sign(BD) and T = h^2 if BD > 0 else
+    0, sigma (z^2 - T) = |BD| t^2 + b t + ... is <= 0 exactly when
+    |2 |BD| t + b| <= r(x) = isqrt(K - 4 BD p x^2), K its discriminant at
+    x = 0; those t, clamped to |t| <= h, give the window of y through
+    y^2 = p x^2 + m t.  The window cut, for BD > 0: every |t| <= h has
+    |2 |BD| t + b| >= gap = max(|b| - 2 |BD| h, 0), so a t in the window
+    needs r(x) >= gap, that is K - 4 BD p x^2 >= gap^2.  Hence a u with
+    K < gap^2 is skipped before its roots are listed, and otherwise
+    x <= isqrt((K - gap^2) / (4 BD p)).  These cuts drop only candidates
+    that the z checks or |v| <= h reject.  The multiples y0 of g in
     [0, min(m, h + 1)) are listed by y0^2 mod m, increasing.  A window
     [ylo, yhi] of fewer than m integers has distinct residues mod m, filling
     the cyclic interval [ylo, yhi] mod m, so y0 + mZ meets it exactly when y0
     lies in that interval: one slice of the sorted roots, or two when it
     wraps (never when m > h + 1, as then yhi <= h < m).  A wider window meets
-    every y0 + mZ.  Work: h log log h to tabulate g, then per u about
-    min(|M| u, h) / g roots and h / g values of x, each one root lookup and
-    then only the roots that meet the window, with about one candidate each;
-    a scan over (u, v, x) costs h^3 / sqrt(p).
+    every y0 + mZ.  Work: h log log h to tabulate g, O(1) per skipped u, then
+    per kept u about min(|M| u, h) / g roots and at most h / g values of x,
+    each one root lookup and then only the roots that meet the window, with
+    about one candidate each.  On the first family the cut keeps v up to
+    about 2 (a + sqrt(a)) h / (2p - 1).  A scan over (u, v, x) costs
+    h^3 / sqrt(p).
     """
     if height_bound < 0 or jobs < 1:
         raise ValueError(f"need height_bound >= 0 and jobs >= 1, got {height_bound}, {jobs}")
     validate_subfamily(s)
     h = height_bound
-    z = isqrt(max(s.B * s.D, 0))
-    on_u0 = h >= 1 and z <= h and z * z == s.B * s.D
-    found = {(0, 1, 0, 0, w) for w in {z, -z}} if on_u0 else set()
-    workers = min(jobs, h)  # no worker without a value of u
+    swap = s.B * s.D > s.A * s.C
+    w = SubfamilySurface(s.p, s.B, s.A, s.D, s.C, s.M) if swap else s  # the walked frame
+    z = isqrt(max(w.B * w.D, 0))
+    on_u0 = h >= 1 and z <= h and z * z == w.B * w.D
+    found = {(0, 1, 0, 0, zz) for zz in {z, -z}} if on_u0 else set()
+    workers = min(jobs, h)  # no worker without a walked value (u, or v if swapped)
     if workers > 1:
         import multiprocessing  # only here: ``import dp4`` does not pay for it
         with multiprocessing.get_context("fork").Pool(workers) as pool:
-            parts = pool.starmap(_search_hyperbola, [(s, h, range(1 + i, h + 1, workers))
+            parts = pool.starmap(_search_hyperbola, [(w, h, range(1 + i, h + 1, workers))
                                                      for i in range(workers)])
     else:
-        parts = [_search_hyperbola(s, h, range(1, h + 1))]
-    return sorted(found.union(*parts))
+        parts = [_search_hyperbola(w, h, range(1, h + 1))]
+    found = found.union(*parts)
+    if swap:  # back to (u, v) = (v', u'), the sign fixed by u > 0 or u = 0 < v
+        found = {(v, u, x, y, z) if v >= 0 else (-v, -u, -x, -y, -z)
+                 for u, v, x, y, z in found}
+    return sorted(found)
 
 
 def _forced_divisors(p: int, M: int, n: int) -> list[int]:
@@ -212,9 +232,10 @@ def _search_hyperbola(s: SubfamilySurface, h: int, us) -> set[Point]:
         K = b * b - 4 * BD * (A * C * u * u - T)  # the discriminant at x = 0
         xmax = min(h, isqrt((h2 + m * h) // p))
         if BD > 0:
-            if K < 0:
+            gap = max(abs(b) - a2 * h, 0)  # |2 |BD| t + b| >= gap for every |t| <= h
+            if K < gap * gap:
                 continue
-            xmax = min(xmax, isqrt(K // c))
+            xmax = min(xmax, isqrt((K - gap * gap) // c))
         roots: dict[int, list[int]] = {}
         for y0 in range(0, min(m, h + 1), step):
             roots.setdefault(y0 * y0 % m, []).append(y0)

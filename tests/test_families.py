@@ -11,6 +11,7 @@ from dp4.brauer import reciprocity_check
 from dp4.census import census_S, census_Y
 from dp4.families import (
     _forced_divisors,
+    _search_hyperbola,
     check_S_params,
     family_of,
     make_S,
@@ -134,10 +135,15 @@ def test_point_search_jobs_agree():
     pts = point_search(s, 40)
     assert len(pts) == 12
     assert point_search(s, 40, jobs=3) == pts
+    s = make_Y(29, 1, 28)  # walked swapped: the window cut skips 112 of the 120 values of v
+    pts = point_search(s, 120)
+    assert pts
+    assert point_search(s, 120, jobs=3) == pts
 
 
 def test_point_search_starts_no_worker_without_a_value_of_u(monkeypatch):
-    # min(jobs, h) workers: none at h <= 1, two at h = 2 whatever jobs asks
+    # min(jobs, h) workers: none at h <= 1, two at h = 2 whatever jobs asks;
+    # B D > A C, so v is walked and the h = 1 points lie on the line v = 0
     s = make_Y(13, 1, 12)
     serial = {h: point_search(s, h) for h in (0, 1, 2)}
     sizes = []
@@ -261,8 +267,16 @@ def test_point_search_matches_the_shell_scan():
             assert point_search(s, bound) == _shell_scan(s, bound), (s.label(), bound)
     family = [make_Y(5, 1, 4), make_Y(13, 12, 1), make_Y(13, 1, 12), make_Y(13, 3, 4),
               make_Y(13, 2, 6), make_Y(29, 4, 7), make_S(13, 153, 179), make_S(*s_from_t(29, 5))]
+    # the first family is walked swapped and its mirrors (B, A, D, C) are not;
+    # on make_Y(5, 1, 4), (13, 1, 12), (13, 3, 4), (13, 2, 6) and their mirrors
+    # the window cut skips most outer values at these heights, and A C = 1 on
+    # make_Y(13, 1, 12) puts its height-1 points on the line v = 0
+    family += [_swapped(s) for s in family[:5]]
+    assert {s.B * s.D > s.A * s.C for s in family} == {True, False}
+    assert (1, 0, 0, 0, 1) in point_search(make_Y(13, 1, 12), 60)
     for s in family:
-        assert point_search(s, 60) == _shell_scan(s, 60), s.label()
+        for bound in (60, 120):
+            assert point_search(s, bound) == _shell_scan(s, bound), (s.label(), bound)
 
 
 def test_point_search_matches_the_shell_scan_on_either_sign_of_BD():
@@ -276,6 +290,52 @@ def test_point_search_matches_the_shell_scan_on_either_sign_of_BD():
         for bound in (4, 8, 20, 40):
             assert point_search(s, bound) == _shell_scan(s, bound), (s.label(), bound)
     assert sum(bool(point_search(s, 40)) for s in surfaces if s.B * s.D < 0) >= 4
+    # the window cut's edge: at u = 1 and h = 4, z^2 <= h^2 meets |v| <= h
+    # only at v = -4, where x = 0 and z = h; the mirror walks it swapped
+    tangent = SubfamilySurface(13, -108, -23, -13, -3, -1)
+    assert (1, -4, 0, 2, 4) in point_search(tangent, 4)
+    for s in (tangent, _swapped(tangent)):
+        assert point_search(s, 4) == _shell_scan(s, 4), s.label()
+
+
+def _swapped(s):
+    """The surface with u and v exchanged: (A, B, C, D) -> (B, A, D, C)."""
+    return SubfamilySurface(s.p, s.B, s.A, s.D, s.C, s.M)
+
+
+def _orientation_surfaces():
+    """Seeded valid surfaces, five for each sign pattern of (B D, A C)."""
+    rng = random.Random(39)
+    out = []
+    while len(out) < 20:
+        pattern = (len(out) // 5 % 2 == 1, len(out) >= 10)  # (B D > 0, A C > 0)
+        p, M = rng.choice((5, 13)), rng.choice([m for m in range(-40, 41) if m])
+        A, B, C, D = (rng.choice([a for a in range(-9, 10) if a]) for _ in range(4))
+        s = SubfamilySurface(p, A, B, C, D, M)
+        if (B * D > 0, A * C > 0) == pattern and s not in out and check_subfamily(s).valid:
+            out.append(s)
+    return out
+
+
+def test_search_hyperbola_agrees_in_both_orientations():
+    # walking u on s and walking u on its mirror (the v of s) give one point set
+    def frame(s, h):  # the walk plus its u = 0 line, x = y = 0 and z^2 = B D
+        line = {(0, 1, 0, 0, z) for z in range(-h, h + 1) if h and z * z == s.B * s.D}
+        return line | _search_hyperbola(s, h, range(1, h + 1))
+
+    surfaces = _orientation_surfaces()
+    assert any(abs(s.M) > 1 for s in surfaces)
+    cases = [(s, h) for s in surfaces for h in (20, 40, 80)]
+    cases += [(make_Y(13, 1, 12), 120), (make_Y(29, 1, 28), 120), (make_Y(61, 2, 30), 120)]
+    found = 0
+    for s, h in cases:
+        direct = frame(s, h)
+        mirrored = {(v, u, x, y, z) if v >= 0 else (-v, -u, -x, -y, -z)
+                    for u, v, x, y, z in frame(_swapped(s), h)}
+        assert direct == mirrored, (s.label(), h)
+        assert point_search(s, h) == sorted(direct), (s.label(), h)
+        found += bool(direct)
+    assert found >= 20
 
 
 def test_point_search_walks_only_the_roots_in_the_y_window():
