@@ -799,15 +799,17 @@ def relevant_places(s: SubfamilySurface) -> list[int]:
     p, then the odd primes q != p dividing N (AD - BC) with (p/q) = -1, in
     increasing order.
 
-    Every class symbol is (p, f)_q with f a product of u, Mv, Au+Bv, Cu+Dv,
-    z-y, z+y and AC; wherever p is a square in Q_q (``_prime_is_square_at``:
-    at 2 when p = 1 mod 8, at an odd q != p when (p/q) = 1) it is trivial,
-    and at an odd q of good reduction every local invariant is 0.  The bad
-    primes are those of A, B, C, D, M, N and AD - BC, and an inert one divides
-    N (AD - BC).  Lemma: let q be an odd prime, q != p, q not dividing N.
-    If q | A, (C1) reduces mod q to (BC - M)^2 = p N^2, so p is a nonzero
-    square mod q; B, C and D are alike.  If q | M, (C1) reduces to
-    (AD - BC)^2 = p N^2, with the same conclusion.
+    Every class is 0 at every local point of every other place, the real
+    one included.  Every class symbol is (p, f)_q with f a product of u, Mv,
+    Au+Bv, Cu+Dv, z-y, z+y and AC; at the real place (p > 0) and wherever p
+    is a square in Q_q (``_prime_is_square_at``: at 2 when p = 1 mod 8, at
+    an odd q != p when (p/q) = 1) it is trivial, and at an odd q of good
+    reduction every local invariant is 0.  The bad primes are those of A, B,
+    C, D, M, N and AD - BC, and an inert one divides N (AD - BC).  Lemma:
+    let q be an odd prime, q != p, q not dividing N.  If q | A, (C1) reduces
+    mod q to (BC - M)^2 = p N^2, so p is a nonzero square mod q; B, C and D
+    are alike.  If q | M, (C1) reduces to (AD - BC)^2 = p N^2, with the
+    same conclusion.
     """
     validate_subfamily(s)
     bad = set(factor(abs(s.N))) | set(factor(abs(s.A * s.D - s.B * s.C)))
@@ -906,23 +908,17 @@ def _obstructing(images) -> tuple[str, ...]:
 def reciprocity_check(s: SubfamilySurface, point) -> bool:
     """Sum of local invariants vanishes for each class at a rational point.
 
-    Every representative is a product of the seven factor values, so the
-    symbols are trivial away from {2, p} and the primes of the nonzero values
-    (each factored once), and at the real place since p > 0.  They are also
-    trivial wherever p is a square in Q_q (``_prime_is_square_at``), so every
-    representative gives 0 (A and B stay determinate at rational points, see
-    ``_exact_values``).  One evaluation per remaining place gives A, B and C
-    and runs the Klein-four check there.  The caller validates s, as
-    ``point_search`` does: this runs once per point.
+    Every class is 0 at the real place and at every finite place outside
+    ``relevant_places`` (its lemma), so the sum runs over those places: one
+    evaluation per place gives A, B and C and runs the Klein-four check
+    there.  A place left out of the list where some class reads 1/2 makes
+    the check fail, so it also tests the place set that ``bm_verdict`` rests on.
     """
     point = normalize_point(point)
     if not s.contains(point):
         raise ValueError(f"{point} is not on {s.label()}")
-    places = {2, s.p}
-    for value in {abs(value) for value in _factor_values(s, point).values() if value}:
-        places.update(factor(value))
     parities = [False, False, False]
-    for q in sorted(q for q in places if not _prime_is_square_at(s.p, q)):
+    for q in relevant_places(s):  # validates s
         parities = [par ^ (value.denominator == 2) for par, value in zip(parities, _exact_values(s, point, q))]
     return not any(parities)
 
@@ -937,7 +933,7 @@ def _exact_values(s: SubfamilySurface, point, q: int) -> tuple:
     B's vanish together only where y = z = 0; there Muv = (Au+Bv)(Cu+Dv)
     with uv != 0, so v/u is a rational root of BD t^2 + (AD+BC-M) t + AC,
     whose discriminant p N^2 is not a square."""
-    values = _point_values(s, _Reading(s, point, q))  # q is 2, the validated p or from factor
+    values = _point_values(s, _Reading(s, point, q))  # q is from relevant_places
     for tag, value in zip(CLASS_TAGS, values):
         if value is None:
             raise IndeterminateEvaluationError(f"class {tag} indeterminate at {point}, place {q}")

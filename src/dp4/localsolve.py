@@ -187,19 +187,14 @@ def _poly_gcd(f: list[int], g: list[int], q: int) -> list[int]:
 
 def _poly_powmod(f: list[int], e: int, m: list[int], q: int) -> list[int]:
     """f^e mod m over F_q, by squaring and multiplying; m of degree at least 1."""
-    inv = pow(m[-1], -1, q)
-    m, d, out = [c * inv % q for c in m], len(m) - 1, [1]
+    out = [1]
     for bit in bin(e)[2:]:
         for g in [out, f][:1 + (bit == "1")]:
             prod = [0] * (len(out) + len(g))
             for i, a in enumerate(out):
                 for j, b in enumerate(g):
                     prod[i + j] += a * b
-            for k in range(len(prod) - 1, d - 1, -1):  # subtract prod[k] x^(k-d) m, m monic
-                c = prod[k] % q
-                for i in range(d):
-                    prod[k - d + i] -= c * m[i]
-            out = _poly_trim([c % q for c in prod[:d]])
+            out = _poly_divmod(prod, m, q)[1]
     return out
 
 
@@ -633,8 +628,7 @@ def _walk(surface, k: int, lifts, order, cap: int, spend):
 class SolubilityVerdict:
     place_q: int  # prime q, or 0 for the real place
     status: str  # "soluble" | "insoluble" | "inconclusive"
-    witness: PadicApproxPoint | None = None
-    real_witness: str | None = None
+    witness: PadicApproxPoint | str | None = None  # a real-place witness is its string
     level: int | None = None
     method: str = ""
 
@@ -644,12 +638,12 @@ class SolubilityVerdict:
 
     def to_json(self):
         out = {"place": "oo" if self.place_q == 0 else str(self.place_q), "status": self.status}
-        if self.witness is not None:
+        if isinstance(self.witness, str):
+            out["witness"] = self.witness
+        elif self.witness is not None:
             out["witness"] = self.witness.to_json()
             if self.witness.cert is not None:
                 out["certificate"] = self.witness.cert.to_json()
-        if self.real_witness is not None:
-            out["witness"] = self.real_witness
         if self.level is not None:
             out["level"] = self.level
         if self.method:
@@ -733,13 +727,13 @@ def decide_R(surface) -> SolubilityVerdict:
     product w_j x w_i is positive, or zero with a positive dot product.
     """
     if isinstance(surface, SubfamilySurface):
-        return SolubilityVerdict(0, "soluble", real_witness="(0:0:1:sqrt(p):sqrt(p))",
+        return SolubilityVerdict(0, "soluble", witness="(0:0:1:sqrt(p):sqrt(p))",
                                  method="theorem: real witness")
     ws = [(surface.mat1[i][i], surface.mat2[i][i]) for i in range(5)]
     if any(all(a * d > b * c or (a * d == b * c and a * c + b * d > 0) for c, d in ws) for a, b in ws):
         for r, t in _points_on_every_arc(surface.quintic):
             if definite_sign(surface.member(r, t)):
-                return SolubilityVerdict(0, "insoluble", real_witness=f"({r}:{t})",
+                return SolubilityVerdict(0, "insoluble", witness=f"({r}:{t})",
                                          method="definite pencil member")
     return SolubilityVerdict(0, "soluble", method="theorem: no definite pencil member (Finsler-Calabi)")
 

@@ -439,9 +439,6 @@ class GeneralSurface:
         x0, x1, x2, x3, x4 = pt
         return tuple((x0 * j0 + x1 * j1 + x2 * j2 + x3 * j3 + x4 * j4) // 2 for j0, j1, j2, j3, j4 in rows), rows
 
-    def contains(self, pt) -> bool:
-        return self.quad_value(0, pt) == 0 and self.quad_value(1, pt) == 0
-
 
 def to_matrices(s: SubfamilySurface) -> GeneralSurface:
     """Symmetric matrices of the two quadrics, doubled once to clear half-integers

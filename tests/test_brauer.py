@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from dp4 import brauer, cli, localsolve
-from dp4.arith import PLACE_INF, PadicScalar, Place, factor, hilbert_symbol, is_prime, legendre
+from dp4.arith import PLACE_INF, PadicScalar, Place, _prime_is_square_at, factor, hilbert_symbol, is_prime, legendre
 from dp4.brauer import (
     CLASS_TAGS,
     IndeterminateEvaluationError,
@@ -190,8 +190,8 @@ def test_one_factor_reading_per_point_and_place(monkeypatch):
     # A, B and C, the disagreement check and the Klein-four check come from
     # one reading of the seven factors per sampled point, and one more for
     # each point that the reading refines (A and B are determinate at every
-    # point sampled here); reciprocity_check reads them once to find its
-    # places and once per place
+    # point sampled here); reciprocity_check reads them once per place of
+    # relevant_places, and never to find its places
     reads, sampled, refined, places = [0], [0], [0], []
     real_factors, real_sampler, real_refine, real_values = (
         brauer._factor_values, brauer._sample_points, brauer.newton_refine, brauer._point_values)
@@ -227,7 +227,7 @@ def test_one_factor_reading_per_point_and_place(monkeypatch):
         reads[0] = 0
         places.clear()
         assert reciprocity_check(s, point)
-        assert reads[0] == 1 + len(places) and len(places) >= 2, (s, point)
+        assert reads[0] == len(places) and places == relevant_places(s) and len(places) >= 2, (s, point)
 
 
 READING_LEMMA_SURFACES = [
@@ -1120,8 +1120,8 @@ def test_reciprocity_on_the_line_au_plus_bv_zero(coeffs, point):
 
 
 def test_reciprocity_factors_each_factor_at_most_once_per_point(monkeypatch):
-    # the primes of a product are the union of its factors' primes, so each
-    # of the seven factor values is factored at most once per point
+    # the places come from relevant_places, which factors the surface's N
+    # and AD - BC: none of the point's seven factor values is factored
     calls = []
     real = brauer.factor
 
@@ -1136,7 +1136,7 @@ def test_reciprocity_factors_each_factor_at_most_once_per_point(monkeypatch):
             (SubfamilySurface(3, -4, 1, 1, -4, 1), (1, 4, 0, 2, 0))]:
         calls.clear()
         assert reciprocity_check(surface, point)
-        assert 0 < len(calls) <= 7, (surface, point, calls)
+        assert calls == [abs(surface.N), abs(surface.A * surface.D - surface.B * surface.C)], (surface, point)
 
 
 def test_reciprocity_evaluates_each_class_once_per_finite_place(monkeypatch):
@@ -1206,18 +1206,37 @@ def test_place_level_calls_name_the_failed_condition():
 
 
 def test_reciprocity_skips_only_places_where_every_class_is_zero():
-    # at an odd q != p with (p/q) = 1, (p, *)_q is identically 1, so every
-    # class is 0 and reciprocity_check leaves the place out
-    skipped = 0
-    for s in (Y_13_1_12, Y_13_12_1, *box_slice(7, 12)):
+    # reciprocity_check sums over relevant_places alone, so every class must
+    # be 0 at every other prime of the point's factor values: where p is a
+    # square in Q_q, (p, *)_q is identically 1; at an inert q outside the
+    # list, the lemma of relevant_places gives 0 (good reduction)
+    first_family = [make_Y(p, a, (p - 1) // a) for p in (13, 29, 37, 41, 53, 61)
+                    for a in range(1, p) if (p - 1) % a == 0]
+    square = inert = 0
+    for s in (Y_13_1_12, Y_13_12_1, *box_slice(7, 12), *box_slice(4, 200), *first_family):
+        places = relevant_places(s)
         for point in point_search(s, 40):
             primes = {q for value in brauer._factor_values(s, point).values() if value
                       for q in factor(abs(value))}
-            for q in primes - {2, s.p}:
-                if legendre(s.p, q) == 1:
-                    assert brauer._point_values(s, brauer._Reading(s, point, q)) == (ZERO, ZERO, ZERO), (s, point, q)
-                    skipped += 1
-    assert skipped > 0
+            for q in primes - set(places):
+                assert brauer._point_values(s, brauer._Reading(s, point, q)) == (ZERO, ZERO, ZERO), (s, point, q)
+                if _prime_is_square_at(s.p, q):
+                    square += 1
+                else:
+                    inert += 1
+    assert square > 0 and inert >= 100, (square, inert)
+
+
+def test_reciprocity_fails_when_relevant_places_drops_a_place(monkeypatch):
+    # the check sums over relevant_places alone, so it also tests that list:
+    # at this point A and B are 1/2 at 13 and at 5, so without 5 they sum to 1/2
+    s, point = SubfamilySurface(13, 5, -3, 5, 1, -5), (1, -5, 0, -5, 0)
+    assert 5 in relevant_places(s) and reciprocity_check(s, point)
+    for q in (13, 5):
+        assert brauer._exact_values(s, point, q)[:2] == (HALF, HALF), q
+    real = brauer.relevant_places
+    monkeypatch.setattr(brauer, "relevant_places", lambda s: [q for q in real(s) if q != 5])
+    assert not reciprocity_check(s, point)
 
 
 def test_rational_point_evaluation_at_real_place():

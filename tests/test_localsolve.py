@@ -710,7 +710,7 @@ def test_decide_R_finds_a_narrow_definite_arc():
     g = GeneralSurface(diag(1, 1, 1, -1000, -1000), diag(0, 0, 0, 1, 1))
     verdict = decide_R(g)
     assert (verdict.status, verdict.method) == ("insoluble", "definite pencil member")
-    r, t = map(int, verdict.real_witness.strip("()").split(":"))
+    r, t = map(int, verdict.witness.strip("()").split(":"))
     member = g.member(r, t)
     minors = [mat_det([row[:k] for row in member[:k]]) for k in range(1, 6)]
     assert all(d > 0 for d in minors) or all((-1) ** k * d > 0 for k, d in enumerate(minors, 1))
@@ -834,7 +834,7 @@ def test_the_diagonal_test_agrees_with_the_arc_walk(monkeypatch):
         g = GeneralSurface(*(tuple(map(tuple, m)) for m in mats))
         verdict = decide_R(g)
         expected = decide_R_by_the_walk(g)
-        assert (verdict.status, verdict.real_witness, verdict.method) == expected, g
+        assert (verdict.status, verdict.witness, verdict.method) == expected, g
         decided = not in_open_half_plane([(g.mat1[i][i], g.mat2[i][i]) for i in range(5)])
         assert not decided or expected[0] == "soluble", g
         counts["diagonal" if decided else "walked"] += 1
