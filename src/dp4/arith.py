@@ -19,6 +19,10 @@ class FactorBudgetExceeded(BudgetExceeded):
     """Factorization gave up within its budget; never a wrong answer."""
 
 
+class PrimalityBudgetExceeded(BudgetExceeded):
+    """n is beyond the deterministic Miller-Rabin bound; no primality proof is attempted."""
+
+
 class InsufficientPrecisionError(Exception):
     """A p-adic value is too imprecise to answer the question asked."""
 
@@ -33,14 +37,14 @@ _MR_DETERMINISTIC_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for n < 3.3e24 (in particular all of 2^64)."""
+    """Deterministic primality test for n < 3.3e24 (all of 2^64); beyond, PrimalityBudgetExceeded."""
     if n < 2:
         return False
     for q in _MR_BASES:
         if n % q == 0:
             return n == q
     if n >= _MR_DETERMINISTIC_BOUND:
-        raise ValueError(f"deterministic primality certification limited to n < 2^64 scale, got {n}")
+        raise PrimalityBudgetExceeded(f"deterministic primality certification limited to n < 3.3e24, got {n}")
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2

@@ -10,7 +10,9 @@ by multiplying by norms from Q(sqrt p) and by squares); all agree wherever two
 are simultaneously defined and nonzero, which is what makes the local
 invariant computable at almost every point.  Every representative is a
 product of seven fixed factors, u, Mv, Au+Bv, Cu+Dv, z-y, z+y and AC, so the
-representatives form one table shared by all surfaces, with no memo.
+representatives form one table shared by all surfaces; what a surface derives
+(its places, and per place its readings' constants and values by pattern) is
+kept in its instance's ``memo``.
 """
 
 from __future__ import annotations
@@ -123,6 +125,18 @@ def class_representations(s: SubfamilySurface, tag: str) -> tuple[SymbolRep, ...
 # invariant evaluation
 
 
+def _at_place(s: SubfamilySurface, q: int) -> tuple:
+    """What the readings of s at q share, kept in ``s.memo[q]``: the modulus and slack, v_q(p), p's
+    unit, (p, q)_q at odd q != p, v_q(AC) and (p, AC)_q (AC != 0 on a valid s), ``_pattern_values``' table."""
+    mod, slack = (8, 3) if q == 2 else (q, 1)
+    val_p = q == s.p  # v_q(p), p being a validated prime
+    unit_p = 1 if val_p else s.p % mod
+    odd_sign = None if val_p or q == 2 else hilbert_valunit(q, 0, unit_p, 1, 1)
+    v = valuation(s.A * s.C, q)
+    sign = hilbert_valunit(q, val_p, unit_p, v, s.A * s.C // q ** v % mod) if odd_sign is None else odd_sign ** v
+    return mod, slack, val_p, unit_p, odd_sign, v, sign, {}
+
+
 class _Reading:
     """One reading of the seven factors at a point, at the prime q of its place.
 
@@ -140,7 +154,8 @@ class _Reading:
     include those of every counting representative, get signs[i] = (p, f)_q,
     the others 0: from f's unit at q = p and at 2 (mod 8), while at an odd q
     != p it is 1 for even v_q(f) and (p, q)_q, read once, for odd.  By
-    bimultiplicativity (p, n/d)_q is the product of its factors' signs.
+    bimultiplicativity (p, n/d)_q is the product of its factors' signs.  AC is read
+    exactly, once per place (``_at_place``): v_q(AC) < m fixes its unit mod q^(m - v_q(AC)).
 
     A certified pt below the target ``precision`` is read so too, with the
     target's room, precision - e - slack, if every v_q(f) <= room, else as P
@@ -153,17 +168,15 @@ class _Reading:
     """
 
     def __init__(self, s: SubfamilySurface, point, q: int, precision: int = 0):
+        mod, slack, val_p, unit_p, odd_sign, ac_val, ac_sign, self.table = (
+            s.memo.get(q) or s.memo.setdefault(q, _at_place(s, q)))
         local = isinstance(point, PadicApproxPoint)
-        mod, slack = (8, 3) if q == 2 else (q, 1)
-        val_p = q == s.p  # v_q(p), p being a validated prime
-        unit_p = 1 if val_p else s.p % mod
-        odd_sign = None if val_p or q == 2 else hilbert_valunit(q, 0, unit_p, 1, 1)
         e = point.cert.e if local and point.cert else 0
         qk = q ** (point.k - e) if local else 1
         self.point, self.q = point, q
         self.room = room = point.k - e - slack if local else sys.maxsize
         self.vals, self.signs = vals, signs = [room + 1] * 7, [0] * 7
-        for i, f in enumerate(_factor_values(s, point.coords if local else point).values()):
+        for i, f in zip(range(6), _factor_values(s, point.coords if local else point).values()):
             if local:
                 f %= qk
             if f % q:
@@ -177,6 +190,10 @@ class _Reading:
             if val <= room:
                 signs[i] = (hilbert_valunit(q, val_p, unit_p, val, unit % mod) if odd_sign is None
                             else odd_sign if val % 2 else 1)
+        if ac_val < room + slack:  # AC is not 0 mod q^(k - e)
+            vals[6] = ac_val
+            if ac_val <= room:
+                signs[6] = ac_sign
         if local and point.k < precision:
             if max(vals) > room:  # a factor needs more digits than pt carries
                 self.__init__(s, newton_refine(s, point, precision), q)
@@ -232,6 +249,14 @@ def evaluate_invariant(s: SubfamilySurface, tag: str, point, v=None) -> Fraction
     if value is None:
         raise IndeterminateEvaluationError(f"class {tag} indeterminate at {point}, place {q}")
     return value
+
+
+def _pattern_values(s: SubfamilySurface, reading: _Reading) -> tuple:
+    """``_point_values`` kept by reading pattern per instance and place (``invariant_image``'s lemma)."""
+    table, key = reading.table, (tuple(reading.vals), tuple(reading.signs), reading.room)
+    if key not in table:
+        table[key] = _point_values(s, reading)
+    return table[key]
 
 
 def _point_values(s: SubfamilySurface, reading: _Reading) -> tuple:
@@ -317,9 +342,10 @@ def invariant_image(s: SubfamilySurface, q: int, sample_budget: int = 64,
     valuations and signs are sums and products over vals and signs, cut off
     at room, and the square-class test reads only p and q; the point enters
     only an error's message.  So the values are looked up by pattern in a
-    table that lives for this call, and the representatives-agree and
-    Klein-four checks run once per distinct pattern, raising, if at all, at
-    the first point that has it, as they would at every point.
+    table kept per surface instance and place (``_pattern_values``), and the
+    representatives-agree and Klein-four checks run once per distinct
+    pattern, raising, if at all, at the first point that has it, as they
+    would at every point.
     """
     validate_subfamily(s)
     precision = 14 if q == 2 else 8
@@ -333,16 +359,10 @@ def invariant_image(s: SubfamilySurface, q: int, sample_budget: int = 64,
         points = exc.points
     halves = (set(), set(), set())  # per class, the values seen so far as "is 1/2", at most two
     evaluated = [0, 0, 0]
-    by_pattern = {}  # (vals, signs, room) -> (A, B, C) as "is 1/2", None where indeterminate
     for pt in points:
-        reading = _Reading(s, pt, q, precision)
-        key = (tuple(reading.vals), tuple(reading.signs), reading.room)
-        if (flags := by_pattern.get(key)) is None:
-            flags = by_pattern[key] = tuple(None if value is None else value == HALF
-                                            for value in _point_values(s, reading))
-        for i, flag in enumerate(flags):
-            if flag is not None and len(halves[i]) < 2:
-                halves[i].add(flag)
+        for i, value in enumerate(_pattern_values(s, _Reading(s, pt, q, precision))):
+            if value is not None and len(halves[i]) < 2:
+                halves[i].add(value is HALF)
                 evaluated[i] += 1
     family = family_of(s)
     images = {}
@@ -515,7 +535,7 @@ def _attach_certificate(s: SubfamilySurface, pt: PadicApproxPoint) -> PadicAppro
 def _validated_result(s, hint, pt1, pt2, ctx) -> WitnessResult | None:
     """The first class, the hinted one first, that takes two determinate
     values on the pair; each point is read once for all three classes."""
-    readings = tuple(_point_values(s, _Reading(s, pt, s.p)) for pt in (pt1, pt2))
+    readings = tuple(_pattern_values(s, _Reading(s, pt, s.p)) for pt in (pt1, pt2))
     values = dict(zip(CLASS_TAGS, zip(*readings)))
     for tag in [hint] + [t for t in CLASS_TAGS if t != hint]:
         v1, v2 = values[tag]
@@ -639,11 +659,11 @@ def _flip_pair(s, ctx, flip_y: bool, flip_z: bool):
         raise
     for pt in pts:
         reading = _Reading(s, pt, s.p, _WITNESS_PRECISION)
-        v1 = _point_values(s, reading)[1]
+        v1 = _pattern_values(s, reading)[1]
         if v1 is None:
             continue
         pt = reading.point  # refined if a factor needed more digits
-        v2 = _point_values(s, _Reading(s, _flip_point(pt, flip_y, flip_z), s.p, _WITNESS_PRECISION))[1]
+        v2 = _pattern_values(s, _Reading(s, _flip_point(pt, flip_y, flip_z), s.p, _WITNESS_PRECISION))[1]
         if v2 is not None and v1 != v2:
             pt = newton_refine(s, pt, _WITNESS_PRECISION) if pt.k < _WITNESS_PRECISION else pt
             return "B", pt.coords, _flip_point(pt, flip_y, flip_z).coords
@@ -809,11 +829,13 @@ def relevant_places(s: SubfamilySurface) -> list[int]:
     let q be an odd prime, q != p, q not dividing N.  If q | A, (C1) reduces
     mod q to (BC - M)^2 = p N^2, so p is a nonzero square mod q; B, C and D
     are alike.  If q | M, (C1) reduces to (AD - BC)^2 = p N^2, with the
-    same conclusion.
+    same conclusion.  Kept in ``s.memo`` once s is valid; each call returns a copy.
     """
-    validate_subfamily(s)
-    bad = set(factor(abs(s.N))) | set(factor(abs(s.A * s.D - s.B * s.C)))
-    return [q for q in [2, s.p] + sorted(bad - {2, s.p}) if not _prime_is_square_at(s.p, q)]
+    if "places" not in s.memo:
+        validate_subfamily(s)
+        bad = set(factor(abs(s.N))) | set(factor(abs(s.A * s.D - s.B * s.C)))
+        s.memo["places"] = [q for q in [2, s.p] + sorted(bad - {2, s.p}) if not _prime_is_square_at(s.p, q)]
+    return list(s.memo["places"])
 
 
 def bm_verdict(s: SubfamilySurface, sample_budget: int = 64, seed: int = 0) -> ObstructionReport:
@@ -933,7 +955,7 @@ def _exact_values(s: SubfamilySurface, point, q: int) -> tuple:
     B's vanish together only where y = z = 0; there Muv = (Au+Bv)(Cu+Dv)
     with uv != 0, so v/u is a rational root of BD t^2 + (AD+BC-M) t + AC,
     whose discriminant p N^2 is not a square."""
-    values = _point_values(s, _Reading(s, point, q))  # q is from relevant_places
+    values = _pattern_values(s, _Reading(s, point, q))  # q is from relevant_places
     for tag, value in zip(CLASS_TAGS, values):
         if value is None:
             raise IndeterminateEvaluationError(f"class {tag} indeterminate at {point}, place {q}")

@@ -16,7 +16,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .arith import is_prime, legendre, valuation
+from .arith import _sieve_primes, is_prime, legendre, valuation
 from .quadform import Point, SubfamilySurface, validate_subfamily
 
 
@@ -204,10 +204,11 @@ def point_search(s: SubfamilySurface, height_bound: int, jobs: int = 1) -> list[
 
 
 def _forced_divisors(p: int, M: int, n: int) -> list[int]:
-    """g(|M| u) of ``point_search`` for 1 <= u <= n, over the primes l <= n."""
-    g = [1] * (n + 1)
-    for q in range(3, n + 1, 2):
-        if pow(p, q // 2, q) == q - 1 and is_prime(q):  # (p/q) = -1
+    """g(|M| u) of ``point_search`` for 1 <= u <= n, over the primes l <= n: the odd
+    ones of arith's sieve, then odd q beyond it proved prime one by one."""
+    g, primes = [1] * (n + 1), _sieve_primes()
+    for q in primes[1:bisect_right(primes, n)] + list(range(primes[-1] + 2, n + 1, 2)):
+        if pow(p, q // 2, q) == q - 1 and (q <= primes[-1] or is_prime(q)):  # (p/q) = -1
             # q^ceil(k/2) gains a factor q at k = 1, 3, 5, ..., and
             # v_q(|M| u) >= j exactly when q^(j - v_q(M)) divides u
             e = valuation(M, q)

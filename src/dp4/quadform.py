@@ -136,7 +136,8 @@ class SubfamilySurface:
     (C1): (AD+BC-M)^2 - 4ABCD = p N^2 for an integer N, and
     (C2): N M (AD-BC) != 0.
 
-    N is derived from the coefficients, never trusted from input.
+    N is derived from the coefficients, never trusted from input.  ``memo`` keeps what
+    every layer derives from s alone, per instance and outside the fields (``repr``, ``==``, ``hash``).
     """
 
     p: int
@@ -156,12 +157,17 @@ class SubfamilySurface:
         quot = val // self.p
         return isqrt(quot) if is_perfect_square(quot) else None
 
+    def __post_init__(self):
+        object.__setattr__(self, "memo", {})  # a cached_property's dict write would slow every field read
+
     @property
     def N(self) -> int:
-        n = self.derived_N()
-        if n is None:
-            raise ValueError("surface violates (C1); N undefined")
-        return n
+        if "N" not in self.memo:
+            n = self.derived_N()
+            if n is None:
+                raise ValueError("surface violates (C1); N undefined")
+            self.memo["N"] = n
+        return self.memo["N"]
 
     def eq1(self, pt) -> int:
         return self.equations(pt)[0]
@@ -208,18 +214,15 @@ class SubfamilyReport:
 
 
 def check_subfamily(s: SubfamilySurface) -> SubfamilyReport:
-    """Evaluate (C1) and (C2), reporting the witness value and derived N."""
-    val = s.c1_value()
-    n = s.derived_N()
-    c1 = n is not None
-    c2 = c1 and n != 0 and s.M != 0 and (s.A * s.D - s.B * s.C) != 0
-    return SubfamilyReport(
-        c1_holds=c1,
-        c2_holds=c2,
-        c1_value=val,
-        derived_N=n,
-        p_prime=s.p % 2 == 1 and is_prime(s.p),
-    )
+    """Evaluate (C1) and (C2), reporting the witness value and derived N, once per instance
+    (``s.memo``); an exception, such as is_prime's beyond its bound, is not kept."""
+    if "report" not in s.memo:
+        n = s.derived_N()
+        c1 = n is not None
+        c2 = c1 and n != 0 and s.M != 0 and (s.A * s.D - s.B * s.C) != 0
+        s.memo["report"] = SubfamilyReport(c1_holds=c1, c2_holds=c2, c1_value=s.c1_value(), derived_N=n,
+                                           p_prime=s.p % 2 == 1 and is_prime(s.p))
+    return s.memo["report"]
 
 
 def validate_subfamily(s: SubfamilySurface) -> SubfamilySurface:

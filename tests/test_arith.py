@@ -239,7 +239,7 @@ def test_every_budget_error_is_a_budget_exceeded():
     from dp4 import BudgetExceeded
     from dp4.localsolve import EnumerationBudgetError, SamplingBudgetError
 
-    for exc in (FactorBudgetExceeded, EnumerationBudgetError, SamplingBudgetError):
+    for exc in (FactorBudgetExceeded, arith.PrimalityBudgetExceeded, EnumerationBudgetError, SamplingBudgetError):
         assert issubclass(exc, BudgetExceeded), exc
 
 

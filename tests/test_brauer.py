@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from dp4 import brauer, cli, localsolve
+from dp4 import arith, brauer, cli, localsolve, quadform
 from dp4.arith import PLACE_INF, PadicScalar, Place, _prime_is_square_at, factor, hilbert_symbol, is_prime, legendre
 from dp4.brauer import (
     CLASS_TAGS,
@@ -191,7 +191,8 @@ def test_one_factor_reading_per_point_and_place(monkeypatch):
     # one reading of the seven factors per sampled point, and one more for
     # each point that the reading refines (A and B are determinate at every
     # point sampled here); reciprocity_check reads them once per place of
-    # relevant_places, and never to find its places
+    # relevant_places, and never to find its places (fresh instances, whose
+    # pattern tables are still empty, so every place's values are computed)
     reads, sampled, refined, places = [0], [0], [0], []
     real_factors, real_sampler, real_refine, real_values = (
         brauer._factor_values, brauer._sample_points, brauer.newton_refine, brauer._point_values)
@@ -224,6 +225,7 @@ def test_one_factor_reading_per_point_and_place(monkeypatch):
             assert reads[0] == sampled[0] + refined[0] and sampled[0] > 0, (s, q)
     for s, point in [(Y_13_1_12, (1, 0, 0, 0, 1)), (Y_13_12_1, (1, -3, 2, 7, 16)),
                      (SubfamilySurface(3, -4, 1, 1, -4, 1), (1, 4, 0, 2, 0))]:
+        s = dataclasses.replace(s)
         reads[0] = 0
         places.clear()
         assert reciprocity_check(s, point)
@@ -356,20 +358,26 @@ def test_invariant_images_paper_values():
 
 def test_bm_verdict_checks_the_klein_four_identity(monkeypatch):
     # with C's representatives swapped for A's, C = A + B fails wherever B is 1/2
+    # (on a fresh instance: the tables of Y_13_2_6 hold patterns checked
+    # against the real representatives)
     monkeypatch.setitem(brauer.REPRESENTATIONS, "C", brauer.REPRESENTATIONS["A"])
     with pytest.raises(AssertionError, match="Klein-four identity fails"):
-        bm_verdict(Y_13_2_6)
+        bm_verdict(make_Y(13, 2, 6))
 
 
 def test_invariant_image_checks_that_representatives_agree(monkeypatch):
     # with A's second representative multiplied by z - y, a factor of B, it
     # disagrees with u/(Au+Bv) wherever B is 1/2 and both are determinate;
-    # a reading pattern's values are computed, and checked, once
+    # a reading pattern's values are computed, and checked, once per
+    # instance, on a fresh one here, and a pattern that fails is never kept,
+    # so a second call raises again
     first, second, *rest = brauer.REPRESENTATIONS["A"]
     broken = brauer.SymbolRep(second.label, second.num + ("z-y",), second.den)
     monkeypatch.setitem(brauer.REPRESENTATIONS, "A", (first, broken, *rest))
-    with pytest.raises(AssertionError, match="representations disagree for A"):
-        invariant_image(Y_13_2_6, 13)
+    s = make_Y(13, 2, 6)
+    for _ in range(2):
+        with pytest.raises(AssertionError, match="representations disagree for A"):
+            invariant_image(s, 13)
 
 
 def test_factor_values_come_in_factors_order():
@@ -385,7 +393,8 @@ def test_factor_values_come_in_factors_order():
 
 def _sampled_points_and_images(monkeypatch, s, q):
     """invariant_image(s, q) with no family theorem, its sampled points, and
-    each table entry as _point_values computed it, by reading pattern."""
+    each table entry as _point_values computed it, by reading pattern, on a
+    fresh copy of s, whose tables hold no pattern yet."""
     points, table = [], {}
     real_sampler, real_values = brauer._sample_points, brauer._point_values
 
@@ -407,7 +416,7 @@ def _sampled_points_and_images(monkeypatch, s, q):
         m.setattr(brauer, "_sample_points", sampler)
         m.setattr(brauer, "_point_values", point_values)
         m.setattr(brauer, "_theorem_image", lambda family, tag, q: None)
-        images = invariant_image(s, q)
+        images = invariant_image(dataclasses.replace(s), q)
     return points, table, images
 
 
@@ -440,7 +449,8 @@ def test_values_looked_up_by_reading_pattern_are_each_points_own(monkeypatch):
 
 def test_each_reading_pattern_is_evaluated_once_per_image(monkeypatch):
     # _eval_reps runs for A, B and C once per distinct reading pattern of a
-    # place's sample, not once per point
+    # place's sample, not once per point, and the table lives with the
+    # instance: the same image again on it evaluates nothing
     calls = []
     real = brauer._eval_reps
 
@@ -451,11 +461,13 @@ def test_each_reading_pattern_is_evaluated_once_per_image(monkeypatch):
     for s in (Y_13_2_6, S_13, CASE_PATTERN_SURFACES["case2"]):
         for q in relevant_places(s):
             points, table, _ = _sampled_points_and_images(monkeypatch, s, q)
-            calls.clear()
-            with monkeypatch.context() as m:
-                m.setattr(brauer, "_eval_reps", counting)
-                invariant_image(s, q)
-            assert sorted(calls) == sorted(CLASS_TAGS * len(table)), (s, q)
+            fresh = dataclasses.replace(s)
+            for expected in (CLASS_TAGS * len(table), ()):
+                calls.clear()
+                with monkeypatch.context() as m:
+                    m.setattr(brauer, "_eval_reps", counting)
+                    invariant_image(fresh, q)
+                assert sorted(calls) == sorted(expected), (s, q)
             assert len(table) < len(points), (s, q)
 
 
@@ -719,10 +731,15 @@ def test_inert_primes_of_the_coefficients_divide_N_times_AD_minus_BC(monkeypatch
                  if q % 2 and q != s.p and legendre(s.p, q) == -1}
         assert relevant_places(s) == [2, s.p] + sorted(inert), s
     assert checked > 40
+    # the places are derived once per instance: the first call factors |N|
+    # and |AD - BC|, later ones factor nothing and return a fresh list
     calls = []
     monkeypatch.setattr(brauer, "factor", lambda n: calls.append(n) or factor(n))
-    assert relevant_places(CASE_PATTERN_SURFACES["case6"]) == [2, 5, 3]
-    assert len(calls) == 2
+    s = dataclasses.replace(CASE_PATTERN_SURFACES["case6"])
+    places = relevant_places(s)
+    assert places == [2, 5, 3] and calls == [abs(s.N), abs(s.A * s.D - s.B * s.C)]
+    places.append(7)
+    assert relevant_places(s) == relevant_places(s) == [2, 5, 3] and len(calls) == 2
 
 
 @pytest.mark.parametrize("s, q, verdict", [
@@ -1121,43 +1138,68 @@ def test_reciprocity_on_the_line_au_plus_bv_zero(coeffs, point):
 
 def test_reciprocity_factors_each_factor_at_most_once_per_point(monkeypatch):
     # the places come from relevant_places, which factors the surface's N
-    # and AD - BC: none of the point's seven factor values is factored
-    calls = []
-    real = brauer.factor
+    # and AD - BC once per instance: the first check on a fresh instance
+    # factors exactly those two, every later point nothing, and p is proved
+    # prime at most once for the search and all the checks together
+    calls, proofs = [], []
+    real_factor, real_is_prime = brauer.factor, arith.is_prime
 
     def counting(n, *args, **kwargs):
         calls.append(n)
-        return real(n, *args, **kwargs)
+        return real_factor(n, *args, **kwargs)
+
+    def proving(n):
+        proofs.append(n)
+        return real_is_prime(n)
 
     monkeypatch.setattr(brauer, "factor", counting)
-    s = CASE_PATTERN_SURFACES["case2"]
-    for surface, point in [(s, pt) for pt in point_search(s, 60)] + [
-            (Y_13_1_12, (1, 0, 0, 0, 1)), (Y_13_12_1, (1, -3, 2, 7, 16)),
-            (SubfamilySurface(3, -4, 1, 1, -4, 1), (1, 4, 0, 2, 0))]:
+    monkeypatch.setattr(arith, "is_prime", proving)
+    monkeypatch.setattr(quadform, "is_prime", proving)
+    s = dataclasses.replace(CASE_PATTERN_SURFACES["case2"])
+    points = point_search(s, 60)
+    assert len(points) == 8
+    for i, point in enumerate(points):
+        assert reciprocity_check(s, point)
+        assert calls == [abs(s.N), abs(s.A * s.D - s.B * s.C)], (i, point)
+    assert proofs.count(s.p) <= 1
+    for surface, point in [(Y_13_1_12, (1, 0, 0, 0, 1)), (Y_13_12_1, (1, -3, 2, 7, 16)),
+                           (SubfamilySurface(3, -4, 1, 1, -4, 1), (1, 4, 0, 2, 0))]:
+        surface = dataclasses.replace(surface)
         calls.clear()
-        assert reciprocity_check(surface, point)
+        assert reciprocity_check(surface, point) and reciprocity_check(surface, point)
         assert calls == [abs(surface.N), abs(surface.A * surface.D - surface.B * surface.C)], (surface, point)
 
 
 def test_reciprocity_evaluates_each_class_once_per_finite_place(monkeypatch):
     # one _point_values call per place gives A, B and C together (C = A + B
     # where both are determinate); the real place is skipped, every class
-    # symbol there being (p, *) with p > 0
+    # symbol there being (p, *) with p > 0.  The values are kept per
+    # instance, place and reading pattern: the same point again evaluates
+    # nothing, and over all the points of a search each class is evaluated
+    # at most once per (place, pattern)
     calls = []
     real = brauer._eval_reps
 
     def counting(reading, tag):
-        calls.append((tag, reading.q))
+        calls.append((tag, reading.q, tuple(reading.vals), tuple(reading.signs), reading.room))
         return real(reading, tag)
 
     monkeypatch.setattr(brauer, "_eval_reps", counting)
     for surface, point in [(Y_13_1_12, (1, 0, 0, 0, 1)), (Y_13_12_1, (1, -3, 2, 7, 16)),
                            (SubfamilySurface(3, -4, 1, 1, -4, 1), (1, 4, 0, 2, 0))]:
+        surface = dataclasses.replace(surface)
         calls.clear()
         assert reciprocity_check(surface, point)
-        places = {v for _, v in calls}
-        assert {2, surface.p} <= places and 0 not in places
-        assert sorted(calls, key=str) == sorted(((tag, v) for tag in "ABC" for v in places), key=str)
+        places = [v for _, v, *_ in calls[::3]]
+        assert places == relevant_places(surface) and {2, surface.p} <= set(places) and 0 not in places
+        assert sorted(call[:2] for call in calls) == sorted((tag, v) for tag in "ABC" for v in places)
+        calls.clear()
+        assert reciprocity_check(surface, point) and calls == []
+    s = dataclasses.replace(CASE_PATTERN_SURFACES["case2"])
+    points = point_search(s, 60)
+    calls.clear()
+    assert all(reciprocity_check(s, point) for point in points)
+    assert len(calls) == len(set(calls)) < 3 * len(points) * len(relevant_places(s)), len(calls)
 
 
 def test_reciprocity_proves_no_place_prime_again(monkeypatch):
@@ -1176,6 +1218,47 @@ def test_reciprocity_proves_no_place_prime_again(monkeypatch):
             (Y_13_1_12, (1, 0, 0, 0, 1)), (Y_13_12_1, (1, -3, 2, 7, 16))]:
         assert reciprocity_check(surface, point)
     assert proofs == []
+
+
+def test_an_invalid_surface_raises_at_every_call():
+    # only a valid surface keeps its places: a failed check raises again
+    for coeffs, point in (((5, 1, 1, 1, 1, -1), (1, -1, 0, 1, 0)),  # (C2) fails: AD - BC = 0
+                          ((9, -4, -4, -4, 0, -2), None), ((5, 1, 1, 1, 1, 1), None)):
+        s = SubfamilySurface(*coeffs)
+        for _ in range(3):
+            with pytest.raises(ValueError, match="invalid subfamily surface"):
+                relevant_places(s)
+            if point:
+                with pytest.raises(ValueError, match="invalid subfamily surface"):
+                    reciprocity_check(s, point)
+        assert "places" not in s.memo
+
+
+def test_equal_surfaces_built_apart_share_no_work(monkeypatch):
+    # the kept data belong to the instance, not to its value: each of two
+    # equal surfaces factors once
+    calls = []
+    monkeypatch.setattr(brauer, "factor", lambda n: calls.append(n) or factor(n))
+    s, twin = SubfamilySurface(3, -4, 1, 1, -4, 1), SubfamilySurface(3, -4, 1, 1, -4, 1)
+    assert s == twin and s is not twin
+    for surface in (s, twin, s, twin):
+        assert reciprocity_check(surface, (1, 4, 0, 2, 0))
+    assert calls == [abs(s.N), abs(s.A * s.D - s.B * s.C)] * 2
+
+
+def test_kept_data_leave_repr_eq_and_hash_alone():
+    # the data live in the instance's memo, not in fields: repr, which seeds
+    # the witness's rng, ==, hash and the fields are those of a fresh instance
+    s, twin = SubfamilySurface(13, 12, -13, 1, -1, 1), SubfamilySurface(13, 12, -13, 1, -1, 1)
+    before = (repr(s), hash(s))
+    assert reciprocity_check(s, (1, -3, 2, 7, 16))
+    invariant_image(s, 13, sample_budget=8)
+    witness = surjectivity_witness(s)
+    fields = [f.name for f in dataclasses.fields(s)]
+    assert fields == ["p", "A", "B", "C", "D", "M"] and list(vars(s)) == list(vars(twin)) == [*fields, "memo"]
+    assert {"N", "report", "places", 13} <= s.memo.keys() and twin.memo == {}
+    assert (repr(s), hash(s)) == before == (repr(twin), hash(twin)) and s == twin
+    assert surjectivity_witness(twin) == witness
 
 
 def test_reciprocity_fails_when_one_local_value_flips(monkeypatch):

@@ -412,6 +412,28 @@ def test_relative_imports_follow_the_layers():
     assert upward == [] and nested == []
 
 
+def test_derived_data_live_on_instances():
+    # no memo keyed by value: functools.lru_cache, functools.cache and
+    # weakref stay out of the library, so what a surface derives lives on
+    # its instance, and arith's prime sieve is the one module table
+    src = Path(__file__).resolve().parents[1] / "src" / "dp4"
+    memos = {"lru_cache", "cache"}
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                bad = any(alias.name.split(".")[0] == "weakref" for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                bad = (node.module or "").split(".")[0] == "weakref" or (
+                    node.module == "functools" and any(alias.name in memos for alias in node.names))
+            else:
+                bad = (isinstance(node, ast.Attribute) and node.attr in memos
+                       and isinstance(node.value, ast.Name) and node.value.id == "functools")
+            if bad:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_padic_scalars_stay_off_the_verdict_path():
     # PadicScalar and what rests on it serve only arith's own Hilbert symbol
     # of a p-adic scalar: no other library module names them
@@ -489,6 +511,16 @@ def test_cli_names_the_condition_an_invalid_surface_fails(capsys, command):
     code, out, err = run_cli(capsys, command, spec)
     assert (code, out) == (2, "")
     assert err == "input error: invalid subfamily surface X_9_-4_-4_-4_0_-2: p is not an odd prime\n"
+
+
+def test_cli_analyze_past_the_primality_bound_is_inconclusive(capsys):
+    # p = 10^30 + 57 lies beyond the deterministic Miller-Rabin bound, so
+    # is_prime proves nothing either way: "inconclusive" (exit 3), not an
+    # input error; A = B = C = 1, D = -p and M = 1 - p give (C1) with N = 2
+    p = 10 ** 30 + 57
+    spec = json.dumps({"family": "subfamily", "p": p, "A": 1, "B": 1, "C": 1, "D": -p, "M": 1 - p})
+    code, out, err = run_cli(capsys, "analyze", spec)
+    assert (code, out) == (3, "") and err.startswith("budget exhausted: ") and str(p) in err
 
 
 def test_cli_supplied_N_mismatch_is_noted(capsys):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import multiprocessing
 import random
 from math import gcd, isqrt
@@ -6,8 +7,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from dp4.arith import is_prime
-from dp4.brauer import reciprocity_check
+from dp4.arith import is_prime, legendre, valuation
+from dp4.brauer import invariant_image, reciprocity_check, relevant_places
 from dp4.census import census_S, census_Y
 from dp4.families import (
     _forced_divisors,
@@ -171,6 +172,41 @@ def test_point_search_starts_no_worker_without_a_value_of_u(monkeypatch):
                         lambda method: SimpleNamespace(Pool=InlinePool))
     assert point_search(s, 2, jobs=8) == serial[2]
     assert sizes == [2]
+
+
+def test_point_search_jobs_agree_on_a_surface_with_kept_data():
+    # BD < AC, so the workers walk s itself, pickled with its places and
+    # pattern tables; they search as on a fresh instance
+    s = SubfamilySurface(5, 2, 3, 2, -3, 24)
+    pts = point_search(s, 40)
+    assert all(reciprocity_check(s, pt) for pt in pts)
+    for q in relevant_places(s):
+        invariant_image(s, q, sample_budget=8)
+    assert s.memo["places"] and len(s.memo) > 1
+    assert point_search(s, 40, jobs=2) == pts == point_search(SubfamilySurface(5, 2, 3, 2, -3, 24), 40)
+
+
+def test_forced_divisors_match_their_definition():
+    # g(|M| u): the product of l^ceil(k/2) over the odd primes l <= n with
+    # (p/l) = -1 and l^k || |M| u, each l proved prime on its own; p | M and
+    # l^2 | M included, and beyond the sieve (2^16) at u = l
+    def inert(p, n):
+        return [l for l in range(3, n + 1, 2) if is_prime(l) and legendre(p, l) == -1]
+
+    def g(primes, M, u):
+        return math.prod(l ** ((valuation(abs(M) * u, l) + 1) // 2) for l in primes if (M * u) % l == 0)
+
+    for p, M in ((13, 1), (13, 13 * 5), (5, 24), (29, 3 ** 2 * 11 ** 3), (13, -5 ** 2 * 7 ** 3), (101, 2 * 3 ** 4)):
+        for n in (1, 2, 9, 50, 400):
+            primes = inert(p, n)
+            assert _forced_divisors(p, M, n) == [1] + [g(primes, M, u) for u in range(1, n + 1)], (p, M, n)
+    n = (1 << 16) + 64
+    primes = inert(13, n)
+    beyond = [l for l in primes if l > 1 << 16]
+    assert len(beyond) >= 3
+    big = _forced_divisors(13, 7 ** 3, n)
+    for u in beyond + [1, 7, 49, 5 ** 3 * 11, 65535]:
+        assert big[u] == g(primes, 7 ** 3, u), u
 
 
 def test_point_search_rejects_a_negative_height_or_no_jobs():

@@ -69,6 +69,19 @@ def test_validate_subfamily_names_the_failed_condition(coeffs, failed):
     assert str(exc.value) == f"invalid subfamily surface {s.label()}: {failed}"
 
 
+def test_a_primality_proof_out_of_budget_is_not_kept():
+    # beyond its bound is_prime raises a budget error, which no report
+    # keeps: every validation tries again and raises again
+    p = 10 ** 30 + 57
+    s = SubfamilySurface(p, 1, 1, 1, -p, 1 - p)
+    assert s.N == 2
+    for _ in range(2):
+        with pytest.raises(arith.PrimalityBudgetExceeded, match=str(p)):
+            validate_subfamily(s)
+        assert "report" not in s.memo
+    assert not issubclass(arith.PrimalityBudgetExceeded, ValueError)
+
+
 def test_subfamily_equations_and_paper_points():
     assert Y_13_1_12.contains((1, 0, 0, 0, 1))
     assert Y_13_12_1.contains((1, -3, 2, 7, 16))
