@@ -30,7 +30,6 @@ from .arith import (
     _sqrt_mod_unchecked,
     factor,
     find_nonresidue,
-    hilbert_symbol,
     hilbert_valunit,
     is_prime,
     legendre,
@@ -158,13 +157,16 @@ class _Reading:
     exactly, once per place (``_at_place``): v_q(AC) < m fixes its unit mod q^(m - v_q(AC)).
 
     A certified pt below the target ``precision`` is read so too, with the
-    target's room, precision - e - slack, if every v_q(f) <= room, else as P
-    = newton_refine(pt, precision).  Either way it is P's reading: Newton
-    moves only the certificate's two coordinates, each step by a multiple of
-    q^m, normalisation divides by a unit that is 1 mod q^m, and P keeps pt's
-    certificate.  So each factor, a linear form in the coordinates or a
-    constant, agrees mod q^m at P and at pt, and one of valuation w <= m - 1
-    keeps its valuation and its unit mod q (mod 8 when w <= m - 3 at 2).
+    target's room, precision - e - slack, if every v_q(f) <= room; else it is
+    refined to k' = min(precision, 2k) digits and read again, until every
+    factor fits or k' = precision.  Either way the reading is that of P =
+    newton_refine(pt, precision).  Each refinement keeps pt's certificate and
+    e; it and P approximate the same projective Q_q point, both normalised at
+    the pinned coordinate, so they agree mod q^(k' - e), as does each factor,
+    a linear form in the coordinates or a constant.  At k' = precision the
+    readings are one; below it each factor has v_q(f) <= k' - e - slack, so
+    the same valuation and unit mod q (mod 8 at 2) at P: vals, signs, room =
+    precision - e - slack and the pattern are P's.  ``point`` is the last refinement read.
     """
 
     def __init__(self, s: SubfamilySurface, point, q: int, precision: int = 0):
@@ -196,7 +198,7 @@ class _Reading:
                 signs[6] = ac_sign
         if local and point.k < precision:
             if max(vals) > room:  # a factor needs more digits than pt carries
-                self.__init__(s, newton_refine(s, point, precision), q)
+                self.__init__(s, newton_refine(s, point, min(precision, 2 * point.k)), q, precision)
             else:
                 self.room = precision - e - slack
 
@@ -407,8 +409,14 @@ def quadres_witness(p: int, a: int, b: int, c: int, d: int) -> int:
     """
     if p % 4 != 1:
         raise ValueError("need p = 1 mod 4")
-    for val in (a, b, c, d):  # the first call validates p
-        if legendre(val, p) != 1:
+    legendre(a, p)  # validates p
+    return _quadres_witness(p, a, b, c, d)
+
+
+def _quadres_witness(p: int, a: int, b: int, c: int, d: int) -> int:
+    """``quadres_witness`` at a prime p = 1 mod 4 that the caller proved."""
+    for val in (a, b, c, d):
+        if _legendre_unchecked(val, p) != 1:
             raise ValueError(f"{val} is not a unit square mod {p}")
     for y0 in range(1, p):
         s1 = _legendre_unchecked(a + b * y0 * y0, p)
@@ -570,6 +578,7 @@ def _witness_recursive(s: SubfamilySurface, ctx: _WitnessContext, depth: int):
     coeffs = {"A": A, "B": B, "C": C, "D": D}
 
     def rec(s_next: SubfamilySurface, map_back, label: str):
+        s_next.memo["p_prime"] = s.memo["p_prime"]  # the same p, proved prime with s
         try:
             validate_subfamily(s_next)
         except ValueError as exc:
@@ -628,7 +637,8 @@ def _witness_recursive(s: SubfamilySurface, ctx: _WitnessContext, depth: int):
     if p % 4 == 3:
         ctx.trace.append("p = 3 mod 4: flip the signs of y and z")
         return _flip_pair(s, ctx, flip_y=True, flip_z=True)
-    if hilbert_symbol(p, A * C, Place(p)) == -1 and hilbert_symbol(p, B * D, Place(p)) == -1:
+    if all(hilbert_valunit(p, 1, 1, mvals[a] + mvals[b], coeffs[a] * coeffs[b] // p ** (mvals[a] + mvals[b])) == -1
+           for a, b in ("AC", "BD")):  # (p, AC)_p and (p, BD)_p, at the validated prime p
         ctx.trace.append("(p,AC)_p = (p,BD)_p = -1: flip the sign of y")
         return _flip_pair(s, ctx, flip_y=True, flip_z=False)
     if vM == 0 and m >= 1:
@@ -646,11 +656,11 @@ def _require(cond: bool, what: str) -> None:
 
 
 def _flip_pair(s, ctx, flip_y: bool, flip_z: bool):
-    """A sampled point and its sign flip; the flip changes inv_p of class B
-    and permutes the factors' valuations, so both are read at the point's
-    level (``_Reading``) and only the point returned is refined.  A short
-    sample re-raises: a certified point proves X(Q_p) nonempty, and with none
-    one ``decide_Qq`` at p either proves X(Q_p) empty or leaves the budget."""
+    """A sampled point and its sign flip; the flip changes inv_p of class B and
+    permutes the factors' valuations, so both are read at the point's level
+    (``_Reading``), or at its refinement if it needs more digits, and only the
+    point returned is refined.  A short sample re-raises: a certified point proves
+    X(Q_p) nonempty, and with none one ``decide_Qq`` at p either proves it empty or leaves the budget."""
     try:
         pts = _sample_points(s, s.p, 24, _WITNESS_PRECISION, seed=ctx.rng.randint(0, 10 ** 6))
     except SamplingBudgetError as exc:
@@ -662,7 +672,8 @@ def _flip_pair(s, ctx, flip_y: bool, flip_z: bool):
         v1 = _pattern_values(s, reading)[1]
         if v1 is None:
             continue
-        pt = reading.point  # refined if a factor needed more digits
+        if reading.point is not pt:  # a factor needed more digits than pt carries
+            pt = newton_refine(s, pt, _WITNESS_PRECISION)
         v2 = _pattern_values(s, _Reading(s, _flip_point(pt, flip_y, flip_z), s.p, _WITNESS_PRECISION))[1]
         if v2 is not None and v1 != v2:
             pt = newton_refine(s, pt, _WITNESS_PRECISION) if pt.k < _WITNESS_PRECISION else pt
@@ -689,9 +700,9 @@ def _case1(s: SubfamilySurface, ctx: _WitnessContext):
     if D % p != 0:
         # -BD is a unit square; points built from a unit r with r*sqrt(-BD) non-square
         mbd = (-B * D) % mod
-        _require(legendre(mbd, p) == 1, "case 1a needs -BD a square")
+        _require(_legendre_unchecked(mbd, p) == 1, "case 1a needs -BD a square")
         sq = _unit_sqrt(p, mbd, None)
-        want = -legendre(sq, p)  # required Legendre class of r
+        want = -_legendre_unchecked(sq, p)  # required Legendre class of r
         r = next((r0 for r0 in range(1, p)
                   if _legendre_unchecked(r0, p) == want and (r0 * r0 + B * D) % p != 0), None)
         if r is None:
@@ -723,7 +734,7 @@ def _case2(s: SubfamilySurface, ctx: _WitnessContext):
     W = B1 * C + A1 * D - M1
     _require(W % p != 0, "case 2 needs a unit W")
     kappa = M1 * W % p * pow(2 * A1 * C % p, -1, p) % p
-    if legendre(kappa, p) == -1:
+    if _legendre_unchecked(kappa, p) == -1:
         # insoluble residue pattern: u = -W/(2A'C) v and x^2 = kappa v^2 mod p
         # force a common factor p, so no primitive solution exists
         raise _InsolubleAtP(
@@ -749,15 +760,15 @@ def _case3(s: SubfamilySurface, ctx: _WitnessContext):
     and construction 3b always applies."""
     p, A, B, C, D, M = s.p, s.A, s.B, s.C, s.D, s.M
     mod = p ** _WITNESS_PRECISION
-    _require(legendre(A * C, p) == 1 and legendre(B * D, p) == 1, "case 3 needs AC, BD squares")
-    _require(legendre(A * B * M, p) == 1, "case 3 has ABM a square")
+    _require(_legendre_unchecked(A * C, p) == _legendre_unchecked(B * D, p) == 1, "case 3 needs AC, BD squares")
+    _require(_legendre_unchecked(A * B * M, p) == 1, "case 3 has ABM a square")
     pt1 = _complete(s, 1, 0, 0, 0, None)
     ctx.trace.append("case 3b")
     inv_ma = pow(M * A % p, -1, p)
     bb = B * inv_ma % p
     cc = C * pow(A, -1, p) % p
     dd = D * inv_ma % p
-    y0 = quadres_witness(p, 1, bb, cc, dd)
+    y0 = _quadres_witness(p, 1, bb, cc, dd)
     minv = pow(M, -1, mod)
     if (cc + dd * y0 * y0) % p != 0:
         return "A", pt1, _complete(s, 1, y0 * y0 * minv, 0, y0, None)
@@ -773,7 +784,7 @@ def _case4(s: SubfamilySurface, ctx: _WitnessContext):
     vM = valuation(M, p)
     k = (vM - 1) // 2
     M1 = M // p ** vM
-    _require(legendre(A * C, p) == 1, "case 4 needs AC a square")
+    _require(_legendre_unchecked(A * C, p) == 1, "case 4 needs AC a square")
     inv_ma = pow(M1 * A % p, -1, p)
     x0 = next((x for x in range(1, p)
                if _legendre_unchecked(1 - B * inv_ma * x * x, p) == -1), None)

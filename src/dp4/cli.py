@@ -181,7 +181,7 @@ def cmd_analyze(args) -> int:
                "validity": {"c1": rep.c1_holds, "c2": rep.c2_holds, "c1_value": rep.c1_value,
                             "N": rep.derived_N}}
     if not rep.valid:
-        payload["error"] = "conditions (C1)/(C2) fail" if rep.p_prime else "p is not an odd prime"
+        payload["error"] = "p is not an odd prime" if rep.c2_holds else "conditions (C1)/(C2) fail"
         _emit(payload, args)
         print(f"input error: {payload['error']} on {surface.label()}", file=sys.stderr)
         return EXIT_INPUT

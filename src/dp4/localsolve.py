@@ -16,6 +16,7 @@ sought, by seeded level-1 draws: they prove solubility, never insolubility.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -589,7 +590,15 @@ def _shuffled_indices(n: int, rng: random.Random):
         swapped[j] = swapped.pop(i, i)
 
 
-def _walk(surface, k: int, lifts, order, cap: int, spend):
+def _read_lifts(surface, pt: PadicApproxPoint):
+    """A lift's (n, child, dead) from its reading; a read lift is never certified (``_node``), so one that is raises."""
+    cert, build = _node(surface, pt)
+    if cert is not None:
+        raise AssertionError(f"a read lift is certified: {pt.coords} mod {pt.q}^{pt.k}")
+    return build()
+
+
+def _walk(read, k: int, lifts, order, cap: int, spend):
     """Yield the certified lifts below a level-k node, depth first.
 
     lifts is the node's (n, child, dead) (``_node``), drawn one index at a
@@ -600,9 +609,8 @@ def _walk(surface, k: int, lifts, order, cap: int, spend):
     lift its parent shows dead and uncertified is skipped unbuilt and unread
     (it has no certificate and no lifts), and one that carries its parent's
     certificate is yielded unread and not walked below.  An uncertified lift
-    below level cap is read once and walked, one at the cap ends its branch
-    unread; a read lift is never certified ("Certified lifts"), so one that
-    is raises AssertionError.
+    below level cap is walked, its lifts given by read(lift) (``_read_lifts``,
+    or the sampler's per-call cache of it); one at the cap ends its branch unread.
     """
     n, child, dead = lifts
     for i in order(n):
@@ -614,10 +622,7 @@ def _walk(surface, k: int, lifts, order, cap: int, spend):
         if pt.cert is not None:
             yield pt
         elif pt.k < cap:
-            cert, build = _node(surface, pt)
-            if cert is not None:
-                raise AssertionError(f"a read lift is certified: {pt.coords} mod {pt.q}^{pt.k}")
-            yield from _walk(surface, pt.k, build(), order, cap, spend)
+            yield from _walk(read, pt.k, read(pt), order, cap, spend)
 
 
 # ---------------------------------------------------------------------------
@@ -685,13 +690,14 @@ def decide_Qq(surface, q: int, budget: int = DEFAULT_EXPANSION_BUDGET) -> Solubi
             raise _BudgetExhausted
         deepest = max(deepest, level)  # a certified lift ends the walk: deepest is then unused
 
+    read = functools.partial(_read_lifts, surface)  # a plain reader: the fixed order walks each node once
     try:
         for pt in iter_residue_points(surface, q):
             cert, lifts = _node(surface, pt)
             if cert is not None:
                 return SolubilityVerdict(q, "soluble", replace(pt, cert=cert), level=1, method="hensel")
             deepest = max(deepest, 1)
-            for found in _walk(surface, 1, lifts(), range, LEVEL_CAP, spend) if LEVEL_CAP > 1 else ():
+            for found in _walk(read, 1, lifts(), range, LEVEL_CAP, spend) if LEVEL_CAP > 1 else ():
                 return SolubilityVerdict(q, "soluble", found, level=found.k, method="hensel")
     except _BudgetExhausted:
         return SolubilityVerdict(q, "inconclusive", level=deepest,
@@ -1073,12 +1079,13 @@ def _sample_points(surface, q: int, count: int, precision: int, seed: int = 0) -
     round-robin rounds over the uncertified classes give each a share of the
     points still wanted, a walk ending once its share is in hand; one
     uncapped sweep then walks the uncertified classes and the certified ones,
-    whose lifts are all certified.  Each round and the sweep walk each
-    class's subtree again from its start, so a node below level 1 is read
-    once per walk that reaches it, not once per call.  Pass 1 keeps each
-    drawn class's reading for pass 2, so no level-1 node is read twice, nor
-    are its lifts built twice.  SAMPLING_BUDGET caps the lifts drawn in pass
-    2.  Beyond the exhaustive enumeration budget (see
+    whose lifts are all certified.  Each round and the sweep walk each class
+    again from its top in a fresh seeded order, which spreads the sample
+    over sub-branches, while a cache kept for the call, keyed by (k, coords),
+    reads each node and builds its lifts, answers each lift's dead test and
+    refines each certified lift once per call (pass 1 keeps each drawn
+    class's reading for it).  SAMPLING_BUDGET caps the lifts drawn in pass
+    2, a repeated one included.  Beyond the exhaustive enumeration budget (see
     ``iter_residue_points``) the level-1 set is never exhausted, so pass 1
     draws at most SAMPLING_BUDGET classes there and then raises
     EnumerationBudgetError; falling short otherwise raises
@@ -1114,7 +1121,17 @@ def _sample_points(surface, q: int, count: int, precision: int, seed: int = 0) -
     # each, so that no single branch swallows the request (stratification),
     # then greedily from whatever is productive
     max_depth = max(precision, LEVEL_CAP)
-    pending = [lifts() for lifts in pending]  # (n, child, dead), built once for every walk
+    cache: dict[tuple, object] = {}  # (k, coords): a read lift's lifts, or a certified lift's refinement
+
+    def tested_once(lifts):  # (n, child, dead), each index's dead test answered once per call
+        n, child, dead, answers = *lifts, {}
+        return n, child, lambda i: answers[i] if i in answers else answers.setdefault(i, dead(i))
+
+    def read(pt: PadicApproxPoint):  # each lift read by ``_node``, and its lifts built, once per call
+        key = (pt.k, pt.coords)
+        return cache[key] if key in cache else cache.setdefault(key, tested_once(_read_lifts(surface, pt)))
+
+    pending = [tested_once(lifts()) for lifts in pending]  # built once for every walk
 
     def walk(lifts, cap: int) -> None:  # the new points below a class, until cap are in hand
         def spend(level: int) -> bool:
@@ -1125,11 +1142,12 @@ def _sample_points(surface, q: int, count: int, precision: int, seed: int = 0) -
                     f"sampling budget exhausted with {len(out)}/{count} points at q={q}", out)
             return len(out) >= cap
 
-        for pt in _walk(surface, 1, lifts, lambda n: _shuffled_indices(n, rng), max_depth, spend):
-            refined = newton_refine(surface, pt, precision)
-            if refined.coords not in seen:
-                seen.add(refined.coords)
-                out.append(refined)
+        for pt in _walk(read, 1, lifts, lambda n: _shuffled_indices(n, rng), max_depth, spend):
+            if (key := (pt.k, pt.coords)) not in cache:  # one met again was refined, and kept or dropped, before
+                cache[key] = refined = newton_refine(surface, pt, precision)
+                if refined.coords not in seen:
+                    seen.add(refined.coords)
+                    out.append(refined)
 
     for _ in range(3):
         if len(out) >= count or not pending:

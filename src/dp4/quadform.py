@@ -206,7 +206,7 @@ class SubfamilyReport:
     c2_holds: bool
     c1_value: int
     derived_N: int | None
-    p_prime: bool
+    p_prime: bool | None  # None: not tested, as (C1) or (C2) fails
 
     @property
     def valid(self) -> bool:
@@ -215,13 +215,15 @@ class SubfamilyReport:
 
 def check_subfamily(s: SubfamilySurface) -> SubfamilyReport:
     """Evaluate (C1) and (C2), reporting the witness value and derived N, once per instance
-    (``s.memo``); an exception, such as is_prime's beyond its bound, is not kept."""
+    (``s.memo``), and p prime only where both hold; an exception, such as is_prime's beyond its bound, is not kept."""
     if "report" not in s.memo:
         n = s.derived_N()
         c1 = n is not None
         c2 = c1 and n != 0 and s.M != 0 and (s.A * s.D - s.B * s.C) != 0
+        if c2 and "p_prime" not in s.memo:
+            s.memo["p_prime"] = s.p % 2 == 1 and is_prime(s.p)
         s.memo["report"] = SubfamilyReport(c1_holds=c1, c2_holds=c2, c1_value=s.c1_value(), derived_N=n,
-                                           p_prime=s.p % 2 == 1 and is_prime(s.p))
+                                           p_prime=s.memo["p_prime"] if c2 else None)
     return s.memo["report"]
 
 
@@ -229,8 +231,7 @@ def validate_subfamily(s: SubfamilySurface) -> SubfamilySurface:
     """s, or a ValueError naming the first condition that fails."""
     rep = check_subfamily(s)
     if not rep.valid:
-        failed = ("p is not an odd prime" if not rep.p_prime
-                  else "(C1) fails" if not rep.c1_holds else "(C2) fails")
+        failed = "p is not an odd prime" if rep.c2_holds else "(C2) fails" if rep.c1_holds else "(C1) fails"
         raise ValueError(f"invalid subfamily surface {s.label()}: {failed}")
     return s
 

@@ -239,30 +239,41 @@ READING_LEMMA_SURFACES = [
     SubfamilySurface(229, 5, 2, -1, -6, 2), SubfamilySurface(229, 2, -1, 6, 5, -22)]
 
 
-def test_a_sample_is_read_as_its_refinement_is():
+def test_a_sample_is_read_as_its_refinement_is(monkeypatch):
     # a point below the target precision is read mod q^(k - e) where that
-    # fixes every factor's valuation and unit, else refined first: either way
-    # the reading is the refined point's, valuations, signs and room
+    # fixes every factor's valuation and unit, else refined to 2k digits, and
+    # again, until it does: either way the reading is the full refinement's,
+    # valuations, signs and room, and the point read agrees with it mod
+    # q^(k' - e) at its own precision k'
+    calls = newton_calls(monkeypatch)
     branches = set()
     for s in READING_LEMMA_SURFACES:
         for q in relevant_places(s):
             precision = 14 if q == 2 else 8
             for pt in localsolve._sample_points(s, q, 16, precision, seed=1):
                 refined = localsolve.newton_refine(s, pt, precision)
+                before = len(calls)
                 reading, full = brauer._Reading(s, pt, q, precision), brauer._Reading(s, refined, q)
                 assert (reading.vals, reading.signs, reading.room) == (full.vals, full.signs, full.room)
                 assert brauer._point_values(s, reading) == brauer._point_values(s, full)
-                m = pt.k - pt.cert.e
-                vanishes = any(f % q ** m == 0 for f in brauer._factor_values(s, pt.coords).values())
+                e = pt.cert.e
+                factors = list(brauer._factor_values(s, pt.coords).values())
+                vanishes = any(f % q ** (pt.k - e) == 0 for f in factors)
                 if pt.k == precision:  # a pass-2 point, refined by the sampler
-                    branches.add("pass 2, e > 0" if pt.cert.e else "pass 2")
+                    branches.add("pass 2, e > 0" if e else "pass 2")
                 elif reading.point is pt:
                     branches.add("read unrefined")
                     assert q > 2 and not vanishes
                 else:
-                    assert reading.point == refined and (vanishes or q == 2)
+                    point, mod = reading.point, q ** (reading.point.k - e)
+                    assert pt.k < point.k <= precision and point.cert == pt.cert and (vanishes or q == 2)
+                    assert [c % mod for c in point.coords] == [c % mod for c in refined.coords]
                     branches.add("refined where a factor vanishes")
-    assert branches >= {"read unrefined", "refined where a factor vanishes", "pass 2, e > 0"}
+                    if q > 2 and pt.k == 1 and all(full.vals[i] == 1 for i, f in enumerate(factors) if f % q == 0):
+                        assert calls[before:] == [2] and point.k == 2  # one Newton call, to 2k digits
+                        branches.add("one Newton call to 2 digits")
+    assert branches >= {"read unrefined", "refined where a factor vanishes", "pass 2, e > 0",
+                        "one Newton call to 2 digits"}
 
 
 def newton_calls(monkeypatch):

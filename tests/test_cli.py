@@ -523,6 +523,19 @@ def test_cli_analyze_past_the_primality_bound_is_inconclusive(capsys):
     assert (code, out) == (3, "") and err.startswith("budget exhausted: ") and str(p) in err
 
 
+def test_cli_analyze_names_a_failed_condition_without_proving_p_prime(capsys):
+    # the same p with M = 1 fails (C1): an input error (exit 2) that names
+    # the failed conditions, with no primality proof to run out of budget
+    p = 10 ** 30 + 57
+    spec = json.dumps({"family": "subfamily", "p": p, "A": 1, "B": 1, "C": 1, "D": -p, "M": 1})
+    code, out, err = run_cli(capsys, "analyze", spec)
+    payload = json.loads(out)
+    assert code == 2 and payload["error"] == "conditions (C1)/(C2) fail" and payload["validity"]["c1"] is False
+    assert err.startswith("input error: conditions (C1)/(C2) fail") and "budget" not in err
+    code, out, err = run_cli(capsys, "invariants", spec)
+    assert (code, out) == (2, "") and err.endswith(": (C1) fails\n")
+
+
 def test_cli_supplied_N_mismatch_is_noted(capsys):
     spec = '{"family": "subfamily", "p": 13, "A": 2, "B": -13, "C": 1, "D": -6, "M": 1, "N": 1}'
     code, _, err = run_cli(capsys, "classify", spec)

@@ -191,6 +191,44 @@ def test_sampler_reads_each_drawn_lift_once(monkeypatch, q, count, precision):
     assert bool(reads) == (q == 2)
 
 
+@pytest.mark.parametrize("s, q, count, precision", [
+    (Y_13_2_6, 2, 64, 14),
+    (CASE_PATTERN_SURFACES["case8"], 3, 64, 8),  # pass 2's rounds walk below uncertified classes
+])
+def test_sampler_does_each_node_reading_dead_test_and_refinement_once(monkeypatch, s, q, count, precision):
+    # the rounds and the sweep walk each class again from its top, with a
+    # fresh seeded order, but within one call a node is read, its lifts'
+    # dead tests run and a certified lift refined at most once
+    reads, tests, refined = [], [], []
+    real_node, real_refine = localsolve._node, localsolve.newton_refine
+
+    def node(surface, pt):
+        cert, build = real_node(surface, pt)
+        reads.append((pt.k, pt.coords))
+
+        def lifts():
+            n, child, dead = build()
+
+            def counted(i):
+                tests.append((pt.k, pt.coords, i))
+                return dead(i)
+
+            return n, child, counted
+
+        return cert, lifts
+
+    def refine(surface, pt, target_k):
+        refined.append((pt.k, pt.coords))
+        return real_refine(surface, pt, target_k)
+
+    monkeypatch.setattr(localsolve, "_node", node)
+    monkeypatch.setattr(localsolve, "newton_refine", refine)
+    assert len(localsolve._sample_points(s, q, count, precision)) == count
+    assert reads and tests and refined
+    for done in (reads, tests, refined):
+        assert len(set(done)) == len(done)
+
+
 def test_sampler_reads_no_certified_node_below_level_1(monkeypatch):
     # a lift is certified only under a node with 2e <= k, which hands it its
     # certificate (``_node``, "Certified lifts"), so it is never read

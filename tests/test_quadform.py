@@ -1,10 +1,11 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from dp4 import arith
+from dp4 import arith, quadform
 from dp4.arith import SquareClass, square_class
 from dp4.localsolve import validate_pencil
 from dp4.quadform import (
@@ -80,6 +81,22 @@ def test_a_primality_proof_out_of_budget_is_not_kept():
             validate_subfamily(s)
         assert "report" not in s.memo
     assert not issubclass(arith.PrimalityBudgetExceeded, ValueError)
+
+
+@pytest.mark.parametrize("coeffs, failed", [((10 ** 30 + 57, 1, 1, 1, -(10 ** 30 + 57), 1), "(C1) fails"),
+                                            ((9, 1, 1, 1, 1, 1), "(C1) fails"),
+                                            ((5, 1, 1, 1, 1, -1), "(C2) fails")])
+def test_p_is_tested_only_where_c1_and_c2_hold(monkeypatch, coeffs, failed):
+    # a surface that fails (C1) or (C2) names that condition without a
+    # primality proof, which past the bound would only run out of budget
+    def no_test(n):
+        raise AssertionError(f"is_prime({n}) called")
+
+    monkeypatch.setattr(quadform, "is_prime", no_test)
+    s = SubfamilySurface(*coeffs)
+    assert check_subfamily(s).p_prime is None and not check_subfamily(s).valid
+    with pytest.raises(ValueError, match=f"{re.escape(failed)}$"):
+        validate_subfamily(s)
 
 
 def test_subfamily_equations_and_paper_points():

@@ -10,13 +10,17 @@ moves a witness on purpose re-records the table and says why:
     PYTHONPATH=src:tests python tests/test_witness.py
 """
 
+import dataclasses
 import json
 import re
 from pathlib import Path
 
+import pytest
+
+from dp4 import arith, brauer, localsolve, quadform
 from dp4.brauer import surjectivity_witness
 from dp4.families import make_S, make_Y
-from dp4.quadform import SubfamilySurface
+from dp4.quadform import SubfamilySurface, validate_subfamily
 
 from helpers import CASE_PATTERN_SURFACES, INSOLUBLE_AT_P, box_slice
 
@@ -56,6 +60,31 @@ def test_witnesses_match_the_recorded_table():
     for family in TRACE_FAMILIES:
         hits = sum(any(re.fullmatch(family, label) for label in row["trace"]) for row in want.values())
         assert hits >= 2, family
+
+
+@pytest.mark.parametrize("s, key, proofs", [
+    (CASE_PATTERN_SURFACES["case5"], "pattern", 0),  # case 5 -> case 1, a swap, case 1a
+    (CASE_PATTERN_SURFACES["case7"], "pattern", 0),  # case 7 -> case 3, case 3b
+    (make_Y(13, 2, 6), "paper", 1),  # a swap, then a sign flip of a sampled point
+])
+def test_a_witness_proves_p_prime_once_per_level1_listing(monkeypatch, s, key, proofs):
+    # the case constructions run after the surface's validation proved p
+    # prime, and a transformed surface, of the same p, takes that proof; so
+    # the only proof left is the sampler's one per level-1 listing
+    s = dataclasses.replace(s)
+    validate_subfamily(s)
+    calls, real = [], arith.is_prime
+
+    def proving(n):
+        calls.append(n)
+        return real(n)
+
+    for module in (arith, quadform, localsolve, brauer):
+        monkeypatch.setattr(module, "is_prime", proving)
+    result = surjectivity_witness(s, 0)
+    assert result.to_json() == json.loads(TABLE.read_text())[f"{key} {s.label()} 0"]
+    assert any(" -> " in label or "swap" in label for label in result.case_trace)  # it transforms
+    assert calls == [s.p] * proofs
 
 
 if __name__ == "__main__":
