@@ -174,33 +174,34 @@ class _Reading:
             s.memo.get(q) or s.memo.setdefault(q, _at_place(s, q)))
         local = isinstance(point, PadicApproxPoint)
         e = point.cert.e if local and point.cert else 0
-        qk = q ** (point.k - e) if local else 1
-        self.point, self.q = point, q
-        self.room = room = point.k - e - slack if local else sys.maxsize
-        self.vals, self.signs = vals, signs = [room + 1] * 7, [0] * 7
-        for i, f in zip(range(6), _factor_values(s, point.coords if local else point).values()):
-            if local:
-                f %= qk
-            if f % q:
-                val, unit = 0, f
-            elif f:
-                val = valuation(f, q)
-                unit = f // q ** val
-            else:
-                continue
-            vals[i] = val
-            if val <= room:
-                signs[i] = (hilbert_valunit(q, val_p, unit_p, val, unit % mod) if odd_sign is None
-                            else odd_sign if val % 2 else 1)
-        if ac_val < room + slack:  # AC is not 0 mod q^(k - e)
-            vals[6] = ac_val
-            if ac_val <= room:
-                signs[6] = ac_sign
+        while True:
+            qk = q ** (point.k - e) if local else 1
+            self.point, self.q = point, q
+            self.room = room = point.k - e - slack if local else sys.maxsize
+            self.vals, self.signs = vals, signs = [room + 1] * 7, [0] * 7
+            for i, f in zip(range(6), _factor_values(s, point.coords if local else point).values()):
+                if local:
+                    f %= qk
+                if f % q:
+                    val, unit = 0, f
+                elif f:
+                    val = valuation(f, q)
+                    unit = f // q ** val
+                else:
+                    continue
+                vals[i] = val
+                if val <= room:
+                    signs[i] = (hilbert_valunit(q, val_p, unit_p, val, unit % mod) if odd_sign is None
+                                else odd_sign if val % 2 else 1)
+            if ac_val < room + slack:  # AC is not 0 mod q^(k - e)
+                vals[6] = ac_val
+                if ac_val <= room:
+                    signs[6] = ac_sign
+            if not local or point.k >= precision or max(vals) <= room:
+                break
+            point = newton_refine(s, point, min(precision, 2 * point.k))  # a factor needs more digits than pt carries
         if local and point.k < precision:
-            if max(vals) > room:  # a factor needs more digits than pt carries
-                self.__init__(s, newton_refine(s, point, min(precision, 2 * point.k)), q, precision)
-            else:
-                self.room = precision - e - slack
+            self.room = precision - e - slack
 
 
 def _eval_reps(reading: _Reading, tag: str) -> Fraction | None:
@@ -230,27 +231,24 @@ def evaluate_invariant(s: SubfamilySurface, tag: str, point, v=None) -> Fraction
     ``point`` is either an exact integer 5-tuple (then ``v`` names the place)
     or a PadicApproxPoint (then the place is its prime); an exact point off
     the surface, or zero, is a ValueError at every place.  The value is the
-    class's entry in ``_point_values``, one reading of the point for all
-    three classes.  The caller validates s: this runs once per point.
+    class's entry in the reading's (A, B, C) by pattern (``_pattern_values``),
+    at an exact point ``_exact_values``.  The caller validates s: this runs once per point.
     """
     class_representations(s, tag)  # an unknown tag is a ValueError
     if isinstance(point, PadicApproxPoint):
-        q = point.q
-    else:
-        point = normalize_point(point)
-        if not s.contains(point):
-            raise ValueError(f"{point} is not on {s.label()}")
-        if v is None:
-            raise ValueError("exact points need an explicit place")
-        if not isinstance(v, Place):
-            v = PLACE_INF if v in (0, "oo") else Place(int(v))
-        if v.is_infinite:
-            return ZERO  # all class symbols are (p, *) with p > 0
-        q = v.q
-    value = _point_values(s, _Reading(s, point, q))[CLASS_TAGS.index(tag)]
-    if value is None:
-        raise IndeterminateEvaluationError(f"class {tag} indeterminate at {point}, place {q}")
-    return value
+        if (value := _pattern_values(s, _Reading(s, point, point.q))[CLASS_TAGS.index(tag)]) is None:
+            raise IndeterminateEvaluationError(f"class {tag} indeterminate at {point}, place {point.q}")
+        return value
+    point = normalize_point(point)
+    if not s.contains(point):
+        raise ValueError(f"{point} is not on {s.label()}")
+    if v is None:
+        raise ValueError("exact points need an explicit place")
+    if not isinstance(v, Place):
+        v = PLACE_INF if v in (0, "oo") else Place(int(v))
+    if v.is_infinite:
+        return ZERO  # all class symbols are (p, *) with p > 0
+    return _exact_values(s, point, v.q)[CLASS_TAGS.index(tag)]
 
 
 def _pattern_values(s: SubfamilySurface, reading: _Reading) -> tuple:
@@ -316,13 +314,25 @@ def _theorem_image(family, tag: str, q: int) -> PlaceImage | None:
     if name == "Y" and tag == "A":
         if q != p:
             return PlaceImage(frozenset({ZERO}), "theorem", "first family: class A vanishes away from p")
-        val = ZERO if legendre(a, p) == 1 else HALF
+        val = ZERO if _legendre_unchecked(a, p) == 1 else HALF  # p proved prime with the surface
         return PlaceImage(frozenset({val}), "theorem", "first family: class A at p is (a/p)")
     if name == "S" and tag == "B":
         if q != p:
             return PlaceImage(frozenset({ZERO}), "theorem", "second family: class B vanishes away from p")
         return PlaceImage(frozenset({HALF}), "theorem", "second family: class B at p is 1/2")
     return None
+
+
+def _widened(img: PlaceImage, added, where: str, kind: str, detail: str, n: int) -> PlaceImage:
+    """img widened by the values an observation adds, under that observation's evidence: the one
+    way an image changes after sampling.  A family theorem's image is proved, so it gains no
+    value: one outside it is an AssertionError (theorem or evaluator wrong), one inside keeps it."""
+    if img.kind != "theorem":
+        return PlaceImage(img.values | frozenset(added), kind, detail, n)
+    if gained := frozenset(added) - img.values:
+        raise AssertionError(f"family theorem and {kind} image disagree: "
+                             f"family theorem image of {where} lacks {sorted(gained)}")
+    return img
 
 
 def invariant_image(s: SubfamilySurface, q: int, sample_budget: int = 64,
@@ -336,8 +346,8 @@ def invariant_image(s: SubfamilySurface, q: int, sample_budget: int = 64,
     against C's own representatives (the Klein-four identity).  Each class
     counts its determinate points until it has seen both values.  A family
     theorem's image (``family_of`` read once) replaces the sampled one once
-    the sample is checked nonempty and inside it (else an AssertionError);
-    every other image is sampled evidence, not a proof.
+    the sample is checked nonempty and inside it (``_widened``, else an
+    AssertionError); every other image is sampled evidence, not a proof.
 
     Lemma: at a fixed surface and place, ``_point_values`` of a reading
     depends only on its pattern (vals, signs, room): the representatives'
@@ -372,13 +382,8 @@ def invariant_image(s: SubfamilySurface, q: int, sample_budget: int = 64,
         if n == 0:
             raise SamplingBudgetError(f"no sampled point allowed evaluating class {tag} at {q}", points)
         images[tag] = PlaceImage(frozenset(HALF if flag else ZERO for flag in seen), "sampled", n=n)
-        thm = _theorem_image(family, tag, q)
-        if thm is not None:
-            if not images[tag].values <= thm.values:
-                raise AssertionError(
-                    f"family theorem and sampled image disagree: {tag} at {q}: "
-                    f"{sorted(thm.values)} vs {sorted(images[tag].values)}")
-            images[tag] = thm
+        if (thm := _theorem_image(family, tag, q)) is not None:
+            images[tag] = _widened(thm, images[tag].values, f"{tag} at {q}", "sampled", "", n)
     return images
 
 
@@ -807,13 +812,11 @@ class ObstructionReport:
     wa_failure: bool
     unknown_classes: tuple[str, ...]  # always (): every relevant place is sampled
     witness: WitnessResult | None
-    rational_point: tuple | None = None  # refutes any Hasse-principle obstruction
+    rational_point: tuple | None  # refutes any Hasse-principle obstruction
 
     def to_json(self):
-        entries = []
-        for tag in CLASS_TAGS:
-            for place_label, img in sorted(self.images[tag].items()):
-                entries.append({"class": tag, "place": place_label, **img.to_json()})
+        entries = [{"class": tag, "place": place_label, **img.to_json()}
+                   for tag in CLASS_TAGS for place_label, img in sorted(self.images[tag].items())]
         return {
             "surface": self.surface.label(),
             "entries": entries,
@@ -880,14 +883,12 @@ def bm_verdict(s: SubfamilySurface, sample_budget: int = 64, seed: int = 0) -> O
     # fold in the surjectivity witness at p: the separating class takes both
     # values, and each other class gains the determinate values read at the pair
     for tag, read in zip(CLASS_TAGS, zip(*witness.readings)):
-        prev = images[tag][str(s.p)]
+        prev, where = images[tag][str(s.p)], f"{tag} at {s.p}"
         if tag == witness.tag:
-            images[tag][str(s.p)] = PlaceImage(prev.values | {ZERO, HALF}, "witness-pair",
-                                               "separating pair from the case construction", prev.n)
+            images[tag][str(s.p)] = _widened(prev, {ZERO, HALF}, where, "witness-pair",
+                                             "separating pair from the case construction", prev.n)
         elif gained := set(read) - {None} - prev.values:
-            if prev.kind == "theorem":
-                raise AssertionError(f"family theorem image of {tag} at {s.p} lacks witness values {sorted(gained)}")
-            images[tag][str(s.p)] = PlaceImage(prev.values | gained, "sampled", "value at the witness pair", prev.n + 1)
+            images[tag][str(s.p)] = _widened(prev, gained, where, "sampled", "value at the witness pair", prev.n + 1)
     obstructing = _obstructing(images)
     rational_point = None
     family = family_of(s)
@@ -896,17 +897,14 @@ def bm_verdict(s: SubfamilySurface, sample_budget: int = 64, seed: int = 0) -> O
         # point refutes any Hasse-principle obstruction outright, and its
         # exact invariants, read once per finite place (every class is 0 at
         # the real place), repair whichever image the sampler undersampled
-        found = point_search(s, 64)
-        if found:
+        if found := point_search(s, 64):
             rational_point = found[0]
             for q in places:
                 for tag, value in zip(CLASS_TAGS, _exact_values(s, rational_point, q)):
                     img = images[tag][str(q)]
                     if value not in img.values:
-                        images[tag][str(q)] = PlaceImage(
-                            img.values | {value}, "sampled",
-                            f"{img.detail}; exact value at {rational_point}".strip("; "),
-                            img.n + 1)
+                        detail = f"{img.detail}; exact value at {rational_point}".strip("; ")
+                        images[tag][str(q)] = _widened(img, {value}, f"{tag} at {q}", "sampled", detail, img.n + 1)
             obstructing = _obstructing(images)
             if obstructing:
                 raise AssertionError(
@@ -965,8 +963,8 @@ def _exact_values(s: SubfamilySurface, point, q: int) -> tuple:
     only where u = v = 0, which forces x = y = z = 0 as p is not a square.
     B's vanish together only where y = z = 0; there Muv = (Au+Bv)(Cu+Dv)
     with uv != 0, so v/u is a rational root of BD t^2 + (AD+BC-M) t + AC,
-    whose discriminant p N^2 is not a square."""
-    values = _pattern_values(s, _Reading(s, point, q))  # q is from relevant_places
+    whose discriminant p N^2 is not a square.  q is a proved prime (``relevant_places``, a ``Place``)."""
+    values = _pattern_values(s, _Reading(s, point, q))
     for tag, value in zip(CLASS_TAGS, values):
         if value is None:
             raise IndeterminateEvaluationError(f"class {tag} indeterminate at {point}, place {q}")

@@ -16,7 +16,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .arith import _sieve_primes, is_prime, legendre, valuation
+from .arith import _legendre_unchecked, _sieve_primes, is_prime, valuation
 from .quadform import Point, SubfamilySurface, validate_subfamily
 
 
@@ -31,6 +31,7 @@ def make_Y(p: int, a: int, b: int) -> SubfamilySurface:
     if a * b != p - 1:
         raise ValueError(f"need a*b = p - 1, got {a}*{b} != {p - 1}")
     s = SubfamilySurface(p, a, -p, 1, -b, 1)
+    s.memo["p_prime"] = True  # proved above, so validation does not prove it again
     validate_subfamily(s)
     if s.N != 2:  # (AD+BC-M)^2 - 4ABCD = 4p for this family
         raise AssertionError(f"N = {s.N} for {s.label()}, expected 2")
@@ -49,8 +50,8 @@ def predict_Y(p: int, a: int, b: int) -> PredictedVerdict:
     The equivalent congruence criterion (p = 5 mod 8 with a and b even) is
     recomputed and must agree.
     """
-    make_Y(p, a, b)  # validate parameters
-    la, lb = legendre(a, p), legendre(b, p)
+    make_Y(p, a, b)  # validate parameters, p proved prime
+    la, lb = _legendre_unchecked(a, p), _legendre_unchecked(b, p)
     if la != lb:
         raise AssertionError("the two Legendre symbols must coincide when ab = p - 1")
     by_parity = p % 8 == 5 and a % 2 == 0 and b % 2 == 0
@@ -84,10 +85,10 @@ def check_S_params(p: int, a: int, b: int) -> list[str]:
 
 def make_S(p: int, a: int, b: int) -> SubfamilySurface:
     """The surface y^2 - px^2 = uv, z^2 - px^2 = (u + v)(au + bv)."""
-    failures = check_S_params(p, a, b)
-    if failures:
+    if failures := check_S_params(p, a, b):
         raise ValueError("; ".join(failures))
     s = SubfamilySurface(p, 1, 1, a, b, 1)
+    s.memo["p_prime"] = True  # check_S_params proved it, so validation does not prove it again
     validate_subfamily(s)
     if s.N != 1:
         raise AssertionError(f"N = {s.N} for {s.label()}, expected 1")
@@ -114,21 +115,20 @@ def s_from_t(p: int, t: int) -> tuple[int, int, int]:
 
 def predict_S(p: int, a: int, b: int) -> PredictedVerdict:
     """Closed-form verdict: class B always obstructs on the second family."""
-    failures = check_S_params(p, a, b)
-    if failures:
+    if failures := check_S_params(p, a, b):
         raise ValueError("; ".join(failures))
     return PredictedVerdict(("B",), "class B has constant invariant 1/2 at p")
 
 
 def family_of(s: SubfamilySurface) -> tuple[str, tuple[int, int, int]] | None:
     """("Y", (p, a, b)) when s is make_Y(p, a, b) with a, b > 0, ("S", (p, a, b))
-    when s is make_S(p, a, b), else None."""
-    p, A, B, C, D, M = s.p, s.A, s.B, s.C, s.D, s.M
-    if (B, C, M) == (-p, 1, 1) and p % 4 == 1 and A > 0 > D and A * -D == p - 1:
-        return "Y", (p, A, -D)
-    if (A, B, M) == (1, 1, 1) and not check_S_params(p, C, D):
-        return "S", (p, C, D)
-    return None
+    when s is make_S(p, a, b), else None; kept in ``s.memo``."""
+    if "family" not in s.memo:
+        p, A, B, C, D, M = s.p, s.A, s.B, s.C, s.D, s.M
+        s.memo["family"] = (
+            ("Y", (p, A, -D)) if (B, C, M) == (-p, 1, 1) and p % 4 == 1 and A > 0 > D and A * -D == p - 1
+            else ("S", (p, C, D)) if (A, B, M) == (1, 1, 1) and not check_S_params(p, C, D) else None)
+    return s.memo["family"]
 
 
 # ---------------------------------------------------------------------------

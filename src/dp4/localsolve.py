@@ -1065,7 +1065,7 @@ def sample_local_points(surface, q: int, count: int, precision: int,
             for pt in _sample_points(surface, q, count, precision, seed)]
 
 
-def _sample_points(surface, q: int, count: int, precision: int, seed: int = 0) -> list[PadicApproxPoint]:
+def _sample_points(surface, q: int, count: int, precision: int, seed: int) -> list[PadicApproxPoint]:
     """The sample of ``sample_local_points`` before its last refinement: a
     call that ends in pass 1 returns its certified level-1 points unrefined,
     so that a reader can take each at the level its certificate places it.

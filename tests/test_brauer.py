@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from dp4 import arith, brauer, cli, localsolve, quadform
+from dp4 import arith, brauer, cli, families, localsolve, quadform
 from dp4.arith import PLACE_INF, PadicScalar, Place, _prime_is_square_at, factor, hilbert_symbol, is_prime, legendre
 from dp4.brauer import (
     CLASS_TAGS,
@@ -24,7 +24,7 @@ from dp4.brauer import (
     relevant_places,
     surjectivity_witness,
 )
-from dp4.families import family_of, make_S, make_Y, point_search, s_from_t
+from dp4.families import PredictedVerdict, family_of, make_S, make_Y, point_search, s_from_t
 from dp4.localsolve import SamplingBudgetError, SolubilityVerdict, everywhere_locally_soluble, sample_local_points
 from dp4.quadform import SubfamilySurface, check_subfamily
 
@@ -633,11 +633,12 @@ def test_an_undecided_class_is_zero_where_p_is_a_square(monkeypatch):
         sys.setprofile(None)
     assert values == (ZERO, ZERO, ZERO) and calls == []
     assert [evaluate_invariant(s, tag, pt) for tag in CLASS_TAGS] == [ZERO, ZERO, ZERO]
-    # without the theorem nothing decides the classes there
+    # without the theorem nothing decides the classes there; a fresh instance,
+    # since s keeps the values it read by pattern
     monkeypatch.setattr(brauer, "_prime_is_square_at", lambda p, q: False)
     assert brauer._point_values(s, brauer._Reading(s, pt, 2)) == (None, None, None)
     with pytest.raises(IndeterminateEvaluationError, match="class A indeterminate"):
-        evaluate_invariant(s, "A", pt)
+        evaluate_invariant(make_Y(89, 2, 44), "A", pt)
 
 
 def test_evaluate_invariant_rejects_an_unknown_class_tag():
@@ -1112,6 +1113,69 @@ def test_witness_values_outside_a_theorem_image_are_a_hard_error(monkeypatch):
         bm_verdict(Y_13_2_6)
 
 
+@pytest.mark.parametrize("s, tag", [(Y_13_1_12, "A"), (S_13, "B")], ids=["Y_13_1_12", "S_13_153_179"])
+def test_a_witness_separating_a_theorem_class_is_a_hard_error(monkeypatch, s, tag):
+    # A on the first family and B on the second are constant at p by theorem,
+    # so a pair on which that class takes both values contradicts the theorem;
+    # the fold must not widen the theorem's singleton to a full image
+    w = surjectivity_witness(s)
+    assert w.tag != tag
+    monkeypatch.setattr(brauer, "surjectivity_witness", lambda s, seed=0: dataclasses.replace(w, tag=tag))
+    with pytest.raises(AssertionError, match=f"^family theorem and witness-pair image disagree: "
+                                             rf"family theorem image of {tag} at 13 lacks \[Fraction"):
+        bm_verdict(dataclasses.replace(s))
+
+
+def test_bm_verdict_rejects_a_witness_that_finds_p_insoluble(monkeypatch):
+    # the sample at p has already proved X(Q_p) nonempty, so a witness that
+    # reports it empty is an internal fault, not an input error
+    insoluble = brauer.WitnessResult(None, None, None, True, ("X(Q_13) empty",))
+    monkeypatch.setattr(brauer, "surjectivity_witness", lambda s, seed=0: insoluble)
+    with pytest.raises(AssertionError, match=r"^witness machinery finds X_13_2_-13_1_-6_1 insoluble at p$"):
+        bm_verdict(Y_13_2_6)
+
+
+def test_bm_verdict_checks_the_family_prediction(monkeypatch):
+    # (1/13) = 1: nothing obstructs on Y_13_1_12, so a closed form that says
+    # A obstructs disagrees with the computed verdict
+    monkeypatch.setattr(brauer, "predict_Y", lambda p, a, b: PredictedVerdict(("A",), "(1/13) = -1"))
+    with pytest.raises(AssertionError, match=r"^family prediction \('A',\) disagrees with computed \(\)$"):
+        bm_verdict(Y_13_1_12)
+
+
+def test_invariant_image_needs_a_point_that_evaluates_each_class(monkeypatch):
+    # a class that no sampled point evaluates has no image: a budget error
+    # naming the class and place, carrying the sample
+    monkeypatch.setattr(brauer, "_pattern_values", lambda s, reading: (None, ZERO, ZERO))
+    with pytest.raises(SamplingBudgetError, match=r"^no sampled point allowed evaluating class A at 13$") as caught:
+        invariant_image(dataclasses.replace(Y_13_2_6), 13)
+    assert len(caught.value.points) == 64
+
+
+@pytest.mark.parametrize("make, params, proofs", [
+    (make_Y, (13, 2, 6), 1), (make_Y, (13, 1, 12), 1), (make_Y, (89, 2, 44), 1), (make_S, (13, 153, 179), 2)])
+def test_bm_verdict_family_checks_do_not_reprove_p(monkeypatch, make, params, proofs):
+    # outside the sampler's level-1 listings, a fresh instance proves p once
+    # in its validation; then the theorems read (a/p) unchecked and family_of
+    # is kept on s, so the closing prediction proves p once more: in make_Y,
+    # whose surface takes that proof, or in predict_S's check_S_params, with
+    # family_of's check_S_params the second proof on the second family
+    s = dataclasses.replace(make(*params))
+    calls, real = [], arith.is_prime
+
+    def proving(n):
+        caller = sys._getframe(1).f_code
+        if caller is not localsolve._level1_draws.__code__:
+            calls.append((n, caller.co_name))
+        return real(n)
+
+    for module in (arith, quadform, localsolve, families, brauer):
+        monkeypatch.setattr(module, "is_prime", proving)
+    bm_verdict(s)
+    assert {n for n, _ in calls} == {s.p} and calls[0][1] == "check_subfamily"
+    assert len(calls) - 1 <= proofs, calls
+
+
 def test_bm_verdict_requires_local_solubility():
     with pytest.raises(ValueError, match="insoluble at 5"):
         bm_verdict(INSOLUBLE_AT_P[0])
@@ -1335,6 +1399,21 @@ def test_reciprocity_fails_when_relevant_places_drops_a_place(monkeypatch):
 
 def test_rational_point_evaluation_at_real_place():
     assert evaluate_invariant(Y_13_1_12, "A", (1, 0, 0, 0, 1), PLACE_INF) == ZERO
+
+
+def test_evaluate_invariant_needs_the_place_of_an_exact_point():
+    # an exact point names its place: an int is a finite place, proved prime,
+    # and 0 or "oo" the real place, where every class is 0
+    pt = (1, -3, 2, 7, 16)
+    for tag in CLASS_TAGS:
+        with pytest.raises(ValueError, match="^exact points need an explicit place$"):
+            evaluate_invariant(Y_13_12_1, tag, pt)
+        for v in (0, "oo"):
+            assert evaluate_invariant(Y_13_12_1, tag, pt, v) == ZERO
+        for q in (2, 3, 13):
+            assert evaluate_invariant(Y_13_12_1, tag, pt, q) == evaluate_invariant(Y_13_12_1, tag, pt, Place(q))
+    with pytest.raises(ValueError, match="^4 is not prime$"):
+        evaluate_invariant(Y_13_12_1, "A", pt, 4)
 
 
 def test_rational_point_evaluation_matches_local():
