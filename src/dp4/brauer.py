@@ -12,7 +12,7 @@ invariant computable at almost every point.  Every representative is a
 product of seven fixed factors, u, Mv, Au+Bv, Cu+Dv, z-y, z+y and AC, so the
 representatives form one table shared by all surfaces; what a surface derives
 (its places, and per place its readings' constants and values by pattern) is
-kept in its instance's ``memo``.
+kept on its instance (``quadform._kept``).
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ from .localsolve import (
     newton_refine,
     normalize_residue_tuple,
 )
-from .families import family_of, point_search, predict_S, predict_Y
-from .quadform import SubfamilySurface, normalize_point, validate_subfamily
+from .families import closed_form, family_of, point_search
+from .quadform import SubfamilySurface, _kept, normalize_point, validate_subfamily
 
 CLASS_TAGS = ("A", "B", "C")
 
@@ -125,7 +125,7 @@ def class_representations(s: SubfamilySurface, tag: str) -> tuple[SymbolRep, ...
 
 
 def _at_place(s: SubfamilySurface, q: int) -> tuple:
-    """What the readings of s at q share, kept in ``s.memo[q]``: the modulus and slack, v_q(p), p's
+    """What the readings of s at q share, kept on s under q (``_kept``): the modulus and slack, v_q(p), p's
     unit, (p, q)_q at odd q != p, v_q(AC) and (p, AC)_q (AC != 0 on a valid s), ``_pattern_values``' table."""
     mod, slack = (8, 3) if q == 2 else (q, 1)
     val_p = q == s.p  # v_q(p), p being a validated prime
@@ -170,8 +170,7 @@ class _Reading:
     """
 
     def __init__(self, s: SubfamilySurface, point, q: int, precision: int = 0):
-        mod, slack, val_p, unit_p, odd_sign, ac_val, ac_sign, self.table = (
-            s.memo.get(q) or s.memo.setdefault(q, _at_place(s, q)))
+        mod, slack, val_p, unit_p, odd_sign, ac_val, ac_sign, self.table = _kept(s, q, _at_place, s, q)
         local = isinstance(point, PadicApproxPoint)
         e = point.cert.e if local and point.cert else 0
         while True:
@@ -583,7 +582,7 @@ def _witness_recursive(s: SubfamilySurface, ctx: _WitnessContext, depth: int):
     coeffs = {"A": A, "B": B, "C": C, "D": D}
 
     def rec(s_next: SubfamilySurface, map_back, label: str):
-        s_next.memo["p_prime"] = s.memo["p_prime"]  # the same p, proved prime with s
+        _kept(s_next, ("prime", p), lambda: True)  # the same p, proved prime with s
         try:
             validate_subfamily(s_next)
         except ValueError as exc:
@@ -843,13 +842,13 @@ def relevant_places(s: SubfamilySurface) -> list[int]:
     let q be an odd prime, q != p, q not dividing N.  If q | A, (C1) reduces
     mod q to (BC - M)^2 = p N^2, so p is a nonzero square mod q; B, C and D
     are alike.  If q | M, (C1) reduces to (AD - BC)^2 = p N^2, with the
-    same conclusion.  Kept in ``s.memo`` once s is valid; each call returns a copy.
+    same conclusion.  Kept on s once s is valid, as is each factorization; each call returns a copy.
     """
-    if "places" not in s.memo:
+    def places():
         validate_subfamily(s)
-        bad = set(factor(abs(s.N))) | set(factor(abs(s.A * s.D - s.B * s.C)))
-        s.memo["places"] = [q for q in [2, s.p] + sorted(bad - {2, s.p}) if not _prime_is_square_at(s.p, q)]
-    return list(s.memo["places"])
+        bad = {q for n in (abs(s.N), abs(s.A * s.D - s.B * s.C)) for q in _kept(s, ("factor", n), factor, n)}
+        return [q for q in [2, s.p] + sorted(bad - {2, s.p}) if not _prime_is_square_at(s.p, q)]
+    return list(_kept(s, "places", places))
 
 
 def bm_verdict(s: SubfamilySurface, sample_budget: int = 64, seed: int = 0) -> ObstructionReport:
@@ -917,9 +916,7 @@ def bm_verdict(s: SubfamilySurface, sample_budget: int = 64, seed: int = 0) -> O
             raise SampledContradictionError(f"{message}; sampled singletons {', '.join(pairs)}", [])
         raise AssertionError(message)
     if family is not None:
-        name, params = family
-        expected = (predict_Y if name == "Y" else predict_S)(*params).obstructed_by
-        if obstructing != expected:
+        if obstructing != (expected := closed_form(family).obstructed_by):
             raise AssertionError(f"family prediction {expected} disagrees with computed {obstructing}")
     wa_failure = any(len(img.values) == 2 for tag in CLASS_TAGS for img in images[tag].values())
     return ObstructionReport(s, images, obstructing, wa_failure, (), witness, rational_point)

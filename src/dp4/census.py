@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .arith import BudgetExceeded, is_prime
 from .brauer import bm_verdict, reciprocity_check
-from .families import make_S, make_Y, point_search, predict_S, predict_Y, s_from_t
+from .families import closed_form, family_of, make_S, make_Y, point_search, s_from_t
 from .quadform import Point
 
 
@@ -59,12 +59,8 @@ def _census_row(task) -> CensusRow:
     predicted: tuple[str, ...] = ()
     label = f"X_{p}"
     try:
-        if family == "Y":
-            s = make_Y(p, a, b)
-            predicted = predict_Y(p, a, b).obstructed_by
-        else:
-            s = make_S(p, a, b)
-            predicted = predict_S(p, a, b).obstructed_by
+        s = (make_Y if family == "Y" else make_S)(p, a, b)
+        predicted = closed_form(family_of(s)).obstructed_by  # read on s: p is not proved again
         label = s.label()
         report = bm_verdict(s, sample_budget=sample_budget, seed=seed)
         points = tuple(point_search(s, height_bound)) if height_bound else ()

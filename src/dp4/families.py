@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .arith import _legendre_unchecked, _sieve_primes, is_prime, valuation
-from .quadform import Point, SubfamilySurface, validate_subfamily
+from .quadform import Point, SubfamilySurface, _kept, validate_subfamily
 
 
 # ---------------------------------------------------------------------------
@@ -26,12 +26,11 @@ from .quadform import Point, SubfamilySurface, validate_subfamily
 
 def make_Y(p: int, a: int, b: int) -> SubfamilySurface:
     """The surface y^2 - px^2 = uv, z^2 - px^2 = (au - pv)(u - bv)."""
-    if p % 4 != 1 or not is_prime(p):
+    s = SubfamilySurface(p, a, -p, 1, -b, 1)
+    if p % 4 != 1 or not _kept(s, ("prime", p), is_prime, p):  # validation reads this proof
         raise ValueError(f"need a prime p = 1 mod 4, got {p}")
     if a * b != p - 1:
         raise ValueError(f"need a*b = p - 1, got {a}*{b} != {p - 1}")
-    s = SubfamilySurface(p, a, -p, 1, -b, 1)
-    s.memo["p_prime"] = True  # proved above, so validation does not prove it again
     validate_subfamily(s)
     if s.N != 2:  # (AD+BC-M)^2 - 4ABCD = 4p for this family
         raise AssertionError(f"N = {s.N} for {s.label()}, expected 2")
@@ -48,9 +47,18 @@ def predict_Y(p: int, a: int, b: int) -> PredictedVerdict:
     """Closed-form verdict: class A obstructs exactly when (a/p) = -1.
 
     The equivalent congruence criterion (p = 5 mod 8 with a and b even) is
-    recomputed and must agree.
+    recomputed and must agree (``closed_form``).
     """
     make_Y(p, a, b)  # validate parameters, p proved prime
+    return closed_form(("Y", (p, a, b)))
+
+
+def closed_form(family: tuple[str, tuple[int, int, int]]) -> PredictedVerdict:
+    """The verdict of ``family_of``'s (name, (p, a, b)), p proved prime with its surface: on the first
+    family as ``predict_Y`` says, the congruence criterion recomputed, and on the second B obstructs."""
+    name, (p, a, b) = family
+    if name == "S":
+        return PredictedVerdict(("B",), "class B has constant invariant 1/2 at p")
     la, lb = _legendre_unchecked(a, p), _legendre_unchecked(b, p)
     if la != lb:
         raise AssertionError("the two Legendre symbols must coincide when ab = p - 1")
@@ -68,10 +76,14 @@ def predict_Y(p: int, a: int, b: int) -> PredictedVerdict:
 
 def check_S_params(p: int, a: int, b: int) -> list[str]:
     """Condition-by-condition check; empty list means the parameters qualify."""
-    failures = []
     if p % 2 == 0 or not is_prime(p):
-        failures.append(f"p = {p} is not an odd prime")
-        return failures
+        return [f"p = {p} is not an odd prime"]
+    return _S_failures(p, a, b)
+
+
+def _S_failures(p: int, a: int, b: int) -> list[str]:
+    """The conditions of ``check_S_params`` past p's primality."""
+    failures = []
     if (a + b - 1) ** 2 - 4 * a * b != p:
         failures.append(f"(a+b-1)^2 - 4ab = {(a + b - 1) ** 2 - 4 * a * b} != {p}")
     if (4 * a - 1) % p or (4 * b - 1) % p:
@@ -88,7 +100,7 @@ def make_S(p: int, a: int, b: int) -> SubfamilySurface:
     if failures := check_S_params(p, a, b):
         raise ValueError("; ".join(failures))
     s = SubfamilySurface(p, 1, 1, a, b, 1)
-    s.memo["p_prime"] = True  # check_S_params proved it, so validation does not prove it again
+    _kept(s, ("prime", p), lambda: True)  # check_S_params proved it, so validation does not prove it again
     validate_subfamily(s)
     if s.N != 1:
         raise AssertionError(f"N = {s.N} for {s.label()}, expected 1")
@@ -117,18 +129,20 @@ def predict_S(p: int, a: int, b: int) -> PredictedVerdict:
     """Closed-form verdict: class B always obstructs on the second family."""
     if failures := check_S_params(p, a, b):
         raise ValueError("; ".join(failures))
-    return PredictedVerdict(("B",), "class B has constant invariant 1/2 at p")
+    return closed_form(("S", (p, a, b)))
 
 
 def family_of(s: SubfamilySurface) -> tuple[str, tuple[int, int, int]] | None:
     """("Y", (p, a, b)) when s is make_Y(p, a, b) with a, b > 0, ("S", (p, a, b))
-    when s is make_S(p, a, b), else None; kept in ``s.memo``."""
-    if "family" not in s.memo:
+    when s is make_S(p, a, b), else None; kept on s (``_kept``), p's proof read from s."""
+    def family():
         p, A, B, C, D, M = s.p, s.A, s.B, s.C, s.D, s.M
-        s.memo["family"] = (
-            ("Y", (p, A, -D)) if (B, C, M) == (-p, 1, 1) and p % 4 == 1 and A > 0 > D and A * -D == p - 1
-            else ("S", (p, C, D)) if (A, B, M) == (1, 1, 1) and not check_S_params(p, C, D) else None)
-    return s.memo["family"]
+        if (B, C, M) == (-p, 1, 1) and p % 4 == 1 and A > 0 > D and A * -D == p - 1:
+            return "Y", (p, A, -D)
+        if (A, B, M) == (1, 1, 1) and p % 2 and _kept(s, ("prime", p), is_prime, p) and not _S_failures(p, C, D):
+            return "S", (p, C, D)
+        return None
+    return _kept(s, "family", family)
 
 
 # ---------------------------------------------------------------------------

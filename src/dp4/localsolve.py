@@ -27,6 +27,7 @@ from .arith import (BudgetExceeded, _legendre_unchecked, _prime_is_square_at, _s
 from .quadform import (
     GeneralSurface,
     SubfamilySurface,
+    _kept,
     binary_form_eval,
     definite_sign,
     validate_pencil,
@@ -320,8 +321,8 @@ def _enumeration_budget(surface) -> int:
 
 def _level1_draws(surface, q: int, rng: random.Random | None):
     """The level-1 points, lazily, and None for each draw (a slot, a plane or a column) without one;
-    the one proof per listing that q is prime, which every walk below relies on."""
-    if not is_prime(q):
+    the proof that q is prime, kept on the surface, which every walk below relies on."""
+    if not _kept(surface, ("prime", q), is_prime, q):
         raise ValueError(f"{q} is not prime")
     general = not isinstance(surface, SubfamilySurface)
     n, cell = _level1_general(surface, q, rng) if general else _level1_subfamily(surface, q)
@@ -850,7 +851,7 @@ def everywhere_locally_soluble(s: SubfamilySurface) -> LocalSolubilityReport:
     rows.append((f"v not in {{2,{p}}}, p nonsquare at v, v ndiv {s.N}", None,
                  "theorem: four-case residue argument"))
     explicit = []
-    for q in [2, p] + sorted({f for f in factor(abs(s.N)) if f % 2} - {p}):
+    for q in [2, p] + sorted({f for f in _kept(s, ("factor", abs(s.N)), factor, abs(s.N)) if f % 2} - {p}):
         if not _prime_is_square_at(p, q):
             explicit.append(q)
         else:

@@ -16,13 +16,21 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 from math import factorial, gcd
 
 from .arith import SquareClass, divisors, is_perfect_square, is_prime, isqrt, square_class
 
 Point = tuple[int, int, int, int, int]
 Matrix = tuple[tuple[int, ...], ...]
+
+
+def _kept(owner, key, make, *args):
+    """owner.memo[key], from make(*args) on its first use: the one store of what a surface instance
+    derives, outside its fields (``repr``, ``==``, ``hash``).  An exception from make is not kept."""
+    memo = owner.memo
+    if key not in memo:
+        memo[key] = make(*args)
+    return memo[key]
 
 
 # ---------------------------------------------------------------------------
@@ -96,23 +104,12 @@ def _bareiss(m: Matrix) -> tuple[int, int]:
 def definite_sign(m: Matrix) -> int:
     """1 if the symmetric integer matrix m is positive definite, -1 if negative definite, else 0.
 
-    Sylvester's criterion in one pass: without pivoting, the k-th pivot of the
-    fraction-free elimination of ``_bareiss`` is the k-th leading principal
-    minor d_k, and m is definite iff d_k has the sign s^k for s = +-1 the sign
-    of d_1.  The elimination stops at the first zero or wrong-signed pivot.
+    Sylvester's criterion: with d_k the k-th leading principal minor and s the
+    sign of d_1, m is definite iff d_k s^k > 0 for every k.
     """
-    a = [list(row) for row in m]
-    s = (a[0][0] > 0) - (a[0][0] < 0)
-    prev = 1
-    for k, pr in enumerate(a):
-        pivot = pr[k]
-        if pivot == 0 or (pivot > 0) != (s > 0 or k % 2 == 1):
-            return 0
-        for row in a[k + 1:]:
-            for j in range(k + 1, len(a)):
-                row[j] = (row[j] * pivot - row[k] * pr[j]) // prev
-        prev = pivot
-    return s
+    s = (m[0][0] > 0) - (m[0][0] < 0)
+    ok = all(mat_det(tuple(row[:k] for row in m[:k])) * s ** k > 0 for k in range(1, len(m) + 1))
+    return s if ok else 0
 
 
 def mat_rank(m: Matrix) -> int:
@@ -136,8 +133,8 @@ class SubfamilySurface:
     (C1): (AD+BC-M)^2 - 4ABCD = p N^2 for an integer N, and
     (C2): N M (AD-BC) != 0.
 
-    N is derived from the coefficients, never trusted from input.  ``memo`` keeps what
-    every layer derives from s alone, per instance and outside the fields (``repr``, ``==``, ``hash``).
+    N is derived from the coefficients, never trusted from input.  What every layer
+    derives from s alone is kept in its ``memo`` (``_kept``).
     """
 
     p: int
@@ -158,16 +155,14 @@ class SubfamilySurface:
         return isqrt(quot) if is_perfect_square(quot) else None
 
     def __post_init__(self):
-        object.__setattr__(self, "memo", {})  # a cached_property's dict write would slow every field read
+        object.__setattr__(self, "memo", {})
 
     @property
     def N(self) -> int:
-        if "N" not in self.memo:
-            n = self.derived_N()
-            if n is None:
-                raise ValueError("surface violates (C1); N undefined")
-            self.memo["N"] = n
-        return self.memo["N"]
+        n = _kept(self, "N", self.derived_N)
+        if n is None:
+            raise ValueError("surface violates (C1); N undefined")
+        return n
 
     def eq1(self, pt) -> int:
         return self.equations(pt)[0]
@@ -214,17 +209,14 @@ class SubfamilyReport:
 
 
 def check_subfamily(s: SubfamilySurface) -> SubfamilyReport:
-    """Evaluate (C1) and (C2), reporting the witness value and derived N, once per instance
-    (``s.memo``), and p prime only where both hold; an exception, such as is_prime's beyond its bound, is not kept."""
-    if "report" not in s.memo:
-        n = s.derived_N()
-        c1 = n is not None
-        c2 = c1 and n != 0 and s.M != 0 and (s.A * s.D - s.B * s.C) != 0
-        if c2 and "p_prime" not in s.memo:
-            s.memo["p_prime"] = s.p % 2 == 1 and is_prime(s.p)
-        s.memo["report"] = SubfamilyReport(c1_holds=c1, c2_holds=c2, c1_value=s.c1_value(), derived_N=n,
-                                           p_prime=s.memo["p_prime"] if c2 else None)
-    return s.memo["report"]
+    """Evaluate (C1) and (C2), reporting the witness value and derived N, once per instance,
+    and p prime only where both hold; an exception, such as is_prime's beyond its bound, is not kept."""
+    def report():
+        n = _kept(s, "N", s.derived_N)
+        c2 = n is not None and n != 0 and s.M != 0 and (s.A * s.D - s.B * s.C) != 0
+        return SubfamilyReport(c1_holds=n is not None, c2_holds=c2, c1_value=s.c1_value(), derived_N=n,
+                               p_prime=s.p % 2 == 1 and _kept(s, ("prime", s.p), is_prime, s.p) if c2 else None)
+    return _kept(s, "report", report)
 
 
 def validate_subfamily(s: SubfamilySurface) -> SubfamilySurface:
@@ -383,7 +375,8 @@ class GeneralSurface:
     Points are evaluated on the content-free forms F_j = x.M_j x / c_j, c_j
     the gcd of the M_ii and the 2 M_ij (1 for a zero matrix, ``contents``),
     through ``hessians``: G_j = 2 M_j / c_j, with F_j = x.G_j x / 2 and gradient G_j x.
-    At a prime q not dividing c_j this scales the system by a unit.
+    At a prime q not dividing c_j this scales the system by a unit.  These, the quintic
+    and its ``partials_resultant`` are worked out on first use, once per surface (``_kept``).
     """
 
     mat1: Matrix
@@ -395,28 +388,26 @@ class GeneralSurface:
                 raise ValueError("matrices must be 5x5")
             if any(m[i][j] != m[j][i] for i in range(5) for j in range(5)):
                 raise ValueError("matrices must be symmetric")
+        object.__setattr__(self, "memo", {})
 
-    @cached_property
+    @property
     def contents(self) -> tuple[int, int]:
-        """(c_1, c_2), worked out on first use, once per surface; not a field."""
-        return tuple(gcd(*(a if i == j else 2 * a for i, row in enumerate(m) for j, a in enumerate(row))) or 1
-                     for m in (self.mat1, self.mat2))
+        return _kept(self, "contents", lambda: tuple(
+            gcd(*(a if i == j else 2 * a for i, row in enumerate(m) for j, a in enumerate(row))) or 1
+            for m in (self.mat1, self.mat2)))
 
-    @cached_property
+    @property
     def hessians(self) -> tuple[Matrix, Matrix]:
-        """(G_1, G_2), worked out on first use, once per surface; not a field."""
-        return tuple(tuple(tuple(2 * a // c for a in row) for row in m)
-                     for m, c in zip((self.mat1, self.mat2), self.contents))
+        return _kept(self, "hessians", lambda: tuple(tuple(tuple(2 * a // c for a in row) for row in m)
+                                                     for m, c in zip((self.mat1, self.mat2), self.contents)))
 
-    @cached_property
+    @property
     def quintic(self) -> tuple[int, ...]:
-        """``discriminant_quintic(self)``, worked out on first use, once per surface; not a field."""
-        return tuple(discriminant_quintic(self))
+        return _kept(self, "quintic", lambda: tuple(discriminant_quintic(self)))
 
-    @cached_property
+    @property
     def partials_resultant(self) -> int:
-        """Res of the quintic's partials (``quintic_partials_resultant``), once per surface; not a field."""
-        return quintic_partials_resultant(self.quintic)
+        return _kept(self, "partials_resultant", lambda: quintic_partials_resultant(self.quintic))
 
     def member(self, r: int, t: int) -> Matrix:
         return tuple(tuple(r * a + t * b for a, b in zip(ra, rb))

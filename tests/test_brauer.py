@@ -1138,7 +1138,7 @@ def test_bm_verdict_rejects_a_witness_that_finds_p_insoluble(monkeypatch):
 def test_bm_verdict_checks_the_family_prediction(monkeypatch):
     # (1/13) = 1: nothing obstructs on Y_13_1_12, so a closed form that says
     # A obstructs disagrees with the computed verdict
-    monkeypatch.setattr(brauer, "predict_Y", lambda p, a, b: PredictedVerdict(("A",), "(1/13) = -1"))
+    monkeypatch.setattr(brauer, "closed_form", lambda family: PredictedVerdict(("A",), "(1/13) = -1"))
     with pytest.raises(AssertionError, match=r"^family prediction \('A',\) disagrees with computed \(\)$"):
         bm_verdict(Y_13_1_12)
 
@@ -1155,25 +1155,26 @@ def test_invariant_image_needs_a_point_that_evaluates_each_class(monkeypatch):
 @pytest.mark.parametrize("make, params, proofs", [
     (make_Y, (13, 2, 6), 1), (make_Y, (13, 1, 12), 1), (make_Y, (89, 2, 44), 1), (make_S, (13, 153, 179), 2)])
 def test_bm_verdict_family_checks_do_not_reprove_p(monkeypatch, make, params, proofs):
-    # outside the sampler's level-1 listings, a fresh instance proves p once
-    # in its validation; then the theorems read (a/p) unchecked and family_of
-    # is kept on s, so the closing prediction proves p once more: in make_Y,
-    # whose surface takes that proof, or in predict_S's check_S_params, with
-    # family_of's check_S_params the second proof on the second family
+    # each proof is kept on its instance: a fresh one proves p once, in its
+    # validation, and every later reader takes that proof, the theorems, family_of
+    # and the closing prediction (the closed form of family_of's family) among them;
+    # no integer is proved twice.  From the bare parameters the same family checks,
+    # predict_Y / predict_S and family_of on a fresh surface, prove p `proofs` times
     s = dataclasses.replace(make(*params))
     calls, real = [], arith.is_prime
 
     def proving(n):
-        caller = sys._getframe(1).f_code
-        if caller is not localsolve._level1_draws.__code__:
-            calls.append((n, caller.co_name))
+        calls.append(n)
         return real(n)
 
     for module in (arith, quadform, localsolve, families, brauer):
         monkeypatch.setattr(module, "is_prime", proving)
     bm_verdict(s)
-    assert {n for n, _ in calls} == {s.p} and calls[0][1] == "check_subfamily"
-    assert len(calls) - 1 <= proofs, calls
+    assert calls[0] == s.p and calls.count(s.p) == 1 and len(calls) == len(set(calls)), calls
+    calls.clear()
+    (families.predict_Y if make is make_Y else families.predict_S)(*params)
+    family_of(dataclasses.replace(s))
+    assert calls == [s.p] * proofs
 
 
 def test_bm_verdict_requires_local_solubility():
@@ -1213,9 +1214,10 @@ def test_reciprocity_on_the_line_au_plus_bv_zero(coeffs, point):
 
 def test_reciprocity_factors_each_factor_at_most_once_per_point(monkeypatch):
     # the places come from relevant_places, which factors the surface's N
-    # and AD - BC once per instance: the first check on a fresh instance
-    # factors exactly those two, every later point nothing, and p is proved
-    # prime at most once for the search and all the checks together
+    # and AD - BC once per instance, each distinct integer once (26 = N = AD - BC
+    # on case2): the first check on a fresh instance factors exactly those, every
+    # later point nothing, and p is proved prime at most once for the search and
+    # all the checks together
     calls, proofs = [], []
     real_factor, real_is_prime = brauer.factor, arith.is_prime
 
@@ -1235,7 +1237,7 @@ def test_reciprocity_factors_each_factor_at_most_once_per_point(monkeypatch):
     assert len(points) == 8
     for i, point in enumerate(points):
         assert reciprocity_check(s, point)
-        assert calls == [abs(s.N), abs(s.A * s.D - s.B * s.C)], (i, point)
+        assert calls == [abs(s.N)] == [abs(s.A * s.D - s.B * s.C)], (i, point)
     assert proofs.count(s.p) <= 1
     for surface, point in [(Y_13_1_12, (1, 0, 0, 0, 1)), (Y_13_12_1, (1, -3, 2, 7, 16)),
                            (SubfamilySurface(3, -4, 1, 1, -4, 1), (1, 4, 0, 2, 0))]:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from dp4 import brauer, localsolve
+from dp4 import arith, brauer, census, cli, families, localsolve, quadform
 from dp4.cli import build_parser, main, parse_surface_spec, InputError
 from dp4.families import make_Y
 from dp4.quadform import GeneralSurface, SubfamilySurface, to_matrices
@@ -415,12 +415,22 @@ def test_relative_imports_follow_the_layers():
 def test_derived_data_live_on_instances():
     # no memo keyed by value: functools.lru_cache, functools.cache and
     # weakref stay out of the library, so what a surface derives lives on
-    # its instance, and arith's prime sieve is the one module table
+    # its instance, and arith's prime sieve is the one module table.  One store
+    # per instance: no functools.cached_property, and ``memo`` is touched only
+    # by the accessor quadform._kept and the two surface shapes' __post_init__
     src = Path(__file__).resolve().parents[1] / "src" / "dp4"
-    memos = {"lru_cache", "cache"}
+    memos = {"lru_cache", "cache", "cached_property"}
     found = []
     for path in sorted(src.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        tree = ast.parse(path.read_text(), str(path))
+        store = set()
+        for scope in ast.walk(tree) if path.stem == "quadform" else ():
+            if isinstance(scope, ast.ClassDef) and scope.name in ("SubfamilySurface", "GeneralSurface"):
+                store |= {id(node) for fn in scope.body if getattr(fn, "name", None) == "__post_init__"
+                          for node in ast.walk(fn)}
+            elif isinstance(scope, ast.FunctionDef) and scope.name == "_kept":
+                store |= {id(node) for node in ast.walk(scope)}
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 bad = any(alias.name.split(".")[0] == "weakref" for alias in node.names)
             elif isinstance(node, ast.ImportFrom):
@@ -429,9 +439,50 @@ def test_derived_data_live_on_instances():
             else:
                 bad = (isinstance(node, ast.Attribute) and node.attr in memos
                        and isinstance(node.value, ast.Name) and node.value.id == "functools")
+                bad |= id(node) not in store and (getattr(node, "attr", None) == "memo"
+                                                  or getattr(node, "value", None) == "memo")
             if bad:
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_cli_analyze_derives_each_fact_once(capsys, monkeypatch):
+    # what a surface derives is kept on its instance: one analyze proves each
+    # integer prime at most once and factors each integer at most once
+    proofs, factorizations = Counter(), Counter()
+    for name, seen in (("is_prime", proofs), ("factor", factorizations)):
+        real = getattr(arith, name)
+
+        def counting(n, *args, real=real, seen=seen):
+            seen[n] += 1
+            return real(n, *args)
+
+        for module in (arith, quadform, localsolve, families, brauer, census, cli):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counting)
+    for spec in ('{"family": "Y", "p": 13, "a": 2, "b": 6}', '{"family": "Y", "p": 13, "a": 1, "b": 12}',
+                 '{"family": "S", "p": 13, "a": 153, "b": 179}',
+                 '{"family": "subfamily", "p": 5, "A": 3, "B": -2, "C": 6, "D": -1, "M": 3}'):
+        proofs.clear()
+        factorizations.clear()
+        code, out, _ = run_cli(capsys, "analyze", spec)
+        assert code == 0 and "obstruction" in json.loads(out)
+        assert proofs and max(proofs.values()) == 1, (spec, proofs)
+        assert factorizations and max(factorizations.values()) == 1, (spec, factorizations)
+
+
+def test_cli_verify_paper_fails_a_check_that_raises(capsys, monkeypatch):
+    # only a budget leaves a check inconclusive: an internal ValueError fails
+    # its own check, not the command's input, and the other checks still run
+    def broken(g):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(cli, "order4_test", broken)
+    code, out, err = run_cli(capsys, "verify-paper", "--samples", "24")
+    checks = json.loads(out)["checks"]
+    assert code == 1 and [c["ok"] for c in checks] == [True] * 4 + [False]
+    assert checks[-1]["detail"] == "ValueError: internal fault"
+    assert err.count("PASS") == 4 and err.count("FAIL") == 1
 
 
 def test_place_images_widen_through_one_rule():

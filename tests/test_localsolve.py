@@ -1006,6 +1006,9 @@ def test_every_listing_rejects_a_q_that_is_not_prime(q):
 
 
 def test_q_is_proved_prime_once_per_decision_and_per_sample(monkeypatch):
+    # the proof is kept on the surface instance: on a fresh one the first
+    # decision or sample proves q once (in its validation where q = p),
+    # and the same call again proves nothing
     proofs = []
     real = arith.is_prime
 
@@ -1013,20 +1016,20 @@ def test_q_is_proved_prime_once_per_decision_and_per_sample(monkeypatch):
         proofs.append(n)
         return real(n)
 
-    monkeypatch.setattr(arith, "is_prime", counted)
-    monkeypatch.setattr(localsolve, "is_prime", counted)
-    decisions = [(Y_13_2_6, 2), (Y_13_2_6, 13), (to_matrices(make_Y(17, 16, 1)), 2),
-                 (SubfamilySurface(13, 2, -4, 3, 6, 16), 2), (make_Y(10037, 1, 10036), 10037)]
-    for s, q in decisions:
-        proofs.clear()
-        decide_Qq(s, q)
-        assert proofs.count(q) == 1, (s, q)
-    samples = [(Y_13_2_6, 2, 64, 14), (Y_13_2_6, 13, 20, 4), (CASE_PATTERN_SURFACES["case2"], 13, 64, 8),
-               (make_Y(10037, 1, 10036), 10037, 8, 4)]
-    for s, q, count, precision in samples:
-        proofs.clear()
-        sample_local_points(s, q, count, precision)
-        assert proofs.count(q) == 1, (s, q)
+    for module in (arith, quadform, localsolve):
+        monkeypatch.setattr(module, "is_prime", counted)
+    runs = [(decide_Qq, s, q) for s, q in [
+        (Y_13_2_6, 2), (Y_13_2_6, 13), (to_matrices(make_Y(17, 16, 1)), 2),
+        (SubfamilySurface(13, 2, -4, 3, 6, 16), 2), (make_Y(10037, 1, 10036), 10037)]] + [
+        (sample_local_points, s, q, count, precision) for s, q, count, precision in [
+            (Y_13_2_6, 2, 64, 14), (Y_13_2_6, 13, 20, 4), (CASE_PATTERN_SURFACES["case2"], 13, 64, 8),
+            (make_Y(10037, 1, 10036), 10037, 8, 4)]]
+    for fn, s, q, *rest in runs:
+        s = replace(s)
+        for expected in (1, 0):
+            proofs.clear()
+            fn(s, q, *rest)
+            assert proofs.count(q) == expected, (fn.__name__, s, q)
 
 
 def test_newton_refine_checks_the_certificate_minor():

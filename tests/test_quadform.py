@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -263,6 +264,47 @@ def test_definite_sign_matches_the_leading_minors():
     assert min(seen.values()) > 100, seen
     assert definite_sign(((0, 0), (0, 5))) == 0 and definite_sign(((1, 1), (1, 1))) == 0
     assert definite_sign(((-2, 1), (1, -1))) == -1 and definite_sign(((-2, 1), (1, 1))) == 0
+
+
+def definite_sign_by_elimination(m):
+    """The reference: fraction-free elimination without pivoting, whose k-th
+    pivot is the k-th leading principal minor d_k, stopped at the first pivot
+    that is zero or not of the sign s^k, s the sign of d_1."""
+    a = [list(row) for row in m]
+    s = (a[0][0] > 0) - (a[0][0] < 0)
+    prev = 1
+    for k, pr in enumerate(a):
+        pivot = pr[k]
+        if pivot == 0 or (pivot > 0) != (s > 0 or k % 2 == 1):
+            return 0
+        for row in a[k + 1:]:
+            for j in range(k + 1, len(a)):
+                row[j] = (row[j] * pivot - row[k] * pr[j]) // prev
+        prev = pivot
+    return s
+
+
+def test_definite_sign_agrees_with_the_elimination():
+    # 10^4 seeded symmetric 2x2 to 5x5 matrices: +-B^T B, definite when B has
+    # rank n and singular when it has fewer rows, and plain small entries
+    rng = random.Random(44)
+    seen, singular = Counter(), 0
+    for trial in range(10 ** 4):
+        n = rng.randint(2, 5)
+        if trial % 2:
+            b = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, n))]
+            sign = rng.choice((1, -1))
+            m = [[sign * sum(r[i] * r[j] for r in b) for j in range(n)] for i in range(n)]
+        else:
+            m = [[0] * n for _ in range(n)]
+            for i, j in itertools.combinations_with_replacement(range(n), 2):
+                m[i][j] = m[j][i] = rng.randint(-2, 2)
+        mat = tuple(tuple(row) for row in m)
+        expected = definite_sign_by_elimination(mat)
+        assert definite_sign(mat) == expected, mat
+        seen[expected] += 1
+        singular += mat_det(mat) == 0
+    assert min(seen.values()) > 500 and singular > 1000, (seen, singular)
 
 
 def test_quintic_consistency_evaluations():

@@ -62,29 +62,36 @@ def test_witnesses_match_the_recorded_table():
         assert hits >= 2, family
 
 
-@pytest.mark.parametrize("s, key, proofs", [
+@pytest.mark.parametrize("s, key, listings", [
     (CASE_PATTERN_SURFACES["case5"], "pattern", 0),  # case 5 -> case 1, a swap, case 1a
     (CASE_PATTERN_SURFACES["case7"], "pattern", 0),  # case 7 -> case 3, case 3b
     (make_Y(13, 2, 6), "paper", 1),  # a swap, then a sign flip of a sampled point
 ])
-def test_a_witness_proves_p_prime_once_per_level1_listing(monkeypatch, s, key, proofs):
+def test_a_witness_proves_p_prime_once_per_level1_listing(monkeypatch, s, key, listings):
     # the case constructions run after the surface's validation proved p
-    # prime, and a transformed surface, of the same p, takes that proof; so
-    # the only proof left is the sampler's one per level-1 listing
+    # prime and kept the proof on s; a transformed surface, of the same p,
+    # takes that proof, and so do the sampler's level-1 listings at p: the
+    # witness proves nothing, however many listings it makes
     s = dataclasses.replace(s)
     validate_subfamily(s)
-    calls, real = [], arith.is_prime
+    calls, listed = [], []
+    real, real_draws = arith.is_prime, localsolve._level1_draws
 
     def proving(n):
         calls.append(n)
         return real(n)
 
+    def listing(surface, q, rng):
+        listed.append(q)
+        return real_draws(surface, q, rng)
+
     for module in (arith, quadform, localsolve, brauer):
         monkeypatch.setattr(module, "is_prime", proving)
+    monkeypatch.setattr(localsolve, "_level1_draws", listing)
     result = surjectivity_witness(s, 0)
     assert result.to_json() == json.loads(TABLE.read_text())[f"{key} {s.label()} 0"]
     assert any(" -> " in label or "swap" in label for label in result.case_trace)  # it transforms
-    assert calls == [s.p] * proofs
+    assert listed == [s.p] * listings and calls == []
 
 
 if __name__ == "__main__":
